@@ -3,9 +3,11 @@
 The dictionary stores, for every (fault, pattern) pair, the full output
 response.  Internally responses are kept packed: one machine word per
 (fault, output) whose bit ``p`` is the output value under pattern ``p``.
-That keeps dictionary construction to one forward pass per fault and makes
-pass/fail bookkeeping cheap bitwise arithmetic.  ``response()`` and
-``fault_free`` materialize ordinary bit tuples on demand.
+Construction is parallel-pattern single-fault propagation: one fault-free
+pass over all gates, then per fault a pass over only the gates in the fault
+site's fanout cone.  Packed words also make pass/fail bookkeeping cheap
+bitwise arithmetic.  ``response()`` and ``fault_free`` materialize ordinary
+bit tuples on demand.
 
 Fault collapsing is deliberately not performed: candidate-set sizes feed
 the downstream label arithmetic and must stay reproducible counts over the
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .netlist import Circuit, Pattern, Response, _check_pattern, _propagate
+from .netlist import Circuit, Gate, Pattern, Response, _check_pattern, _propagate
 
 EXHAUSTIVE_INPUT_LIMIT = 12
 
@@ -38,16 +40,16 @@ def enumerate_faults(circuit: Circuit) -> list[Fault]:
 
 
 def simulate_faulty(circuit: Circuit, fault: Fault, pattern: Sequence[int]) -> Response:
-    """Response with ``fault`` active: the faulted signal is overridden to its
-    stuck value before any reader consumes it."""
+    """Response with ``fault`` active: the faulted signal is pinned to its
+    stuck value and the gate driving it, if any, is skipped."""
     if not 0 <= fault.signal < circuit.signal_count:
         raise ValueError(f"unknown signal id {fault.signal}")
     _check_pattern(circuit, pattern)
     words = [0] * circuit.signal_count
     for sid, bit in zip(circuit.inputs, pattern):
         words[sid] = bit
-    words[fault.signal] = fault.stuck_value  # covers input fault sites
-    _propagate(circuit, words, 1, stuck_signal=fault.signal, stuck_word=fault.stuck_value)
+    words[fault.signal] = fault.stuck_value
+    _propagate((g for g in circuit.gates if g.output != fault.signal), words, 1)
     return tuple(words[o] for o in circuit.outputs)
 
 
@@ -122,42 +124,75 @@ class FaultDictionary:
         return [f for f in range(len(self.faults)) if self.mismatch_vs_free(f) != 0]
 
 
+def _fanout_cone(circuit: Circuit, readers: list[list[int]], site: int) -> list[Gate]:
+    """Gates that transitively read ``site``, in topological order.
+
+    ``readers[s]`` lists the positions of the gates reading signal ``s``; a
+    gate reading a signal on several pins appears once in the cone.
+    """
+    seen: set[int] = set()
+    stack = [site]
+    while stack:
+        for gi in readers[stack.pop()]:
+            if gi not in seen:
+                seen.add(gi)
+                stack.append(circuit.gates[gi].output)
+    return [circuit.gates[gi] for gi in sorted(seen)]
+
+
 def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
                            seed: int | None = None) -> FaultDictionary:
     """Simulate every enumerated fault against every pattern.
 
-    All patterns are packed into machine words, so the cost is one gate-level
-    forward pass per fault.  The result is deterministic for a given circuit
-    and pattern list; ``seed`` is only recorded for export metadata.
+    All patterns are packed into machine words.  One fault-free pass covers
+    every gate; each excited fault then pins its site's word and re-evaluates
+    only the site's fanout cone, so a fault costs one pass over its cone.  A
+    fault whose stuck word equals the fault-free word is never excited and
+    gets the fault-free row.  Rows share the fault-free ints of outputs
+    outside the cone.  The result is deterministic for a given circuit and
+    pattern list; ``seed`` is only recorded for export metadata.
     """
     if not patterns:
         raise ValueError("empty pattern list")
     for p in patterns:
         _check_pattern(circuit, p)
-    num = len(patterns)
-    mask = (1 << num) - 1
+    mask = (1 << len(patterns)) - 1
+    outputs = circuit.outputs
 
-    packed_inputs = []
-    for j in range(len(circuit.inputs)):
+    free = [0] * circuit.signal_count
+    for j, sid in enumerate(circuit.inputs):
         w = 0
         for p, pat in enumerate(patterns):
             w |= pat[j] << p
-        packed_inputs.append(w)
+        free[sid] = w
+    _propagate(circuit.gates, free, mask)
+    free_words = tuple(free[o] for o in outputs)
 
-    def run(stuck_signal: int = -1, stuck_word: int = 0) -> tuple[int, ...]:
-        words = [0] * circuit.signal_count
-        for sid, w in zip(circuit.inputs, packed_inputs):
-            words[sid] = w
-        if stuck_signal >= 0:
-            words[stuck_signal] = stuck_word
-        _propagate(circuit, words, mask, stuck_signal=stuck_signal, stuck_word=stuck_word)
-        return tuple(words[o] for o in circuit.outputs)
+    readers: list[list[int]] = [[] for _ in range(circuit.signal_count)]
+    for gi, gate in enumerate(circuit.gates):
+        for i in gate.inputs:
+            readers[i].append(gi)
 
-    free_words = run()
     faults = tuple(enumerate_faults(circuit))
-    fault_words = tuple(run(f.signal, f.stuck_value * mask) for f in faults)
+    words = list(free)
+    cone_site, cone = -1, []
+    rows = []
+    for fault in faults:
+        site = fault.signal
+        stuck = mask if fault.stuck_value else 0
+        if stuck == free[site]:
+            rows.append(free_words)
+            continue
+        if site != cone_site:
+            cone_site, cone = site, _fanout_cone(circuit, readers, site)
+        words[site] = stuck
+        _propagate(cone, words, mask)
+        rows.append(tuple(words[o] for o in outputs))
+        words[site] = free[site]
+        for gate in cone:
+            words[gate.output] = free[gate.output]
     return FaultDictionary(circuit=circuit, patterns=tuple(patterns), faults=faults,
-                           fault_words=fault_words, free_words=free_words, seed=seed)
+                           fault_words=tuple(rows), free_words=free_words, seed=seed)
 
 
 def write_dictionary(fdict: FaultDictionary, path) -> None:

@@ -330,58 +330,112 @@ class LoadedModel:
     train_circuits: tuple[str, ...]
 
 
+_COMMON_KEYS = ("tau", "standardize_mean", "standardize_scale", "standardize_constant",
+                "train_circuits")
+_KIND_KEYS = {
+    "linear": ("alpha", "penalty", "intercept", "beta"),
+    "kernel-logistic": ("lambda", "gamma", "learning_rate", "iterations", "seed",
+                        "landmark_cap", "theta", "landmarks"),
+}
+
+
 def load_model(path) -> LoadedModel:
+    """Read a model file written by :func:`save_model`.
+
+    Raises ``ValueError`` naming the offending key when a key its ``kind``
+    needs is missing, a value does not parse, or vector lengths disagree:
+    the ``standardize_*`` vectors with each other and with ``beta`` or the
+    landmark width, and ``theta`` with the landmark count.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_FILE_MAGIC:
         raise ValueError(f"{path} is not a model file (bad header)")
 
     fields: dict[str, str] = {}
-    landmark_rows: list[list[float]] = []
+    landmark_rows: list[str] = []
     for line in lines[1:]:
         if line == "end":
             break
         key, _, rest = line.partition(" ")
         if key == "landmark":
-            landmark_rows.append([float(v) for v in rest.split()])
+            landmark_rows.append(rest)
         else:
             fields[key] = rest
     else:
         raise ValueError(f"{path} is truncated (missing 'end')")
 
+    kind = fields.get("kind")
+    if kind is None:
+        raise ValueError(f"{path}: missing key 'kind'")
+    if kind not in _KIND_KEYS:
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    for key in _COMMON_KEYS + _KIND_KEYS[kind]:
+        if key not in fields:
+            raise ValueError(f"{path}: missing key {key!r}")
+
+    def parse(key: str, convert, text: str | None = None):
+        text = fields[key] if text is None else text
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValueError(f"{path}: bad value for {key!r}: {text!r}") from None
+
+    def floats(text: str) -> np.ndarray:
+        return np.array([float(v) for v in text.split()])
+
+    def flags(text: str) -> np.ndarray:
+        if any(v not in ("0", "1") for v in text.split()):
+            raise ValueError(text)
+        return np.array([v == "1" for v in text.split()])
+
+    def check_length(key: str, values: np.ndarray, want: int, what: str) -> None:
+        if len(values) != want:
+            raise ValueError(f"{path}: {key!r} has {len(values)} values, "
+                             f"expected {want} ({what})")
+
     std = Standardizer(
-        mean=np.array([float(v) for v in fields["standardize_mean"].split()]),
-        scale=np.array([float(v) for v in fields["standardize_scale"].split()]),
-        constant=np.array([v == "1" for v in fields["standardize_constant"].split()]),
+        mean=parse("standardize_mean", floats),
+        scale=parse("standardize_scale", floats),
+        constant=parse("standardize_constant", flags),
     )
-    tau = None if fields["tau"] == "none" else float(fields["tau"])
+    width = len(std.mean)
+    check_length("standardize_scale", std.scale, width, "the length of 'standardize_mean'")
+    check_length("standardize_constant", std.constant, width,
+                 "the length of 'standardize_mean'")
+    tau = None if fields["tau"] == "none" else parse("tau", float)
     circuits = tuple(fields["train_circuits"].split())
 
-    kind = fields["kind"]
     if kind == "linear":
+        beta = parse("beta", floats)
+        check_length("beta", beta, width, "the length of 'standardize_mean'")
         model: LinearModel | KernelLogisticModel = LinearModel(
-            beta=np.array([float(v) for v in fields["beta"].split()]),
-            intercept=float(fields["intercept"]),
-            alpha=float(fields["alpha"]),
+            beta=beta,
+            intercept=parse("intercept", float),
+            alpha=parse("alpha", float),
             penalty=fields["penalty"],
         )
-    elif kind == "kernel-logistic":
+    else:
         cfg = TrainConfig(
-            learning_rate=float(fields["learning_rate"]),
-            iterations=int(fields["iterations"]),
-            seed=int(fields["seed"]),
-            landmark_cap=int(fields["landmark_cap"]),
+            learning_rate=parse("learning_rate", float),
+            iterations=parse("iterations", int),
+            seed=parse("seed", int),
+            landmark_cap=parse("landmark_cap", int),
         )
-        landmarks = np.array(landmark_rows)
-        if landmarks.shape[0] != int(fields["landmarks"]):
-            raise ValueError(f"{path}: landmark count mismatch")
+        count = parse("landmarks", int)
+        if len(landmark_rows) != count:
+            raise ValueError(f"{path}: 'landmarks' says {count} rows, "
+                             f"found {len(landmark_rows)} 'landmark' lines")
+        rows = [parse("landmark", floats, text) for text in landmark_rows]
+        for row in rows:
+            check_length("landmark", row, width, "the length of 'standardize_mean'")
+        theta = parse("theta", floats)
+        check_length("theta", theta, count + 1, "one more than 'landmarks'")
         model = KernelLogisticModel(
-            theta=np.array([float(v) for v in fields["theta"].split()]),
-            landmarks=landmarks,
-            gamma=float(fields["gamma"]),
-            lam=float(fields["lambda"]),
+            theta=theta,
+            landmarks=np.array(rows).reshape(count, width),
+            gamma=parse("gamma", float),
+            lam=parse("lambda", float),
             config=cfg,
         )
-    else:
-        raise ValueError(f"{path}: unknown model kind {kind!r}")
     return LoadedModel(model=model, standardizer=std, tau=tau, train_circuits=circuits)

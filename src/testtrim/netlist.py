@@ -17,7 +17,7 @@ circuit's input and output lists respectively.
 Simulation works on packed machine words: every signal holds an int whose
 bit ``p`` is the signal's value under pattern ``p``.  With ``mask = 1`` this
 degenerates to ordinary single-pattern evaluation; the fault-dictionary
-builder passes wider masks to simulate all patterns of a set in one pass.
+builder passes wider masks to simulate all patterns of a set at once.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 GATE_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF")
 _UNARY_KINDS = frozenset({"NOT", "BUF"})
@@ -234,16 +234,18 @@ def format_bench(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _propagate(circuit: Circuit, words: list[int], mask: int,
-               stuck_signal: int = -1, stuck_word: int = 0) -> None:
-    """Forward pass over the gates, bit-parallel across patterns.
+def _propagate(gates: Iterable[Gate], words: list[int], mask: int) -> None:
+    """Evaluate ``gates`` in order, bit-parallel across patterns.
 
     ``words[s]`` holds signal ``s``; bit ``p`` is its value under pattern
-    ``p``.  When ``stuck_signal`` matches a gate output the computed word is
-    replaced by ``stuck_word`` before any reader consumes it (input-site
-    faults are handled by the caller overriding the input word).
+    ``p``, and ``mask`` has one bit set per pattern.  Each gate's output word
+    is overwritten from its input words, so ``gates`` must be in topological
+    order.  This is the package's only gate-evaluation loop: fault-free
+    evaluation passes every gate, and fault simulation pins the fault site's
+    word and passes the gates that do not drive it (the dictionary builder
+    passes only the site's fanout cone).
     """
-    for out, kind, ins in circuit.gates:
+    for out, kind, ins in gates:
         if kind == "AND":
             w = mask
             for i in ins:
@@ -275,8 +277,6 @@ def _propagate(circuit: Circuit, words: list[int], mask: int,
             w = words[ins[0]] ^ mask
         else:  # BUF
             w = words[ins[0]]
-        if out == stuck_signal:
-            w = stuck_word
         words[out] = w
 
 
@@ -296,7 +296,7 @@ def evaluate(circuit: Circuit, pattern: Sequence[int]) -> Response:
     words = [0] * circuit.signal_count
     for sid, bit in zip(circuit.inputs, pattern):
         words[sid] = bit
-    _propagate(circuit, words, 1)
+    _propagate(circuit.gates, words, 1)
     return tuple(words[o] for o in circuit.outputs)
 
 
@@ -306,5 +306,5 @@ def evaluate_all_signals(circuit: Circuit, pattern: Sequence[int]) -> tuple[int,
     words = [0] * circuit.signal_count
     for sid, bit in zip(circuit.inputs, pattern):
         words[sid] = bit
-    _propagate(circuit, words, 1)
+    _propagate(circuit.gates, words, 1)
     return tuple(words)

@@ -3,16 +3,21 @@
 Everything here deliberately avoids the package's production code paths:
 the truth-table evaluator recurses over name-level gate expressions, the
 fault oracle rewrites netlist text and reuses only the fault-free
-evaluator, and the candidate oracle rescans full pattern prefixes with the
-two-clause consistency definition instead of incremental filtering.
+evaluator, the full-pass dictionary builder re-simulates every gate for
+every fault with its own packed gate table, and the candidate oracle gets
+its responses from the fault oracle and rescans full pattern prefixes with
+the two-clause consistency definition instead of incremental filtering.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 import numpy as np
 
-from testtrim.faultsim import Fault, enumerate_faults, simulate_faulty
-from testtrim.netlist import Circuit, evaluate, parse_bench
+from testtrim.faultsim import Fault, enumerate_faults
+from testtrim.netlist import Circuit, evaluate, format_bench, parse_bench
 
 
 def recursive_truth_table_eval(circuit: Circuit, pattern) -> tuple[int, ...]:
@@ -48,12 +53,12 @@ def recursive_truth_table_eval(circuit: Circuit, pattern) -> tuple[int, ...]:
     return tuple(value_of(names[o]) for o in circuit.outputs)
 
 
-def rewrite_fault_response(bench_text: str, circuit: Circuit, fault: Fault, pattern):
-    """Response of the faulted circuit obtained by textual netlist rewriting.
+def rewrite_faulty_circuit(bench_text: str, circuit: Circuit, fault: Fault) -> Circuit:
+    """The faulted circuit obtained by textual netlist rewriting.
 
     The faulted signal's driver is replaced by a constant gate
     (XOR(w, w) = 0, XNOR(w, w) = 1); a faulted primary input is first
-    renamed so the pattern still lines up positionally.
+    renamed so patterns still line up positionally.
     """
     sig = circuit.signal_names[fault.signal]
     const_kind = "XNOR" if fault.stuck_value else "XOR"
@@ -81,13 +86,56 @@ def rewrite_fault_response(bench_text: str, circuit: Circuit, fault: Fault, patt
                 rewritten.append(ln)
         text = "\n".join(rewritten)
 
-    return evaluate(parse_bench(text), pattern)
+    return parse_bench(text)
+
+
+def rewrite_fault_response(bench_text: str, circuit: Circuit, fault: Fault, pattern):
+    """Response of the faulted circuit under one pattern, by netlist rewriting."""
+    return evaluate(rewrite_faulty_circuit(bench_text, circuit, fault), pattern)
+
+
+# (reduction over the input words, invert the result) per gate kind
+_PACKED_GATES = {
+    "AND": (operator.and_, False), "NAND": (operator.and_, True),
+    "OR": (operator.or_, False), "NOR": (operator.or_, True),
+    "XOR": (operator.xor, False), "XNOR": (operator.xor, True),
+    "NOT": (operator.and_, True), "BUF": (operator.and_, False),
+}
+
+
+def full_pass_fault_words(circuit: Circuit, patterns):
+    """Reference fault dictionary words: every gate re-simulated per fault.
+
+    Returns ``(fault_words, free_words)`` in the layout of
+    ``FaultDictionary``, faults in ``enumerate_faults`` order.
+    """
+    mask = (1 << len(patterns)) - 1
+    packed_inputs = [sum(pat[j] << p for p, pat in enumerate(patterns))
+                     for j in range(len(circuit.inputs))]
+
+    def run(stuck_signal=-1, stuck_word=0):
+        words = [0] * circuit.signal_count
+        for sid, w in zip(circuit.inputs, packed_inputs):
+            words[sid] = w
+        if stuck_signal >= 0:
+            words[stuck_signal] = stuck_word
+        for out, kind, ins in circuit.gates:
+            if out == stuck_signal:
+                continue
+            op, invert = _PACKED_GATES[kind]
+            w = reduce(op, (words[i] for i in ins))
+            words[out] = w ^ mask if invert else w
+        return tuple(words[o] for o in circuit.outputs)
+
+    fault_words = tuple(run(f.signal, f.stuck_value * mask) for f in enumerate_faults(circuit))
+    return fault_words, run()
 
 
 def oracle_candidate_sets(circuit: Circuit, patterns, injected: Fault):
     """Brute-force candidate sets per failing pattern.
 
-    Re-simulates every fault against every pattern, then for each failing
+    Re-simulates every fault against every pattern by netlist rewriting
+    (never through the production fault simulator), then for each failing
     pattern filters the whole fault list over the full prefix with the
     literal two-clause rule: match the observed response on failing
     patterns, match fault-free on passing ones.
@@ -95,8 +143,12 @@ def oracle_candidate_sets(circuit: Circuit, patterns, injected: Fault):
     Returns (failing_indices_1based, [set of fault indices per k]).
     """
     faults = enumerate_faults(circuit)
+    bench_text = format_bench(circuit)
     free = [evaluate(circuit, p) for p in patterns]
-    sims = [[simulate_faulty(circuit, f, p) for p in patterns] for f in faults]
+    sims = []
+    for f in faults:
+        faulty = rewrite_faulty_circuit(bench_text, circuit, f)
+        sims.append([evaluate(faulty, p) for p in patterns])
     inj = faults.index(injected)
     failing = [i for i in range(len(patterns)) if sims[inj][i] != free[i]]
     assert failing, "oracle called with an undetected fault"

@@ -121,6 +121,22 @@ def test_evaluate_refuses_split_mismatch(tmp_path, capsys):
     assert "overlap" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_model_missing_key(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, **_smoke_overrides(out, circuits=4))
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    model_path = out / "model.txt"
+    lines = model_path.read_text().splitlines()
+    model_path.write_text("\n".join(ln for ln in lines if not ln.startswith("tau ")) + "\n")
+    capsys.readouterr()
+
+    assert main(["evaluate", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "'tau'" in err[0]
+
+
 def test_flag_overrides_win(tmp_path, capsys):
     out = tmp_path / "runA"
     cfg_path = _write_config(tmp_path, **_smoke_overrides(out))

@@ -1,11 +1,18 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import AND_BENCH, random_small_circuit
-from oracles import rewrite_fault_response
+from oracles import full_pass_fault_words, rewrite_fault_response
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns, random_patterns,
                                simulate_faulty, write_dictionary)
+from testtrim.generator import random_circuit
 from testtrim.netlist import evaluate, evaluate_all_signals, parse_bench
+
+PATTERN_COUNTS = (1, 63, 64, 65, 1024)
 
 
 def test_enumerate_and_circuit(and_circuit):
@@ -148,3 +155,46 @@ def test_dictionary_export_format(tmp_path, and_circuit):
     assert len(lines) == 1 + 6 * 4
     # z stuck-at-1 under pattern 0 responds 1
     assert "z 1 0 1" in lines
+
+
+def _random_pattern_list(circuit, count, rng):
+    """``count`` seeded patterns, repeats allowed, so any width is reachable."""
+    return [tuple(rng.getrandbits(1) for _ in circuit.inputs) for _ in range(count)]
+
+
+def _assert_matches_full_pass(circuit, patterns):
+    fdict = build_fault_dictionary(circuit, patterns)
+    want_fault_words, want_free_words = full_pass_fault_words(circuit, patterns)
+    assert fdict.free_words == want_free_words
+    assert fdict.fault_words == want_fault_words
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       num_gates=st.integers(min_value=1, max_value=300),
+       p_unread=st.sampled_from((0.5, 0.8)),
+       num_patterns=st.sampled_from(PATTERN_COUNTS))
+def test_dictionary_matches_full_pass_reference(seed, num_gates, p_unread, num_patterns):
+    rng = random.Random(seed)
+    circuit = random_circuit(f"r{seed}", rng, min_inputs=1, max_inputs=24,
+                             min_gates=num_gates, max_gates=num_gates, p_unread=p_unread)
+    _assert_matches_full_pass(circuit, _random_pattern_list(circuit, num_patterns, rng))
+
+
+EDGE_BENCHES = {
+    # a gate reading one signal on both pins, twice in a row
+    "duplicate_inputs": "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nOUTPUT(w)\n"
+                        "y = AND(a, a)\nz = XOR(y, y)\nw = OR(y, b)\n",
+    "input_is_output": "INPUT(a)\nINPUT(b)\nOUTPUT(a)\nOUTPUT(z)\nz = NAND(a, b)\n",
+    "output_also_read": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
+                        "y = NOR(a, b)\nz = XNOR(y, c)\n",
+    "unread_input": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\nz = AND(a, b)\n",
+}
+
+
+@pytest.mark.parametrize("num_patterns", PATTERN_COUNTS)
+@pytest.mark.parametrize("name", sorted(EDGE_BENCHES))
+def test_dictionary_matches_full_pass_on_edge_netlists(name, num_patterns):
+    circuit = parse_bench(EDGE_BENCHES[name], name=name)
+    patterns = _random_pattern_list(circuit, num_patterns, random.Random(num_patterns))
+    _assert_matches_full_pass(circuit, patterns)

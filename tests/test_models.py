@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -389,4 +390,51 @@ class TestModelFiles:
         path = tmp_path / "bogus.txt"
         path.write_text("not a model\n")
         with pytest.raises(ValueError, match="bad header"):
+            load_model(path)
+
+
+def _edit_line(key, new):
+    """Corruption that replaces the first ``key`` line (``None`` drops it)."""
+    def edit(lines):
+        i = next(i for i, ln in enumerate(lines) if ln.split(" ", 1)[0] == key)
+        return lines[:i] + ([] if new is None else [f"{key} {new}"]) + lines[i + 1:]
+    return edit
+
+
+class TestModelFileValidation:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("models")
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(30, 5))
+        std = Standardizer.fit(X)
+        linear = tmp / "linear.txt"
+        save_model(linear, fit_penalized_linear(X, rng.normal(size=30), 0.1), std, tau=0.9)
+        kernel = tmp / "kernel.txt"
+        model = fit_kernel_logistic(X, (X[:, 0] > 0).astype(float), 0.7, 1.1,
+                                    TrainConfig(iterations=5, landmark_cap=4, seed=2))
+        save_model(kernel, model, std, tau=None)
+        return {"linear": linear.read_text().splitlines(),
+                "kernel": kernel.read_text().splitlines()}
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("linear", _edit_line("tau", None), "missing key 'tau'"),
+        ("linear", _edit_line("kind", None), "missing key 'kind'"),
+        ("linear", _edit_line("beta", None), "missing key 'beta'"),
+        ("linear", _edit_line("intercept", "abc"), "bad value for 'intercept'"),
+        ("linear", _edit_line("beta", "1.0 2.0"), "'beta' has 2 values, expected 5"),
+        ("linear", _edit_line("standardize_scale", "1.0"),
+         "'standardize_scale' has 1 values, expected 5"),
+        ("linear", _edit_line("standardize_constant", "0 0 2 0 0"),
+         "bad value for 'standardize_constant'"),
+        ("kernel", _edit_line("gamma", None), "missing key 'gamma'"),
+        ("kernel", _edit_line("landmarks", "3"), "'landmarks' says 3 rows"),
+        ("kernel", _edit_line("landmark", "0.5 0.5"), "'landmark' has 2 values, expected 5"),
+        ("kernel", _edit_line("theta", "0.0 1.0"), "'theta' has 2 values, expected 5"),
+        ("kernel", _edit_line("iterations", "1.5"), "bad value for 'iterations'"),
+    ])
+    def test_rejects_corrupt_file(self, files, tmp_path, kind, edit, message):
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(edit(files[kind])) + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_model(path)
