@@ -26,8 +26,8 @@ from .config import RunConfig, load_config, save_config
 from .dataset import read_dataset, standardize_fit_apply, write_dataset
 from .diagnosis import UndiagnosableFaultError, read_traces, write_traces
 from .faultsim import write_dictionary
-from .models import (TrainConfig, fit_kernel_logistic, fit_penalized_linear,
-                     load_model, save_model)
+from .models import (KernelLogisticModel, TrainConfig, fit_kernel_logistic,
+                     fit_penalized_linear, load_model, save_model)
 from .netlist import BenchParseError, format_bench
 
 
@@ -82,7 +82,7 @@ def _load_corpus_files(cfg: RunConfig):
         raise FileNotFoundError(
             f"missing {dataset_path} or {traces_path}; run 'testtrim generate' first")
     dataset = read_dataset(dataset_path)
-    traces = read_traces(traces_path, cfg.corpus_patterns)
+    traces = read_traces(traces_path)
     return dataset, traces
 
 
@@ -107,6 +107,11 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
+def _train_config(cfg: RunConfig) -> TrainConfig:
+    return TrainConfig(iterations=cfg.model_iterations, seed=cfg.model_seed,
+                       landmark_cap=cfg.model_landmark_cap)
+
+
 def _fit_from_split(cfg: RunConfig, split: corpus_mod.CorpusSplit):
     """Fit the configured model on the train rows; returns (model, standardizer, tau)."""
     X_train = standardize_fit_apply(split.train)[0]
@@ -120,10 +125,7 @@ def _fit_from_split(cfg: RunConfig, split: corpus_mod.CorpusSplit):
     else:
         model = fit_kernel_logistic(
             X_train, split.train.labels_binary(), cfg.model_lambda, cfg.model_gamma,
-            TrainConfig(learning_rate=cfg.model_learning_rate,
-                        iterations=cfg.model_iterations,
-                        seed=cfg.model_seed,
-                        landmark_cap=cfg.model_landmark_cap))
+            _train_config(cfg))
     if cfg.policy_tau == "auto":
         if not split.validation_traces:
             raise ValueError("policy.tau = auto needs a validation split "
@@ -143,8 +145,15 @@ def cmd_train(cfg: RunConfig) -> int:
     model, std, tau = _fit_from_split(cfg, split)
     save_model(out / "model.txt", model, std,
                train_circuits=sorted(split.trainval_circuits), tau=tau)
+    fit = ""
+    if isinstance(model, KernelLogisticModel):
+        fit = (f", fit: {len(model.cost_history) - 1} iterations, "
+               f"grad_norm={model.grad_norm:.3g}, "
+               f"{'converged' if model.converged else 'not converged'}")
+    positive = float(split.train.labels_binary().mean())
     print(f"trained {ev.model_descriptor(model)} on {len(split.train)} rows "
-          f"({len(split.train.circuit_ids())} circuits), tau={tau:g}")
+          f"({len(split.train.circuit_ids())} circuits, {positive:.1%} positive), "
+          f"tau={tau:g}{fit}")
     return 0
 
 
@@ -190,17 +199,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     points = ev.sweep_alpha(ev.DEFAULT_ALPHA_GRID, split.train,
                             split.validation_traces, split.test_traces)
     ev.write_sweep_csv(points, out / "sweep_alpha.csv")
-    betas = ev.beta_weight_report(ev.DEFAULT_ALPHA_GRID, split.train)
-    ev.write_beta_csv(betas, out / "beta_weights.csv")
+    ev.write_beta_csv(points, out / "beta_weights.csv")
 
     sizes = ev.curve_sizes(len(split.train))
     curve = ev.learning_curve(
         sizes, split.train, split.test, cfg.model_lambda, cfg.model_gamma,
-        TrainConfig(learning_rate=cfg.model_learning_rate,
-                    iterations=cfg.model_iterations,
-                    seed=cfg.model_seed,
-                    landmark_cap=cfg.model_landmark_cap),
-        seed=cfg.model_seed)
+        _train_config(cfg), seed=cfg.model_seed)
     ev.write_curve_csv(curve, out / "learning_curve.csv")
     print(f"sweep done: {len(points)} alpha points, {len(curve)} curve sizes")
     return 0

@@ -29,7 +29,6 @@ class RunConfig:
     model_penalty: str = "l2"
     model_lambda: float = 1.0
     model_gamma: float = 1.0
-    model_learning_rate: float = 0.3
     model_iterations: int = 2000
     model_landmark_cap: int = 512
     model_seed: int = 3
@@ -67,7 +66,6 @@ _KEYS: dict[str, tuple[str, object]] = {
     "model.penalty": ("model_penalty", str),
     "model.lambda": ("model_lambda", float),
     "model.gamma": ("model_gamma", float),
-    "model.learning_rate": ("model_learning_rate", float),
     "model.iterations": ("model_iterations", int),
     "model.landmark_cap": ("model_landmark_cap", int),
     "model.seed": ("model_seed", int),

@@ -120,7 +120,7 @@ def trace_diagnosis(fdict: FaultDictionary, injected: Fault,
     )
 
 
-TRACE_HEADER = ["circuit_id", "num_inputs", "k", "failing_index_k",
+TRACE_HEADER = ["circuit_id", "num_inputs", "total_patterns", "k", "failing_index_k",
                 "intermediate_size", "golden_size", "m", "y"]
 
 
@@ -132,19 +132,18 @@ def write_traces(traces: Iterable[DiagnosisTrace], path) -> None:
         for t in traces:
             for k in range(t.num_failing):
                 writer.writerow([
-                    t.circuit_id, t.num_inputs, k + 1, t.failing_indices[k],
+                    t.circuit_id, t.num_inputs, t.total_patterns, k + 1, t.failing_indices[k],
                     t.intermediate_sizes[k], t.golden_size,
                     f"{t.m_values[k]:.6f}", f"{t.y_values[k]:.6f}",
                 ])
 
 
-def read_traces(path, total_patterns: int | str) -> list[DiagnosisTrace]:
+def read_traces(path) -> list[DiagnosisTrace]:
     """Rebuild traces from a CSV export.
 
-    ``total_patterns`` is not part of the record schema; pass the corpus
-    pattern budget (capped per circuit at its 2^num_inputs exhaustive
-    space), or ``"exhaustive"`` to derive 2^num_inputs directly.  Loaded
-    traces carry no injected-fault ground truth.
+    Each record carries its circuit's applied pattern count, so a reader
+    needs no corpus settings.  Loaded traces carry no injected-fault ground
+    truth.
     """
     groups: dict[str, list[dict]] = {}
     with open(path, newline="") as fh:
@@ -159,16 +158,16 @@ def read_traces(path, total_patterns: int | str) -> list[DiagnosisTrace]:
         rows.sort(key=lambda r: int(r["k"]))
         if [int(r["k"]) for r in rows] != list(range(1, len(rows) + 1)):
             raise ValueError(f"non-contiguous k sequence for circuit '{cid}'")
-        num_inputs = int(rows[0]["num_inputs"])
-        if total_patterns == "exhaustive":
-            total = 1 << num_inputs
-        else:
-            total = min(int(total_patterns), 1 << num_inputs)
+        failing = [int(r["failing_index_k"]) for r in rows]
+        total = int(rows[0]["total_patterns"])
+        if total < failing[-1]:
+            raise ValueError(f"circuit '{cid}': total_patterns {total} is below its "
+                             f"last failing pattern {failing[-1]}")
         traces.append(DiagnosisTrace(
             circuit_id=cid,
-            num_inputs=num_inputs,
+            num_inputs=int(rows[0]["num_inputs"]),
             total_patterns=total,
-            failing_indices=[int(r["failing_index_k"]) for r in rows],
+            failing_indices=failing,
             intermediate_sizes=[int(r["intermediate_size"]) for r in rows],
             golden_size=int(rows[0]["golden_size"]),
             m_values=[float(r["m"]) for r in rows],

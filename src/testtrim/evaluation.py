@@ -14,9 +14,8 @@ The headline metrics:
 
 Alpha sweeps reproduce the published lasso experiments, so their alpha is
 interpreted with the usual per-sample convention of mainstream lasso
-solvers, i.e. the raw objective is ||Xb - Y||^2 + 2*n*alpha*||b||_1.  The
-coefficient-weight report uses the same convention; `alpha = 0` falls back
-to plain least squares in either convention.
+solvers, i.e. the raw objective is ||Xb - Y||^2 + 2*n*alpha*||b||_1;
+`alpha = 0` falls back to plain least squares in either convention.
 """
 
 from __future__ import annotations
@@ -232,22 +231,6 @@ def sweep_alpha(alphas: Sequence[float], train: Dataset,
     return points
 
 
-def beta_weight_report(alphas: Sequence[float], train: Dataset,
-                       penalty: str = "l1") -> list[tuple[float, tuple[float, ...]]]:
-    """Coefficient vectors per alpha, for the weight-vs-penalty plot."""
-    X_train = standardize_fit_apply(train)[0]
-    y_train = train.labels()
-    n = len(train)
-    table = []
-    for alpha in alphas:
-        model = fit_penalized_linear(
-            X_train, y_train,
-            sweep_lasso_alpha(alpha, n) if penalty == "l1" else alpha,
-            penalty=penalty)
-        table.append((alpha, tuple(float(b) for b in model.beta)))
-    return table
-
-
 def learning_curve(sizes: Sequence[int], train: Dataset, test: Dataset,
                    lam: float, gamma: float, config: TrainConfig,
                    seed: int) -> list[tuple[int, float]]:
@@ -324,12 +307,13 @@ def write_sweep_csv(points: Sequence[AlphaPoint], path) -> None:
                              f"{p.label_accuracy:.6f}"])
 
 
-def write_beta_csv(table: Sequence[tuple[float, tuple[float, ...]]], path) -> None:
+def write_beta_csv(points: Sequence[AlphaPoint], path) -> None:
+    """Coefficient vector per swept alpha, for the weight-vs-penalty plot."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "beta_1", "beta_2", "beta_3", "beta_4", "beta_5"])
-        for alpha, beta in table:
-            writer.writerow([f"{alpha:.6g}"] + [f"{b:.6f}" for b in beta])
+        for p in points:
+            writer.writerow([f"{p.alpha:.6g}"] + [f"{b:.6f}" for b in p.beta])
 
 
 def write_curve_csv(points: Sequence[tuple[int, float]], path) -> None:

@@ -200,16 +200,31 @@ def write_dictionary(fdict: FaultDictionary, path) -> None:
 
     Line format: ``<fault_signal> <stuck_value> <pattern_index> <response_bits>``
     with 0-based pattern indices and response bits in output-list order.
+    The text is built from the packed words: each distinct word becomes its
+    bit column once, and each distinct row (unexcited faults share the
+    fault-free row) its per-pattern ``<index> <bits>`` suffixes once.
     """
     circuit = fdict.circuit
     names = circuit.signal_names
+    num_patterns = fdict.num_patterns
+    columns: dict[int, str] = {}
+    suffixes: dict[tuple[int, ...], list[str]] = {}
     lines = [
         f"# circuit={circuit.name} signals={circuit.signal_count} "
-        f"faults={len(fdict.faults)} patterns={fdict.num_patterns} seed={fdict.seed}"
+        f"faults={len(fdict.faults)} patterns={num_patterns} seed={fdict.seed}"
     ]
-    for fi, fault in enumerate(fdict.faults):
-        for p in range(fdict.num_patterns):
-            bits = "".join(str(b) for b in fdict.response(fi, p))
-            lines.append(f"{names[fault.signal]} {fault.stuck_value} {p} {bits}")
+    for fault, words in zip(fdict.faults, fdict.fault_words):
+        row = suffixes.get(words)
+        if row is None:
+            for w in words:
+                if w not in columns:
+                    columns[w] = format(w, f"0{num_patterns}b")[::-1]
+            if words:
+                bits = ["".join(b) for b in zip(*(columns[w] for w in words))]
+            else:
+                bits = [""] * num_patterns
+            row = suffixes[words] = [f"{p} {b}" for p, b in enumerate(bits)]
+        prefix = f"{names[fault.signal]} {fault.stuck_value} "
+        lines.append("\n".join(prefix + suffix for suffix in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -9,7 +9,8 @@
 * RBF-kernel logistic classification: the kernel is realized as a landmark
   feature map phi(x) = [1, exp(-gamma ||x - l_1||^2), ...] over (possibly
   subsampled) training rows, and the standard regularized logistic cost is
-  minimized by full-batch gradient descent with an analytic gradient.
+  minimized by a limited-memory BFGS loop (Liu & Nocedal, 1989) on its
+  analytic gradient, until the gradient norm falls below a tolerance.
 
 Both fits are deterministic under a fixed seed, and fitted models are
 immutable for prediction purposes.  Model files use a line-oriented text
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -30,6 +32,10 @@ from scipy.special import expit
 from .dataset import Standardizer
 
 PROB_EPS = 1e-12
+
+LBFGS_MEMORY = 10       # (s, y) pairs kept by the kernel-logistic fit
+ARMIJO_C1 = 1e-4        # sufficient-decrease constant of its line search
+MAX_BACKTRACKS = 50     # step halvings before the line search gives up
 
 MODEL_FILE_MAGIC = "testtrim-model v1"
 
@@ -45,8 +51,7 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.3
-    iterations: int = 2000
+    iterations: int = 2000       # cap on accepted L-BFGS steps
     seed: int = 0
     landmark_cap: int = 512
     grad_tol: float = 1e-6
@@ -60,6 +65,11 @@ class KernelLogisticModel:
     lam: float
     config: TrainConfig
     cost_history: list[float] = field(default_factory=list, repr=False)
+    grad_norm: float | None = None   # ||grad||_2 where the fit stopped; not persisted
+
+    @property
+    def converged(self) -> bool:
+        return self.grad_norm is not None and self.grad_norm < self.config.grad_tol
 
 
 def _soft_threshold(x: float, t: float) -> float:
@@ -235,12 +245,19 @@ def logistic_cost_grad(theta: np.ndarray, Phi: np.ndarray, y_bin: np.ndarray,
 
 def fit_kernel_logistic(X_train: np.ndarray, y_bin: np.ndarray, lam: float,
                         gamma: float, config: TrainConfig = TrainConfig()) -> KernelLogisticModel:
-    """Train the landmark-map logistic classifier by full-batch gradient descent.
+    """Train the landmark-map logistic classifier by limited-memory BFGS.
 
     Landmarks are the training rows, subsampled to ``config.landmark_cap``
     with a seeded draw when the training set is larger.  theta starts at
-    zero and is updated until the iteration budget is spent or the gradient
-    norm drops below ``config.grad_tol``.
+    zero.  Each step takes the two-loop L-BFGS direction over the last
+    ``LBFGS_MEMORY`` curvature pairs (the normalized steepest-descent
+    direction on the first step) and backtracks from a unit step until the
+    Armijo condition holds with a strict decrease.  The fit stops when the
+    gradient norm drops below ``config.grad_tol`` (converged), after
+    ``config.iterations`` accepted steps, or when the line search finds no
+    decrease; the last two leave ``model.converged`` false.
+    ``cost_history`` holds the initial cost and the cost after each
+    accepted step, so it is strictly decreasing.
     """
     X_train = np.asarray(X_train, dtype=float)
     y_bin = np.asarray(y_bin, dtype=float)
@@ -257,15 +274,52 @@ def fit_kernel_logistic(X_train: np.ndarray, y_bin: np.ndarray, lam: float,
 
     Phi = rbf_features(X_train, landmarks, gamma)
     theta = np.zeros(Phi.shape[1])
-    costs: list[float] = []
-    for _ in range(config.iterations):
-        cost, grad = logistic_cost_grad(theta, Phi, y_bin, lam)
+    cost, grad = logistic_cost_grad(theta, Phi, y_bin, lam)
+    costs = [cost]
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
+    grad_norm = float(np.linalg.norm(grad))
+    while grad_norm >= config.grad_tol and len(costs) <= config.iterations:
+        direction = _lbfgs_direction(grad, grad_norm, pairs)
+        slope = float(grad @ direction)
+        step = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            trial = theta + step * direction
+            trial_cost, trial_grad = logistic_cost_grad(trial, Phi, y_bin, lam)
+            if trial_cost < cost and trial_cost <= cost + ARMIJO_C1 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break                       # no decrease along this direction
+        s, y = trial - theta, trial_grad - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs.append((s, y, sy))
+        theta, cost, grad = trial, trial_cost, trial_grad
         costs.append(cost)
-        if np.linalg.norm(grad) < config.grad_tol:
-            break
-        theta = theta - config.learning_rate * grad
+        grad_norm = float(np.linalg.norm(grad))
     return KernelLogisticModel(theta=theta, landmarks=landmarks, gamma=gamma,
-                               lam=lam, config=config, cost_history=costs)
+                               lam=lam, config=config, cost_history=costs,
+                               grad_norm=grad_norm)
+
+
+def _lbfgs_direction(grad: np.ndarray, grad_norm: float,
+                     pairs: Sequence[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
+    """Two-loop recursion: -H grad for the L-BFGS inverse-Hessian estimate H
+    built from ``(s, y, s.y)`` pairs, oldest first, with initial scaling
+    s.y / y.y of the newest pair; -grad / ||grad|| when there are none."""
+    if not pairs:
+        return -grad / grad_norm
+    q = grad.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        a = float(s @ q) / sy
+        q -= a * y
+        alphas.append(a)
+    s, y, sy = pairs[-1]
+    r = (sy / float(y @ y)) * q
+    for (s, y, sy), a in zip(pairs, reversed(alphas)):
+        r += (a - float(y @ r) / sy) * s
+    return -r
 
 
 def predict_prob(model: KernelLogisticModel, x: Sequence[float]) -> float:
@@ -300,7 +354,6 @@ def save_model(path, model: LinearModel | KernelLogisticModel, standardizer: Sta
         lines.append("kind kernel-logistic")
         lines.append(f"lambda {model.lam!r}")
         lines.append(f"gamma {model.gamma!r}")
-        lines.append(f"learning_rate {cfg.learning_rate!r}")
         lines.append(f"iterations {cfg.iterations}")
         lines.append(f"seed {cfg.seed}")
         lines.append(f"landmark_cap {cfg.landmark_cap}")
@@ -334,7 +387,7 @@ _COMMON_KEYS = ("tau", "standardize_mean", "standardize_scale", "standardize_con
                 "train_circuits")
 _KIND_KEYS = {
     "linear": ("alpha", "penalty", "intercept", "beta"),
-    "kernel-logistic": ("lambda", "gamma", "learning_rate", "iterations", "seed",
+    "kernel-logistic": ("lambda", "gamma", "iterations", "seed",
                         "landmark_cap", "theta", "landmarks"),
 }
 
@@ -417,7 +470,6 @@ def load_model(path) -> LoadedModel:
         )
     else:
         cfg = TrainConfig(
-            learning_rate=parse("learning_rate", float),
             iterations=parse("iterations", int),
             seed=parse("seed", int),
             landmark_cap=parse("landmark_cap", int),

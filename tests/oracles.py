@@ -4,9 +4,11 @@ Everything here deliberately avoids the package's production code paths:
 the truth-table evaluator recurses over name-level gate expressions, the
 fault oracle rewrites netlist text and reuses only the fault-free
 evaluator, the full-pass dictionary builder re-simulates every gate for
-every fault with its own packed gate table, and the candidate oracle gets
+every fault with its own packed gate table, the candidate oracle gets
 its responses from the fault oracle and rescans full pattern prefixes with
-the two-clause consistency definition instead of incremental filtering.
+the two-clause consistency definition instead of incremental filtering,
+the dictionary writer unpacks every response bit by bit, and the logistic
+minimizer takes damped Newton steps on its own cost, gradient and Hessian.
 """
 
 from __future__ import annotations
@@ -131,6 +133,21 @@ def full_pass_fault_words(circuit: Circuit, patterns):
     return fault_words, run()
 
 
+def bitwise_dictionary_text(fdict) -> str:
+    """The ``.dict`` export built one ``response()`` call per (fault, pattern)."""
+    circuit = fdict.circuit
+    names = circuit.signal_names
+    lines = [
+        f"# circuit={circuit.name} signals={circuit.signal_count} "
+        f"faults={len(fdict.faults)} patterns={fdict.num_patterns} seed={fdict.seed}"
+    ]
+    for fi, fault in enumerate(fdict.faults):
+        for p in range(fdict.num_patterns):
+            bits = "".join(str(b) for b in fdict.response(fi, p))
+            lines.append(f"{names[fault.signal]} {fault.stuck_value} {p} {bits}")
+    return "\n".join(lines) + "\n"
+
+
 def oracle_candidate_sets(circuit: Circuit, patterns, injected: Fault):
     """Brute-force candidate sets per failing pattern.
 
@@ -192,6 +209,36 @@ def gradient_descent_ridge(X, Y, alpha, fit_intercept=True, tol=1e-12, max_iter=
             break
         w = w - lr * grad
     return (w[0], w[1:]) if fit_intercept else (0.0, w)
+
+
+def newton_logistic(Phi, y, lam, tol=1e-13, max_iter=200):
+    """Minimize the regularized logistic cost (intercept weight unpenalized)
+    by damped Newton steps.  Returns ``(theta, cost)``."""
+    Phi = np.asarray(Phi, float)
+    y = np.asarray(y, float)
+    m, k = Phi.shape
+    pen = np.full(k, lam / m)
+    pen[0] = 0.0
+
+    def cost(theta):
+        z = Phi @ theta
+        return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * np.sum(pen * theta ** 2))
+
+    theta = np.zeros(k)
+    for _ in range(max_iter):
+        h = 1.0 / (1.0 + np.exp(-(Phi @ theta)))
+        grad = Phi.T @ (h - y) / m + pen * theta
+        if np.linalg.norm(grad) < tol:
+            break
+        hess = (Phi.T * (h * (1.0 - h))) @ Phi / m + np.diag(pen)
+        step = np.linalg.solve(hess, grad)
+        current, t = cost(theta), 1.0
+        while cost(theta - t * step) > current - 1e-4 * t * (grad @ step) and t > 1e-12:
+            t *= 0.5
+        if cost(theta - t * step) >= current:
+            break
+        theta = theta - t * step
+    return theta, cost(theta)
 
 
 def central_difference_gradient(cost_fn, theta, step=1e-5):

@@ -137,6 +137,44 @@ def test_evaluate_rejects_model_missing_key(tmp_path, capsys):
     assert err[0].startswith("error:") and "'tau'" in err[0]
 
 
+def test_evaluate_reads_pattern_count_from_traces(tmp_path, capsys):
+    # a later stage's corpus.patterns must not rescale the saved volume
+    out = tmp_path / "run"
+    overrides = _smoke_overrides(out, circuits=6)
+    overrides.update(corpus_patterns=208, corpus_min_inputs=8, corpus_max_inputs=9)
+    cfg_path = _write_config(tmp_path, **overrides)
+    for cmd in ("generate", "train", "evaluate"):
+        assert main([cmd, "--config", str(cfg_path)]) == 0
+    matching = capsys.readouterr().out.splitlines()[-1]
+
+    other = tmp_path / "other.txt"
+    save_config(RunConfig(**{**overrides, "corpus_patterns": 64}), other)
+    assert main(["evaluate", "--config", str(other)]) == 0
+    drifted = capsys.readouterr().out.splitlines()[-1]
+    assert "volume_reduction=" in matching
+    assert drifted == matching
+
+
+def test_old_learning_rate_key_fails_cleanly(tmp_path, capsys):
+    cfg_path = tmp_path / "old.txt"
+    cfg_path.write_text("model.learning_rate = 0.3\n")
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "model.learning_rate" in err[0]
+
+
+def test_train_reports_fit(tmp_path, capsys):
+    out = tmp_path / "run"
+    overrides = _smoke_overrides(out, circuits=6)
+    overrides.update(model_kind="kernel-logistic", model_iterations=3)
+    cfg_path = _write_config(tmp_path, **overrides)
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert "% positive)" in line
+    assert "fit: 3 iterations, grad_norm=" in line and line.endswith("not converged")
+
+
 def test_flag_overrides_win(tmp_path, capsys):
     out = tmp_path / "runA"
     cfg_path = _write_config(tmp_path, **_smoke_overrides(out))

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import random_small_circuit
 from oracles import oracle_candidate_sets
-from testtrim.diagnosis import (UndiagnosableFaultError, compute_labels,
+from testtrim.diagnosis import (TRACE_HEADER, UndiagnosableFaultError, compute_labels,
                                 read_traces, trace_diagnosis, write_traces)
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns)
@@ -140,7 +140,7 @@ class TestComputeLabels:
 def test_trace_csv_roundtrip(tmp_path, small_corpus):
     path = tmp_path / "traces.csv"
     write_traces(small_corpus.traces, path)
-    loaded = read_traces(path, 48)
+    loaded = read_traces(path)
     assert len(loaded) == len(small_corpus.traces)
     by_id = {t.circuit_id: t for t in loaded}
     for orig in small_corpus.traces:
@@ -155,3 +155,25 @@ def test_trace_csv_roundtrip(tmp_path, small_corpus):
         # converged rows survive the 6-digit round trip exactly
         for y_orig, y_got in zip(orig.y_values, got.y_values):
             assert (y_orig == 1.0) == (y_got == 1.0)
+
+
+def test_read_traces_rejects_header_without_total_patterns(tmp_path, small_corpus):
+    path = tmp_path / "traces.csv"
+    write_traces(small_corpus.traces[:1], path)
+    lines = path.read_text().splitlines()
+    drop = TRACE_HEADER.index("total_patterns")
+    path.write_text("\n".join(",".join(c for i, c in enumerate(ln.split(",")) if i != drop)
+                              for ln in lines) + "\n")
+    with pytest.raises(ValueError, match="unexpected trace header"):
+        read_traces(path)
+
+
+def test_read_traces_rejects_total_below_last_failing_pattern(tmp_path, small_corpus):
+    path = tmp_path / "traces.csv"
+    write_traces(small_corpus.traces[:1], path)
+    header, *rows = path.read_text().splitlines()
+    col = TRACE_HEADER.index("total_patterns")
+    rows = [",".join("0" if i == col else c for i, c in enumerate(r.split(","))) for r in rows]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ValueError, match="total_patterns 0 is below"):
+        read_traces(path)

@@ -162,14 +162,13 @@ class TestSweeps:
         assert pts[0].tau == pts[1].tau
 
     def test_zero_alpha_equals_plain_least_squares(self, splits):
-        pts = ev.sweep_alpha([0.0], splits.train,
-                             splits.validation_traces, splits.test_traces)
-        betas = ev.beta_weight_report([0.0], splits.train)
         from testtrim.models import fit_penalized_linear
         X = splits.train.standardization.transform(splits.train.feature_matrix())
         direct = fit_penalized_linear(X, splits.train.labels(), 0.0)
-        assert pts[0].beta == pytest.approx(direct.beta, abs=0)
-        assert betas[0][1] == pytest.approx(direct.beta, abs=0)
+        for penalty in ("l1", "l2"):
+            pts = ev.sweep_alpha([0.0], splits.train, splits.validation_traces,
+                                 splits.test_traces, penalty=penalty)
+            assert pts[0].beta == pytest.approx(direct.beta, abs=0)
 
     def test_results_in_grid_order(self, splits):
         grid = [1e-2, 1e-4, 1e-3]
@@ -177,10 +176,11 @@ class TestSweeps:
                              splits.validation_traces, splits.test_traces)
         assert [p.alpha for p in pts] == grid
 
-    def test_ridge_norm_monotone_via_beta_report(self, splits):
+    def test_ridge_norm_monotone_over_sweep(self, splits):
         alphas = [1e-4, 1e-2, 1.0, 1e2, 1e4]
-        table = ev.beta_weight_report(alphas, splits.train, penalty="l2")
-        norms = [np.linalg.norm(beta) for _, beta in table]
+        pts = ev.sweep_alpha(alphas, splits.train, splits.validation_traces,
+                             splits.test_traces, penalty="l2")
+        norms = [np.linalg.norm(p.beta) for p in pts]
         assert all(a >= b for a, b in zip(norms, norms[1:]))
 
 
@@ -233,7 +233,9 @@ class TestCsvWriters:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[1].startswith("0.0001,0.900000,0.750000,0.300000,0.800000")
 
-        ev.write_beta_csv([(0.1, (0.5, -0.25, 0.0, 1.0, 2.0))], tmp_path / "beta.csv")
+        ev.write_beta_csv([ev.AlphaPoint(0.1, 0.9, 0.75, 0.3, 0.8,
+                                         (0.5, -0.25, 0.0, 1.0, 2.0), 0.2)],
+                          tmp_path / "beta.csv")
         lines = (tmp_path / "beta.csv").read_text().splitlines()
         assert lines[0] == "alpha,beta_1,beta_2,beta_3,beta_4,beta_5"
         assert lines[1] == "0.1,0.500000,-0.250000,0.000000,1.000000,2.000000"

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import AND_BENCH, random_small_circuit
-from oracles import full_pass_fault_words, rewrite_fault_response
+from oracles import bitwise_dictionary_text, full_pass_fault_words, rewrite_fault_response
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns, random_patterns,
                                simulate_faulty, write_dictionary)
@@ -155,6 +155,29 @@ def test_dictionary_export_format(tmp_path, and_circuit):
     assert len(lines) == 1 + 6 * 4
     # z stuck-at-1 under pattern 0 responds 1
     assert "z 1 0 1" in lines
+
+
+@pytest.mark.parametrize("num_patterns", (1, 63, 64, 65, 208))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_dictionary_export_matches_bitwise_reference(tmp_path, seed, num_patterns):
+    rng = random.Random(seed)
+    circuit = random_circuit(f"r{seed}", rng, min_inputs=3, max_inputs=10,
+                             min_gates=10, max_gates=60, p_unread=0.5)
+    fdict = build_fault_dictionary(circuit, _random_pattern_list(circuit, num_patterns, rng),
+                                   seed=seed)
+    path = tmp_path / "r.dict"
+    write_dictionary(fdict, path)
+    assert path.read_text() == bitwise_dictionary_text(fdict)
+
+
+@pytest.mark.parametrize("bench", (AND_BENCH, "INPUT(a)\nINPUT(b)\nz = AND(a, b)\n"),
+                         ids=("and2", "no_outputs"))
+def test_dictionary_export_matches_bitwise_reference_small(tmp_path, bench):
+    circuit = parse_bench(bench, name="small")
+    fdict = build_fault_dictionary(circuit, exhaustive_patterns(2), seed=None)
+    path = tmp_path / "small.dict"
+    write_dictionary(fdict, path)
+    assert path.read_text() == bitwise_dictionary_text(fdict)
 
 
 def _random_pattern_list(circuit, count, rng):

@@ -4,8 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import (central_difference_gradient, gradient_descent_ridge,
-                     naive_sigmoid_dot)
+                     naive_sigmoid_dot, newton_logistic)
 from testtrim.models import (KernelLogisticModel, TrainConfig, fit_kernel_logistic,
                              fit_penalized_linear, load_model, logistic_cost_grad,
                              predict_linear, predict_prob, rbf_features, rbf_map,
@@ -278,6 +281,37 @@ class TestFitKernelLogistic:
         costs = model.cost_history
         assert len(costs) > 1
         assert all(b <= a + 1e-10 for a, b in zip(costs, costs[1:]))
+
+    # grad_tol 1e-8: at the default 1e-6 and lam = 0.01 the stopping rule
+    # itself leaves up to ~2e-8 relative cost above the optimum.
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           rows=st.integers(min_value=6, max_value=40),
+           width=st.integers(min_value=1, max_value=3),
+           lam=st.sampled_from((0.01, 1.0)))
+    def test_reaches_reference_optimum(self, seed, rows, width, lam):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(rows, width))
+        y = (rng.random(rows) < 0.6).astype(float)
+        y[:2] = (0.0, 1.0)
+        model = fit_kernel_logistic(X, y, lam, 1.0, TrainConfig(grad_tol=1e-8))
+        Phi = rbf_features(X, model.landmarks, 1.0)
+        _, ref_cost = newton_logistic(Phi, y, lam)
+        cost, grad = logistic_cost_grad(model.theta, Phi, y, lam)
+        assert cost == model.cost_history[-1]
+        assert abs(cost - ref_cost) <= 1e-9 * ref_cost
+        assert model.grad_norm == np.linalg.norm(grad)
+        if model.converged:
+            assert np.linalg.norm(grad) < model.config.grad_tol
+
+    def test_iteration_cap_ends_unconverged(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(60, 3))
+        y = (X[:, 0] - X[:, 1] > 0).astype(float)
+        model = fit_kernel_logistic(X, y, 1.0, 1.0, TrainConfig(iterations=3))
+        assert not model.converged
+        assert model.grad_norm >= model.config.grad_tol
+        assert len(model.cost_history) <= 4
 
     def test_single_class_rejected(self):
         X = np.zeros((5, 2))
