@@ -157,27 +157,29 @@ def test_dictionary_export_format(tmp_path, and_circuit):
     assert "z 1 0 1" in lines
 
 
+def _assert_export_matches_bitwise(fdict, tmp_path):
+    path = tmp_path / "export.dict"
+    write_dictionary(fdict, path)
+    assert path.read_text() == bitwise_dictionary_text(fdict)
+
+
 @pytest.mark.parametrize("num_patterns", (1, 63, 64, 65, 208))
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_dictionary_export_matches_bitwise_reference(tmp_path, seed, num_patterns):
     rng = random.Random(seed)
     circuit = random_circuit(f"r{seed}", rng, min_inputs=3, max_inputs=10,
                              min_gates=10, max_gates=60, p_unread=0.5)
-    fdict = build_fault_dictionary(circuit, _random_pattern_list(circuit, num_patterns, rng),
-                                   seed=seed)
-    path = tmp_path / "r.dict"
-    write_dictionary(fdict, path)
-    assert path.read_text() == bitwise_dictionary_text(fdict)
+    patterns = _random_pattern_list(circuit, num_patterns, rng)
+    _assert_export_matches_bitwise(build_fault_dictionary(circuit, patterns, seed=seed),
+                                   tmp_path)
 
 
 @pytest.mark.parametrize("bench", (AND_BENCH, "INPUT(a)\nINPUT(b)\nz = AND(a, b)\n"),
                          ids=("and2", "no_outputs"))
 def test_dictionary_export_matches_bitwise_reference_small(tmp_path, bench):
     circuit = parse_bench(bench, name="small")
-    fdict = build_fault_dictionary(circuit, exhaustive_patterns(2), seed=None)
-    path = tmp_path / "small.dict"
-    write_dictionary(fdict, path)
-    assert path.read_text() == bitwise_dictionary_text(fdict)
+    _assert_export_matches_bitwise(build_fault_dictionary(circuit, exhaustive_patterns(2)),
+                                   tmp_path)
 
 
 def _random_pattern_list(circuit, count, rng):

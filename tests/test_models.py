@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
