@@ -22,8 +22,8 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evaluation as ev
-from .config import RunConfig, load_config, save_config
-from .dataset import read_dataset, standardize_fit_apply, write_dataset
+from .config import RunConfig, config_from_text, load_config, save_config
+from .dataset import dataset_from_traces, standardize_fit_apply, write_dataset
 from .diagnosis import UndiagnosableFaultError, read_traces, write_traces
 from .faultsim import write_dictionary
 from .models import (KernelLogisticModel, TrainConfig, fit_kernel_logistic,
@@ -38,11 +38,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="config file (flat key = value)")
     common.add_argument("--out", metavar="DIR", help="output directory (overrides out.dir)")
-    common.add_argument("--seed", type=int, metavar="INT",
+    common.add_argument("--seed", metavar="INT",
                         help="corpus seed (overrides corpus.seed)")
     common.add_argument("--model", choices=["linear", "kernel-logistic"],
                         help="model kind (overrides model.kind)")
-    common.add_argument("--alpha", type=float, metavar="FLOAT",
+    common.add_argument("--alpha", metavar="FLOAT",
                         help="linear penalty weight (overrides model.alpha)")
     common.add_argument("--tau", metavar="FLOAT|auto",
                         help="stop threshold (overrides policy.tau)")
@@ -54,18 +54,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.corpus_seed = args.seed
-    if args.model is not None:
-        cfg.model_kind = args.model
-    if args.alpha is not None:
-        cfg.model_alpha = args.alpha
-    if args.tau is not None:
-        cfg.policy_tau = "auto" if args.tau == "auto" else float(args.tau)
-    return cfg
+    """The config file (or the defaults) with the flags applied, validated once."""
+    flags = {"out.dir": args.out, "corpus.seed": args.seed, "model.kind": args.model,
+             "model.alpha": args.alpha, "policy.tau": args.tau}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    if args.config:
+        return load_config(args.config, overrides)
+    return config_from_text("", overrides)
 
 
 def _out(cfg: RunConfig) -> Path:
@@ -75,15 +70,13 @@ def _out(cfg: RunConfig) -> Path:
 
 
 def _load_corpus_files(cfg: RunConfig):
-    out = Path(cfg.out_dir)
-    dataset_path = out / "dataset.csv"
-    traces_path = out / "traces.csv"
-    if not dataset_path.exists() or not traces_path.exists():
-        raise FileNotFoundError(
-            f"missing {dataset_path} or {traces_path}; run 'testtrim generate' first")
-    dataset = read_dataset(dataset_path)
+    """The corpus traces and the dataset derived from them (``dataset.csv``
+    is an export only)."""
+    traces_path = Path(cfg.out_dir) / "traces.csv"
+    if not traces_path.exists():
+        raise FileNotFoundError(f"missing {traces_path}; run 'testtrim generate' first")
     traces = read_traces(traces_path)
-    return dataset, traces
+    return dataset_from_traces(traces), traces
 
 
 def cmd_generate(cfg: RunConfig) -> int:

@@ -9,6 +9,7 @@ their file format unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import Mapping
 
 
 @dataclass
@@ -74,7 +75,13 @@ _KEYS: dict[str, tuple[str, object]] = {
 }
 
 
-def config_from_text(text: str) -> RunConfig:
+def config_from_text(text: str, overrides: Mapping[str, str] | None = None) -> RunConfig:
+    """Parse a config file's text, apply ``overrides`` on top, then validate.
+
+    ``overrides`` maps file keys to value text, parsed exactly like a file
+    line; the command-line flags arrive this way, so the config they yield
+    passes the same checks as a config file would.
+    """
     cfg = RunConfig()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -83,14 +90,21 @@ def config_from_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ValueError(f"config line {line_no}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KEYS:
-            raise ValueError(f"config line {line_no}: unknown key {key!r}")
-        attr, parse = _KEYS[key]
-        setattr(cfg, attr, parse(value))
+        _set(cfg, key.strip(), value.strip(), f"config line {line_no}")
+    for key, value in (overrides or {}).items():
+        _set(cfg, key, value, "override")
     _validate(cfg)
     return cfg
+
+
+def _set(cfg: RunConfig, key: str, value: str, where: str) -> None:
+    if key not in _KEYS:
+        raise ValueError(f"{where}: unknown key {key!r}")
+    attr, parse = _KEYS[key]
+    try:
+        setattr(cfg, attr, parse(value))
+    except ValueError:
+        raise ValueError(f"{where}: bad value for {key!r}: {value!r}") from None
 
 
 def config_to_text(cfg: RunConfig, include_out_dir: bool = True) -> str:
@@ -105,9 +119,9 @@ def config_to_text(cfg: RunConfig, include_out_dir: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides: Mapping[str, str] | None = None) -> RunConfig:
     with open(path) as fh:
-        return config_from_text(fh.read())
+        return config_from_text(fh.read(), overrides)
 
 
 def save_config(cfg: RunConfig, path, include_out_dir: bool = True) -> None:

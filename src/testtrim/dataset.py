@@ -15,13 +15,14 @@ plus the regression label y.  Rows of one circuit are heavily correlated
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .diagnosis import DiagnosisTrace
+from .diagnosis import DiagnosisTrace, read_csv_rows
 
 NUM_FEATURES = 5
 
@@ -177,22 +178,15 @@ def write_dataset(dataset: Dataset, path) -> None:
             writer.writerow([r.circuit_id, r.x1, r.x2, r.x3, r.x4, r.x5, f"{r.y:.6f}"])
 
 
+def _parse_dataset_record(fields: list[str]) -> FeatureRow:
+    y = float(fields[6])
+    if not math.isfinite(y):
+        raise ValueError(f"non-finite y ({fields[6]!r})")
+    return FeatureRow(fields[0], *map(int, fields[1:6]), y)
+
+
 def read_dataset(path) -> Dataset:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != DATASET_HEADER:
-            raise ValueError(f"unexpected dataset header in {path}: {reader.fieldnames}")
-        for rec in reader:
-            rows.append(FeatureRow(
-                circuit_id=rec["circuit_id"],
-                x1=int(rec["x1"]), x2=int(rec["x2"]), x3=int(rec["x3"]),
-                x4=int(rec["x4"]), x5=int(rec["x5"]),
-                y=float(rec["y"]),
-            ))
-    if not rows:
-        raise ValueError(f"dataset file {path} holds no rows")
-    return Dataset(rows)
+    return Dataset(read_csv_rows(path, DATASET_HEADER, "dataset", _parse_dataset_record))
 
 
 def dataset_from_traces(traces: Iterable[DiagnosisTrace]) -> Dataset:

@@ -16,8 +16,9 @@ each trace spans [0, 1], with y = 1 reserved for converged rows.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .faultsim import Fault, FaultDictionary
 
@@ -138,39 +139,88 @@ def write_traces(traces: Iterable[DiagnosisTrace], path) -> None:
                 ])
 
 
+class _TraceRecord(NamedTuple):
+    circuit_id: str
+    num_inputs: int
+    total_patterns: int
+    k: int
+    failing_index: int
+    intermediate_size: int
+    golden_size: int
+    m: float
+    y: float
+
+
+def _parse_trace_record(fields: list[str]) -> _TraceRecord:
+    m, y = float(fields[7]), float(fields[8])
+    if not (math.isfinite(m) and math.isfinite(y)):
+        raise ValueError(f"non-finite m or y ({fields[7]!r}, {fields[8]!r})")
+    return _TraceRecord(fields[0], *map(int, fields[1:7]), m, y)
+
+
+def read_csv_rows(path, header: list[str], kind: str,
+                  parse: Callable[[list[str]], object]) -> list:
+    """Parse every record of a CSV export whose first line is ``header``.
+
+    Raises ``ValueError`` on a different header, on an empty file, and,
+    naming the file and line, on a record with the wrong number of fields
+    (as a truncated file leaves) or one that ``parse`` rejects.  Blank
+    lines are skipped.
+    """
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first != header:
+            raise ValueError(f"unexpected {kind} header in {path}: {first}")
+        for fields in reader:
+            if not fields:
+                continue
+            try:
+                if len(fields) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+                rows.append(parse(fields))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{kind} file {path} holds no rows")
+    return rows
+
+
 def read_traces(path) -> list[DiagnosisTrace]:
     """Rebuild traces from a CSV export.
 
     Each record carries its circuit's applied pattern count, so a reader
     needs no corpus settings.  Loaded traces carry no injected-fault ground
-    truth.
+    truth.  A circuit whose records stop before its golden set is reached
+    (a truncated file) is rejected.
     """
-    groups: dict[str, list[dict]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header in {path}: {reader.fieldnames}")
-        for row in reader:
-            groups.setdefault(row["circuit_id"], []).append(row)
+    groups: dict[str, list[_TraceRecord]] = {}
+    for rec in read_csv_rows(path, TRACE_HEADER, "trace", _parse_trace_record):
+        groups.setdefault(rec.circuit_id, []).append(rec)
 
     traces = []
     for cid, rows in groups.items():
-        rows.sort(key=lambda r: int(r["k"]))
-        if [int(r["k"]) for r in rows] != list(range(1, len(rows) + 1)):
-            raise ValueError(f"non-contiguous k sequence for circuit '{cid}'")
-        failing = [int(r["failing_index_k"]) for r in rows]
-        total = int(rows[0]["total_patterns"])
-        if total < failing[-1]:
-            raise ValueError(f"circuit '{cid}': total_patterns {total} is below its "
-                             f"last failing pattern {failing[-1]}")
+        rows.sort(key=lambda r: r.k)
+        if [r.k for r in rows] != list(range(1, len(rows) + 1)):
+            raise ValueError(f"{path}: non-contiguous k sequence for circuit '{cid}'")
+        failing = [r.failing_index for r in rows]
+        first = rows[0]
+        if first.total_patterns < failing[-1]:
+            raise ValueError(f"{path}: circuit '{cid}': total_patterns {first.total_patterns} "
+                             f"is below its last failing pattern {failing[-1]}")
+        if rows[-1].intermediate_size != first.golden_size:
+            raise ValueError(f"{path}: circuit '{cid}' ends at intermediate size "
+                             f"{rows[-1].intermediate_size}, not at its golden size "
+                             f"{first.golden_size}")
         traces.append(DiagnosisTrace(
             circuit_id=cid,
-            num_inputs=int(rows[0]["num_inputs"]),
-            total_patterns=total,
+            num_inputs=first.num_inputs,
+            total_patterns=first.total_patterns,
             failing_indices=failing,
-            intermediate_sizes=[int(r["intermediate_size"]) for r in rows],
-            golden_size=int(rows[0]["golden_size"]),
-            m_values=[float(r["m"]) for r in rows],
-            y_values=[float(r["y"]) for r in rows],
+            intermediate_sizes=[r.intermediate_size for r in rows],
+            golden_size=first.golden_size,
+            m_values=[r.m for r in rows],
+            y_values=[r.y for r in rows],
         ))
     return traces

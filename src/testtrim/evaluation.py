@@ -76,12 +76,9 @@ def score_matrix(model: Scorer, X_std: np.ndarray) -> np.ndarray:
 def _trace_scores(policy: TerminationPolicy, trace: DiagnosisTrace) -> np.ndarray:
     if isinstance(policy.model, OracleScorer):
         return np.asarray(trace.y_values, dtype=float)
-    X = np.array([
-        (trace.num_inputs, k, trace.failing_indices[0], idx, trace.failing_indices[-1])
-        for k, idx in enumerate(trace.failing_indices, start=1)
-    ], dtype=float)
     if policy.standardizer is None:
         raise ValueError("policy needs the training standardizer to score traces")
+    X = dataset_from_traces([trace]).feature_matrix()
     return score_matrix(policy.model, policy.standardizer.transform(X))
 
 

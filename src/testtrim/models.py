@@ -1,8 +1,8 @@
 """The two predictors, implemented from first principles.
 
 * Penalized linear regression: minimizes ||X b - Y||^2 + alpha ||b||^2 via
-  the normal equations with a symmetric positive-definite factorization
-  (the intercept column is never penalized).  A true L1 mode solves
+  the normal equations, solved through their Cholesky factor (the intercept
+  column is never penalized).  A true L1 mode solves
   ||X b - Y||^2 + alpha ||b||_1 by cyclic coordinate descent with
   soft-thresholding.
 
@@ -26,8 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import expit
 
 from .dataset import Standardizer
 
@@ -142,8 +140,9 @@ def _ridge_solve(A: np.ndarray, Y: np.ndarray, alpha: float,
             coef = np.linalg.lstsq(A, Y, rcond=None)[0]
             return coef, True
     try:
-        coef = cho_solve(cho_factor(G), b)
-    except LinAlgError:
+        L = np.linalg.cholesky(G)
+        coef = np.linalg.solve(L.T, np.linalg.solve(L, b))
+    except np.linalg.LinAlgError:
         # numerically singular despite full rank; fall back to least squares
         coef = np.linalg.lstsq(A, Y, rcond=None)[0]
     return coef, False
@@ -213,6 +212,16 @@ def rbf_features(X: np.ndarray, landmarks: np.ndarray, gamma: float) -> np.ndarr
     return np.column_stack([np.ones(X.shape[0]), phi])
 
 
+def _sigmoid(z):
+    """Logistic function 1 / (1 + exp(-z)), elementwise.
+
+    exp(-z) overflows to inf for z below about -709.8, which gives exactly
+    0.0; the overflow is expected, so its warning is silenced.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def logistic_cost_grad(theta: np.ndarray, Phi: np.ndarray, y_bin: np.ndarray,
                        lam: float) -> tuple[float, np.ndarray]:
     """Regularized logistic cost and its analytic gradient.
@@ -234,7 +243,7 @@ def logistic_cost_grad(theta: np.ndarray, Phi: np.ndarray, y_bin: np.ndarray,
         raise ValueError(f"lambda must be non-negative, got {lam}")
 
     m = Phi.shape[0]
-    h = expit(Phi @ theta)
+    h = _sigmoid(Phi @ theta)
     h_safe = np.clip(h, PROB_EPS, 1.0 - PROB_EPS)
     cost = float(np.sum(-y_bin * np.log(h_safe) - (1.0 - y_bin) * np.log1p(-h_safe)) / m
                  + (lam / (2.0 * m)) * np.sum(theta[1:] ** 2))
@@ -324,13 +333,13 @@ def _lbfgs_direction(grad: np.ndarray, grad_norm: float,
 
 def predict_prob(model: KernelLogisticModel, x: Sequence[float]) -> float:
     """Convergence probability for one feature row, strictly inside (0, 1)."""
-    p = expit(float(model.theta @ rbf_map(x, model.landmarks, model.gamma)))
+    p = _sigmoid(float(model.theta @ rbf_map(x, model.landmarks, model.gamma)))
     return float(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))
 
 
 def predict_prob_batch(model: KernelLogisticModel, X: np.ndarray) -> np.ndarray:
     Phi = rbf_features(X, model.landmarks, model.gamma)
-    return np.clip(expit(Phi @ model.theta), PROB_EPS, 1.0 - PROB_EPS)
+    return np.clip(_sigmoid(Phi @ model.theta), PROB_EPS, 1.0 - PROB_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ evaluator, the full-pass dictionary builder re-simulates every gate for
 every fault with its own packed gate table, the candidate oracle gets
 its responses from the fault oracle and rescans full pattern prefixes with
 the two-clause consistency definition instead of incremental filtering,
-the dictionary writer unpacks every response bit by bit, and the logistic
-minimizer takes damped Newton steps on its own cost, gradient and Hessian.
+the dictionary writer unpacks every response bit by bit, the logistic
+minimizer takes damped Newton steps on its own cost, gradient and Hessian,
+and the sigmoid calls libm's exp one value at a time.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import reduce
 
@@ -254,10 +256,17 @@ def central_difference_gradient(cost_fn, theta, step=1e-5):
     return grad
 
 
+def sigmoid_reference(z: float) -> float:
+    """1 / (1 + e^-z) with ``math.exp``; 0.0 where e^-z overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:
+        return 0.0
+
+
 def naive_sigmoid_dot(theta, phi):
     """Straight-line sigmoid(theta . phi) with an explicit loop."""
-    import math
     acc = 0.0
     for t, p in zip(theta, phi):
         acc += float(t) * float(p)
-    return 1.0 / (1.0 + math.exp(-acc))
+    return sigmoid_reference(acc)

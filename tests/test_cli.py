@@ -1,10 +1,20 @@
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from testtrim.cli import main
 from testtrim.config import RunConfig, save_config
+from testtrim.dataset import read_dataset
 
 
 def _write_config(tmp_path, **overrides) -> Path:
@@ -204,3 +214,73 @@ def test_defaults_without_config_flag(tmp_path):
     rc = main(["generate", "--out", str(out), "--seed", "3"])
     assert rc == 0
     assert (out / "dataset.csv").exists()
+
+
+@pytest.mark.parametrize("tau", ["1.5", "nan"])
+def test_out_of_range_tau_flag_fails_cleanly(tmp_path, capsys, tau):
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, **_smoke_overrides(out))
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["oracle-eval", "--config", str(cfg_path), "--tau", tau]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "policy.tau" in err[0]
+    assert "volume_reduction" not in captured.out
+
+
+def test_stages_read_rows_from_traces_not_dataset_export(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, **_smoke_overrides(out, circuits=6))
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    trained = (out / "model.txt").read_bytes()
+    (out / "dataset.csv").write_text("circuit_id,x1,x2,x3,x4,x5,y\n")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert (out / "model.txt").read_bytes() == trained
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, testtrim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cut")
+    out = base / "run"
+    cfg_path = _write_config(base, **_smoke_overrides(out, circuits=6))
+    with redirect_stdout(io.StringIO()):
+        for cmd in ("generate", "train", "evaluate"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["traces.csv", "model.txt", "dataset.csv"]),
+       fraction=st.floats(0.0, 1.0))
+def test_truncated_files_end_in_one_error_line(finished_run, name, fraction):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        shutil.copytree(finished_run, out)
+        data = (finished_run / name).read_bytes()
+        (out / name).write_bytes(data[:int(fraction * len(data))])
+        if name == "dataset.csv":
+            # an export the stages never read back; its reader still refuses cuts
+            try:
+                read_dataset(out / name)
+            except ValueError:
+                pass
+        for cmd in ("evaluate", "oracle-eval", "train"):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                rc = main([cmd, "--config", str(out / "config.txt"), "--out", str(out)])
+            lines = err.getvalue().splitlines()
+            assert (rc, lines) == (0, []) or (
+                rc == 1 and len(lines) == 1 and lines[0].startswith("error:")), (cmd, lines)

@@ -166,3 +166,19 @@ def test_dataset_csv_roundtrip(tmp_path, small_corpus):
         assert a.features() == b.features()
         assert a.y == pytest.approx(b.y, abs=5e-7)
         assert (a.y == 1.0) == (b.y == 1.0)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row.rsplit(",", 1)[0], "expected 7 fields"),
+    (lambda row: row + ",0", "expected 7 fields"),
+    (lambda row: row.rsplit(",", 1)[0] + ",nan", "non-finite y"),
+])
+def test_read_dataset_rejects_bad_row_naming_file_and_line(tmp_path, small_corpus,
+                                                           edit, message):
+    path = tmp_path / "dataset.csv"
+    write_dataset(small_corpus.dataset, path)
+    lines = path.read_text().splitlines()
+    lines[4] = edit(lines[4])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"dataset\.csv line 5: {message}"):
+        read_dataset(path)

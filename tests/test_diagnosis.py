@@ -177,3 +177,37 @@ def test_read_traces_rejects_total_below_last_failing_pattern(tmp_path, small_co
     path.write_text("\n".join([header, *rows]) + "\n")
     with pytest.raises(ValueError, match="total_patterns 0 is below"):
         read_traces(path)
+
+
+def _drop_last_field(row):
+    return row.rsplit(",", 1)[0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_last_field, "expected 9 fields"),
+    (lambda row: row + ",0", "expected 9 fields"),
+    (lambda row: _drop_last_field(row) + ",nan", "non-finite m or y"),
+    (lambda row: ",".join(row.split(",")[:7] + ["inf"] + row.split(",")[8:]),
+     "non-finite m or y"),
+    (lambda row: _drop_last_field(row) + ",", "could not convert"),
+])
+def test_read_traces_rejects_bad_row_naming_file_and_line(tmp_path, small_corpus,
+                                                          edit, message):
+    path = tmp_path / "traces.csv"
+    write_traces(small_corpus.traces[:2], path)
+    lines = path.read_text().splitlines()
+    lines[2] = edit(lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"traces\.csv line 3: {message}"):
+        read_traces(path)
+
+
+def test_read_traces_rejects_circuit_cut_before_golden_set(tmp_path, small_corpus):
+    trace = next(t for t in small_corpus.traces
+                 if t.num_failing > 1 and t.intermediate_sizes[-2] > t.golden_size)
+    path = tmp_path / "traces.csv"
+    write_traces([trace], path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="not at its golden size"):
+        read_traces(path)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (central_difference_gradient, gradient_descent_ridge,
-                     naive_sigmoid_dot, newton_logistic)
-from testtrim.models import (KernelLogisticModel, TrainConfig, fit_kernel_logistic,
+                     naive_sigmoid_dot, newton_logistic, sigmoid_reference)
+from testtrim.models import (KernelLogisticModel, TrainConfig, _sigmoid, fit_kernel_logistic,
                              fit_penalized_linear, load_model, logistic_cost_grad,
                              predict_linear, predict_prob, rbf_features, rbf_map,
                              save_model)
@@ -76,6 +76,21 @@ class TestPenalizedLinear:
         assert model.rank_deficient
         want = np.linalg.lstsq(X, Y, rcond=None)[0]  # the minimum-norm solution
         assert model.beta == pytest.approx(want, abs=1e-12)
+
+    def test_singular_normal_matrix_falls_back_to_least_squares(self):
+        # A has full column rank, but A^T A rounds to the singular [[3, 3], [3, 3]],
+        # so the Cholesky factorization fails and the solve takes the lstsq path
+        h = 2.0 ** -30
+        X = np.array([[1.0], [1.0 + h], [1.0 - h]])
+        Y = np.array([0.0, 1.0, 2.0])
+        A = np.column_stack([np.ones(3), X])
+        assert np.linalg.matrix_rank(A) == 2
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(A.T @ A)
+        model = fit_penalized_linear(X, Y, 0.0)
+        assert not model.rank_deficient
+        want = np.linalg.lstsq(A, Y, rcond=None)[0]
+        assert [model.intercept, *model.beta] == pytest.approx(want, rel=1e-12)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -316,6 +331,31 @@ class TestFitKernelLogistic:
         X = np.zeros((5, 2))
         with pytest.raises(ValueError, match="single class"):
             fit_kernel_logistic(X, np.ones(5), 1.0, 1.0)
+
+
+class TestSigmoid:
+    TAILS = [-np.inf, -1e3, -745.0, -710.0, 710.0, 745.0, 1e3, np.inf]
+    GRID = np.concatenate([np.linspace(-40.0, 40.0, 1601), TAILS,
+                           [-709.7, -709.0, -700.0, -36.8, -1e-300, 0.0,
+                            1e-300, 36.8, 700.0, 709.0, 709.7]])
+
+    @staticmethod
+    def _ulps(got: float, want: float) -> float:
+        return abs(got - want) / math.ulp(want)
+
+    def test_matches_libm_reference_within_4_ulp(self):
+        batch = _sigmoid(self.GRID)
+        for z, got in zip(self.GRID, batch):
+            want = sigmoid_reference(float(z))
+            assert self._ulps(float(got), want) <= 4, z
+            assert self._ulps(float(_sigmoid(float(z))), want) <= 4, z
+
+    def test_tails_saturate_exactly(self):
+        # an overflow warning here would fail under error::RuntimeWarning
+        tails = np.array(self.TAILS)
+        want = (tails > 0).astype(float)
+        assert _sigmoid(tails).tolist() == want.tolist()
+        assert [float(_sigmoid(float(z))) for z in tails] == want.tolist()
 
 
 class TestPredictProb:
