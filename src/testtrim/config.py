@@ -8,7 +8,8 @@ their file format unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass
 from typing import Mapping
 
 
@@ -137,6 +138,24 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError(f"model.penalty must be 'l2' or 'l1', got {cfg.model_penalty!r}")
     if isinstance(cfg.corpus_patterns, int) and cfg.corpus_patterns < 1:
         raise ValueError("corpus.patterns must be at least 1")
+    for key, value in (("corpus.circuits", cfg.corpus_circuits),
+                       ("corpus.min_inputs", cfg.corpus_min_inputs),
+                       ("corpus.min_gates", cfg.corpus_min_gates),
+                       ("model.iterations", cfg.model_iterations),
+                       ("model.landmark_cap", cfg.model_landmark_cap)):
+        if value < 1:
+            raise ValueError(f"{key} must be at least 1, got {value}")
+    if cfg.corpus_min_inputs > cfg.corpus_max_inputs:
+        raise ValueError(f"corpus.min_inputs {cfg.corpus_min_inputs} is above "
+                         f"corpus.max_inputs {cfg.corpus_max_inputs}")
+    if cfg.corpus_min_gates > cfg.corpus_max_gates:
+        raise ValueError(f"corpus.min_gates {cfg.corpus_min_gates} is above "
+                         f"corpus.max_gates {cfg.corpus_max_gates}")
+    for key, value in (("model.alpha", cfg.model_alpha), ("model.lambda", cfg.model_lambda)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{key} must be finite and non-negative, got {value}")
+    if not (math.isfinite(cfg.model_gamma) and cfg.model_gamma > 0.0):
+        raise ValueError(f"model.gamma must be finite and positive, got {cfg.model_gamma}")
     if not 0.0 < cfg.split_train_fraction < 1.0:
         raise ValueError("split.train_fraction must be in (0, 1)")
     if not 0.0 <= cfg.split_validation_fraction < 1.0:

@@ -19,7 +19,7 @@ from .diagnosis import DiagnosisTrace, trace_diagnosis
 from .faultsim import (FaultDictionary, build_fault_dictionary,
                        exhaustive_patterns, random_patterns)
 from .generator import random_circuit
-from .netlist import Circuit, parse_bench
+from .netlist import BenchParseError, Circuit, parse_bench
 
 _MAX_GENERATION_ATTEMPTS = 50
 
@@ -45,12 +45,13 @@ def _slot_rng(corpus_seed: int, slot: int, attempt: int) -> random.Random:
     return random.Random(f"testtrim:{corpus_seed}:{slot}:{attempt}")
 
 
-def build_corpus(cfg: RunConfig, keep_sets: bool = False) -> Corpus:
+def build_corpus(cfg: RunConfig) -> Corpus:
     """Build the full corpus described by the config.
 
     With the built-in generator, slots whose pattern set detects no fault
     at all are regenerated with a fresh sub-seed; with user netlists they
-    are skipped (a warning-free no-op: the circuit emits no trace).
+    are skipped (a warning-free no-op: the circuit emits no trace).  A
+    netlist that does not parse is reported with its file path.
     """
     circuits: list[Circuit] = []
     dictionaries: list[FaultDictionary] = []
@@ -61,7 +62,10 @@ def build_corpus(cfg: RunConfig, keep_sets: bool = False) -> Corpus:
         if not paths:
             raise ValueError(f"no .bench files in {cfg.corpus_netlist_dir}")
         for slot, path in enumerate(paths):
-            circuit = parse_bench(path.read_text(), name=path.stem)
+            try:
+                circuit = parse_bench(path.read_text(), name=path.stem)
+            except BenchParseError as exc:
+                raise BenchParseError(f"{path}: {exc}") from None
             rng = _slot_rng(cfg.corpus_seed, slot, 0)
             patterns = _patterns_for(circuit, cfg.corpus_patterns, rng.randrange(1 << 32))
             fdict = build_fault_dictionary(circuit, patterns, seed=cfg.corpus_seed)
@@ -71,7 +75,7 @@ def build_corpus(cfg: RunConfig, keep_sets: bool = False) -> Corpus:
             injected = fdict.faults[rng.choice(detectable)]
             circuits.append(circuit)
             dictionaries.append(fdict)
-            traces.append(trace_diagnosis(fdict, injected, keep_sets=keep_sets))
+            traces.append(trace_diagnosis(fdict, injected))
     else:
         for slot in range(cfg.corpus_circuits):
             for attempt in range(_MAX_GENERATION_ATTEMPTS):
@@ -91,7 +95,7 @@ def build_corpus(cfg: RunConfig, keep_sets: bool = False) -> Corpus:
             injected = fdict.faults[rng.choice(detectable)]
             circuits.append(circuit)
             dictionaries.append(fdict)
-            traces.append(trace_diagnosis(fdict, injected, keep_sets=keep_sets))
+            traces.append(trace_diagnosis(fdict, injected))
 
     if not traces:
         raise ValueError("corpus produced no diagnosable traces")

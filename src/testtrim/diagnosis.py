@@ -5,7 +5,13 @@ records, per failing pattern, the size of the intermediate candidate set:
 the faults whose dictionary rows are consistent with the observed pass/fail
 log up to that point.  Consistency uses the full log: a candidate must
 reproduce the observed response on every failing pattern seen so far and
-must pass every passing pattern seen so far.
+must pass every passing pattern seen so far.  On a passing pattern the
+observed response is the fault-free one, so both clauses say the same
+thing: the candidate's response equals the injected fault's.  A fault is
+therefore eliminated for good at its *elimination index*, the lowest set
+bit of its packed mismatch against the injected fault, and the
+intermediate size at pattern ``p`` counts the faults whose elimination
+index lies above ``p``.
 
 The golden candidate set is the intermediate set at the last failing
 pattern.  The convergence ratio m = |golden| / |intermediate| is
@@ -15,6 +21,7 @@ each trace spans [0, 1], with y = 1 reserved for converged rows.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -69,10 +76,12 @@ def trace_diagnosis(fdict: FaultDictionary, injected: Fault,
                     keep_sets: bool = False) -> DiagnosisTrace:
     """Replay the injected fault's pass/fail log and record candidate refinement.
 
-    Candidate sets are maintained incrementally over the pattern sequence:
-    each failing pattern keeps the candidates matching the observed faulty
-    response, each passing pattern keeps the candidates that also pass.
-    Raises :class:`UndiagnosableFaultError` if the fault is never detected.
+    Each fault's elimination index is the first pattern under which its
+    response differs from the injected fault's; the size at a failing
+    pattern ``p`` is the number of faults whose index lies above ``p``, read
+    off the sorted indices.  ``keep_sets`` also materializes each
+    intermediate set.  Raises :class:`UndiagnosableFaultError` if the fault
+    is never detected.
     """
     try:
         inj_idx = fdict.faults.index(injected)
@@ -86,24 +95,18 @@ def trace_diagnosis(fdict: FaultDictionary, injected: Fault,
             f"with this pattern set")
 
     num_faults = len(fdict.faults)
-    # Bit p of diff_inj[f]: fault f's response differs from the injected
-    # fault's under pattern p.  Likewise diff_free vs the fault-free row.
-    diff_inj = [fdict.mismatch_between(f, inj_idx) for f in range(num_faults)]
-    diff_free = [fdict.mismatch_vs_free(f) for f in range(num_faults)]
+    never = fdict.num_patterns          # elimination index of a surviving fault
+    elim = []
+    for f in range(num_faults):
+        diff = fdict.mismatch_between(f, inj_idx)
+        elim.append((diff & -diff).bit_length() - 1 if diff else never)
+    order = sorted(elim)
 
     failing0 = [p for p in range(fdict.num_patterns) if (fail_mask >> p) & 1]
-    candidates = set(range(num_faults))
-    sizes: list[int] = []
-    sets: list[frozenset[int]] = []
-    for p in range(failing0[-1] + 1):
-        bit = 1 << p
-        if fail_mask & bit:
-            candidates = {f for f in candidates if not (diff_inj[f] & bit)}
-            sizes.append(len(candidates))
-            if keep_sets:
-                sets.append(frozenset(candidates))
-        else:
-            candidates = {f for f in candidates if not (diff_free[f] & bit)}
+    sizes = [num_faults - bisect.bisect_right(order, p) for p in failing0]
+    sets = None
+    if keep_sets:
+        sets = [frozenset(f for f, e in enumerate(elim) if e > p) for p in failing0]
 
     golden = sizes[-1]
     m_values = [golden / s for s in sizes]
@@ -117,7 +120,7 @@ def trace_diagnosis(fdict: FaultDictionary, injected: Fault,
         m_values=m_values,
         y_values=compute_labels(m_values),
         injected_fault=injected,
-        candidate_sets=sets if keep_sets else None,
+        candidate_sets=sets,
     )
 
 

@@ -243,7 +243,8 @@ def _propagate(gates: Iterable[Gate], words: list[int], mask: int) -> None:
     order.  This is the package's only gate-evaluation loop: fault-free
     evaluation passes every gate, and fault simulation pins the fault site's
     word and passes the gates that do not drive it (the dictionary builder
-    passes only the site's fanout cone).
+    passes one gate at a time along a fault's fanout-free path, and each
+    stem's fanout cone once).
     """
     for out, kind, ins in gates:
         if kind == "AND":

@@ -7,6 +7,9 @@ evaluator, the full-pass dictionary builder re-simulates every gate for
 every fault with its own packed gate table, the candidate oracle gets
 its responses from the fault oracle and rescans full pattern prefixes with
 the two-clause consistency definition instead of incremental filtering,
+the prefix replay applies the same two clauses to whole packed prefixes of
+rows from the full-pass builder (fast enough for netlists of hundreds of
+gates),
 the dictionary writer unpacks every response bit by bit, the logistic
 minimizer takes damped Newton steps on its own cost, gradient and Hessian,
 and the sigmoid calls libm's exp one value at a time.
@@ -133,6 +136,38 @@ def full_pass_fault_words(circuit: Circuit, patterns):
 
     fault_words = tuple(run(f.signal, f.stuck_value * mask) for f in enumerate_faults(circuit))
     return fault_words, run()
+
+
+def prefix_replay_candidate_sets(fault_words, free_words, injected_idx: int):
+    """Candidate sets per failing pattern from packed rows, two clauses per prefix.
+
+    ``fault_words`` and ``free_words`` are rows in the ``FaultDictionary``
+    layout, e.g. from :func:`full_pass_fault_words`.  For each failing
+    pattern ``p`` every fault is tested afresh over the whole prefix
+    ``0..p``: it must match the injected fault's response on the failing
+    patterns and the fault-free response on the passing ones.
+
+    Returns (failing_indices_1based, [set of fault indices per k]).
+    """
+    def differs(row_a, row_b):
+        acc = 0
+        for wa, wb in zip(row_a, row_b):
+            acc |= wa ^ wb
+        return acc
+
+    injected_row = fault_words[injected_idx]
+    fail = differs(injected_row, free_words)
+    assert fail, "prefix replay called with an undetected fault"
+    vs_injected = [differs(row, injected_row) for row in fault_words]
+    vs_free = [differs(row, free_words) for row in fault_words]
+    failing = [p for p in range(fail.bit_length()) if (fail >> p) & 1]
+    sets = []
+    for pk in failing:
+        prefix = (2 << pk) - 1
+        sets.append({f for f in range(len(fault_words))
+                     if not (vs_injected[f] & fail & prefix)
+                     and not (vs_free[f] & ~fail & prefix)})
+    return [p + 1 for p in failing], sets
 
 
 def bitwise_dictionary_text(fdict) -> str:

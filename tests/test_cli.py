@@ -208,6 +208,63 @@ def test_unparseable_netlist_dir_fails(tmp_path, capsys):
     assert "unknown gate kind" in capsys.readouterr().err
 
 
+def test_bad_netlist_in_netlist_dir_is_named(tmp_path, capsys):
+    benches = tmp_path / "benches"
+    benches.mkdir()
+    (benches / "a_ok.bench").write_text("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n")
+    (benches / "b_bad.bench").write_text("INPUT(a)\nOUTPUT(z)\nz = AND(a, b)\n")
+    overrides = _smoke_overrides(tmp_path / "run")
+    overrides["corpus_netlist_dir"] = str(benches)
+    cfg_path = _write_config(tmp_path, **overrides)
+    assert main(["generate", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {benches / 'b_bad.bench'}: line 3, col 12: "
+                   f"undeclared signal 'b' used as input of 'z'"]
+
+
+def _negative_floats():
+    return st.floats(max_value=-1e-300, allow_nan=False).map(repr)
+
+
+# key -> values outside its range, with the default config around it
+_OUT_OF_RANGE = {
+    "model.alpha": st.sampled_from(["nan", "inf", "-inf"]) | _negative_floats(),
+    "model.lambda": st.sampled_from(["nan", "inf", "-inf"]) | _negative_floats(),
+    "model.gamma": st.sampled_from(["nan", "inf", "-inf", "0", "-0.0"]) | _negative_floats(),
+    "model.iterations": st.integers(max_value=0).map(str),
+    "model.landmark_cap": st.integers(max_value=0).map(str),
+    "corpus.circuits": st.integers(max_value=0).map(str),
+    "corpus.min_inputs": (st.integers(max_value=0)
+                          | st.integers(min_value=RunConfig().corpus_max_inputs + 1)).map(str),
+    "corpus.max_inputs": st.integers(max_value=RunConfig().corpus_min_inputs - 1).map(str),
+    "corpus.min_gates": (st.integers(max_value=0)
+                         | st.integers(min_value=RunConfig().corpus_max_gates + 1)).map(str),
+    "corpus.max_gates": st.integers(max_value=RunConfig().corpus_min_gates - 1).map(str),
+}
+_FLAGS = {"model.alpha": "--alpha"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), key=st.sampled_from(sorted(_OUT_OF_RANGE)), as_flag=st.booleans())
+def test_out_of_range_config_value_fails_cleanly(data, key, as_flag):
+    value = data.draw(_OUT_OF_RANGE[key])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.txt"
+        argv = ["train", "--config", str(cfg_path), "--out", str(Path(tmp) / "run")]
+        if as_flag and key in _FLAGS:
+            cfg_path.write_text("")
+            argv.append(f"{_FLAGS[key]}={value}")
+        else:
+            cfg_path.write_text(f"{key} = {value}\n")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        lines = err.getvalue().splitlines()
+        assert rc == 1 and len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert key in lines[0]
+        assert out.getvalue() == "" and not (Path(tmp) / "run").exists()
+
+
 def test_defaults_without_config_flag(tmp_path):
     # no --config: built-in defaults with flag overrides only
     out = tmp_path / "run"

@@ -44,6 +44,24 @@ def test_validation_rules():
         config_from_text("split.train_fraction = 1.5\n")
     with pytest.raises(ValueError, match="policy.tau"):
         config_from_text("policy.tau = 2.0\n")
+    for text, key in (("model.alpha = nan", "model.alpha"),
+                      ("model.lambda = -1", "model.lambda"),
+                      ("model.gamma = 0", "model.gamma"),
+                      ("model.landmark_cap = 0", "model.landmark_cap"),
+                      ("corpus.min_inputs = 9\ncorpus.max_inputs = 3", "corpus.min_inputs"),
+                      ("corpus.max_gates = 0", "corpus.max_gates")):
+        with pytest.raises(ValueError, match=key):
+            config_from_text(text + "\n")
+
+
+def test_numeric_range_edges_accepted():
+    cfg = config_from_text("model.alpha = 0\nmodel.lambda = 0\nmodel.gamma = 1e-9\n"
+                           "model.iterations = 1\nmodel.landmark_cap = 1\n"
+                           "corpus.circuits = 1\ncorpus.min_inputs = 1\n"
+                           "corpus.max_inputs = 1\ncorpus.min_gates = 1\n"
+                           "corpus.max_gates = 1\n")
+    assert (cfg.model_alpha, cfg.model_lambda, cfg.corpus_max_inputs,
+            cfg.corpus_max_gates) == (0.0, 0.0, 1, 1)
 
 
 def test_tau_auto_and_numeric():

@@ -1,13 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_small_circuit
-from oracles import oracle_candidate_sets
+from oracles import full_pass_fault_words, oracle_candidate_sets, prefix_replay_candidate_sets
 from testtrim.diagnosis import (TRACE_HEADER, UndiagnosableFaultError, compute_labels,
                                 read_traces, trace_diagnosis, write_traces)
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns)
+from testtrim.generator import random_circuit
 
 
 def _exhaustive_dict(circuit):
@@ -59,6 +62,29 @@ def test_candidate_oracle_on_random_circuits(seed):
     trace = trace_diagnosis(fdict, injected, keep_sets=True)
     want_failing, want_sets = oracle_candidate_sets(circuit, patterns, injected)
     assert trace.failing_indices == want_failing
+    assert [set(s) for s in trace.candidate_sets] == want_sets
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       num_gates=st.integers(min_value=1, max_value=300),
+       num_patterns=st.sampled_from((1, 64, 65, 1024)))
+def test_trace_matches_prefix_replay_oracle(seed, num_gates, num_patterns):
+    rng = random.Random(seed)
+    circuit = random_circuit(f"r{seed}", rng, min_inputs=1, max_inputs=24,
+                             min_gates=num_gates, max_gates=num_gates, p_unread=0.5)
+    patterns = [tuple(rng.getrandbits(1) for _ in circuit.inputs)
+                for _ in range(num_patterns)]
+    fault_words, free_words = full_pass_fault_words(circuit, patterns)
+    detectable = [f for f, row in enumerate(fault_words) if row != free_words]
+    if not detectable:
+        return
+    injected = detectable[rng.randrange(len(detectable))]
+    fdict = build_fault_dictionary(circuit, patterns)
+    trace = trace_diagnosis(fdict, fdict.faults[injected], keep_sets=True)
+    want_failing, want_sets = prefix_replay_candidate_sets(fault_words, free_words, injected)
+    assert trace.failing_indices == want_failing
+    assert trace.intermediate_sizes == [len(s) for s in want_sets]
     assert [set(s) for s in trace.candidate_sets] == want_sets
 
 

@@ -192,6 +192,11 @@ def _assert_matches_full_pass(circuit, patterns):
     want_fault_words, want_free_words = full_pass_fault_words(circuit, patterns)
     assert fdict.free_words == want_free_words
     assert fdict.fault_words == want_fault_words
+    for row, fault_mask in zip(want_fault_words, fdict.fault_masks):
+        want_mask = 0
+        for w, w0 in zip(row, want_free_words):
+            want_mask |= w ^ w0
+        assert fault_mask == want_mask
 
 
 @settings(max_examples=30, deadline=None)
@@ -214,6 +219,17 @@ EDGE_BENCHES = {
     "output_also_read": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
                         "y = NOR(a, b)\nz = XNOR(y, c)\n",
     "unread_input": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\nz = AND(a, b)\n",
+    # k is constant 0, so every effect of a dies at y, mid-way along a -> t -> y -> u -> z
+    "masked_mid_path": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\n"
+                       "nb = NOT(b)\nk = AND(b, nb)\nt = BUF(a)\ny = AND(t, k)\n"
+                       "u = NOT(y)\nz = OR(u, c)\n",
+    # y is an output and has one reader, so a's path stops at y, not at z
+    "output_read_once": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
+                        "y = NAND(a, b)\nu = BUF(y)\nz = OR(u, c)\n",
+    # flipping the stem a flips both XOR inputs: the flip cancels at z
+    "reconvergent_cancel": "INPUT(a)\nOUTPUT(z)\nb = BUF(a)\nz = XOR(a, b)\n",
+    "out_of_order": "INPUT(a)\nINPUT(b)\nOUTPUT(z)\n"
+                    "z = OR(y, x)\ny = AND(a, x)\nx = NOT(b)\n",
 }
 
 
