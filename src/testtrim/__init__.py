@@ -6,13 +6,13 @@ from .faultsim import (Fault, FaultDictionary, build_fault_dictionary,
                        simulate_faulty)
 from .diagnosis import (DiagnosisTrace, UndiagnosableFaultError, compute_labels,
                         trace_diagnosis)
-from .dataset import (Dataset, FeatureRow, Standardizer, extract_features,
-                      split, standardize_fit_apply)
+from .dataset import (Dataset, Standardizer, dataset_from_traces, split,
+                      standardize_fit_apply)
 from .models import (KernelLogisticModel, LinearModel, TrainConfig,
                      fit_kernel_logistic, fit_penalized_linear,
                      logistic_cost_grad, predict_linear, predict_prob, rbf_map)
 from .evaluation import (OracleScorer, TerminationPolicy, TerminationReport,
-                         apply_policy, evaluate as evaluate_policy, select_tau)
+                         evaluate as evaluate_policy, select_tau)
 from .config import RunConfig
 from .corpus import Corpus, build_corpus, split_corpus
 

@@ -31,26 +31,50 @@ from .models import (KernelLogisticModel, TrainConfig, fit_kernel_logistic,
 from .netlist import BenchParseError, format_bench
 
 
+# Every flag takes one value; the value word may start with "-" (``--alpha -1e-9``).
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="config file (flat key = value)"),
+    "--out": dict(metavar="DIR", help="output directory (overrides out.dir)"),
+    "--seed": dict(metavar="INT", help="corpus seed (overrides corpus.seed)"),
+    "--model": dict(choices=["linear", "kernel-logistic"],
+                    help="model kind (overrides model.kind)"),
+    "--alpha": dict(metavar="FLOAT", help="linear penalty weight (overrides model.alpha)"),
+    "--tau": dict(metavar="FLOAT|auto", help="stop threshold (overrides policy.tau)"),
+}
+
+
+class _UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="testtrim",
         description="Fault-diagnosis corpus synthesis and test-termination policies.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="config file (flat key = value)")
-    common.add_argument("--out", metavar="DIR", help="output directory (overrides out.dir)")
-    common.add_argument("--seed", metavar="INT",
-                        help="corpus seed (overrides corpus.seed)")
-    common.add_argument("--model", choices=["linear", "kernel-logistic"],
-                        help="model kind (overrides model.kind)")
-    common.add_argument("--alpha", metavar="FLOAT",
-                        help="linear penalty weight (overrides model.alpha)")
-    common.add_argument("--tau", metavar="FLOAT|auto",
-                        help="stop threshold (overrides policy.tau)")
+    common = _Parser(add_help=False)
+    for flag, kwargs in _FLAGS.items():
+        common.add_argument(flag, **kwargs)
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=fn.__doc__)
     return parser
+
+
+def _attach_flag_values(argv: list[str]) -> list[str]:
+    """``--flag value`` as ``--flag=value``: argparse would take a value such
+    as ``-1e-9`` or ``-inf`` for an option of its own."""
+    joined = []
+    words = iter(argv)
+    for word in words:
+        value = next(words, None) if word in _FLAGS else None
+        joined.append(word if value is None else f"{word}={value}")
+    return joined
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
@@ -113,7 +137,7 @@ def _fit_from_split(cfg: RunConfig, split: corpus_mod.CorpusSplit):
         alpha = cfg.model_alpha
         if cfg.model_penalty == "l1":
             alpha = ev.sweep_lasso_alpha(alpha, len(split.train))
-        model = fit_penalized_linear(X_train, split.train.labels(), alpha,
+        model = fit_penalized_linear(X_train, split.train.y, alpha,
                                      penalty=cfg.model_penalty)
     else:
         model = fit_kernel_logistic(
@@ -123,7 +147,7 @@ def _fit_from_split(cfg: RunConfig, split: corpus_mod.CorpusSplit):
         if not split.validation_traces:
             raise ValueError("policy.tau = auto needs a validation split "
                              "(set split.validation_fraction > 0)")
-        tau = ev.select_tau(model, std, split.validation_traces)
+        tau = ev.select_tau(model, std, split.validation, split.validation_traces)
     else:
         tau = float(cfg.policy_tau)
     return model, std, tau
@@ -145,7 +169,7 @@ def cmd_train(cfg: RunConfig) -> int:
                f"{'converged' if model.converged else 'not converged'}")
     positive = float(split.train.labels_binary().mean())
     print(f"trained {ev.model_descriptor(model)} on {len(split.train)} rows "
-          f"({len(split.train.circuit_ids())} circuits, {positive:.1%} positive), "
+          f"({len(split.train.circuit_ids)} circuits, {positive:.1%} positive), "
           f"tau={tau:g}{fit}")
     return 0
 
@@ -160,7 +184,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     dataset, traces = _load_corpus_files(cfg)
     split = corpus_mod.split_corpus(dataset, traces, cfg, with_validation=False)
 
-    overlap = set(split.test.circuit_ids()) & set(loaded.train_circuits)
+    overlap = set(split.test.circuit_ids) & set(loaded.train_circuits)
     if overlap:
         raise ValueError(
             f"test circuits overlap the model's training circuits: "
@@ -168,9 +192,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     tau = loaded.tau if loaded.tau is not None else 0.5
     policy = ev.TerminationPolicy(loaded.model, tau, loaded.standardizer)
-    report = ev.evaluate(policy, split.test_traces, corpus_seed=cfg.corpus_seed)
-    X_test = loaded.standardizer.transform(split.test.feature_matrix())
-    cls_acc = ev.classification_accuracy(loaded.model, X_test, split.test.labels_binary())
+    report = ev.evaluate(policy, split.test, split.test_traces, corpus_seed=cfg.corpus_seed)
+    cls_acc = report.classification_accuracy
     ev.write_report_csv(report, out / "report.csv")
     ev.write_summary_csv(report, out / "summary.csv", classification_acc=cls_acc)
     print(f"evaluated {report.model} at tau={report.tau:g}: "
@@ -189,8 +212,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ValueError("sweep needs a validation split "
                          "(set split.validation_fraction > 0)")
 
-    points = ev.sweep_alpha(ev.DEFAULT_ALPHA_GRID, split.train,
-                            split.validation_traces, split.test_traces)
+    points = ev.sweep_alpha(ev.DEFAULT_ALPHA_GRID, split)
     ev.write_sweep_csv(points, out / "sweep_alpha.csv")
     ev.write_beta_csv(points, out / "beta_weights.csv")
 
@@ -210,7 +232,7 @@ def cmd_oracle_eval(cfg: RunConfig) -> int:
     split = corpus_mod.split_corpus(dataset, traces, cfg, with_validation=False)
     tau = 1.0 if cfg.policy_tau == "auto" else float(cfg.policy_tau)
     policy = ev.TerminationPolicy(ev.OracleScorer(), tau)
-    report = ev.evaluate(policy, split.test_traces, corpus_seed=cfg.corpus_seed)
+    report = ev.evaluate(policy, split.test, split.test_traces, corpus_seed=cfg.corpus_seed)
     ev.write_report_csv(report, out / "oracle_report.csv")
     ev.write_summary_csv(report, out / "oracle_summary.csv")
     print(f"oracle policy at tau={tau:g}: "
@@ -229,11 +251,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = _build_parser().parse_args(_attach_flag_values(argv))
         cfg = _effective_config(args)
         return _COMMANDS[args.command](cfg)
-    except (ValueError, OSError, RuntimeError, BenchParseError,
+    except (_UsageError, ValueError, OSError, RuntimeError, BenchParseError,
             UndiagnosableFaultError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

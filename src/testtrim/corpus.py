@@ -111,7 +111,8 @@ def build_corpus(cfg: RunConfig) -> Corpus:
 
 @dataclass
 class CorpusSplit:
-    """Circuit-disjoint train / validation / test portions with their traces."""
+    """Circuit-disjoint train / validation / test portions with their traces,
+    each trace list in its portion's circuit order."""
 
     train: Dataset
     validation: Dataset | None
@@ -122,9 +123,9 @@ class CorpusSplit:
 
     @property
     def trainval_circuits(self) -> set[str]:
-        ids = set(self.train.circuit_ids())
+        ids = set(self.train.circuit_ids)
         if self.validation is not None:
-            ids |= set(self.validation.circuit_ids())
+            ids |= set(self.validation.circuit_ids)
         return ids
 
 
@@ -144,7 +145,7 @@ def split_corpus(dataset: Dataset, traces: list[DiagnosisTrace], cfg: RunConfig,
     def pick(ds: Dataset | None) -> list[DiagnosisTrace]:
         if ds is None:
             return []
-        return [by_id[cid] for cid in ds.circuit_ids()]
+        return [by_id[cid] for cid in ds.circuit_ids]
 
     return CorpusSplit(
         train=train, validation=validation, test=test,

@@ -1,4 +1,4 @@
-"""Feature extraction, dataset container, circuit-level splits, CSV I/O.
+"""Feature matrix, circuit-level splits, CSV I/O.
 
 Each failing pattern of a trace becomes one row with five features:
 
@@ -8,8 +8,12 @@ Each failing pattern of a trace becomes one row with five features:
     x4  index of this failing pattern
     x5  index of the circuit's last failing pattern
 
-plus the regression label y.  Rows of one circuit are heavily correlated
-(they share x1/x3/x5), so train/test splits operate on whole circuits.
+plus the regression label y.  A :class:`Dataset` holds these as arrays:
+the float feature matrix ``X``, the label vector ``y``, and the circuit
+boundaries (circuit ids plus row offsets), so circuit ``c`` owns rows
+``offsets[c]:offsets[c + 1]`` in trace order.  Rows of one circuit are
+heavily correlated (they share x1/x3/x5), so train/test splits cut whole
+circuits.
 """
 
 from __future__ import annotations
@@ -27,30 +31,6 @@ from .diagnosis import DiagnosisTrace, read_csv_rows
 NUM_FEATURES = 5
 
 DATASET_HEADER = ["circuit_id", "x1", "x2", "x3", "x4", "x5", "y"]
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    circuit_id: str
-    x1: int
-    x2: int
-    x3: int
-    x4: int
-    x5: int
-    y: float
-
-    def features(self) -> tuple[int, int, int, int, int]:
-        return (self.x1, self.x2, self.x3, self.x4, self.x5)
-
-
-def extract_features(trace: DiagnosisTrace) -> list[FeatureRow]:
-    """One row per failing pattern of the trace."""
-    first = trace.failing_indices[0]
-    last = trace.failing_indices[-1]
-    return [
-        FeatureRow(trace.circuit_id, trace.num_inputs, k, first, idx, last, y)
-        for k, (idx, y) in enumerate(zip(trace.failing_indices, trace.y_values), start=1)
-    ]
 
 
 @dataclass
@@ -83,39 +63,63 @@ class Standardizer:
 
 @dataclass
 class Dataset:
-    """Feature rows with circuit-of-origin bookkeeping.
+    """Feature rows of whole circuits, as arrays.
 
+    ``X`` is the ``(rows, 5)`` float feature matrix and ``y`` the labels;
+    circuit ``circuit_ids[c]`` owns rows ``offsets[c]:offsets[c + 1]``.
     ``standardization`` is attached once statistics have been fitted on the
     training portion (see :func:`standardize_fit_apply`).
     """
 
-    rows: list[FeatureRow]
+    X: np.ndarray
+    y: np.ndarray
+    circuit_ids: list[str]
+    offsets: np.ndarray
     standardization: Standardizer | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.array([r.features() for r in self.rows], dtype=float)
-
-    def labels(self) -> np.ndarray:
-        return np.array([r.y for r in self.rows], dtype=float)
+        return len(self.y)
 
     def labels_binary(self) -> np.ndarray:
         """1.0 exactly on converged rows (y == 1), else 0.0."""
-        return np.array([1.0 if r.y == 1.0 else 0.0 for r in self.rows])
+        return (self.y == 1.0).astype(float)
 
-    def circuit_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.rows:
-            seen.setdefault(r.circuit_id, None)
-        return list(seen)
 
-    def rows_per_circuit(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.rows:
-            counts[r.circuit_id] = counts.get(r.circuit_id, 0) + 1
-        return counts
+def _offsets(counts: Sequence[int]) -> np.ndarray:
+    """Row offsets of consecutive circuits with ``counts`` rows each."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def dataset_from_traces(traces: Iterable[DiagnosisTrace]) -> Dataset:
+    """One row per failing pattern of each trace, circuits in trace order."""
+    ids, counts, x1, x3, x4, x5, y = [], [], [], [], [], [], []
+    for t in traces:
+        failing = t.failing_indices
+        ids.append(t.circuit_id)
+        counts.append(len(failing))
+        x1.append(t.num_inputs)
+        x3.append(failing[0])
+        x5.append(failing[-1])
+        x4.extend(failing)
+        y.extend(t.y_values)
+    offsets = _offsets(counts)
+    X = np.empty((len(x4), NUM_FEATURES))
+    X[:, 0] = np.repeat(x1, counts)
+    X[:, 1] = np.arange(1, len(x4) + 1) - np.repeat(offsets[:-1], counts)
+    X[:, 2] = np.repeat(x3, counts)
+    X[:, 3] = x4
+    X[:, 4] = np.repeat(x5, counts)
+    return Dataset(X, np.array(y, dtype=float), ids, offsets)
+
+
+def _take(dataset: Dataset, keep: np.ndarray) -> Dataset:
+    """The circuits where the boolean ``keep`` is set, rows in dataset order."""
+    counts = np.diff(dataset.offsets)
+    rows = np.repeat(keep, counts)
+    ids = [cid for cid, k in zip(dataset.circuit_ids, keep) if k]
+    return Dataset(dataset.X[rows], dataset.y[rows], ids, _offsets(counts[keep]))
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -126,33 +130,32 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     is honored to within one circuit's row count.  The last circuit is never
     consumed, so the test side stays populated; raises ``ValueError`` when
     the train side would end up empty (a fraction too small to cover a
-    single row, or a single-circuit dataset).
+    single row, or a single-circuit dataset).  Both sides keep the
+    dataset's circuit and row order.
     """
-    if not dataset.rows:
+    if not len(dataset):
         raise ValueError("cannot split an empty dataset")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    ids = dataset.circuit_ids()
-    counts = dataset.rows_per_circuit()
-    order = list(ids)
+    num_circuits = len(dataset.circuit_ids)
+    counts = np.diff(dataset.offsets).tolist()
+    order = list(range(num_circuits))
     random.Random(seed).shuffle(order)
 
-    target = round(train_fraction * len(dataset.rows))
-    train_ids: set[str] = set()
-    acc = 0
-    for cid in order:
-        if acc >= target or len(train_ids) == len(ids) - 1:
+    target = round(train_fraction * len(dataset))
+    keep = np.zeros(num_circuits, dtype=bool)
+    taken = acc = 0
+    for c in order:
+        if acc >= target or taken == num_circuits - 1:
             break
-        train_ids.add(cid)
-        acc += counts[cid]
-    if not train_ids:
+        keep[c] = True
+        taken += 1
+        acc += counts[c]
+    if not taken:
         raise ValueError(
             f"train_fraction {train_fraction} produces an empty side "
-            f"({len(ids)} circuits, {len(dataset.rows)} rows)")
-
-    train_rows = [r for r in dataset.rows if r.circuit_id in train_ids]
-    test_rows = [r for r in dataset.rows if r.circuit_id not in train_ids]
-    return Dataset(train_rows), Dataset(test_rows)
+            f"({num_circuits} circuits, {len(dataset)} rows)")
+    return _take(dataset, keep), _take(dataset, ~keep)
 
 
 def standardize_fit_apply(train: Dataset, others: Sequence[Dataset] = ()) -> list[np.ndarray]:
@@ -161,36 +164,40 @@ def standardize_fit_apply(train: Dataset, others: Sequence[Dataset] = ()) -> lis
     Returns the transformed feature matrices in order ``[train, *others]``
     and attaches the fitted statistics to each dataset.
     """
-    if not train.rows:
+    if not len(train):
         raise ValueError("cannot standardize an empty training set")
-    std = Standardizer.fit(train.feature_matrix())
+    std = Standardizer.fit(train.X)
     train.standardization = std
     for d in others:
         d.standardization = std
-    return [std.transform(d.feature_matrix()) for d in (train, *others)]
+    return [std.transform(d.X) for d in (train, *others)]
 
 
 def write_dataset(dataset: Dataset, path) -> None:
+    X = dataset.X.astype(np.int64).tolist()
+    y = dataset.y.tolist()
+    bounds = dataset.offsets.tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_HEADER)
-        for r in dataset.rows:
-            writer.writerow([r.circuit_id, r.x1, r.x2, r.x3, r.x4, r.x5, f"{r.y:.6f}"])
+        for c, cid in enumerate(dataset.circuit_ids):
+            for r in range(bounds[c], bounds[c + 1]):
+                writer.writerow([cid, *X[r], f"{y[r]:.6f}"])
 
 
-def _parse_dataset_record(fields: list[str]) -> FeatureRow:
+def _parse_dataset_record(fields: list[str]) -> tuple:
     y = float(fields[6])
     if not math.isfinite(y):
         raise ValueError(f"non-finite y ({fields[6]!r})")
-    return FeatureRow(fields[0], *map(int, fields[1:6]), y)
+    return (fields[0], *map(int, fields[1:6]), y)
 
 
 def read_dataset(path) -> Dataset:
-    return Dataset(read_csv_rows(path, DATASET_HEADER, "dataset", _parse_dataset_record))
-
-
-def dataset_from_traces(traces: Iterable[DiagnosisTrace]) -> Dataset:
-    rows: list[FeatureRow] = []
-    for t in traces:
-        rows.extend(extract_features(t))
-    return Dataset(rows)
+    """Rows of a ``dataset.csv`` export, grouped by circuit in first-seen order."""
+    groups: dict[str, list[tuple]] = {}
+    for rec in read_csv_rows(path, DATASET_HEADER, "dataset", _parse_dataset_record):
+        groups.setdefault(rec[0], []).append(rec)
+    records = [rec for rows in groups.values() for rec in rows]
+    return Dataset(np.array([rec[1:6] for rec in records], dtype=float),
+                   np.array([rec[6] for rec in records], dtype=float),
+                   list(groups), _offsets([len(rows) for rows in groups.values()]))

@@ -5,6 +5,11 @@ circuit's rows in order, testing stops at the first row whose model score
 reaches tau (linear predictions are clamped to [0, 1] first).  A circuit
 whose rows never reach tau runs to its last failing pattern.
 
+Each (model, split) pair is scored once: the split's standardized feature
+matrix goes through one :func:`score_matrix` call, and every stop decision,
+at every tau tried, is read off that one score vector cut at the split's
+circuit boundaries.
+
 The headline metrics:
 
 * diagnosis accuracy: fraction of circuits whose candidate set had already
@@ -26,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Standardizer, dataset_from_traces, standardize_fit_apply
+from .corpus import CorpusSplit
+from .dataset import Dataset, Standardizer, standardize_fit_apply
 from .diagnosis import DiagnosisTrace
 from .models import (KernelLogisticModel, LinearModel, TrainConfig,
                      fit_kernel_logistic, fit_penalized_linear,
@@ -73,26 +79,29 @@ def score_matrix(model: Scorer, X_std: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot score rows with {model!r}")
 
 
-def _trace_scores(policy: TerminationPolicy, trace: DiagnosisTrace) -> np.ndarray:
-    if isinstance(policy.model, OracleScorer):
-        return np.asarray(trace.y_values, dtype=float)
-    if policy.standardizer is None:
+def _row_scores(model: Scorer, standardizer: Standardizer | None,
+                data: Dataset) -> np.ndarray:
+    """The score of every row of ``data``; the oracle scores with the labels."""
+    if isinstance(model, OracleScorer):
+        return data.y
+    if standardizer is None:
         raise ValueError("policy needs the training standardizer to score traces")
-    X = dataset_from_traces([trace]).feature_matrix()
-    return score_matrix(policy.model, policy.standardizer.transform(X))
+    return score_matrix(model, standardizer.transform(data.X))
 
 
-def apply_policy(policy: TerminationPolicy, trace: DiagnosisTrace) -> tuple[int, int]:
-    """Stop decision for one trace.
+def _stop_ordinals(scores: np.ndarray, offsets: np.ndarray, tau: float) -> np.ndarray:
+    """Per circuit, the 1-based ordinal of its first row scoring >= tau,
+    or of its last row when none does."""
+    hits = np.flatnonzero(scores >= tau)
+    starts, ends = offsets[:-1], offsets[1:]
+    first = np.append(hits, len(scores))[np.searchsorted(hits, starts)]
+    return np.minimum(first, ends - 1) - starts + 1
 
-    Returns ``(k_star, terminated_pattern)``: the 1-based ordinal of the
-    stopping failing pattern and its index in the full pattern sequence.
-    Without any score >= tau the circuit runs to its last failing pattern.
-    """
-    scores = _trace_scores(policy, trace)
-    hits = np.nonzero(scores >= policy.tau)[0]
-    k_star = int(hits[0]) + 1 if hits.size else trace.num_failing
-    return k_star, trace.failing_indices[k_star - 1]
+
+def classification_accuracy(scores: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of rows whose 0.5-thresholded score matches the binary
+    label (converged, y == 1)."""
+    return float(np.mean((scores >= 0.5) == (y == 1.0)))
 
 
 @dataclass(frozen=True)
@@ -111,29 +120,27 @@ class TerminationReport:
     per_circuit: list[CircuitOutcome]
     tau: float
     model: str
+    classification_accuracy: float
     corpus_seed: int | None = None
 
 
-def evaluate(policy: TerminationPolicy, traces: Sequence[DiagnosisTrace],
-             corpus_seed: int | None = None) -> TerminationReport:
-    """Apply the policy to every trace and summarize.
-
-    A stop is correct when the intermediate candidate set equals the golden
-    set at the stopping row; the saved volume counts every pattern after
-    the stopping one.
-    """
+def _report(model: Scorer, scores: np.ndarray, data: Dataset,
+            traces: Sequence[DiagnosisTrace], tau: float,
+            corpus_seed: int | None = None) -> TerminationReport:
+    """The policy (model, tau) on ``traces``, given the score of every row
+    of ``data``, the traces' feature rows."""
     if not traces:
         raise ValueError("empty test set")
+    if data.circuit_ids != [t.circuit_id for t in traces]:
+        raise ValueError("feature rows and traces cover different circuits")
     outcomes = []
-    for t in traces:
-        k_star, stop_idx = apply_policy(policy, t)
-        correct = t.intermediate_sizes[k_star - 1] == t.golden_size
+    for t, k_star in zip(traces, _stop_ordinals(scores, data.offsets, tau).tolist()):
         outcomes.append(CircuitOutcome(
             circuit_id=t.circuit_id,
             k_star=k_star,
-            terminated_pattern=stop_idx,
+            terminated_pattern=t.failing_indices[k_star - 1],
             m_at_termination=t.m_values[k_star - 1],
-            correct=correct,
+            correct=t.intermediate_sizes[k_star - 1] == t.golden_size,
         ))
     accuracy = sum(o.correct for o in outcomes) / len(outcomes)
     reduction = sum(
@@ -144,33 +151,49 @@ def evaluate(policy: TerminationPolicy, traces: Sequence[DiagnosisTrace],
         diagnosis_accuracy=accuracy,
         volume_reduction=reduction,
         per_circuit=outcomes,
-        tau=policy.tau,
-        model=model_descriptor(policy.model),
+        tau=tau,
+        model=model_descriptor(model),
+        classification_accuracy=classification_accuracy(scores, data.y),
         corpus_seed=corpus_seed,
     )
 
 
-def select_tau(model: Scorer, standardizer: Standardizer | None,
-               validation_traces: Sequence[DiagnosisTrace],
-               grid: Sequence[float] = DEFAULT_TAU_GRID) -> float:
-    """Pick tau on validation traces: best accuracy subject to reduction > 0.
+def evaluate(policy: TerminationPolicy, data: Dataset, traces: Sequence[DiagnosisTrace],
+             corpus_seed: int | None = None) -> TerminationReport:
+    """Apply the policy to every trace and summarize.
 
-    Ties prefer higher reduction, then the smaller tau.  If no grid point
-    yields positive reduction the constraint is dropped.
+    ``data`` holds the traces' feature rows (``dataset_from_traces(traces)``
+    or the matching split); it is scored once.  A circuit stops at its
+    first row scoring >= tau, or at its last row.  A stop is correct when
+    the intermediate candidate set equals the golden set at the stopping
+    row; the saved volume counts every pattern after the stopping one.
+    ``classification_accuracy`` reads the same scores at 0.5.
     """
+    scores = _row_scores(policy.model, policy.standardizer, data)
+    return _report(policy.model, scores, data, traces, policy.tau, corpus_seed)
+
+
+def _pick_tau(model: Scorer, scores: np.ndarray, data: Dataset,
+              traces: Sequence[DiagnosisTrace], grid: Sequence[float]) -> float:
     scored = []
     for tau in grid:
-        rep = evaluate(TerminationPolicy(model, tau, standardizer), validation_traces)
+        rep = _report(model, scores, data, traces, tau)
         scored.append((rep.diagnosis_accuracy, rep.volume_reduction, -tau, tau))
     eligible = [s for s in scored if s[1] > 0.0]
     pool = eligible if eligible else scored
     return max(pool)[3]
 
 
-def classification_accuracy(model: Scorer, X_std: np.ndarray, y_bin: np.ndarray) -> float:
-    """Fraction of rows whose 0.5-thresholded score matches the binary label."""
-    preds = score_matrix(model, X_std) >= 0.5
-    return float(np.mean(preds == (np.asarray(y_bin) == 1.0)))
+def select_tau(model: Scorer, standardizer: Standardizer | None, data: Dataset,
+               traces: Sequence[DiagnosisTrace],
+               grid: Sequence[float] = DEFAULT_TAU_GRID) -> float:
+    """Pick tau on validation traces (feature rows ``data``, scored once):
+    best accuracy subject to reduction > 0.
+
+    Ties prefer higher reduction, then the smaller tau.  If no grid point
+    yields positive reduction the constraint is dropped.
+    """
+    return _pick_tau(model, _row_scores(model, standardizer, data), data, traces, grid)
 
 
 def sweep_lasso_alpha(alpha: float, n: int) -> float:
@@ -189,39 +212,37 @@ class AlphaPoint:
     intercept: float
 
 
-def sweep_alpha(alphas: Sequence[float], train: Dataset,
-                validation_traces: Sequence[DiagnosisTrace],
-                test_traces: Sequence[DiagnosisTrace],
-                penalty: str = "l1",
+def sweep_alpha(alphas: Sequence[float], split: CorpusSplit, penalty: str = "l1",
                 tau_grid: Sequence[float] = DEFAULT_TAU_GRID) -> list[AlphaPoint]:
     """One linear model per alpha, each taken through the same policy machinery.
 
-    Results are listed in the given alpha order.  ``label_accuracy`` is the
-    alternative row-level reading: clamped predictions thresholded at 0.5
-    against the binary convergence labels of the test rows.
+    Each model is fitted on the split's train rows, picks tau on its
+    validation circuits and is scored on its test circuits.  Results are
+    listed in the given alpha order.  ``label_accuracy`` is the
+    alternative row-level reading of the same test scores: clamped
+    predictions thresholded at 0.5 against the binary convergence labels.
     """
-    X_train = standardize_fit_apply(train)[0]
-    std = train.standardization
-    y_train = train.labels()
-    test_ds = dataset_from_traces(test_traces)
-    X_test = std.transform(test_ds.feature_matrix())
-    y_test_bin = test_ds.labels_binary()
-    n = len(train)
+    X_train = standardize_fit_apply(split.train)[0]
+    std = split.train.standardization
+    X_val = std.transform(split.validation.X)
+    X_test = std.transform(split.test.X)
+    n = len(split.train)
 
     points = []
     for alpha in alphas:
         model = fit_penalized_linear(
-            X_train, y_train,
+            X_train, split.train.y,
             sweep_lasso_alpha(alpha, n) if penalty == "l1" else alpha,
             penalty=penalty)
-        tau = select_tau(model, std, validation_traces, tau_grid)
-        rep = evaluate(TerminationPolicy(model, tau, std), test_traces)
+        tau = _pick_tau(model, score_matrix(model, X_val), split.validation,
+                        split.validation_traces, tau_grid)
+        rep = _report(model, score_matrix(model, X_test), split.test, split.test_traces, tau)
         points.append(AlphaPoint(
             alpha=alpha,
             tau=tau,
             diagnosis_accuracy=rep.diagnosis_accuracy,
             volume_reduction=rep.volume_reduction,
-            label_accuracy=classification_accuracy(model, X_test, y_test_bin),
+            label_accuracy=rep.classification_accuracy,
             beta=tuple(float(b) for b in model.beta),
             intercept=model.intercept,
         ))
@@ -240,10 +261,8 @@ def learning_curve(sizes: Sequence[int], train: Dataset, test: Dataset,
     """
     import random as _random
 
-    X_train = standardize_fit_apply(train, [test])[0]
-    X_test = train.standardization.transform(test.feature_matrix())
+    X_train, X_test = standardize_fit_apply(train, [test])
     y_train = train.labels_binary()
-    y_test = test.labels_binary()
     n = len(train)
     order = list(range(n))
     _random.Random(seed).shuffle(order)
@@ -254,7 +273,7 @@ def learning_curve(sizes: Sequence[int], train: Dataset, test: Dataset,
             raise ValueError(f"requested train size {size} exceeds corpus ({n} rows)")
         idx = sorted(order[:size])
         model = fit_kernel_logistic(X_train[idx], y_train[idx], lam, gamma, config)
-        score = classification_accuracy(model, X_test, y_test)
+        score = classification_accuracy(score_matrix(model, X_test), test.y)
         results.append((size, score))
     return results
 

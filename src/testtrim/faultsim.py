@@ -14,6 +14,8 @@ the fault-free row with the stem's output differences applied wherever the
 fault flips the stem.  Cones are read off per-signal reachability bitsets.
 Packed words also make pass/fail bookkeeping cheap bitwise arithmetic.
 ``response()`` and ``fault_free`` materialize ordinary bit tuples on demand.
+The ``.dict`` export (:func:`write_dictionary`) writes the same packed
+words, one line per fault with one hex word per output.
 
 Fault collapsing is deliberately not performed: candidate-set sizes feed
 the downstream label arithmetic and must stay reproducible counts over the
@@ -272,36 +274,25 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
                            fault_words=tuple(rows), free_words=free_words,
                            fault_masks=tuple(fault_masks), seed=seed)
 
-def write_dictionary(fdict: FaultDictionary, path) -> None:
-    """Columnar text export: header, then one line per (fault, pattern).
 
-    Line format: ``<fault_signal> <stuck_value> <pattern_index> <response_bits>``
-    with 0-based pattern indices and response bits in output-list order.
-    The text is built from the packed words: each distinct word becomes its
-    bit column once, and each distinct row (unexcited faults share the
-    fault-free row) its per-pattern ``<index> <bits>`` suffixes once.
+def write_dictionary(fdict: FaultDictionary, path) -> None:
+    """Text export: a header line, then one line per fault.
+
+    Line format: ``<fault_signal> <stuck_value> <w_1> ... <w_O>``, where
+    ``w_j`` is output ``j``'s packed word in lowercase hex without ``0x``:
+    bit ``p`` is the output's value under pattern ``p`` (0-based, in
+    dictionary pattern order).  Fields are separated by single spaces, so
+    a circuit without outputs writes ``<fault_signal> <stuck_value>``.
+    Faults are listed in dictionary order.
     """
     circuit = fdict.circuit
     names = circuit.signal_names
-    num_patterns = fdict.num_patterns
-    columns: dict[int, str] = {}
-    suffixes: dict[tuple[int, ...], list[str]] = {}
     lines = [
         f"# circuit={circuit.name} signals={circuit.signal_count} "
-        f"faults={len(fdict.faults)} patterns={num_patterns} seed={fdict.seed}"
+        f"faults={len(fdict.faults)} patterns={fdict.num_patterns} seed={fdict.seed}"
     ]
     for fault, words in zip(fdict.faults, fdict.fault_words):
-        row = suffixes.get(words)
-        if row is None:
-            for w in words:
-                if w not in columns:
-                    columns[w] = format(w, f"0{num_patterns}b")[::-1]
-            if words:
-                bits = ["".join(b) for b in zip(*(columns[w] for w in words))]
-            else:
-                bits = [""] * num_patterns
-            row = suffixes[words] = [f"{p} {b}" for p, b in enumerate(bits)]
-        prefix = f"{names[fault.signal]} {fault.stuck_value} "
-        lines.append("\n".join(prefix + suffix for suffix in row))
+        lines.append(" ".join([names[fault.signal], str(fault.stuck_value),
+                               *[format(w, "x") for w in words]]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

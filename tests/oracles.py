@@ -10,9 +10,11 @@ the two-clause consistency definition instead of incremental filtering,
 the prefix replay applies the same two clauses to whole packed prefixes of
 rows from the full-pass builder (fast enough for netlists of hundreds of
 gates),
-the dictionary writer unpacks every response bit by bit, the logistic
-minimizer takes damped Newton steps on its own cost, gradient and Hessian,
-and the sigmoid calls libm's exp one value at a time.
+the dictionary reader parses the text export back into packed words for
+comparison with the full-pass rows, the per-trace stop reference builds,
+standardizes and scores one row at a time with its own formulas, the
+logistic minimizer takes damped Newton steps on its own cost, gradient and
+Hessian, and the sigmoid calls libm's exp one value at a time.
 """
 
 from __future__ import annotations
@@ -170,19 +172,25 @@ def prefix_replay_candidate_sets(fault_words, free_words, injected_idx: int):
     return [p + 1 for p in failing], sets
 
 
-def bitwise_dictionary_text(fdict) -> str:
-    """The ``.dict`` export built one ``response()`` call per (fault, pattern)."""
-    circuit = fdict.circuit
-    names = circuit.signal_names
-    lines = [
-        f"# circuit={circuit.name} signals={circuit.signal_count} "
-        f"faults={len(fdict.faults)} patterns={fdict.num_patterns} seed={fdict.seed}"
-    ]
-    for fi, fault in enumerate(fdict.faults):
-        for p in range(fdict.num_patterns):
-            bits = "".join(str(b) for b in fdict.response(fi, p))
-            lines.append(f"{names[fault.signal]} {fault.stuck_value} {p} {bits}")
-    return "\n".join(lines) + "\n"
+def read_dictionary_text(text: str):
+    """Parse a ``.dict`` export into ``(header, rows)``.
+
+    ``rows`` holds one ``(signal_name, stuck_value, words)`` per fault line,
+    ``words`` the per-output hex fields read back as ints.  Fields are split
+    on single spaces, so a doubled or trailing space shows up as an empty
+    field and is rejected, as is any word not in canonical lowercase hex.
+    """
+    if not text.endswith("\n"):
+        raise ValueError("export does not end in a newline")
+    header, *lines = text[:-1].split("\n")
+    rows = []
+    for line in lines:
+        name, stuck, *fields = line.split(" ")
+        words = tuple(int(w, 16) for w in fields)
+        if [format(w, "x") for w in words] != fields:
+            raise ValueError(f"non-canonical hex word in {line!r}")
+        rows.append((name, int(stuck), words))
+    return header, rows
 
 
 def oracle_candidate_sets(circuit: Circuit, patterns, injected: Fault):
@@ -305,3 +313,33 @@ def naive_sigmoid_dot(theta, phi):
     for t, p in zip(theta, phi):
         acc += float(t) * float(p)
     return sigmoid_reference(acc)
+
+
+def per_trace_stop(model, standardizer, trace, tau):
+    """Reference stop decision for one trace, one row at a time.
+
+    Each row's five features are built from the trace, standardized and
+    scored on their own: a linear model's prediction clamped to [0, 1], or a
+    kernel model's sigmoid over its RBF landmark distances clamped to
+    [PROB_EPS, 1 - PROB_EPS].  The rows are walked to the first score >= tau,
+    else to the last row.  Returns ``(k_star, terminated_pattern, scores)``.
+    """
+    # imported here: the benchmark's corpus check loads this module without models
+    from testtrim.models import PROB_EPS, LinearModel
+
+    failing = trace.failing_indices
+    scores = []
+    for k, idx in enumerate(failing, start=1):
+        x = np.array([trace.num_inputs, k, failing[0], idx, failing[-1]], dtype=float)
+        z = np.where(standardizer.constant, x, (x - standardizer.mean) / standardizer.scale)
+        if isinstance(model, LinearModel):
+            score = min(max(model.intercept + float(np.dot(model.beta, z)), 0.0), 1.0)
+        else:
+            dist2 = np.sum((model.landmarks - z) ** 2, axis=1)
+            score = sigmoid_reference(float(model.theta[0] + np.dot(
+                model.theta[1:], np.exp(-model.gamma * dist2))))
+            score = min(max(score, PROB_EPS), 1.0 - PROB_EPS)
+        scores.append(score)
+    k_star = next((k for k, score in enumerate(scores, start=1) if score >= tau),
+                  len(failing))
+    return k_star, failing[k_star - 1], np.array(scores)

@@ -245,7 +245,8 @@ _FLAGS = {"model.alpha": "--alpha"}
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), key=st.sampled_from(sorted(_OUT_OF_RANGE)), as_flag=st.booleans())
+@given(data=st.data(), key=st.sampled_from(sorted(_OUT_OF_RANGE)),
+       as_flag=st.sampled_from([None, "joined", "separate"]))
 def test_out_of_range_config_value_fails_cleanly(data, key, as_flag):
     value = data.draw(_OUT_OF_RANGE[key])
     with tempfile.TemporaryDirectory() as tmp:
@@ -253,7 +254,8 @@ def test_out_of_range_config_value_fails_cleanly(data, key, as_flag):
         argv = ["train", "--config", str(cfg_path), "--out", str(Path(tmp) / "run")]
         if as_flag and key in _FLAGS:
             cfg_path.write_text("")
-            argv.append(f"{_FLAGS[key]}={value}")
+            # "--alpha v" as well as "--alpha=v": a value such as -1e-9 is still the value
+            argv += [f"{_FLAGS[key]}={value}"] if as_flag == "joined" else [_FLAGS[key], value]
         else:
             cfg_path.write_text(f"{key} = {value}\n")
         out, err = io.StringIO(), io.StringIO()
@@ -263,6 +265,29 @@ def test_out_of_range_config_value_fails_cleanly(data, key, as_flag):
         assert rc == 1 and len(lines) == 1 and lines[0].startswith("error:"), lines
         assert key in lines[0]
         assert out.getvalue() == "" and not (Path(tmp) / "run").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["train", "--alpha"], "expected one argument"),
+    (["train", "--model", "tree"], "invalid choice: 'tree'"),
+    (["fit"], "invalid choice: 'fit'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_error_ends_in_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    assert "--alpha FLOAT" in capsys.readouterr().out
 
 
 def test_defaults_without_config_flag(tmp_path):

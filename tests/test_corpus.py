@@ -2,7 +2,6 @@ import pytest
 
 from testtrim.config import RunConfig
 from testtrim.corpus import build_corpus, split_corpus
-from testtrim.dataset import extract_features
 from testtrim.netlist import format_bench
 
 
@@ -23,7 +22,9 @@ def test_corpus_deterministic():
     assert [c.name for c in a.circuits] == [c.name for c in b.circuits]
     assert [format_bench(c) for c in a.circuits] == [format_bench(c) for c in b.circuits]
     assert [t.failing_indices for t in a.traces] == [t.failing_indices for t in b.traces]
-    assert [r for r in a.dataset.rows] == [r for r in b.dataset.rows]
+    assert a.dataset.circuit_ids == b.dataset.circuit_ids
+    assert a.dataset.X.tolist() == b.dataset.X.tolist()
+    assert a.dataset.y.tolist() == b.dataset.y.tolist()
 
 
 def test_different_seed_different_corpus():
@@ -82,22 +83,24 @@ def test_split_corpus_partitions_traces(small_corpus):
     cfg = RunConfig(split_train_fraction=0.7, split_validation_fraction=0.25,
                     split_seed=4)
     s = split_corpus(small_corpus.dataset, small_corpus.traces, cfg)
-    train_ids = set(s.train.circuit_ids())
-    val_ids = set(s.validation.circuit_ids())
-    test_ids = set(s.test.circuit_ids())
+    train_ids = set(s.train.circuit_ids)
+    val_ids = set(s.validation.circuit_ids)
+    test_ids = set(s.test.circuit_ids)
     assert not train_ids & test_ids
     assert not train_ids & val_ids
     assert not val_ids & test_ids
-    assert {t.circuit_id for t in s.train_traces} == train_ids
-    assert {t.circuit_id for t in s.validation_traces} == val_ids
-    assert {t.circuit_id for t in s.test_traces} == test_ids
+    # each portion's traces line up with its circuits, in row order
+    assert [t.circuit_id for t in s.train_traces] == s.train.circuit_ids
+    assert [t.circuit_id for t in s.validation_traces] == s.validation.circuit_ids
+    assert [t.circuit_id for t in s.test_traces] == s.test.circuit_ids
     assert len(s.train) + len(s.validation) + len(s.test) == len(small_corpus.dataset)
     assert s.trainval_circuits == train_ids | val_ids
 
 
 def test_rows_rederive_trace_boundaries(small_corpus):
-    for trace in small_corpus.traces:
-        rows = extract_features(trace)
-        assert rows[0].x3 == trace.failing_indices[0]
-        assert rows[0].x5 == trace.failing_indices[-1]
-        assert [r.x4 for r in rows] == trace.failing_indices
+    ds = small_corpus.dataset
+    for c, trace in enumerate(small_corpus.traces):
+        rows = ds.X[ds.offsets[c]:ds.offsets[c + 1]]
+        assert (rows[:, 2] == trace.failing_indices[0]).all()
+        assert (rows[:, 4] == trace.failing_indices[-1]).all()
+        assert rows[:, 3].tolist() == trace.failing_indices

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from testtrim.dataset import (Dataset, FeatureRow, Standardizer, extract_features,
-                              read_dataset, split, standardize_fit_apply,
-                              write_dataset)
+from testtrim.dataset import (Standardizer, dataset_from_traces, read_dataset, split,
+                              standardize_fit_apply, write_dataset)
 from testtrim.diagnosis import DiagnosisTrace
 
 
@@ -23,70 +22,80 @@ def _trace(circuit_id, num_inputs, failing, y_values, total=50):
 
 def test_extract_features_basic():
     trace = _trace("c1", 5, [3, 7, 12], [0.0, 0.4, 1.0])
-    rows = extract_features(trace)
-    assert [(r.x1, r.x2, r.x3, r.x4, r.x5) for r in rows] == [
-        (5, 1, 3, 3, 12),
-        (5, 2, 3, 7, 12),
-        (5, 3, 3, 12, 12),
+    ds = dataset_from_traces([trace])
+    assert ds.X.tolist() == [
+        [5, 1, 3, 3, 12],
+        [5, 2, 3, 7, 12],
+        [5, 3, 3, 12, 12],
     ]
-    assert [r.y for r in rows] == [0.0, 0.4, 1.0]
-    assert all(r.circuit_id == "c1" for r in rows)
+    assert ds.y.tolist() == [0.0, 0.4, 1.0]
+    assert ds.circuit_ids == ["c1"]
+    assert ds.offsets.tolist() == [0, 3]
 
 
 def test_extract_features_single_failing_pattern():
-    trace = _trace("c2", 4, [9], [1.0])
-    rows = extract_features(trace)
-    assert len(rows) == 1
-    assert rows[0].features() == (4, 1, 9, 9, 9)
-    assert rows[0].y == 1.0
+    ds = dataset_from_traces([_trace("c2", 4, [9], [1.0]), _trace("c3", 6, [2, 5], [0.0, 1.0])])
+    assert len(ds) == 3
+    assert ds.X.tolist() == [[4, 1, 9, 9, 9], [6, 1, 2, 2, 5], [6, 2, 2, 5, 5]]
+    assert ds.y.tolist() == [1.0, 0.0, 1.0]
+    assert ds.circuit_ids == ["c2", "c3"]
+    assert ds.offsets.tolist() == [0, 1, 3]
 
 
 def test_feature_row_invariants(small_corpus):
-    for trace in small_corpus.traces:
-        rows = extract_features(trace)
-        for r in rows:
-            assert r.x3 <= r.x4 <= r.x5
-            assert r.x2 >= 1
-            if r.x4 == r.x5:
-                assert r.y == 1.0
+    ds = small_corpus.dataset
+    assert ds.X.flags.c_contiguous and ds.X.dtype == np.float64
+    assert ds.circuit_ids == [t.circuit_id for t in small_corpus.traces]
+    for c, trace in enumerate(small_corpus.traces):
+        rows = ds.X[ds.offsets[c]:ds.offsets[c + 1]]
+        y = ds.y[ds.offsets[c]:ds.offsets[c + 1]]
+        x1, x2, x3, x4, x5 = rows.T
+        assert (x3 <= x4).all() and (x4 <= x5).all()
+        assert x2.tolist() == list(range(1, trace.num_failing + 1))
+        assert (y[x4 == x5] == 1.0).all()
         # grouped rows reproduce the trace's first/last failing indices
-        assert rows[0].x4 == rows[0].x3 == trace.failing_indices[0]
-        assert rows[-1].x4 == rows[-1].x5 == trace.failing_indices[-1]
+        assert rows[0, 3] == rows[0, 2] == trace.failing_indices[0]
+        assert rows[-1, 3] == rows[-1, 4] == trace.failing_indices[-1]
 
 
 def _equal_row_dataset(num_circuits=10, rows_each=4):
-    rows = []
-    for c in range(num_circuits):
-        trace = _trace(f"c{c}", 5, list(range(2, 2 + rows_each)),
-                       [0.0] * (rows_each - 1) + [1.0])
-        rows.extend(extract_features(trace))
-    return Dataset(rows)
+    return dataset_from_traces(
+        _trace(f"c{c}", 5, list(range(2, 2 + rows_each)), [0.0] * (rows_each - 1) + [1.0])
+        for c in range(num_circuits))
 
 
 def test_split_seven_three():
     ds = _equal_row_dataset(10)
     train, test = split(ds, 0.7, seed=1)
-    assert len(train.circuit_ids()) == 7
-    assert len(test.circuit_ids()) == 3
+    assert len(train.circuit_ids) == 7
+    assert len(test.circuit_ids) == 3
 
 
 def test_split_deterministic():
     ds = _equal_row_dataset(10)
     a = split(ds, 0.7, seed=1)
     b = split(ds, 0.7, seed=1)
-    assert [r.circuit_id for r in a[0].rows] == [r.circuit_id for r in b[0].rows]
+    assert a[0].circuit_ids == b[0].circuit_ids
     c = split(ds, 0.7, seed=2)
-    assert [r.circuit_id for r in a[0].rows] != [r.circuit_id for r in c[0].rows]
+    assert a[0].circuit_ids != c[0].circuit_ids
 
 
 def test_split_row_conservation_and_disjoint(small_corpus):
     ds = small_corpus.dataset
     train, test = split(ds, 0.6, seed=3)
     assert len(train) + len(test) == len(ds)
-    assert not set(train.circuit_ids()) & set(test.circuit_ids())
+    assert not set(train.circuit_ids) & set(test.circuit_ids)
     # the row fraction is honored to within one circuit's rows
-    biggest = max(ds.rows_per_circuit().values())
+    biggest = np.diff(ds.offsets).max()
     assert abs(len(train) - 0.6 * len(ds)) <= biggest
+    # each side is its circuits' rows, cut whole and in dataset order
+    for side in (train, test):
+        rows = [c for c, cid in enumerate(ds.circuit_ids) if cid in side.circuit_ids]
+        assert side.circuit_ids == [ds.circuit_ids[c] for c in rows]
+        want = np.concatenate([np.arange(ds.offsets[c], ds.offsets[c + 1]) for c in rows])
+        assert side.X.tolist() == ds.X[want].tolist()
+        assert side.y.tolist() == ds.y[want].tolist()
+        assert np.diff(side.offsets).tolist() == np.diff(ds.offsets)[rows].tolist()
 
 
 def test_split_empty_sides_rejected():
@@ -96,14 +105,14 @@ def test_split_empty_sides_rejected():
     with pytest.raises(ValueError, match="empty side"):
         split(_equal_row_dataset(1), 0.5, seed=0)  # nothing left for test
     with pytest.raises(ValueError):
-        split(Dataset([]), 0.5, seed=0)
+        split(dataset_from_traces([]), 0.5, seed=0)
 
 
 def test_split_never_swallows_last_circuit():
     ds = _equal_row_dataset(3)
     train, test = split(ds, 0.99, seed=0)
-    assert len(train.circuit_ids()) == 2
-    assert len(test.circuit_ids()) == 1
+    assert len(train.circuit_ids) == 2
+    assert len(test.circuit_ids) == 1
 
 
 @settings(max_examples=40)
@@ -114,7 +123,7 @@ def test_split_leakage_free(num_circuits, seed):
         train, test = split(ds, 0.5, seed=seed)
     except ValueError:
         return
-    assert not set(train.circuit_ids()) & set(test.circuit_ids())
+    assert not set(train.circuit_ids) & set(test.circuit_ids)
     assert len(train) + len(test) == len(ds)
 
 
@@ -135,8 +144,8 @@ def test_standardize_constant_column_flagged():
 
 
 def test_standardize_fit_apply_uses_train_stats_only():
-    train = Dataset([FeatureRow("a", 5, k, 1, k, 9, 0.5) for k in range(1, 7)])
-    test = Dataset([FeatureRow("b", 8, k, 4, 3 * k, 30, 0.5) for k in range(1, 7)])
+    train = dataset_from_traces([_trace("a", 5, range(1, 10), [0.5] * 9)])
+    test = dataset_from_traces([_trace("b", 8, range(4, 31, 3), [0.5] * 9)])
     train_X, test_X = standardize_fit_apply(train, [test])
     assert train.standardization is test.standardization
     varying = ~train.standardization.constant
@@ -146,8 +155,7 @@ def test_standardize_fit_apply_uses_train_stats_only():
 
 
 def test_labels_binary_exact_on_converged_rows():
-    ds = Dataset([FeatureRow("a", 5, 1, 1, 1, 3, 0.999999),
-                  FeatureRow("a", 5, 2, 1, 3, 3, 1.0)])
+    ds = dataset_from_traces([_trace("a", 5, [1, 3], [0.999999, 1.0])])
     assert ds.labels_binary().tolist() == [0.0, 1.0]
 
 
@@ -160,12 +168,13 @@ def test_dataset_csv_roundtrip(tmp_path, small_corpus):
     assert all(len(line.rsplit(",", 1)[1].split(".")[1]) == 6 for line in text[1:])
 
     loaded = read_dataset(path)
-    assert len(loaded) == len(small_corpus.dataset)
-    for a, b in zip(loaded.rows, small_corpus.dataset.rows):
-        assert a.circuit_id == b.circuit_id
-        assert a.features() == b.features()
-        assert a.y == pytest.approx(b.y, abs=5e-7)
-        assert (a.y == 1.0) == (b.y == 1.0)
+    ds = small_corpus.dataset
+    assert len(loaded) == len(ds)
+    assert loaded.circuit_ids == ds.circuit_ids
+    assert loaded.offsets.tolist() == ds.offsets.tolist()
+    assert loaded.X.tolist() == ds.X.tolist()
+    assert loaded.y == pytest.approx(ds.y, abs=5e-7)
+    assert ((loaded.y == 1.0) == (ds.y == 1.0)).all()
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import per_trace_stop
 from testtrim import evaluation as ev
 from testtrim.corpus import split_corpus
 from testtrim.config import RunConfig
 from testtrim.dataset import Standardizer, dataset_from_traces, standardize_fit_apply
 from testtrim.diagnosis import DiagnosisTrace
-from testtrim.models import LinearModel, TrainConfig, fit_kernel_logistic
+from testtrim.models import (LinearModel, TrainConfig, fit_kernel_logistic,
+                             fit_penalized_linear)
 
 
 def _identity_standardizer():
@@ -32,41 +34,51 @@ def _trace(circuit_id="t0", failing=(3, 7, 12), sizes=(6, 2, 2), total=20,
     )
 
 
+def _evaluate(policy, traces):
+    return ev.evaluate(policy, dataset_from_traces(traces), traces)
+
+
+def _stop(policy, trace):
+    """``(k_star, terminated_pattern)`` of ``policy`` on one trace."""
+    outcome, = _evaluate(policy, [trace]).per_circuit
+    return outcome.k_star, outcome.terminated_pattern
+
+
 class TestApplyPolicy:
+    """The policy applied to a single trace, through ``evaluate``."""
+
     def test_constant_one_stops_immediately(self):
         policy = ev.TerminationPolicy(_constant_model(1.0), 0.9, _identity_standardizer())
-        k, stop = ev.apply_policy(policy, _trace())
-        assert (k, stop) == (1, 3)
+        assert _stop(policy, _trace()) == (1, 3)
 
     def test_constant_zero_never_stops_early(self):
         policy = ev.TerminationPolicy(_constant_model(0.0), 0.9, _identity_standardizer())
-        k, stop = ev.apply_policy(policy, _trace())
-        assert (k, stop) == (3, 12)
+        assert _stop(policy, _trace()) == (3, 12)
 
     def test_oracle_scorer_with_tau_one_stops_at_first_converged_row(self):
         trace = _trace(sizes=(6, 2, 2))  # m = [1/3, 1, 1]
         policy = ev.TerminationPolicy(ev.OracleScorer(), 1.0)
-        k, stop = ev.apply_policy(policy, trace)
+        k, stop = _stop(policy, trace)
         assert (k, stop) == (2, 7)
         assert trace.m_values[k - 1] == 1.0
 
     def test_missing_standardizer_is_an_error(self):
         policy = ev.TerminationPolicy(_constant_model(1.0), 0.5, None)
         with pytest.raises(ValueError, match="standardizer"):
-            ev.apply_policy(policy, _trace())
+            _stop(policy, _trace())
 
     def test_linear_scores_clamped_before_threshold(self):
         # wildly positive prediction still compares as 1.0, not more
         model = LinearModel(beta=np.zeros(5), intercept=50.0, alpha=0.0)
         policy = ev.TerminationPolicy(model, 1.0, _identity_standardizer())
-        k, _ = ev.apply_policy(policy, _trace())
+        k, _ = _stop(policy, _trace())
         assert k == 1
 
 
 class TestEvaluate:
     def test_oracle_policy_is_always_correct(self, small_corpus):
         policy = ev.TerminationPolicy(ev.OracleScorer(), 1.0)
-        report = ev.evaluate(policy, small_corpus.traces)
+        report = _evaluate(policy, small_corpus.traces)
         assert report.diagnosis_accuracy == 1.0
         assert all(o.correct for o in report.per_circuit)
         assert all(o.m_at_termination == 1.0 for o in report.per_circuit)
@@ -74,8 +86,8 @@ class TestEvaluate:
     def test_always_stop_first_is_aggressive_endpoint(self, small_corpus):
         never = ev.TerminationPolicy(_constant_model(0.0), 0.5, _identity_standardizer())
         always = ev.TerminationPolicy(_constant_model(1.0), 0.5, _identity_standardizer())
-        rep_never = ev.evaluate(never, small_corpus.traces)
-        rep_always = ev.evaluate(always, small_corpus.traces)
+        rep_never = _evaluate(never, small_corpus.traces)
+        rep_always = _evaluate(always, small_corpus.traces)
         assert rep_always.volume_reduction >= rep_never.volume_reduction
         assert rep_never.diagnosis_accuracy == 1.0  # last failing row has m = 1
         # some circuits need more than one failing pattern
@@ -84,7 +96,7 @@ class TestEvaluate:
 
     def test_report_summary_matches_per_circuit_rows(self, small_corpus):
         policy = ev.TerminationPolicy(_constant_model(1.0), 0.5, _identity_standardizer())
-        report = ev.evaluate(policy, small_corpus.traces)
+        report = _evaluate(policy, small_corpus.traces)
         acc = sum(o.correct for o in report.per_circuit) / len(report.per_circuit)
         vol = np.mean([(t.total_patterns - o.terminated_pattern) / t.total_patterns
                        for t, o in zip(small_corpus.traces, report.per_circuit)])
@@ -94,7 +106,13 @@ class TestEvaluate:
     def test_empty_test_set_rejected(self):
         policy = ev.TerminationPolicy(ev.OracleScorer(), 1.0)
         with pytest.raises(ValueError, match="empty"):
-            ev.evaluate(policy, [])
+            _evaluate(policy, [])
+
+    def test_rows_of_other_circuits_rejected(self, small_corpus):
+        policy = ev.TerminationPolicy(ev.OracleScorer(), 1.0)
+        traces = small_corpus.traces
+        with pytest.raises(ValueError, match="different circuits"):
+            ev.evaluate(policy, dataset_from_traces(traces[1:]), traces[:-1])
 
 
 class TestTauMonotonicity:
@@ -111,8 +129,8 @@ class TestTauMonotonicity:
             pass
 
         trace.y_values = list(scores)  # oracle scorer reads y as the score
-        k_lo, _ = ev.apply_policy(ev.TerminationPolicy(FixedScorer(), lo), trace)
-        k_hi, _ = ev.apply_policy(ev.TerminationPolicy(FixedScorer(), hi), trace)
+        k_lo, _ = _stop(ev.TerminationPolicy(FixedScorer(), lo), trace)
+        k_hi, _ = _stop(ev.TerminationPolicy(FixedScorer(), hi), trace)
         assert k_lo <= k_hi
 
     def test_monotone_on_real_model(self, small_corpus):
@@ -124,12 +142,13 @@ class TestTauMonotonicity:
         model = fit_kernel_logistic(X, split.train.labels_binary(), 1.0, 1.0,
                                     TrainConfig(iterations=150, landmark_cap=64))
         std = split.train.standardization
-        for trace in split.test_traces:
-            last = 0
-            for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-                k, _ = ev.apply_policy(ev.TerminationPolicy(model, tau, std), trace)
-                assert k >= last
-                last = k
+        last = [0] * len(split.test_traces)
+        for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            rep = ev.evaluate(ev.TerminationPolicy(model, tau, std), split.test,
+                              split.test_traces)
+            ks = [o.k_star for o in rep.per_circuit]
+            assert all(k >= prev for k, prev in zip(ks, last))
+            last = ks
 
 
 class TestSelectTau:
@@ -137,12 +156,13 @@ class TestSelectTau:
         # two traces, oracle scorer: every tau gives accuracy 1; the
         # tie-break must then pick the highest-reduction (lowest) tau
         traces = [_trace("a", sizes=(4, 2, 2)), _trace("b", sizes=(5, 5, 5))]
-        tau = ev.select_tau(ev.OracleScorer(), None, traces, grid=(0.5, 0.9))
+        tau = ev.select_tau(ev.OracleScorer(), None, dataset_from_traces(traces), traces,
+                            grid=(0.5, 0.9))
         assert tau == 0.5
 
     def test_deterministic(self, small_corpus):
-        tau1 = ev.select_tau(ev.OracleScorer(), None, small_corpus.traces)
-        tau2 = ev.select_tau(ev.OracleScorer(), None, small_corpus.traces)
+        tau1 = ev.select_tau(ev.OracleScorer(), None, small_corpus.dataset, small_corpus.traces)
+        tau2 = ev.select_tau(ev.OracleScorer(), None, small_corpus.dataset, small_corpus.traces)
         assert tau1 == tau2
 
 
@@ -153,33 +173,83 @@ def splits(small_corpus):
     return split_corpus(small_corpus.dataset, small_corpus.traces, cfg)
 
 
+@pytest.fixture(scope="module", params=["kernel", "linear"])
+def fitted(request, splits):
+    """A kernel and a linear model, each with its training standardizer."""
+    std = Standardizer.fit(splits.train.X)
+    X = std.transform(splits.train.X)
+    if request.param == "kernel":
+        model = fit_kernel_logistic(X, splits.train.labels_binary(), 1.0, 1.0,
+                                    TrainConfig(iterations=150, landmark_cap=64))
+    else:
+        model = fit_penalized_linear(X, splits.train.y, 1e-3)
+    return model, std
+
+
+class TestScoresOnceMatchPerTraceReference:
+    """One batched score vector gives the stops that scoring each trace's
+    rows on their own gives.  A trace with a reference score within 1e-9
+    of tau is exempt: batched scores may differ there by an ulp."""
+
+    @staticmethod
+    def _reference(model, std, traces, tau):
+        stops = [per_trace_stop(model, std, t, tau) for t in traces]
+        exempt = [bool(np.any(np.abs(scores - tau) < 1e-9)) for _, _, scores in stops]
+        return [(k, stop) for k, stop, _ in stops], exempt
+
+    def test_evaluate_stops(self, fitted, small_corpus):
+        model, std = fitted
+        traces = small_corpus.traces
+        stops_seen = set()
+        for tau in ev.DEFAULT_TAU_GRID:
+            rep = ev.evaluate(ev.TerminationPolicy(model, tau, std), small_corpus.dataset,
+                              traces)
+            want, exempt = self._reference(model, std, traces, tau)
+            got = [(o.k_star, o.terminated_pattern) for o in rep.per_circuit]
+            assert [g for g, e in zip(got, exempt) if not e] == \
+                [w for w, e in zip(want, exempt) if not e]
+            stops_seen.update(k for k, _ in want)
+        assert len(stops_seen) > 1  # the grid moves some stop
+
+    def test_select_tau_pick(self, fitted, small_corpus):
+        model, std = fitted
+        traces = small_corpus.traces
+        table = []
+        for tau in ev.DEFAULT_TAU_GRID:
+            want, exempt = self._reference(model, std, traces, tau)
+            if any(exempt):
+                pytest.skip(f"a reference score lies within 1e-9 of tau {tau}")
+            correct = [t.intermediate_sizes[k - 1] == t.golden_size
+                       for t, (k, _) in zip(traces, want)]
+            saved = sum((t.total_patterns - stop) / t.total_patterns
+                        for t, (_, stop) in zip(traces, want)) / len(traces)
+            table.append((sum(correct) / len(traces), saved, -tau, tau))
+        pool = [row for row in table if row[1] > 0.0] or table
+        assert ev.select_tau(model, std, small_corpus.dataset, traces) == max(pool)[3]
+
+
 class TestSweeps:
     def test_duplicate_alphas_identical(self, splits):
-        pts = ev.sweep_alpha([1e-3, 1e-3], splits.train,
-                             splits.validation_traces, splits.test_traces)
+        pts = ev.sweep_alpha([1e-3, 1e-3], splits)
         assert pts[0].diagnosis_accuracy == pts[1].diagnosis_accuracy
         assert pts[0].beta == pts[1].beta
         assert pts[0].tau == pts[1].tau
 
     def test_zero_alpha_equals_plain_least_squares(self, splits):
-        from testtrim.models import fit_penalized_linear
-        X = splits.train.standardization.transform(splits.train.feature_matrix())
-        direct = fit_penalized_linear(X, splits.train.labels(), 0.0)
+        X = Standardizer.fit(splits.train.X).transform(splits.train.X)
+        direct = fit_penalized_linear(X, splits.train.y, 0.0)
         for penalty in ("l1", "l2"):
-            pts = ev.sweep_alpha([0.0], splits.train, splits.validation_traces,
-                                 splits.test_traces, penalty=penalty)
+            pts = ev.sweep_alpha([0.0], splits, penalty=penalty)
             assert pts[0].beta == pytest.approx(direct.beta, abs=0)
 
     def test_results_in_grid_order(self, splits):
         grid = [1e-2, 1e-4, 1e-3]
-        pts = ev.sweep_alpha(grid, splits.train,
-                             splits.validation_traces, splits.test_traces)
+        pts = ev.sweep_alpha(grid, splits)
         assert [p.alpha for p in pts] == grid
 
     def test_ridge_norm_monotone_over_sweep(self, splits):
         alphas = [1e-4, 1e-2, 1.0, 1e2, 1e4]
-        pts = ev.sweep_alpha(alphas, splits.train, splits.validation_traces,
-                             splits.test_traces, penalty="l2")
+        pts = ev.sweep_alpha(alphas, splits, penalty="l2")
         norms = [np.linalg.norm(p.beta) for p in pts]
         assert all(a >= b for a, b in zip(norms, norms[1:]))
 
@@ -196,10 +266,10 @@ class TestLearningCurve:
         assert [s for s, _ in curve] == [max(2, n // 2), n]
 
         # the full-size point reproduces a direct fit on the whole train set
-        X_train = split.train.standardization.transform(split.train.feature_matrix())
+        X_train = split.train.standardization.transform(split.train.X)
         model = fit_kernel_logistic(X_train, split.train.labels_binary(), 1.0, 1.0, tc)
-        X_test = split.train.standardization.transform(split.test.feature_matrix())
-        direct = ev.classification_accuracy(model, X_test, split.test.labels_binary())
+        X_test = split.train.standardization.transform(split.test.X)
+        direct = ev.classification_accuracy(ev.score_matrix(model, X_test), split.test.y)
         assert curve[-1][1] == direct
 
     def test_oversized_request_rejected(self, small_corpus):
@@ -214,7 +284,8 @@ class TestLearningCurve:
 class TestCsvWriters:
     def test_six_fractional_digits(self, tmp_path, small_corpus):
         policy = ev.TerminationPolicy(ev.OracleScorer(), 1.0)
-        report = ev.evaluate(policy, small_corpus.traces, corpus_seed=5)
+        report = ev.evaluate(policy, small_corpus.dataset, small_corpus.traces,
+                             corpus_seed=5)
         rp = tmp_path / "report.csv"
         sp = tmp_path / "summary.csv"
         ev.write_report_csv(report, rp)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import AND_BENCH, random_small_circuit
-from oracles import bitwise_dictionary_text, full_pass_fault_words, rewrite_fault_response
+from oracles import full_pass_fault_words, read_dictionary_text, rewrite_fault_response
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns, random_patterns,
                                simulate_faulty, write_dictionary)
@@ -146,21 +146,34 @@ def test_random_patterns_seeded_and_distinct():
 
 
 def test_dictionary_export_format(tmp_path, and_circuit):
-    patterns = exhaustive_patterns(2)
+    patterns = exhaustive_patterns(2)  # (a, b) = 00, 10, 01, 11: z = a & b is 0b1000
     fdict = build_fault_dictionary(and_circuit, patterns, seed=42)
     path = tmp_path / "and2.dict"
     write_dictionary(fdict, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# circuit=and2 signals=3 faults=6 patterns=4 seed=42"
-    assert len(lines) == 1 + 6 * 4
-    # z stuck-at-1 under pattern 0 responds 1
-    assert "z 1 0 1" in lines
+    assert path.read_text().splitlines() == [
+        "# circuit=and2 signals=3 faults=6 patterns=4 seed=42",
+        "a 0 0", "a 1 c",   # a stuck-at-1: z = b
+        "b 0 0", "b 1 a",   # b stuck-at-1: z = a
+        "z 0 0", "z 1 f",
+    ]
 
 
-def _assert_export_matches_bitwise(fdict, tmp_path):
+def _assert_export_round_trips(fdict, tmp_path):
+    """The export read back gives the header and, fault by fault in
+    enumeration order, the reference words of every output."""
     path = tmp_path / "export.dict"
     write_dictionary(fdict, path)
-    assert path.read_text() == bitwise_dictionary_text(fdict)
+    text = path.read_text()
+    assert not any(line.endswith(" ") for line in text.splitlines())
+    header, rows = read_dictionary_text(text)
+    circuit = fdict.circuit
+    assert header == (f"# circuit={circuit.name} signals={circuit.signal_count} "
+                      f"faults={2 * circuit.signal_count} patterns={len(fdict.patterns)} "
+                      f"seed={fdict.seed}")
+    want_words, _ = full_pass_fault_words(circuit, fdict.patterns)
+    names = circuit.signal_names
+    assert rows == [(names[f.signal], f.stuck_value, words)
+                    for f, words in zip(enumerate_faults(circuit), want_words)]
 
 
 @pytest.mark.parametrize("num_patterns", (1, 63, 64, 65, 208))
@@ -170,16 +183,16 @@ def test_dictionary_export_matches_bitwise_reference(tmp_path, seed, num_pattern
     circuit = random_circuit(f"r{seed}", rng, min_inputs=3, max_inputs=10,
                              min_gates=10, max_gates=60, p_unread=0.5)
     patterns = _random_pattern_list(circuit, num_patterns, rng)
-    _assert_export_matches_bitwise(build_fault_dictionary(circuit, patterns, seed=seed),
-                                   tmp_path)
+    _assert_export_round_trips(build_fault_dictionary(circuit, patterns, seed=seed),
+                               tmp_path)
 
 
 @pytest.mark.parametrize("bench", (AND_BENCH, "INPUT(a)\nINPUT(b)\nz = AND(a, b)\n"),
                          ids=("and2", "no_outputs"))
 def test_dictionary_export_matches_bitwise_reference_small(tmp_path, bench):
     circuit = parse_bench(bench, name="small")
-    _assert_export_matches_bitwise(build_fault_dictionary(circuit, exhaustive_patterns(2)),
-                                   tmp_path)
+    _assert_export_round_trips(build_fault_dictionary(circuit, exhaustive_patterns(2)),
+                               tmp_path)
 
 
 def _random_pattern_list(circuit, count, rng):
