@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evaluation as ev
-from .config import RunConfig, config_from_text, load_config, save_config
+from .config import (RunConfig, check_same_corpus, config_from_text, load_config,
+                     save_config)
 from .dataset import dataset_from_traces, standardize_fit_apply, write_dataset
 from .diagnosis import UndiagnosableFaultError, read_traces, write_traces
 from .faultsim import write_dictionary
@@ -94,13 +95,24 @@ def _out(cfg: RunConfig) -> Path:
 
 
 def _load_corpus_files(cfg: RunConfig):
-    """The corpus traces and the dataset derived from them (``dataset.csv``
-    is an export only)."""
-    traces_path = Path(cfg.out_dir) / "traces.csv"
-    if not traces_path.exists():
-        raise FileNotFoundError(f"missing {traces_path}; run 'testtrim generate' first")
+    """The corpus traces, the dataset derived from them (``dataset.csv`` is
+    an export only) and the config ``generate`` recorded with them.
+
+    A ``corpus.*`` setting of ``cfg`` that differs from that record is
+    refused: the files describe another corpus.
+    """
+    out = Path(cfg.out_dir)
+    traces_path, record_path = out / "traces.csv", out / "config.txt"
+    for path in (traces_path, record_path):
+        if not path.exists():
+            raise FileNotFoundError(f"missing {path}; run 'testtrim generate' first")
+    try:
+        record = load_config(record_path)
+    except ValueError as exc:
+        raise ValueError(f"{record_path}: {exc}") from None
+    check_same_corpus(cfg, record, record_path)
     traces = read_traces(traces_path)
-    return dataset_from_traces(traces), traces
+    return dataset_from_traces(traces), traces, record
 
 
 def cmd_generate(cfg: RunConfig) -> int:
@@ -156,7 +168,7 @@ def _fit_from_split(cfg: RunConfig, split: corpus_mod.CorpusSplit):
 def cmd_train(cfg: RunConfig) -> int:
     """Fit the configured model and stop threshold, write model.txt."""
     out = _out(cfg)
-    dataset, traces = _load_corpus_files(cfg)
+    dataset, traces, _ = _load_corpus_files(cfg)
     split = corpus_mod.split_corpus(dataset, traces, cfg,
                                     with_validation=cfg.policy_tau == "auto")
     model, std, tau = _fit_from_split(cfg, split)
@@ -181,7 +193,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if not model_path.exists():
         raise FileNotFoundError(f"missing {model_path}; run 'testtrim train' first")
     loaded = load_model(model_path)
-    dataset, traces = _load_corpus_files(cfg)
+    dataset, traces, record = _load_corpus_files(cfg)
     split = corpus_mod.split_corpus(dataset, traces, cfg, with_validation=False)
 
     overlap = set(split.test.circuit_ids) & set(loaded.train_circuits)
@@ -192,7 +204,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     tau = loaded.tau if loaded.tau is not None else 0.5
     policy = ev.TerminationPolicy(loaded.model, tau, loaded.standardizer)
-    report = ev.evaluate(policy, split.test, split.test_traces, corpus_seed=cfg.corpus_seed)
+    report = ev.evaluate(policy, split.test, split.test_traces, corpus_seed=record.corpus_seed)
     cls_acc = report.classification_accuracy
     ev.write_report_csv(report, out / "report.csv")
     ev.write_summary_csv(report, out / "summary.csv", classification_acc=cls_acc)
@@ -206,7 +218,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     """Emit sweep_alpha.csv, beta_weights.csv and learning_curve.csv."""
     out = _out(cfg)
-    dataset, traces = _load_corpus_files(cfg)
+    dataset, traces, _ = _load_corpus_files(cfg)
     split = corpus_mod.split_corpus(dataset, traces, cfg, with_validation=True)
     if not split.validation_traces:
         raise ValueError("sweep needs a validation split "
@@ -228,11 +240,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_oracle_eval(cfg: RunConfig) -> int:
     """Evaluate the ground-truth scorer through the same policy machinery."""
     out = _out(cfg)
-    dataset, traces = _load_corpus_files(cfg)
+    dataset, traces, record = _load_corpus_files(cfg)
     split = corpus_mod.split_corpus(dataset, traces, cfg, with_validation=False)
     tau = 1.0 if cfg.policy_tau == "auto" else float(cfg.policy_tau)
     policy = ev.TerminationPolicy(ev.OracleScorer(), tau)
-    report = ev.evaluate(policy, split.test, split.test_traces, corpus_seed=cfg.corpus_seed)
+    report = ev.evaluate(policy, split.test, split.test_traces, corpus_seed=record.corpus_seed)
     ev.write_report_csv(report, out / "oracle_report.csv")
     ev.write_summary_csv(report, out / "oracle_summary.csv")
     print(f"oracle policy at tau={tau:g}: "

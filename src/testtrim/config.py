@@ -113,11 +113,21 @@ def config_to_text(cfg: RunConfig, include_out_dir: bool = True) -> str:
     for key, (attr, _) in _KEYS.items():
         if key == "out.dir" and not include_out_dir:
             continue
-        value = getattr(cfg, attr)
-        if value is None:
-            value = ""
-        lines.append(f"{key} = {value}")
+        lines.append(f"{key} = {_text(getattr(cfg, attr))}")
     return "\n".join(lines) + "\n"
+
+
+def check_same_corpus(cfg: RunConfig, record: RunConfig, source) -> None:
+    """Raise ``ValueError`` naming the first ``corpus.*`` key whose value in
+    ``cfg`` differs from ``record``, the settings ``source`` was built with."""
+    for key, (attr, _) in _KEYS.items():
+        if key.startswith("corpus.") and getattr(cfg, attr) != getattr(record, attr):
+            raise ValueError(f"{key} = {_text(getattr(cfg, attr))} differs from "
+                             f"{_text(getattr(record, attr))} recorded in {source}")
+
+
+def _text(value) -> str:
+    return "" if value is None else str(value)
 
 
 def load_config(path, overrides: Mapping[str, str] | None = None) -> RunConfig:

@@ -13,6 +13,18 @@ bit of its packed mismatch against the injected fault, and the
 intermediate size at pattern ``p`` counts the faults whose elimination
 index lies above ``p``.
 
+The mismatch is read off the dictionary's per-fault records, not its
+rows.  With ``M`` the detection masks, ``i`` the injected fault, ``s_i``
+its stem and ``t`` the stem of fault ``f``::
+
+    mismatch(f, i) = (M_f ^ M_i) | (M_f & M_i & E_t)
+
+A pattern eliminates ``f`` where exactly one of the two faults fails;
+where both fail, each row reads its stem's flip, so it eliminates ``f``
+where the two stem flips differ at some output:
+``E_t = OR_j (diff_t[j] ^ diff_si[j])`` over the union of the two stems'
+output supports, and ``E_si = 0``.
+
 The golden candidate set is the intermediate set at the last failing
 pattern.  The convergence ratio m = |golden| / |intermediate| is
 non-decreasing and ends at 1; the regression label y rescales m so that
@@ -72,23 +84,39 @@ def compute_labels(m_values: Sequence[float]) -> list[float]:
     return [1.0 if m == 1.0 else (m - m_min) / (1.0 - m_min) for m in m_values]
 
 
+def _flip_mismatch(diffs: Sequence[tuple[int, int]], other: dict[int, int]) -> int:
+    """Patterns under which two stem flips differ at some output: the OR of
+    ``diff[j] ^ other[j]`` over the union of both ``(position, diff word)``
+    supports, a position missing on one side reading 0 there."""
+    rest = dict(other)
+    e = 0
+    for j, w in diffs:
+        e |= w ^ rest.pop(j, 0)
+    for w in rest.values():
+        e |= w
+    return e
+
+
 def trace_diagnosis(fdict: FaultDictionary, injected: Fault,
                     keep_sets: bool = False) -> DiagnosisTrace:
     """Replay the injected fault's pass/fail log and record candidate refinement.
 
     Each fault's elimination index is the first pattern under which its
-    response differs from the injected fault's; the size at a failing
-    pattern ``p`` is the number of faults whose index lies above ``p``, read
-    off the sorted indices.  ``keep_sets`` also materializes each
-    intermediate set.  Raises :class:`UndiagnosableFaultError` if the fault
-    is never detected.
+    response differs from the injected fault's.  The mismatch comes from
+    ``fault_masks``, ``fault_stems`` and ``stem_diffs`` as the module
+    docstring gives, never from ``fault_words``; ``E_t`` is computed once per
+    stem, and only for stems with a fault that fails where the injected
+    fault fails.  The size at a failing pattern ``p`` is the number of
+    faults whose index lies above ``p``, read off the sorted indices.
+    ``keep_sets`` also materializes each intermediate set.  Raises
+    :class:`UndiagnosableFaultError` if the fault is never detected.
     """
     try:
         inj_idx = fdict.faults.index(injected)
     except ValueError:
         raise ValueError(f"injected fault {injected} not in dictionary") from None
 
-    fail_mask = fdict.mismatch_vs_free(inj_idx)
+    fail_mask = fdict.fault_masks[inj_idx]
     if fail_mask == 0:
         raise UndiagnosableFaultError(
             f"fault {injected} on circuit '{fdict.circuit.name}' is undiagnosable "
@@ -96,9 +124,18 @@ def trace_diagnosis(fdict: FaultDictionary, injected: Fault,
 
     num_faults = len(fdict.faults)
     never = fdict.num_patterns          # elimination index of a surviving fault
+    inj_stem = fdict.fault_stems[inj_idx]
+    inj_diffs = dict(fdict.stem_diffs[inj_stem])
+    stem_mismatch = {inj_stem: 0}       # E_t, for the stems that need it
     elim = []
-    for f in range(num_faults):
-        diff = fdict.mismatch_between(f, inj_idx)
+    for m, t in zip(fdict.fault_masks, fdict.fault_stems):
+        diff = m ^ fail_mask
+        both = m & fail_mask
+        if both:
+            e = stem_mismatch.get(t)
+            if e is None:
+                e = stem_mismatch[t] = _flip_mismatch(fdict.stem_diffs[t], inj_diffs)
+            diff |= both & e
         elim.append((diff & -diff).bit_length() - 1 if diff else never)
     order = sorted(elim)
 

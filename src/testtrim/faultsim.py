@@ -1,21 +1,27 @@
 """Single stuck-at fault enumeration, faulty simulation, fault dictionaries.
 
-The dictionary stores, for every (fault, pattern) pair, the full output
-response.  Internally responses are kept packed: one machine word per
-(fault, output) whose bit ``p`` is the output value under pattern ``p``.
-Construction is parallel-pattern single-fault propagation over fanout-free
-regions.  A *stem* is a primary output or a signal read by zero or by
-several distinct gates; every other signal has exactly one next gate, so
-the signals between a fault site and its stem form a fanout-free path.  A
-fault is simulated gate by gate along that path only; it reaches the rest
-of the circuit through its stem alone.  Each stem's fanout cone is
-propagated once, with the stem's word complemented, and the fault's row is
-the fault-free row with the stem's output differences applied wherever the
-fault flips the stem.  Cones are read off per-signal reachability bitsets.
-Packed words also make pass/fail bookkeeping cheap bitwise arithmetic.
-``response()`` and ``fault_free`` materialize ordinary bit tuples on demand.
-The ``.dict`` export (:func:`write_dictionary`) writes the same packed
-words, one line per fault with one hex word per output.
+The dictionary gives, for every (fault, pattern) pair, the full output
+response.  Responses are packed: one machine word per (fault, output)
+whose bit ``p`` is the output value under pattern ``p``.  Construction is
+parallel-pattern single-fault propagation over fanout-free regions
+(Waicukauski et al. 1985).  A *stem* is a primary output or a signal read
+by zero or by several distinct gates; every other signal has exactly one
+next gate, so the signals between a fault site and its stem form a
+fanout-free path.  A fault is simulated gate by gate along that path only;
+it reaches the rest of the circuit through its stem alone.  Each stem some
+fault flips is flipped once under all patterns, with several stems
+propagated together in slices of one wide word, as in parallel-fault
+simulation (Seshu 1965); the outputs each stem changes are kept as sparse
+``(position, diff word)`` pairs.  Cones are read off per-signal
+reachability bitsets.
+
+The dictionary keeps one record per fault, its stem and its detection
+mask, and derives every row from it: the fault-free row with the stem's
+diffs applied under the patterns in the mask.  Trace replay
+(:mod:`testtrim.diagnosis`) works on the masks and stem diffs directly.
+``response()`` and ``fault_free`` materialize ordinary bit tuples on
+demand.  The ``.dict`` export (:func:`write_dictionary`) writes the packed
+rows, one line per fault with one hex word per output.
 
 Fault collapsing is deliberately not performed: candidate-set sizes feed
 the downstream label arithmetic and must stay reproducible counts over the
@@ -27,9 +33,9 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Sequence
 
 from .netlist import Circuit, Gate, Pattern, Response, _check_pattern, _propagate
 
@@ -81,6 +87,41 @@ def random_patterns(num_inputs: int, count: int, seed: int) -> list[Pattern]:
     return [tuple((code >> j) & 1 for j in range(num_inputs)) for code in codes]
 
 
+class _DerivedRows(Sequence):
+    """Read-only ``fault_words`` view of a built dictionary.
+
+    Row ``f`` is derived on access: ``free_words`` with ``diff & M_f``
+    XORed in at each of the stem's ``(position, diff)`` pairs, where ``M_f``
+    is the fault's detection mask.  Rows compare equal to any sequence of
+    the same rows, e.g. a tuple of tuples.
+    """
+
+    __slots__ = ("_free_words", "_fault_masks", "_fault_stems", "_stem_diffs")
+
+    def __init__(self, free_words, fault_masks, fault_stems, stem_diffs) -> None:
+        self._free_words = free_words
+        self._fault_masks = fault_masks
+        self._fault_stems = fault_stems
+        self._stem_diffs = stem_diffs
+
+    def __len__(self) -> int:
+        return len(self._fault_masks)
+
+    def __getitem__(self, fault_idx: int) -> tuple[int, ...]:
+        detected = self._fault_masks[fault_idx]
+        if not detected:
+            return self._free_words
+        row = list(self._free_words)
+        for j, w in self._stem_diffs[self._fault_stems[fault_idx]]:
+            row[j] ^= w & detected
+        return tuple(row)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 @dataclass(frozen=True)
 class FaultDictionary:
     """Complete response table for every (fault, pattern) pair of one circuit.
@@ -89,14 +130,30 @@ class FaultDictionary:
     patterns; ``free_words[o]`` is the fault-free row in the same layout.
     ``fault_masks[f]`` has bit ``p`` set where fault ``f``'s response
     differs from the fault-free one under pattern ``p``.
+
+    The builder stores one record per fault, not its rows: the stem
+    ``fault_stems[f]`` that ends the fault's fanout-free path, and its
+    detection mask.  ``stem_diffs[t]`` holds, per signal id, the sparse
+    ``(output position, diff word)`` pairs that flipping stem ``t`` under
+    every pattern changes (empty for a stem never flipped and for any other
+    signal).  Every diff word of ``t`` lies inside ``obs_t``, their OR, and
+    the mask is ``obs_t & D`` for the patterns ``D`` under which ``f``
+    flips ``t``, so row ``f`` is ``free_words[j] ^ (diff_t[j] &
+    fault_masks[f])`` at each pair and the fault-free word elsewhere;
+    ``fault_words`` derives it so on access.  ``fault_words`` still
+    accepts any sequence of rows (``dataclasses.replace(fdict,
+    fault_words=rows)``), and :meth:`response`, :meth:`response_row` and
+    :func:`write_dictionary` read whatever it holds.
     """
 
     circuit: Circuit
     patterns: tuple[Pattern, ...]
     faults: tuple[Fault, ...]
-    fault_words: tuple[tuple[int, ...], ...]
+    fault_words: Sequence[tuple[int, ...]]
     free_words: tuple[int, ...]
     fault_masks: tuple[int, ...]
+    fault_stems: tuple[int, ...]
+    stem_diffs: tuple[tuple[tuple[int, int], ...], ...]
     seed: int | None = None
 
     @property
@@ -119,21 +176,19 @@ class FaultDictionary:
     def _unpack(words: Sequence[int], pattern_idx: int) -> Response:
         return tuple((w >> pattern_idx) & 1 for w in words)
 
-    def mismatch_vs_free(self, fault_idx: int) -> int:
-        """Bitmask over patterns where the fault's response differs from fault-free."""
-        return self.fault_masks[fault_idx]
-
-    def mismatch_between(self, fault_a: int, fault_b: int) -> int:
-        """Bitmask over patterns where two faults' responses differ."""
-        return reduce(operator.or_, map(operator.xor, self.fault_words[fault_a],
-                                        self.fault_words[fault_b]), 0)
-
     def detected_fault_indices(self) -> list[int]:
         return [f for f, m in enumerate(self.fault_masks) if m]
 
 
 # bytes.translate table: a bit string's "0"/"1" characters to 0/1 selector bytes
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+# Bits per batched propagation word: stems are flipped K = _BATCH_BITS // P
+# at a time (at least one) for P patterns.  Fixed from timing the whole build
+# of a 3000-gate, 1024-pattern netlist on a 2-core x86 host: budget 1024 bits
+# (one stem per batch) 0.60 s, 4096 0.41 s, 8192 0.37 s, 16384 0.44 s,
+# 32768 0.60 s; wider words cost more per gate than the shared gates save.
+_BATCH_BITS = 8192
 
 
 def _fanout_free_paths(circuit: Circuit) -> tuple[list[int], list[Gate | None], list[int]]:
@@ -165,6 +220,62 @@ def _fanout_free_paths(circuit: Circuit) -> tuple[list[int], list[Gate | None], 
     return reach, next_gate, stem_of
 
 
+def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
+                stems: Sequence[int], num_patterns: int) -> list[tuple[tuple[int, int], ...]]:
+    """Per signal id, the ``(output position, diff word)`` pairs that
+    complementing each of ``stems`` under every pattern changes.
+
+    ``stems`` must be in topological order.  They are flipped K at a time,
+    K = max(1, _BATCH_BITS // P): every signal word is replicated into K
+    slices of P bits (``free[s] * R``, ``R = sum(1 << k*P)``), slice ``k``
+    of the ``k``-th stem is complemented, and the union of the stems'
+    ``reach`` cones is propagated once with the K-slice mask (K is capped
+    at the number of stems, so no slice goes unused).  A batch stem
+    driven by a gate of that union is recomputed by the gate, so its slice
+    is complemented again right after it; upstream stems then reach it in
+    their own slices only.  Each output's diff word is cut back into its K
+    slices.  Signals that are not in ``stems`` get no pairs.
+    """
+    gates = circuit.gates
+    mask = (1 << num_patterns) - 1
+    per_batch = max(1, min(_BATCH_BITS // num_patterns, len(stems)))
+    wide = (1 << (per_batch * num_patterns)) - 1
+    ones = sum(1 << (k * num_patterns) for k in range(per_batch))
+    rep = [w * ones for w in free]
+    driver = {g.output: gi for gi, g in enumerate(gates)}
+    diffs: list[tuple[tuple[int, int], ...]] = [()] * circuit.signal_count
+    for b in range(0, len(stems), per_batch):
+        batch = stems[b:b + per_batch]
+        words = rep.copy()
+        cone = 0
+        for k, s in enumerate(batch):
+            words[s] ^= mask << (k * num_patterns)
+            cone |= reach[s]
+        selectors = format(cone, "b")[::-1].encode().translate(_BIT_BYTES)
+        start = 0
+        for k, s in enumerate(batch):
+            gi = driver.get(s)
+            if gi is not None and (cone >> gi) & 1:
+                _propagate(itertools.compress(gates[start:gi + 1], selectors[start:gi + 1]),
+                           words, wide)
+                words[s] ^= mask << (k * num_patterns)
+                start = gi + 1
+        _propagate(itertools.compress(gates[start:], selectors[start:]), words, wide)
+        found: list[list[tuple[int, int]]] = [[] for _ in batch]
+        for j, o in enumerate(circuit.outputs):
+            w = words[o] ^ rep[o]
+            k = 0
+            while w:
+                x = w & mask
+                if x:
+                    found[k].append((j, x))
+                w >>= num_patterns
+                k += 1
+        for s, pairs in zip(batch, found):
+            diffs[s] = tuple(pairs)
+    return diffs
+
+
 def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
                            seed: int | None = None) -> FaultDictionary:
     """Simulate every enumerated fault against every pattern.
@@ -173,21 +284,20 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
     covers every gate.  A fault whose stuck word equals the fault-free word
     is never excited.  An excited fault pins its site's word and evaluates
     its fanout-free path one next gate at a time up to the site's stem.  It
-    stops early, with the fault-free row, where its word equals the
-    fault-free word again.  At the stem, ``D`` = faulty XOR fault-free word
-    marks the patterns under which the fault flips the stem.
+    stops early, with nothing flipped, where its word equals the fault-free
+    word again.  At the stem, ``D`` = faulty XOR fault-free word marks the
+    patterns under which the fault flips the stem.
 
-    Each stem reached is flipped once: its word is complemented, its fanout
-    cone propagated, and the outputs that change are kept as sparse
-    ``(position, diff word)`` pairs whose OR is ``obs``.  The fault reaches
-    the rest of the circuit through its stem only, so under a pattern in
-    ``D`` every output reads its stem-flipped value and elsewhere its
-    fault-free value: the row is ``free_words`` with ``diff & D`` XORed in
-    at each kept position, and the detection mask is ``obs & D``.  The cone
-    is read off ``reach[s]``, an int with bit ``gi`` set for every gate that
-    transitively reads ``s``, built in one reverse-topological pass.  A
-    stem's pairs are dropped after the last fault whose path ends there.
-    Rows without a difference share the fault-free tuple.  The result is
+    Every stem some fault flips is then flipped once under all patterns,
+    several stems per propagation (see :func:`_flip_stems`), and the
+    outputs that change are kept as sparse ``(position, diff word)`` pairs
+    whose OR is ``obs``.  The cones are read off ``reach[s]``, an int with
+    bit ``gi`` set for every gate that transitively reads ``s``, built in
+    one reverse-topological pass.  The fault reaches the rest of the
+    circuit through its stem only, so under a pattern in ``D`` every output
+    reads its stem-flipped value and elsewhere its fault-free value: the
+    detection mask is ``obs & D``, and the row is derived from the stem's
+    pairs and that mask (see :class:`FaultDictionary`).  The result is
     deterministic for a given circuit and pattern list; ``seed`` is only
     recorded for export metadata.
     """
@@ -197,7 +307,6 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
         _check_pattern(circuit, p)
     mask = (1 << len(patterns)) - 1
     gates = circuit.gates
-    outputs = circuit.outputs
     num_signals = circuit.signal_count
 
     free = [0] * num_signals
@@ -207,21 +316,15 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
             w |= pat[j] << p
         free[sid] = w
     _propagate(gates, free, mask)
-    free_words = tuple(free[o] for o in outputs)
+    free_words = tuple(free[o] for o in circuit.outputs)
 
     reach, next_gate, stem_of = _fanout_free_paths(circuit)
-    remaining = [0] * num_signals      # faults left whose path ends at each stem
-    for s in stem_of:
-        remaining[s] += 2
-
     faults = tuple(enumerate_faults(circuit))
+    fault_stems = tuple(stem_of[fault.signal] for fault in faults)
     words = list(free)
-    flips: dict[int, tuple[list[tuple[int, int]], int]] = {}
-    rows = []
-    fault_masks = []
-    for fault in faults:
+    stem_flips = []
+    for fault, stem in zip(faults, fault_stems):
         site = fault.signal
-        stem = stem_of[site]
         stuck = mask if fault.stuck_value else 0
         d = stuck ^ free[site]
         if d:
@@ -239,40 +342,20 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
             while s != sig:
                 s = next_gate[s].output
                 words[s] = free[s]
-        detected = 0
-        if d:
-            flip = flips.get(stem)
-            if flip is None:
-                selectors = format(reach[stem], "b")[::-1].encode().translate(_BIT_BYTES)
-                cone = list(itertools.compress(gates, selectors))
-                words[stem] = free[stem] ^ mask
-                _propagate(cone, words, mask)
-                diffs = [(j, w) for j, o in enumerate(outputs) if (w := words[o] ^ free[o])]
-                words[stem] = free[stem]
-                for gate in cone:
-                    words[gate.output] = free[gate.output]
-                obs = 0
-                for _, w in diffs:
-                    obs |= w
-                flip = flips[stem] = (diffs, obs)
-            diffs, obs = flip
-            detected = obs & d
-        if detected:
-            row = list(free_words)
-            for j, w in diffs:
-                x = w & d
-                if x:
-                    row[j] ^= x
-            rows.append(tuple(row))
-        else:
-            rows.append(free_words)
-        fault_masks.append(detected)
-        remaining[stem] -= 1
-        if not remaining[stem]:
-            flips.pop(stem, None)
-    return FaultDictionary(circuit=circuit, patterns=tuple(patterns), faults=faults,
-                           fault_words=tuple(rows), free_words=free_words,
-                           fault_masks=tuple(fault_masks), seed=seed)
+        stem_flips.append(d)
+
+    flipped = {stem for stem, d in zip(fault_stems, stem_flips) if d}
+    order = [s for s in itertools.chain(circuit.inputs, (g.output for g in gates))
+             if s in flipped]
+    stem_diffs = tuple(_flip_stems(circuit, free, reach, order, len(patterns)))
+    obs = {s: reduce(operator.or_, (w for _, w in stem_diffs[s]), 0) for s in order}
+    fault_masks = tuple(obs[stem] & d if d else 0
+                        for stem, d in zip(fault_stems, stem_flips))
+    return FaultDictionary(
+        circuit=circuit, patterns=tuple(patterns), faults=faults,
+        fault_words=_DerivedRows(free_words, fault_masks, fault_stems, stem_diffs),
+        free_words=free_words, fault_masks=fault_masks, fault_stems=fault_stems,
+        stem_diffs=stem_diffs, seed=seed)
 
 
 def write_dictionary(fdict: FaultDictionary, path) -> None:

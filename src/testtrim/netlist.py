@@ -242,9 +242,11 @@ def _propagate(gates: Iterable[Gate], words: list[int], mask: int) -> None:
     is overwritten from its input words, so ``gates`` must be in topological
     order.  This is the package's only gate-evaluation loop: fault-free
     evaluation passes every gate, and fault simulation pins the fault site's
-    word and passes the gates that do not drive it (the dictionary builder
-    passes one gate at a time along a fault's fanout-free path, and each
-    stem's fanout cone once).
+    word and passes the gates that do not drive it.  The dictionary builder
+    passes one gate at a time along a fault's fanout-free path, and the
+    union of several stems' fanout cones at once with a mask of several
+    P-bit slices, one per flipped stem; it cuts the gate sequence after each
+    such stem's own driver gate to complement the stem's slice again.
     """
     for out, kind, ins in gates:
         if kind == "AND":

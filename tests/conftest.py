@@ -17,6 +17,34 @@ z = AND(a, b)
 """
 
 
+# Small netlists at the corners of the fanout-free-region dictionary builder.
+EDGE_BENCHES = {
+    # a gate reading one signal on both pins, twice in a row
+    "duplicate_inputs": "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nOUTPUT(w)\n"
+                        "y = AND(a, a)\nz = XOR(y, y)\nw = OR(y, b)\n",
+    "input_is_output": "INPUT(a)\nINPUT(b)\nOUTPUT(a)\nOUTPUT(z)\nz = NAND(a, b)\n",
+    "output_also_read": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
+                        "y = NOR(a, b)\nz = XNOR(y, c)\n",
+    "unread_input": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\nz = AND(a, b)\n",
+    # k is constant 0, so every effect of a dies at y, mid-way along a -> t -> y -> u -> z
+    "masked_mid_path": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\n"
+                       "nb = NOT(b)\nk = AND(b, nb)\nt = BUF(a)\ny = AND(t, k)\n"
+                       "u = NOT(y)\nz = OR(u, c)\n",
+    # y is an output and has one reader, so a's path stops at y, not at z
+    "output_read_once": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
+                        "y = NAND(a, b)\nu = BUF(y)\nz = OR(u, c)\n",
+    # flipping the stem a flips both XOR inputs: the flip cancels at z
+    "reconvergent_cancel": "INPUT(a)\nOUTPUT(z)\nb = BUF(a)\nz = XOR(a, b)\n",
+    # s1 -> s2 -> s3 are stems, each read by the next and by an output, so
+    # s2 and s3 are driven inside the fanout cones of the stems before them
+    "fanout_stem_chain": "INPUT(a)\nINPUT(b)\nOUTPUT(z1)\nOUTPUT(z2)\nOUTPUT(z3)\nOUTPUT(w)\n"
+                         "s1 = AND(a, b)\nz1 = NOT(s1)\ns2 = OR(s1, a)\nz2 = BUF(s2)\n"
+                         "s3 = NOT(s2)\nz3 = XOR(s3, b)\nw = AND(s3, a)\n",
+    "out_of_order": "INPUT(a)\nINPUT(b)\nOUTPUT(z)\n"
+                    "z = OR(y, x)\ny = AND(a, x)\nx = NOT(b)\n",
+}
+
+
 @pytest.fixture(scope="session")
 def and_circuit():
     return parse_bench(AND_BENCH, name="and2")
@@ -47,3 +75,8 @@ def random_small_circuit(seed: int, max_inputs: int = 6, max_gates: int = 14):
     rng = random.Random(f"prop:{seed}")
     return random_circuit(f"r{seed}", rng, min_inputs=3, max_inputs=max_inputs,
                           min_gates=4, max_gates=max_gates)
+
+
+def random_pattern_list(circuit, count, rng):
+    """``count`` seeded patterns, repeats allowed, so any width is reachable."""
+    return [tuple(rng.getrandbits(1) for _ in circuit.inputs) for _ in range(count)]

@@ -148,7 +148,8 @@ def test_evaluate_rejects_model_missing_key(tmp_path, capsys):
 
 
 def test_evaluate_reads_pattern_count_from_traces(tmp_path, capsys):
-    # a later stage's corpus.patterns must not rescale the saved volume
+    # a corpus.patterns in the recorded and the stage config must not
+    # rescale the volume saved in traces.csv
     out = tmp_path / "run"
     overrides = _smoke_overrides(out, circuits=6)
     overrides.update(corpus_patterns=208, corpus_min_inputs=8, corpus_max_inputs=9)
@@ -159,10 +160,43 @@ def test_evaluate_reads_pattern_count_from_traces(tmp_path, capsys):
 
     other = tmp_path / "other.txt"
     save_config(RunConfig(**{**overrides, "corpus_patterns": 64}), other)
+    save_config(RunConfig(**{**overrides, "corpus_patterns": 64}), out / "config.txt",
+                include_out_dir=False)
     assert main(["evaluate", "--config", str(other)]) == 0
     drifted = capsys.readouterr().out.splitlines()[-1]
     assert "volume_reduction=" in matching
     assert drifted == matching
+
+
+@pytest.fixture(scope="module")
+def generated_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("drift")
+    overrides = _smoke_overrides(base / "run", circuits=8)
+    overrides.update(split_validation_fraction=0.34, model_iterations=20)
+    cfg_path = _write_config(base, **overrides)
+    with redirect_stdout(io.StringIO()):
+        for cmd in ("generate", "train"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0
+    return cfg_path, overrides
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate", "oracle-eval", "sweep"])
+@pytest.mark.parametrize("drift", ["seed_flag", "patterns_in_config"])
+def test_stage_refuses_corpus_drift(generated_run, tmp_path, capsys, stage, drift):
+    cfg_path, overrides = generated_run
+    out = Path(overrides["out_dir"])
+    before = _tree(out)
+    if drift == "seed_flag":
+        argv, key = ["--config", str(cfg_path), "--seed", "99"], "corpus.seed"
+    else:
+        drifted = tmp_path / "drifted.txt"
+        save_config(RunConfig(**{**overrides, "corpus_patterns": 64}), drifted)
+        argv, key = ["--config", str(drifted)], "corpus.patterns"
+    assert main([stage, *argv]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} = ") and "config.txt" in err[0]
+    assert captured.out == "" and _tree(out) == before
 
 
 def test_old_learning_rate_key_fails_cleanly(tmp_path, capsys):

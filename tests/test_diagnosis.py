@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_small_circuit
+from conftest import EDGE_BENCHES, random_pattern_list, random_small_circuit
 from oracles import full_pass_fault_words, oracle_candidate_sets, prefix_replay_candidate_sets
 from testtrim.diagnosis import (TRACE_HEADER, UndiagnosableFaultError, compute_labels,
                                 read_traces, trace_diagnosis, write_traces)
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns)
 from testtrim.generator import random_circuit
+from testtrim.netlist import parse_bench
 
 
 def _exhaustive_dict(circuit):
@@ -73,19 +74,35 @@ def test_trace_matches_prefix_replay_oracle(seed, num_gates, num_patterns):
     rng = random.Random(seed)
     circuit = random_circuit(f"r{seed}", rng, min_inputs=1, max_inputs=24,
                              min_gates=num_gates, max_gates=num_gates, p_unread=0.5)
-    patterns = [tuple(rng.getrandbits(1) for _ in circuit.inputs)
-                for _ in range(num_patterns)]
+    patterns = random_pattern_list(circuit, num_patterns, rng)
     fault_words, free_words = full_pass_fault_words(circuit, patterns)
     detectable = [f for f, row in enumerate(fault_words) if row != free_words]
     if not detectable:
         return
     injected = detectable[rng.randrange(len(detectable))]
+    _assert_trace_matches_prefix_replay(build_fault_dictionary(circuit, patterns),
+                                        fault_words, free_words, injected)
+
+
+@pytest.mark.parametrize("num_patterns", (1, 7, 64, 65))
+@pytest.mark.parametrize("name", sorted(EDGE_BENCHES))
+def test_every_edge_injection_matches_prefix_replay_oracle(name, num_patterns):
+    # same-stem, cross-stem and no-diff-stem pairs of injected and candidate fault
+    circuit = parse_bench(EDGE_BENCHES[name], name=name)
+    patterns = random_pattern_list(circuit, num_patterns, random.Random(num_patterns))
+    fault_words, free_words = full_pass_fault_words(circuit, patterns)
     fdict = build_fault_dictionary(circuit, patterns)
+    for injected, row in enumerate(fault_words):
+        if row != free_words:
+            _assert_trace_matches_prefix_replay(fdict, fault_words, free_words, injected)
+
+
+def _assert_trace_matches_prefix_replay(fdict, fault_words, free_words, injected):
     trace = trace_diagnosis(fdict, fdict.faults[injected], keep_sets=True)
     want_failing, want_sets = prefix_replay_candidate_sets(fault_words, free_words, injected)
-    assert trace.failing_indices == want_failing
-    assert trace.intermediate_sizes == [len(s) for s in want_sets]
-    assert [set(s) for s in trace.candidate_sets] == want_sets
+    assert trace.failing_indices == want_failing, injected
+    assert trace.intermediate_sizes == [len(s) for s in want_sets], injected
+    assert [set(s) for s in trace.candidate_sets] == want_sets, injected
 
 
 def test_monotone_refinement_and_soundness(small_corpus):

@@ -1,11 +1,14 @@
+import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import AND_BENCH, random_small_circuit
+from conftest import AND_BENCH, EDGE_BENCHES, random_pattern_list
 from oracles import full_pass_fault_words, read_dictionary_text, rewrite_fault_response
+from testtrim import faultsim
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns, random_patterns,
                                simulate_faulty, write_dictionary)
@@ -93,7 +96,7 @@ def test_undetected_fault_rows_equal_fault_free(sample6):
     patterns = exhaustive_patterns(len(sample6.inputs))[:4]
     fdict = build_fault_dictionary(sample6, patterns)
     for fi in range(len(fdict.faults)):
-        if fdict.mismatch_vs_free(fi) == 0:
+        if fdict.fault_masks[fi] == 0:
             assert fdict.response_row(fi) == fdict.fault_free
 
 
@@ -182,7 +185,7 @@ def test_dictionary_export_matches_bitwise_reference(tmp_path, seed, num_pattern
     rng = random.Random(seed)
     circuit = random_circuit(f"r{seed}", rng, min_inputs=3, max_inputs=10,
                              min_gates=10, max_gates=60, p_unread=0.5)
-    patterns = _random_pattern_list(circuit, num_patterns, rng)
+    patterns = random_pattern_list(circuit, num_patterns, rng)
     _assert_export_round_trips(build_fault_dictionary(circuit, patterns, seed=seed),
                                tmp_path)
 
@@ -193,11 +196,6 @@ def test_dictionary_export_matches_bitwise_reference_small(tmp_path, bench):
     circuit = parse_bench(bench, name="small")
     _assert_export_round_trips(build_fault_dictionary(circuit, exhaustive_patterns(2)),
                                tmp_path)
-
-
-def _random_pattern_list(circuit, count, rng):
-    """``count`` seeded patterns, repeats allowed, so any width is reachable."""
-    return [tuple(rng.getrandbits(1) for _ in circuit.inputs) for _ in range(count)]
 
 
 def _assert_matches_full_pass(circuit, patterns):
@@ -212,43 +210,39 @@ def _assert_matches_full_pass(circuit, patterns):
         assert fault_mask == want_mask
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        num_gates=st.integers(min_value=1, max_value=300),
        p_unread=st.sampled_from((0.5, 0.8)),
-       num_patterns=st.sampled_from(PATTERN_COUNTS))
-def test_dictionary_matches_full_pass_reference(seed, num_gates, p_unread, num_patterns):
+       num_patterns=st.sampled_from(PATTERN_COUNTS),
+       stems_per_batch=st.sampled_from((None, 1, 2, 3, 1000)))
+def test_dictionary_matches_full_pass_reference(seed, num_gates, p_unread, num_patterns,
+                                                stems_per_batch):
+    # stems_per_batch None keeps the module's budget; 1000 puts every stem in one batch
     rng = random.Random(seed)
     circuit = random_circuit(f"r{seed}", rng, min_inputs=1, max_inputs=24,
                              min_gates=num_gates, max_gates=num_gates, p_unread=p_unread)
-    _assert_matches_full_pass(circuit, _random_pattern_list(circuit, num_patterns, rng))
+    patterns = random_pattern_list(circuit, num_patterns, rng)
+    budget = stems_per_batch * num_patterns if stems_per_batch else faultsim._BATCH_BITS
+    with mock.patch.object(faultsim, "_BATCH_BITS", budget):
+        _assert_matches_full_pass(circuit, patterns)
 
 
-EDGE_BENCHES = {
-    # a gate reading one signal on both pins, twice in a row
-    "duplicate_inputs": "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nOUTPUT(w)\n"
-                        "y = AND(a, a)\nz = XOR(y, y)\nw = OR(y, b)\n",
-    "input_is_output": "INPUT(a)\nINPUT(b)\nOUTPUT(a)\nOUTPUT(z)\nz = NAND(a, b)\n",
-    "output_also_read": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
-                        "y = NOR(a, b)\nz = XNOR(y, c)\n",
-    "unread_input": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\nz = AND(a, b)\n",
-    # k is constant 0, so every effect of a dies at y, mid-way along a -> t -> y -> u -> z
-    "masked_mid_path": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\n"
-                       "nb = NOT(b)\nk = AND(b, nb)\nt = BUF(a)\ny = AND(t, k)\n"
-                       "u = NOT(y)\nz = OR(u, c)\n",
-    # y is an output and has one reader, so a's path stops at y, not at z
-    "output_read_once": "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
-                        "y = NAND(a, b)\nu = BUF(y)\nz = OR(u, c)\n",
-    # flipping the stem a flips both XOR inputs: the flip cancels at z
-    "reconvergent_cancel": "INPUT(a)\nOUTPUT(z)\nb = BUF(a)\nz = XOR(a, b)\n",
-    "out_of_order": "INPUT(a)\nINPUT(b)\nOUTPUT(z)\n"
-                    "z = OR(y, x)\ny = AND(a, x)\nx = NOT(b)\n",
-}
+def test_replaced_rows_are_the_rows_read(sample6):
+    fdict = build_fault_dictionary(sample6, exhaustive_patterns(len(sample6.inputs)))
+    full = (1 << fdict.num_patterns) - 1
+    inverted = tuple(tuple(w ^ full for w in row) for row in fdict.fault_words)
+    replaced = dataclasses.replace(fdict, fault_words=inverted)
+    assert replaced.fault_words == inverted != fdict.fault_words
+    for fi in range(len(fdict.faults)):
+        want = tuple(tuple(1 - b for b in response) for response in fdict.response_row(fi))
+        assert replaced.response_row(fi) == want
+        assert [replaced.response(fi, p) for p in range(fdict.num_patterns)] == list(want)
 
 
 @pytest.mark.parametrize("num_patterns", PATTERN_COUNTS)
 @pytest.mark.parametrize("name", sorted(EDGE_BENCHES))
 def test_dictionary_matches_full_pass_on_edge_netlists(name, num_patterns):
     circuit = parse_bench(EDGE_BENCHES[name], name=name)
-    patterns = _random_pattern_list(circuit, num_patterns, random.Random(num_patterns))
+    patterns = random_pattern_list(circuit, num_patterns, random.Random(num_patterns))
     _assert_matches_full_pass(circuit, patterns)
