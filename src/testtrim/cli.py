@@ -24,7 +24,7 @@ from . import corpus as corpus_mod
 from . import evaluation as ev
 from .config import (RunConfig, check_same_corpus, config_from_text, load_config,
                      save_config)
-from .dataset import dataset_from_traces, standardize_fit_apply, write_dataset
+from .dataset import Standardizer, dataset_from_traces, write_dataset
 from .diagnosis import UndiagnosableFaultError, read_traces, write_traces
 from .faultsim import write_dictionary
 from .models import (KernelLogisticModel, TrainConfig, fit_kernel_logistic,
@@ -88,12 +88,6 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     return config_from_text("", overrides)
 
 
-def _out(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_corpus_files(cfg: RunConfig):
     """The corpus traces, the dataset derived from them (``dataset.csv`` is
     an export only) and the config ``generate`` recorded with them.
@@ -117,8 +111,9 @@ def _load_corpus_files(cfg: RunConfig):
 
 def cmd_generate(cfg: RunConfig) -> int:
     """Synthesize the corpus: netlists, dictionaries, traces, dataset."""
-    out = _out(cfg)
     corpus = corpus_mod.build_corpus(cfg)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     if corpus.generated:
         netdir = out / "netlists"
         netdir.mkdir(exist_ok=True)
@@ -143,8 +138,8 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
 
 def _fit_from_split(cfg: RunConfig, split: corpus_mod.CorpusSplit):
     """Fit the configured model on the train rows; returns (model, standardizer, tau)."""
-    X_train = standardize_fit_apply(split.train)[0]
-    std = split.train.standardization
+    std = Standardizer.fit(split.train.X)
+    X_train = std.transform(split.train.X)
     if cfg.model_kind == "linear":
         alpha = cfg.model_alpha
         if cfg.model_penalty == "l1":
@@ -167,7 +162,7 @@ def _fit_from_split(cfg: RunConfig, split: corpus_mod.CorpusSplit):
 
 def cmd_train(cfg: RunConfig) -> int:
     """Fit the configured model and stop threshold, write model.txt."""
-    out = _out(cfg)
+    out = Path(cfg.out_dir)
     dataset, traces, _ = _load_corpus_files(cfg)
     split = corpus_mod.split_corpus(dataset, traces, cfg,
                                     with_validation=cfg.policy_tau == "auto")
@@ -188,7 +183,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     """Apply the trained policy to the held-out circuits, write reports."""
-    out = _out(cfg)
+    out = Path(cfg.out_dir)
     model_path = out / "model.txt"
     if not model_path.exists():
         raise FileNotFoundError(f"missing {model_path}; run 'testtrim train' first")
@@ -217,7 +212,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """Emit sweep_alpha.csv, beta_weights.csv and learning_curve.csv."""
-    out = _out(cfg)
+    out = Path(cfg.out_dir)
     dataset, traces, _ = _load_corpus_files(cfg)
     split = corpus_mod.split_corpus(dataset, traces, cfg, with_validation=True)
     if not split.validation_traces:
@@ -239,7 +234,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_oracle_eval(cfg: RunConfig) -> int:
     """Evaluate the ground-truth scorer through the same policy machinery."""
-    out = _out(cfg)
+    out = Path(cfg.out_dir)
     dataset, traces, record = _load_corpus_files(cfg)
     split = corpus_mod.split_corpus(dataset, traces, cfg, with_validation=False)
     tau = 1.0 if cfg.policy_tau == "auto" else float(cfg.policy_tau)

@@ -1,4 +1,4 @@
-"""Feature matrix, circuit-level splits, CSV I/O.
+"""Feature matrix, circuit-level splits, CSV export.
 
 Each failing pattern of a trace becomes one row with five features:
 
@@ -19,14 +19,13 @@ circuits.
 from __future__ import annotations
 
 import csv
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .diagnosis import DiagnosisTrace, read_csv_rows
+from .diagnosis import DiagnosisTrace
 
 NUM_FEATURES = 5
 
@@ -47,6 +46,8 @@ class Standardizer:
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
         X = np.asarray(X, dtype=float)
+        if not len(X):
+            raise ValueError("cannot standardize an empty training set")
         mean = X.mean(axis=0)
         std = X.std(axis=0)  # population stddev
         constant = std == 0.0
@@ -67,15 +68,14 @@ class Dataset:
 
     ``X`` is the ``(rows, 5)`` float feature matrix and ``y`` the labels;
     circuit ``circuit_ids[c]`` owns rows ``offsets[c]:offsets[c + 1]``.
-    ``standardization`` is attached once statistics have been fitted on the
-    training portion (see :func:`standardize_fit_apply`).
+    ``X`` holds raw features; a fit standardizes them with a
+    :class:`Standardizer` fitted on its training portion.
     """
 
     X: np.ndarray
     y: np.ndarray
     circuit_ids: list[str]
     offsets: np.ndarray
-    standardization: Standardizer | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.y)
@@ -158,22 +158,8 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     return _take(dataset, keep), _take(dataset, ~keep)
 
 
-def standardize_fit_apply(train: Dataset, others: Sequence[Dataset] = ()) -> list[np.ndarray]:
-    """Fit standardization on ``train`` only and apply it everywhere.
-
-    Returns the transformed feature matrices in order ``[train, *others]``
-    and attaches the fitted statistics to each dataset.
-    """
-    if not len(train):
-        raise ValueError("cannot standardize an empty training set")
-    std = Standardizer.fit(train.X)
-    train.standardization = std
-    for d in others:
-        d.standardization = std
-    return [std.transform(d.X) for d in (train, *others)]
-
-
 def write_dataset(dataset: Dataset, path) -> None:
+    """CSV export, one record per row; no stage reads it back."""
     X = dataset.X.astype(np.int64).tolist()
     y = dataset.y.tolist()
     bounds = dataset.offsets.tolist()
@@ -183,21 +169,3 @@ def write_dataset(dataset: Dataset, path) -> None:
         for c, cid in enumerate(dataset.circuit_ids):
             for r in range(bounds[c], bounds[c + 1]):
                 writer.writerow([cid, *X[r], f"{y[r]:.6f}"])
-
-
-def _parse_dataset_record(fields: list[str]) -> tuple:
-    y = float(fields[6])
-    if not math.isfinite(y):
-        raise ValueError(f"non-finite y ({fields[6]!r})")
-    return (fields[0], *map(int, fields[1:6]), y)
-
-
-def read_dataset(path) -> Dataset:
-    """Rows of a ``dataset.csv`` export, grouped by circuit in first-seen order."""
-    groups: dict[str, list[tuple]] = {}
-    for rec in read_csv_rows(path, DATASET_HEADER, "dataset", _parse_dataset_record):
-        groups.setdefault(rec[0], []).append(rec)
-    records = [rec for rows in groups.values() for rec in rows]
-    return Dataset(np.array([rec[1:6] for rec in records], dtype=float),
-                   np.array([rec[6] for rec in records], dtype=float),
-                   list(groups), _offsets([len(rows) for rows in groups.values()]))

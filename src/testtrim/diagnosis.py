@@ -36,8 +36,8 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 from .faultsim import Fault, FaultDictionary
 
@@ -59,7 +59,6 @@ class DiagnosisTrace:
     m_values: list[float]
     y_values: list[float]
     injected_fault: Fault | None = None
-    candidate_sets: list[frozenset[int]] | None = field(default=None, repr=False)
 
     @property
     def num_failing(self) -> int:
@@ -97,32 +96,18 @@ def _flip_mismatch(diffs: Sequence[tuple[int, int]], other: dict[int, int]) -> i
     return e
 
 
-def trace_diagnosis(fdict: FaultDictionary, injected: Fault,
-                    keep_sets: bool = False) -> DiagnosisTrace:
-    """Replay the injected fault's pass/fail log and record candidate refinement.
+def _elimination_indices(fdict: FaultDictionary, inj_idx: int) -> list[int]:
+    """Per fault, the first pattern under which its response differs from
+    fault ``inj_idx``'s, or ``fdict.num_patterns`` where none does.
 
-    Each fault's elimination index is the first pattern under which its
-    response differs from the injected fault's.  The mismatch comes from
-    ``fault_masks``, ``fault_stems`` and ``stem_diffs`` as the module
-    docstring gives, never from ``fault_words``; ``E_t`` is computed once per
-    stem, and only for stems with a fault that fails where the injected
-    fault fails.  The size at a failing pattern ``p`` is the number of
-    faults whose index lies above ``p``, read off the sorted indices.
-    ``keep_sets`` also materializes each intermediate set.  Raises
-    :class:`UndiagnosableFaultError` if the fault is never detected.
+    The mismatch comes from ``fault_masks``, ``fault_stems`` and
+    ``stem_diffs`` as the module docstring gives, never from
+    ``fault_words``; ``E_t`` is computed once per stem, and only for stems
+    with a fault that fails where the injected fault fails.  The
+    intermediate set at a failing pattern ``p`` is the faults whose index
+    lies above ``p``.
     """
-    try:
-        inj_idx = fdict.faults.index(injected)
-    except ValueError:
-        raise ValueError(f"injected fault {injected} not in dictionary") from None
-
     fail_mask = fdict.fault_masks[inj_idx]
-    if fail_mask == 0:
-        raise UndiagnosableFaultError(
-            f"fault {injected} on circuit '{fdict.circuit.name}' is undiagnosable "
-            f"with this pattern set")
-
-    num_faults = len(fdict.faults)
     never = fdict.num_patterns          # elimination index of a surviving fault
     inj_stem = fdict.fault_stems[inj_idx]
     inj_diffs = dict(fdict.stem_diffs[inj_stem])
@@ -137,13 +122,33 @@ def trace_diagnosis(fdict: FaultDictionary, injected: Fault,
                 e = stem_mismatch[t] = _flip_mismatch(fdict.stem_diffs[t], inj_diffs)
             diff |= both & e
         elim.append((diff & -diff).bit_length() - 1 if diff else never)
-    order = sorted(elim)
+    return elim
 
+
+def trace_diagnosis(fdict: FaultDictionary, injected: Fault) -> DiagnosisTrace:
+    """Replay the injected fault's pass/fail log and record candidate refinement.
+
+    Each fault's elimination index is the first pattern under which its
+    response differs from the injected fault's (see
+    :func:`_elimination_indices`).  The size at a failing pattern ``p`` is
+    the number of faults whose index lies above ``p``, read off the sorted
+    indices.  Raises :class:`UndiagnosableFaultError` if the fault is never
+    detected.
+    """
+    try:
+        inj_idx = fdict.faults.index(injected)
+    except ValueError:
+        raise ValueError(f"injected fault {injected} not in dictionary") from None
+
+    fail_mask = fdict.fault_masks[inj_idx]
+    if fail_mask == 0:
+        raise UndiagnosableFaultError(
+            f"fault {injected} on circuit '{fdict.circuit.name}' is undiagnosable "
+            f"with this pattern set")
+
+    order = sorted(_elimination_indices(fdict, inj_idx))
     failing0 = [p for p in range(fdict.num_patterns) if (fail_mask >> p) & 1]
-    sizes = [num_faults - bisect.bisect_right(order, p) for p in failing0]
-    sets = None
-    if keep_sets:
-        sets = [frozenset(f for f, e in enumerate(elim) if e > p) for p in failing0]
+    sizes = [len(order) - bisect.bisect_right(order, p) for p in failing0]
 
     golden = sizes[-1]
     m_values = [golden / s for s in sizes]
@@ -157,7 +162,6 @@ def trace_diagnosis(fdict: FaultDictionary, injected: Fault,
         m_values=m_values,
         y_values=compute_labels(m_values),
         injected_fault=injected,
-        candidate_sets=sets,
     )
 
 
@@ -198,46 +202,35 @@ def _parse_trace_record(fields: list[str]) -> _TraceRecord:
     return _TraceRecord(fields[0], *map(int, fields[1:7]), m, y)
 
 
-def read_csv_rows(path, header: list[str], kind: str,
-                  parse: Callable[[list[str]], object]) -> list:
-    """Parse every record of a CSV export whose first line is ``header``.
-
-    Raises ``ValueError`` on a different header, on an empty file, and,
-    naming the file and line, on a record with the wrong number of fields
-    (as a truncated file leaves) or one that ``parse`` rejects.  Blank
-    lines are skipped.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first != header:
-            raise ValueError(f"unexpected {kind} header in {path}: {first}")
-        for fields in reader:
-            if not fields:
-                continue
-            try:
-                if len(fields) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
-                rows.append(parse(fields))
-            except ValueError as exc:
-                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{kind} file {path} holds no rows")
-    return rows
-
-
 def read_traces(path) -> list[DiagnosisTrace]:
     """Rebuild traces from a CSV export.
 
     Each record carries its circuit's applied pattern count, so a reader
     needs no corpus settings.  Loaded traces carry no injected-fault ground
-    truth.  A circuit whose records stop before its golden set is reached
-    (a truncated file) is rejected.
+    truth.  Raises ``ValueError`` on a different header, on a file without
+    records, and, naming the file and line, on a record with the wrong
+    number of fields (as a truncated file leaves) or a bad value; blank
+    lines are skipped.  A circuit whose records stop before its golden set
+    is reached is rejected too.
     """
     groups: dict[str, list[_TraceRecord]] = {}
-    for rec in read_csv_rows(path, TRACE_HEADER, "trace", _parse_trace_record):
-        groups.setdefault(rec.circuit_id, []).append(rec)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != TRACE_HEADER:
+            raise ValueError(f"unexpected trace header in {path}: {header}")
+        for fields in reader:
+            if not fields:
+                continue
+            try:
+                if len(fields) != len(TRACE_HEADER):
+                    raise ValueError(f"expected {len(TRACE_HEADER)} fields, got {len(fields)}")
+                rec = _parse_trace_record(fields)
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+            groups.setdefault(rec.circuit_id, []).append(rec)
+    if not groups:
+        raise ValueError(f"trace file {path} holds no rows")
 
     traces = []
     for cid, rows in groups.items():

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CorpusSplit
-from .dataset import Dataset, Standardizer, standardize_fit_apply
+from .dataset import Dataset, Standardizer
 from .diagnosis import DiagnosisTrace
 from .models import (KernelLogisticModel, LinearModel, TrainConfig,
                      fit_kernel_logistic, fit_penalized_linear,
@@ -222,8 +222,8 @@ def sweep_alpha(alphas: Sequence[float], split: CorpusSplit, penalty: str = "l1"
     alternative row-level reading of the same test scores: clamped
     predictions thresholded at 0.5 against the binary convergence labels.
     """
-    X_train = standardize_fit_apply(split.train)[0]
-    std = split.train.standardization
+    std = Standardizer.fit(split.train.X)
+    X_train = std.transform(split.train.X)
     X_val = std.transform(split.validation.X)
     X_test = std.transform(split.test.X)
     n = len(split.train)
@@ -261,7 +261,8 @@ def learning_curve(sizes: Sequence[int], train: Dataset, test: Dataset,
     """
     import random as _random
 
-    X_train, X_test = standardize_fit_apply(train, [test])
+    std = Standardizer.fit(train.X)
+    X_train, X_test = std.transform(train.X), std.transform(test.X)
     y_train = train.labels_binary()
     n = len(train)
     order = list(range(n))

@@ -1,4 +1,4 @@
-"""Single stuck-at fault enumeration, faulty simulation, fault dictionaries.
+"""Single stuck-at fault enumeration and fault dictionaries.
 
 The dictionary gives, for every (fault, pattern) pair, the full output
 response.  Responses are packed: one machine word per (fault, output)
@@ -19,9 +19,9 @@ The dictionary keeps one record per fault, its stem and its detection
 mask, and derives every row from it: the fault-free row with the stem's
 diffs applied under the patterns in the mask.  Trace replay
 (:mod:`testtrim.diagnosis`) works on the masks and stem diffs directly.
-``response()`` and ``fault_free`` materialize ordinary bit tuples on
-demand.  The ``.dict`` export (:func:`write_dictionary`) writes the packed
-rows, one line per fault with one hex word per output.
+:meth:`FaultDictionary.response` unpacks one (fault, pattern) entry into
+a bit tuple on demand.  The ``.dict`` export (:func:`write_dictionary`)
+writes the packed rows, one line per fault with one hex word per output.
 
 Fault collapsing is deliberately not performed: candidate-set sizes feed
 the downstream label arithmetic and must stay reproducible counts over the
@@ -35,7 +35,7 @@ import operator
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 from .netlist import Circuit, Gate, Pattern, Response, _check_pattern, _propagate
 
@@ -53,20 +53,6 @@ class Fault:
 def enumerate_faults(circuit: Circuit) -> list[Fault]:
     """All 2 * signal_count stuck-at faults, ordered by signal id then s-a-0/s-a-1."""
     return [Fault(s, v) for s in range(circuit.signal_count) for v in (0, 1)]
-
-
-def simulate_faulty(circuit: Circuit, fault: Fault, pattern: Sequence[int]) -> Response:
-    """Response with ``fault`` active: the faulted signal is pinned to its
-    stuck value and the gate driving it, if any, is skipped."""
-    if not 0 <= fault.signal < circuit.signal_count:
-        raise ValueError(f"unknown signal id {fault.signal}")
-    _check_pattern(circuit, pattern)
-    words = [0] * circuit.signal_count
-    for sid, bit in zip(circuit.inputs, pattern):
-        words[sid] = bit
-    words[fault.signal] = fault.stuck_value
-    _propagate((g for g in circuit.gates if g.output != fault.signal), words, 1)
-    return tuple(words[o] for o in circuit.outputs)
 
 
 def exhaustive_patterns(num_inputs: int) -> list[Pattern]:
@@ -142,7 +128,7 @@ class FaultDictionary:
     fault_masks[f])`` at each pair and the fault-free word elsewhere;
     ``fault_words`` derives it so on access.  ``fault_words`` still
     accepts any sequence of rows (``dataclasses.replace(fdict,
-    fault_words=rows)``), and :meth:`response`, :meth:`response_row` and
+    fault_words=rows)``), and :meth:`response` and
     :func:`write_dictionary` read whatever it holds.
     """
 
@@ -160,21 +146,9 @@ class FaultDictionary:
     def num_patterns(self) -> int:
         return len(self.patterns)
 
-    @cached_property
-    def fault_free(self) -> tuple[Response, ...]:
-        """Fault-free response per pattern."""
-        return tuple(self._unpack(self.free_words, p) for p in range(self.num_patterns))
-
     def response(self, fault_idx: int, pattern_idx: int) -> Response:
-        return self._unpack(self.fault_words[fault_idx], pattern_idx)
-
-    def response_row(self, fault_idx: int) -> tuple[Response, ...]:
-        words = self.fault_words[fault_idx]
-        return tuple(self._unpack(words, p) for p in range(self.num_patterns))
-
-    @staticmethod
-    def _unpack(words: Sequence[int], pattern_idx: int) -> Response:
-        return tuple((w >> pattern_idx) & 1 for w in words)
+        """Output bits of fault ``fault_idx`` under pattern ``pattern_idx``."""
+        return tuple((w >> pattern_idx) & 1 for w in self.fault_words[fault_idx])
 
     def detected_fault_indices(self) -> list[int]:
         return [f for f, m in enumerate(self.fault_masks) if m]

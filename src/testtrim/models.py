@@ -35,6 +35,9 @@ LBFGS_MEMORY = 10       # (s, y) pairs kept by the kernel-logistic fit
 ARMIJO_C1 = 1e-4        # sufficient-decrease constant of its line search
 MAX_BACKTRACKS = 50     # step halvings before the line search gives up
 
+CD_MAX_ITER = 10000     # coordinate-descent sweeps of the lasso fit
+CD_TOL = 1e-12          # it stops once no coordinate moves more than this
+
 MODEL_FILE_MAGIC = "testtrim-model v1"
 
 
@@ -79,9 +82,8 @@ def _soft_threshold(x: float, t: float) -> float:
 
 
 def fit_penalized_linear(X: np.ndarray, Y: np.ndarray, alpha: float,
-                         penalty: str = "l2", fit_intercept: bool = True,
-                         cd_max_iter: int = 10000, cd_tol: float = 1e-12) -> LinearModel:
-    """Fit the penalized least-squares model.
+                         penalty: str = "l2") -> LinearModel:
+    """Fit the penalized least-squares model with an unpenalized intercept.
 
     ``penalty="l2"`` solves (X^T X + alpha I) b = X^T Y exactly;
     ``penalty="l1"`` runs coordinate descent on the lasso objective.  With
@@ -104,31 +106,22 @@ def fit_penalized_linear(X: np.ndarray, Y: np.ndarray, alpha: float,
     if penalty not in ("l2", "l1"):
         raise ValueError(f"penalty must be 'l2' or 'l1', got {penalty!r}")
 
-    n, d = X.shape
-    A = np.column_stack([np.ones(n), X]) if fit_intercept else X
+    A = np.column_stack([np.ones(X.shape[0]), X])
     if penalty == "l1" and alpha > 0:
-        coef = _lasso_cd(A, Y, alpha, penalize_first=not fit_intercept,
-                         max_iter=cd_max_iter, tol=cd_tol)
+        coef = _lasso_cd(A, Y, alpha)
         rank_deficient = False
     else:
-        coef, rank_deficient = _ridge_solve(A, Y, alpha, penalize_first=not fit_intercept)
-
-    if fit_intercept:
-        intercept, beta = float(coef[0]), coef[1:]
-    else:
-        intercept, beta = 0.0, coef
-    return LinearModel(beta=beta, intercept=intercept, alpha=alpha,
+        coef, rank_deficient = _ridge_solve(A, Y, alpha)
+    return LinearModel(beta=coef[1:], intercept=float(coef[0]), alpha=alpha,
                        penalty=penalty, rank_deficient=rank_deficient)
 
 
-def _ridge_solve(A: np.ndarray, Y: np.ndarray, alpha: float,
-                 penalize_first: bool) -> tuple[np.ndarray, bool]:
+def _ridge_solve(A: np.ndarray, Y: np.ndarray, alpha: float) -> tuple[np.ndarray, bool]:
     d = A.shape[1]
     G = A.T @ A
     if alpha > 0:
         pen = np.full(d, alpha)
-        if not penalize_first:
-            pen[0] = 0.0
+        pen[0] = 0.0
         G = G + np.diag(pen)
     b = A.T @ Y
     if alpha == 0:
@@ -148,25 +141,25 @@ def _ridge_solve(A: np.ndarray, Y: np.ndarray, alpha: float,
     return coef, False
 
 
-def _lasso_cd(A: np.ndarray, Y: np.ndarray, alpha: float, penalize_first: bool,
-              max_iter: int, tol: float) -> np.ndarray:
-    """Cyclic coordinate descent for ||A w - Y||^2 + alpha * sum |w_j|.
+def _lasso_cd(A: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
+    """Cyclic coordinate descent for ||A w - Y||^2 + alpha * sum_{j>=1} |w_j|.
 
-    The first column (the intercept) is exempt from the penalty unless
-    ``penalize_first``.  Converges when no coordinate moves more than tol.
+    The first column (the intercept) is exempt from the penalty.  Stops
+    when no coordinate moves more than ``CD_TOL``, or after ``CD_MAX_ITER``
+    sweeps.
     """
     n, d = A.shape
     col_sq = (A ** 2).sum(axis=0)
     w = np.zeros(d)
     r = Y.astype(float).copy()  # residual Y - A w
     thresh = alpha / 2.0
-    for _ in range(max_iter):
+    for _ in range(CD_MAX_ITER):
         max_step = 0.0
         for j in range(d):
             if col_sq[j] == 0.0:
                 continue
             rho = A[:, j] @ r + col_sq[j] * w[j]
-            if j == 0 and not penalize_first:
+            if j == 0:
                 new = rho / col_sq[j]
             else:
                 new = _soft_threshold(rho, thresh) / col_sq[j]
@@ -175,32 +168,18 @@ def _lasso_cd(A: np.ndarray, Y: np.ndarray, alpha: float, penalize_first: bool,
                 r -= step * A[:, j]
                 w[j] = new
                 max_step = max(max_step, abs(step))
-        if max_step <= tol:
+        if max_step <= CD_TOL:
             break
     return w
-
-
-def predict_linear(model: LinearModel, x: Sequence[float]) -> float:
-    """Raw linear prediction; any clamping happens at the policy layer."""
-    return float(model.intercept + np.asarray(x, dtype=float) @ model.beta)
 
 
 def predict_linear_batch(model: LinearModel, X: np.ndarray) -> np.ndarray:
     return model.intercept + np.asarray(X, dtype=float) @ model.beta
 
 
-def rbf_map(x: Sequence[float], landmarks: np.ndarray, gamma: float) -> np.ndarray:
-    """Feature vector [1, exp(-gamma ||x - l_j||^2) for each landmark j]."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    x = np.asarray(x, dtype=float)
-    L = np.asarray(landmarks, dtype=float)
-    d2 = ((L - x) ** 2).sum(axis=1)
-    return np.concatenate([[1.0], np.exp(-gamma * d2)])
-
-
 def rbf_features(X: np.ndarray, landmarks: np.ndarray, gamma: float) -> np.ndarray:
-    """Row-wise :func:`rbf_map`, computed with the expanded-norm identity."""
+    """Feature rows [1, exp(-gamma ||x - l_j||^2) for each landmark j], one
+    per row ``x`` of ``X``, computed with the expanded-norm identity."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     X = np.asarray(X, dtype=float)
@@ -329,12 +308,6 @@ def _lbfgs_direction(grad: np.ndarray, grad_norm: float,
     for (s, y, sy), a in zip(pairs, reversed(alphas)):
         r += (a - float(y @ r) / sy) * s
     return -r
-
-
-def predict_prob(model: KernelLogisticModel, x: Sequence[float]) -> float:
-    """Convergence probability for one feature row, strictly inside (0, 1)."""
-    p = _sigmoid(float(model.theta @ rbf_map(x, model.landmarks, model.gamma)))
-    return float(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))
 
 
 def predict_prob_batch(model: KernelLogisticModel, X: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 GATE_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF")
@@ -74,24 +73,6 @@ class Circuit:
     @property
     def signal_count(self) -> int:
         return len(self.signal_names)
-
-    @cached_property
-    def _id_by_name(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self.signal_names)}
-
-    def signal_id(self, name: str) -> int:
-        return self._id_by_name[name]
-
-    def structurally_equal(self, other: "Circuit") -> bool:
-        """Name-level structural identity (ignores the interning order)."""
-        def shape(c: Circuit):
-            names = c.signal_names
-            return (
-                tuple(names[i] for i in c.inputs),
-                tuple(names[i] for i in c.outputs),
-                tuple((names[g.output], g.kind, tuple(names[i] for i in g.inputs)) for g in c.gates),
-            )
-        return shape(self) == shape(other)
 
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -241,12 +222,12 @@ def _propagate(gates: Iterable[Gate], words: list[int], mask: int) -> None:
     ``p``, and ``mask`` has one bit set per pattern.  Each gate's output word
     is overwritten from its input words, so ``gates`` must be in topological
     order.  This is the package's only gate-evaluation loop: fault-free
-    evaluation passes every gate, and fault simulation pins the fault site's
-    word and passes the gates that do not drive it.  The dictionary builder
-    passes one gate at a time along a fault's fanout-free path, and the
-    union of several stems' fanout cones at once with a mask of several
-    P-bit slices, one per flipped stem; it cuts the gate sequence after each
-    such stem's own driver gate to complement the stem's slice again.
+    evaluation passes every gate.  The dictionary builder pins a fault
+    site's word and passes one gate at a time along its fanout-free path,
+    and the union of several stems' fanout cones at once with a mask of
+    several P-bit slices, one per flipped stem; it cuts the gate sequence
+    after each such stem's own driver gate to complement the stem's slice
+    again.
     """
     for out, kind, ins in gates:
         if kind == "AND":
@@ -301,13 +282,3 @@ def evaluate(circuit: Circuit, pattern: Sequence[int]) -> Response:
         words[sid] = bit
     _propagate(circuit.gates, words, 1)
     return tuple(words[o] for o in circuit.outputs)
-
-
-def evaluate_all_signals(circuit: Circuit, pattern: Sequence[int]) -> tuple[int, ...]:
-    """Fault-free value of every signal (by id) under one pattern."""
-    _check_pattern(circuit, pattern)
-    words = [0] * circuit.signal_count
-    for sid, bit in zip(circuit.inputs, pattern):
-        words[sid] = bit
-    _propagate(circuit.gates, words, 1)
-    return tuple(words)

@@ -1,7 +1,8 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here deliberately avoids the package's production code paths:
-the truth-table evaluator recurses over name-level gate expressions, the
+the structure comparison reads gates by signal name, the truth-table
+evaluator recurses over name-level gate expressions, the
 fault oracle rewrites netlist text and reuses only the fault-free
 evaluator, the full-pass dictionary builder re-simulates every gate for
 every fault with its own packed gate table, the candidate oracle gets
@@ -12,9 +13,11 @@ rows from the full-pass builder (fast enough for netlists of hundreds of
 gates),
 the dictionary reader parses the text export back into packed words for
 comparison with the full-pass rows, the per-trace stop reference builds,
-standardizes and scores one row at a time with its own formulas, the
-logistic minimizer takes damped Newton steps on its own cost, gradient and
-Hessian, and the sigmoid calls libm's exp one value at a time.
+standardizes and scores one row at a time with its own formulas, the RBF
+map takes each landmark distance directly instead of through the
+expanded-norm identity, the logistic minimizer takes damped Newton steps on
+its own cost, gradient and Hessian, and the sigmoid calls libm's exp one
+value at a time.
 """
 
 from __future__ import annotations
@@ -29,8 +32,22 @@ from testtrim.faultsim import Fault, enumerate_faults
 from testtrim.netlist import Circuit, evaluate, format_bench, parse_bench
 
 
-def recursive_truth_table_eval(circuit: Circuit, pattern) -> tuple[int, ...]:
-    """Evaluate by recursion over named gate expressions (no topo order used)."""
+def structurally_equal(a: Circuit, b: Circuit) -> bool:
+    """Name-level structural identity (ignores the interning order)."""
+    def shape(c: Circuit):
+        names = c.signal_names
+        return (
+            tuple(names[i] for i in c.inputs),
+            tuple(names[i] for i in c.outputs),
+            tuple((names[g.output], g.kind, tuple(names[i] for i in g.inputs))
+                  for g in c.gates),
+        )
+    return shape(a) == shape(b)
+
+
+def recursive_signal_values(circuit: Circuit, pattern) -> dict[str, int]:
+    """Every signal's value by name, by recursion over named gate
+    expressions (no topo order used)."""
     names = circuit.signal_names
     exprs = {names[g.output]: (g.kind, [names[i] for i in g.inputs]) for g in circuit.gates}
     values = {names[i]: b for i, b in zip(circuit.inputs, pattern)}
@@ -59,7 +76,15 @@ def recursive_truth_table_eval(circuit: Circuit, pattern) -> tuple[int, ...]:
         values[sig] = v
         return v
 
-    return tuple(value_of(names[o]) for o in circuit.outputs)
+    for name in names:
+        value_of(name)
+    return values
+
+
+def recursive_truth_table_eval(circuit: Circuit, pattern) -> tuple[int, ...]:
+    """Output values, read off :func:`recursive_signal_values`."""
+    values = recursive_signal_values(circuit, pattern)
+    return tuple(values[circuit.signal_names[o]] for o in circuit.outputs)
 
 
 def rewrite_faulty_circuit(bench_text: str, circuit: Circuit, fault: Fault) -> Circuit:
@@ -235,16 +260,15 @@ def oracle_candidate_sets(circuit: Circuit, patterns, injected: Fault):
     return [i + 1 for i in failing], sets
 
 
-def gradient_descent_ridge(X, Y, alpha, fit_intercept=True, tol=1e-12, max_iter=500000):
-    """Minimize ||A w - Y||^2 + alpha ||w_pen||^2 by plain gradient descent."""
+def gradient_descent_ridge(X, Y, alpha, tol=1e-12, max_iter=500000):
+    """Minimize ||b0 + X b - Y||^2 + alpha ||b||^2 (intercept b0 unpenalized)
+    by plain gradient descent.  Returns ``(b0, b)``."""
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
-    n = X.shape[0]
-    A = np.column_stack([np.ones(n), X]) if fit_intercept else X
+    A = np.column_stack([np.ones(X.shape[0]), X])
     d = A.shape[1]
     pen = np.full(d, float(alpha))
-    if fit_intercept:
-        pen[0] = 0.0
+    pen[0] = 0.0
     H = 2.0 * (A.T @ A) + 2.0 * np.diag(pen)
     lr = 1.0 / np.linalg.eigvalsh(H).max()
     w = np.zeros(d)
@@ -253,7 +277,7 @@ def gradient_descent_ridge(X, Y, alpha, fit_intercept=True, tol=1e-12, max_iter=
         if np.linalg.norm(grad) < tol:
             break
         w = w - lr * grad
-    return (w[0], w[1:]) if fit_intercept else (0.0, w)
+    return w[0], w[1:]
 
 
 def newton_logistic(Phi, y, lam, tol=1e-13, max_iter=200):
@@ -297,6 +321,14 @@ def central_difference_gradient(cost_fn, theta, step=1e-5):
         dn[j] -= step
         grad[j] = (cost_fn(up) - cost_fn(dn)) / (2.0 * step)
     return grad
+
+
+def rbf_map_reference(x, landmarks, gamma):
+    """Feature vector [1, exp(-gamma ||x - l_j||^2) for each landmark j],
+    each squared distance summed from coordinate differences."""
+    x = np.asarray(x, float)
+    d2 = ((np.asarray(landmarks, float) - x) ** 2).sum(axis=1)
+    return np.concatenate([[1.0], np.exp(-gamma * d2)])
 
 
 def sigmoid_reference(z: float) -> float:

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import EDGE_BENCHES, random_pattern_list, random_small_circuit
 from oracles import full_pass_fault_words, oracle_candidate_sets, prefix_replay_candidate_sets
-from testtrim.diagnosis import (TRACE_HEADER, UndiagnosableFaultError, compute_labels,
-                                read_traces, trace_diagnosis, write_traces)
+from testtrim.diagnosis import (TRACE_HEADER, UndiagnosableFaultError, _elimination_indices,
+                                compute_labels, read_traces, trace_diagnosis, write_traces)
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns)
 from testtrim.generator import random_circuit
@@ -18,9 +18,19 @@ def _exhaustive_dict(circuit):
     return build_fault_dictionary(circuit, exhaustive_patterns(len(circuit.inputs)))
 
 
+def _traced_sets(fdict, injected):
+    """The trace of ``injected`` and its exact candidate set per failing
+    pattern: the faults whose elimination index lies above the pattern's
+    0-based index."""
+    trace = trace_diagnosis(fdict, injected)
+    elim = _elimination_indices(fdict, fdict.faults.index(injected))
+    sets = [{f for f, e in enumerate(elim) if e > k - 1} for k in trace.failing_indices]
+    return trace, sets
+
+
 def test_and_output_stuck_fails_on_zero_patterns(and_circuit):
     fdict = _exhaustive_dict(and_circuit)
-    z = and_circuit.signal_id("z")
+    z = and_circuit.signal_names.index("z")
     trace = trace_diagnosis(fdict, Fault(z, 1))
     # fault-free output is 0 on three of the four patterns
     assert trace.num_failing == 3
@@ -33,8 +43,8 @@ def test_and_output_stuck_fails_on_zero_patterns(and_circuit):
 def test_injected_always_a_candidate(sample6):
     fdict = _exhaustive_dict(sample6)
     for fi in fdict.detected_fault_indices():
-        trace = trace_diagnosis(fdict, fdict.faults[fi], keep_sets=True)
-        for candidates in trace.candidate_sets:
+        _, sets = _traced_sets(fdict, fdict.faults[fi])
+        for candidates in sets:
             assert fi in candidates
 
 
@@ -43,10 +53,10 @@ def test_candidate_sets_match_bruteforce_oracle(sample6):
     fdict = build_fault_dictionary(sample6, patterns)
     for fi in fdict.detected_fault_indices():
         injected = fdict.faults[fi]
-        trace = trace_diagnosis(fdict, injected, keep_sets=True)
+        trace, sets = _traced_sets(fdict, injected)
         want_failing, want_sets = oracle_candidate_sets(sample6, patterns, injected)
         assert trace.failing_indices == want_failing
-        assert [set(s) for s in trace.candidate_sets] == want_sets
+        assert sets == want_sets
         assert trace.intermediate_sizes == [len(s) for s in want_sets]
 
 
@@ -60,10 +70,10 @@ def test_candidate_oracle_on_random_circuits(seed):
     if not detectable:
         return
     injected = fdict.faults[detectable[seed % len(detectable)]]
-    trace = trace_diagnosis(fdict, injected, keep_sets=True)
+    trace, sets = _traced_sets(fdict, injected)
     want_failing, want_sets = oracle_candidate_sets(circuit, patterns, injected)
     assert trace.failing_indices == want_failing
-    assert [set(s) for s in trace.candidate_sets] == want_sets
+    assert sets == want_sets
 
 
 @settings(max_examples=20, deadline=None)
@@ -98,11 +108,11 @@ def test_every_edge_injection_matches_prefix_replay_oracle(name, num_patterns):
 
 
 def _assert_trace_matches_prefix_replay(fdict, fault_words, free_words, injected):
-    trace = trace_diagnosis(fdict, fdict.faults[injected], keep_sets=True)
+    trace, sets = _traced_sets(fdict, fdict.faults[injected])
     want_failing, want_sets = prefix_replay_candidate_sets(fault_words, free_words, injected)
     assert trace.failing_indices == want_failing, injected
     assert trace.intermediate_sizes == [len(s) for s in want_sets], injected
-    assert [set(s) for s in trace.candidate_sets] == want_sets, injected
+    assert sets == want_sets, injected
 
 
 def test_monotone_refinement_and_soundness(small_corpus):
@@ -121,7 +131,7 @@ def test_monotone_refinement_and_soundness(small_corpus):
 def test_undetected_fault_raises(and_circuit):
     # with only the all-ones pattern, a stuck-at-1 on input a is silent
     fdict = build_fault_dictionary(and_circuit, [(1, 1)])
-    a = and_circuit.signal_id("a")
+    a = and_circuit.signal_names.index("a")
     with pytest.raises(UndiagnosableFaultError, match="undiagnosable"):
         trace_diagnosis(fdict, Fault(a, 1))
 

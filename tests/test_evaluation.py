@@ -7,7 +7,7 @@ from oracles import per_trace_stop
 from testtrim import evaluation as ev
 from testtrim.corpus import split_corpus
 from testtrim.config import RunConfig
-from testtrim.dataset import Standardizer, dataset_from_traces, standardize_fit_apply
+from testtrim.dataset import Standardizer, dataset_from_traces
 from testtrim.diagnosis import DiagnosisTrace
 from testtrim.models import (LinearModel, TrainConfig, fit_kernel_logistic,
                              fit_penalized_linear)
@@ -138,10 +138,10 @@ class TestTauMonotonicity:
                         split_seed=2)
         split = split_corpus(small_corpus.dataset, small_corpus.traces, cfg,
                              with_validation=False)
-        X = standardize_fit_apply(split.train)[0]
-        model = fit_kernel_logistic(X, split.train.labels_binary(), 1.0, 1.0,
+        std = Standardizer.fit(split.train.X)
+        model = fit_kernel_logistic(std.transform(split.train.X),
+                                    split.train.labels_binary(), 1.0, 1.0,
                                     TrainConfig(iterations=150, landmark_cap=64))
-        std = split.train.standardization
         last = [0] * len(split.test_traces)
         for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             rep = ev.evaluate(ev.TerminationPolicy(model, tau, std), split.test,
@@ -266,9 +266,10 @@ class TestLearningCurve:
         assert [s for s, _ in curve] == [max(2, n // 2), n]
 
         # the full-size point reproduces a direct fit on the whole train set
-        X_train = split.train.standardization.transform(split.train.X)
-        model = fit_kernel_logistic(X_train, split.train.labels_binary(), 1.0, 1.0, tc)
-        X_test = split.train.standardization.transform(split.test.X)
+        std = Standardizer.fit(split.train.X)
+        model = fit_kernel_logistic(std.transform(split.train.X),
+                                    split.train.labels_binary(), 1.0, 1.0, tc)
+        X_test = std.transform(split.test.X)
         direct = ev.classification_accuracy(ev.score_matrix(model, X_test), split.test.y)
         assert curve[-1][1] == direct
 

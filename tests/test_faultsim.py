@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import AND_BENCH, EDGE_BENCHES, random_pattern_list
-from oracles import full_pass_fault_words, read_dictionary_text, rewrite_fault_response
+from oracles import (full_pass_fault_words, read_dictionary_text, recursive_signal_values,
+                     rewrite_fault_response)
 from testtrim import faultsim
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
-                               exhaustive_patterns, random_patterns,
-                               simulate_faulty, write_dictionary)
+                               exhaustive_patterns, random_patterns, write_dictionary)
 from testtrim.generator import random_circuit
-from testtrim.netlist import evaluate, evaluate_all_signals, parse_bench
+from testtrim.netlist import evaluate, parse_bench
 
 PATTERN_COUNTS = (1, 63, 64, 65, 1024)
 
@@ -36,39 +36,17 @@ def test_enumerate_fixture(sample6):
     assert faults == enumerate_faults(sample6)  # deterministic
 
 
-def test_simulate_faulty_output_forced(and_circuit):
-    z = and_circuit.signal_id("z")
-    assert simulate_faulty(and_circuit, Fault(z, 1), (0, 0)) == (1,)
-
-
-def test_simulate_faulty_unexcited_fault(and_circuit):
-    a = and_circuit.signal_id("a")
-    assert simulate_faulty(and_circuit, Fault(a, 1), (1, 1)) == (1,)
-    assert simulate_faulty(and_circuit, Fault(a, 1), (1, 1)) == evaluate(and_circuit, (1, 1))
-
-
-def test_simulate_faulty_unknown_signal(and_circuit):
-    with pytest.raises(ValueError, match="unknown signal"):
-        simulate_faulty(and_circuit, Fault(99, 0), (1, 1))
-
-
-def test_simulate_faulty_matches_rewrite_oracle(sample6, sample6_text):
-    patterns = exhaustive_patterns(len(sample6.inputs))
-    for fault in enumerate_faults(sample6):
-        for pattern in patterns:
-            got = simulate_faulty(sample6, fault, pattern)
-            want = rewrite_fault_response(sample6_text, sample6, fault, pattern)
-            assert got == want, (fault, pattern)
-
-
 def test_unexcited_fault_equals_fault_free_everywhere(sample6):
     # if the stuck value matches the fault-free signal value, nothing changes
     patterns = exhaustive_patterns(len(sample6.inputs))
-    for pattern in patterns:
-        signal_values = evaluate_all_signals(sample6, pattern)
+    fdict = build_fault_dictionary(sample6, patterns)
+    names = sample6.signal_names
+    for p, pattern in enumerate(patterns):
+        values = recursive_signal_values(sample6, pattern)
         free = evaluate(sample6, pattern)
-        for sid, value in enumerate(signal_values):
-            assert simulate_faulty(sample6, Fault(sid, value), pattern) == free
+        for fi, fault in enumerate(fdict.faults):
+            if values[names[fault.signal]] == fault.stuck_value:
+                assert fdict.response(fi, p) == free, (fault, pattern)
 
 
 def test_dictionary_dimensions(and_circuit):
@@ -82,22 +60,24 @@ def test_dictionary_dimensions(and_circuit):
             assert fdict.response(f, p) in {(0,), (1,)}
 
 
-def test_dictionary_rows_match_per_pair_simulation(sample6):
+def test_dictionary_rows_match_per_pair_simulation(sample6, sample6_text):
     patterns = exhaustive_patterns(len(sample6.inputs))
     fdict = build_fault_dictionary(sample6, patterns)
-    assert fdict.fault_free == tuple(evaluate(sample6, p) for p in patterns)
+    for p, pattern in enumerate(patterns):
+        assert tuple((w >> p) & 1 for w in fdict.free_words) == evaluate(sample6, pattern)
     for fi, fault in enumerate(fdict.faults):
-        row = fdict.response_row(fi)
         for p, pattern in enumerate(patterns):
-            assert row[p] == simulate_faulty(sample6, fault, pattern)
+            want = rewrite_fault_response(sample6_text, sample6, fault, pattern)
+            assert fdict.response(fi, p) == want, (fault, pattern)
 
 
 def test_undetected_fault_rows_equal_fault_free(sample6):
     patterns = exhaustive_patterns(len(sample6.inputs))[:4]
     fdict = build_fault_dictionary(sample6, patterns)
-    for fi in range(len(fdict.faults)):
-        if fdict.fault_masks[fi] == 0:
-            assert fdict.response_row(fi) == fdict.fault_free
+    undetected = [fi for fi, m in enumerate(fdict.fault_masks) if not m]
+    assert undetected
+    for fi in undetected:
+        assert fdict.fault_words[fi] == fdict.free_words
 
 
 def test_detectability_matches_brute_force(sample6, sample6_text):
@@ -235,9 +215,9 @@ def test_replaced_rows_are_the_rows_read(sample6):
     replaced = dataclasses.replace(fdict, fault_words=inverted)
     assert replaced.fault_words == inverted != fdict.fault_words
     for fi in range(len(fdict.faults)):
-        want = tuple(tuple(1 - b for b in response) for response in fdict.response_row(fi))
-        assert replaced.response_row(fi) == want
-        assert [replaced.response(fi, p) for p in range(fdict.num_patterns)] == list(want)
+        for p in range(fdict.num_patterns):
+            want = tuple(1 - b for b in fdict.response(fi, p))
+            assert replaced.response(fi, p) == want
 
 
 @pytest.mark.parametrize("num_patterns", PATTERN_COUNTS)

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (central_difference_gradient, gradient_descent_ridge,
-                     naive_sigmoid_dot, newton_logistic, sigmoid_reference)
+                     naive_sigmoid_dot, newton_logistic, rbf_map_reference,
+                     sigmoid_reference)
 from testtrim.models import (KernelLogisticModel, TrainConfig, _sigmoid, fit_kernel_logistic,
                              fit_penalized_linear, load_model, logistic_cost_grad,
-                             predict_linear, predict_prob, rbf_features, rbf_map,
+                             predict_linear_batch, predict_prob_batch, rbf_features,
                              save_model)
 from testtrim.dataset import Standardizer
 
@@ -22,17 +23,20 @@ def _identity_standardizer(d=5):
 
 class TestPenalizedLinear:
     def test_closed_form_hand_example(self):
-        # (X^T X + a I)^-1 X^T Y = 5 / (5 + 1) with X = [[1],[2]], Y = [1,2], a = 1
-        model = fit_penalized_linear([[1.0], [2.0]], [1.0, 2.0], 1.0,
-                                     fit_intercept=False)
-        assert model.beta[0] == pytest.approx(5.0 / 6.0, abs=1e-12)
+        # the unpenalized intercept centres the design: Xc = Yc = (-1/2, 1/2),
+        # beta = (Xc^T Xc + a)^-1 Xc^T Yc = (1/2) / (1/2 + 1) = 1/3 with a = 1,
+        # intercept = mean(Y) - beta mean(X) = 3/2 - 1/2 = 1
+        model = fit_penalized_linear([[1.0], [2.0]], [1.0, 2.0], 1.0)
+        assert model.beta[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert model.intercept == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_alpha_interpolates_square_system(self):
+        # four rows, three features plus the intercept: four unknowns
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(3, 3))
-        Y = rng.normal(size=3)
-        model = fit_penalized_linear(X, Y, 0.0, fit_intercept=False)
-        assert X @ model.beta == pytest.approx(Y, abs=1e-9)
+        X = rng.normal(size=(4, 3))
+        Y = rng.normal(size=4)
+        model = fit_penalized_linear(X, Y, 0.0)
+        assert model.intercept + X @ model.beta == pytest.approx(Y, abs=1e-9)
 
     def test_huge_alpha_crushes_coefficients(self):
         rng = np.random.default_rng(1)
@@ -72,10 +76,11 @@ class TestPenalizedLinear:
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # duplicated column
         Y = np.array([1.0, 2.0, 3.0])
         with pytest.warns(RuntimeWarning, match="rank deficient"):
-            model = fit_penalized_linear(X, Y, 0.0, fit_intercept=False)
+            model = fit_penalized_linear(X, Y, 0.0)
         assert model.rank_deficient
-        want = np.linalg.lstsq(X, Y, rcond=None)[0]  # the minimum-norm solution
-        assert model.beta == pytest.approx(want, abs=1e-12)
+        A = np.column_stack([np.ones(3), X])
+        want = np.linalg.lstsq(A, Y, rcond=None)[0]  # the minimum-norm solution
+        assert [model.intercept, *model.beta] == pytest.approx(want, abs=1e-12)
 
     def test_singular_normal_matrix_falls_back_to_least_squares(self):
         # A has full column rank, but A^T A rounds to the singular [[3, 3], [3, 3]],
@@ -105,11 +110,14 @@ class TestPenalizedLinear:
 
 class TestLassoMode:
     def test_orthogonal_hand_example(self):
-        # on an identity design the lasso is coordinate-wise soft thresholding:
-        # beta_j = soft(y_j, alpha/2); y=(3,1), alpha=2 -> (2, 0)
-        model = fit_penalized_linear(np.eye(2), [3.0, 1.0], 2.0,
-                                     penalty="l1", fit_intercept=False)
+        # columns orthogonal to each other and to the intercept's ones: the
+        # lasso is coordinate-wise soft thresholding, beta_j =
+        # soft(c_j . Y, alpha/2) / ||c_j||^2 and intercept = mean(Y);
+        # c . Y = (6, 2), alpha = 4 -> beta = (4/2, 0/2), intercept 1
+        X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        model = fit_penalized_linear(X, [4.0, -2.0, 2.0, 0.0], 4.0, penalty="l1")
         assert model.beta == pytest.approx([2.0, 0.0], abs=1e-10)
+        assert model.intercept == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_alpha_equals_least_squares_exactly(self):
         rng = np.random.default_rng(4)
@@ -146,45 +154,46 @@ class TestLassoMode:
 class TestLinearPredict:
     def test_constant_model(self):
         model = fit_penalized_linear(np.zeros((4, 5)), np.full(4, 0.4), 1.0)
-        assert predict_linear(model, np.zeros(5)) == pytest.approx(0.4)
-        assert predict_linear(model, np.ones(5) * 7) == pytest.approx(0.4)
+        rows = np.array([np.zeros(5), np.ones(5) * 7])
+        assert predict_linear_batch(model, rows) == pytest.approx([0.4, 0.4])
 
     def test_zero_residual_fit_reproduces_training_rows(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         Y = np.array([2.0, -1.0, 1.0])
         model = fit_penalized_linear(X, Y, 0.0)
-        for x, y in zip(X, Y):
-            assert predict_linear(model, x) == pytest.approx(y, abs=1e-9)
+        assert predict_linear_batch(model, X) == pytest.approx(Y, abs=1e-9)
 
     def test_matches_naive_dot_product(self):
         rng = np.random.default_rng(7)
         model = fit_penalized_linear(rng.normal(size=(20, 5)), rng.normal(size=20), 0.3)
-        for _ in range(25):
-            x = rng.normal(size=5)
+        X = rng.normal(size=(25, 5))
+        for x, got in zip(X, predict_linear_batch(model, X)):
             naive = model.intercept + sum(float(a) * float(b)
                                           for a, b in zip(x, model.beta))
-            assert predict_linear(model, x) == pytest.approx(naive, abs=1e-12)
+            assert got == pytest.approx(naive, abs=1e-12)
 
 
 class TestRbfMap:
     def test_landmark_itself_maps_to_one(self):
+        # dyadic entries: the expanded-norm distance to itself is exactly 0
         landmarks = np.array([[0.5, -1.0, 2.0, 0.0, 1.0], [1.0] * 5])
-        phi = rbf_map(landmarks[0], landmarks, gamma=2.0)
+        phi = rbf_features(landmarks[:1], landmarks, gamma=2.0)[0]
         assert phi[0] == 1.0          # intercept feature
         assert phi[1] == 1.0          # zero distance
         assert 0.0 < phi[2] < 1.0
 
     def test_known_distance(self):
-        phi = rbf_map([1.0, 0.0], np.array([[0.0, 0.0]]), gamma=1.0)
-        assert phi[1] == pytest.approx(math.exp(-1.0), abs=1e-12)
-        phi = rbf_map([2.0, 0.0], np.array([[0.0, 0.0]]), gamma=0.25)
-        assert phi[1] == pytest.approx(math.exp(-1.0), abs=1e-12)
+        phi = rbf_features(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([[0.0, 0.0]]),
+                           gamma=1.0)
+        assert phi[:, 1] == pytest.approx([math.exp(-1.0), math.exp(-4.0)], abs=1e-12)
+        phi = rbf_features(np.array([[2.0, 0.0]]), np.array([[0.0, 0.0]]), gamma=0.25)
+        assert phi[0, 1] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_monotone_decreasing_in_distance(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=5)
         landmarks = rng.normal(size=(30, 5))
-        phi = rbf_map(x, landmarks, gamma=0.7)[1:]
+        phi = rbf_features(x[None, :], landmarks, gamma=0.7)[0, 1:]
         dists = [sum((a - b) ** 2 for a, b in zip(x, lm)) for lm in landmarks]
         order = np.argsort(dists)
         assert all(phi[order[i]] >= phi[order[i + 1]] - 1e-15
@@ -196,11 +205,11 @@ class TestRbfMap:
         landmarks = rng.normal(size=(6, 5))
         Phi = rbf_features(X, landmarks, gamma=1.3)
         for i, x in enumerate(X):
-            assert Phi[i] == pytest.approx(rbf_map(x, landmarks, 1.3), abs=1e-12)
+            assert Phi[i] == pytest.approx(rbf_map_reference(x, landmarks, 1.3), abs=1e-12)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
-            rbf_map([0.0], np.zeros((1, 1)), gamma=0.0)
+            rbf_features([[0.0]], np.zeros((1, 1)), gamma=0.0)
 
 
 class TestLogisticCostGrad:
@@ -264,7 +273,8 @@ class TestFitKernelLogistic:
         y = np.array([0.0, 1.0])
         model = fit_kernel_logistic(X, y, lam=0.01, gamma=1.0,
                                     config=TrainConfig(iterations=3000))
-        assert predict_prob(model, X[0]) < 0.5 < predict_prob(model, X[1])
+        p = predict_prob_batch(model, X)
+        assert p[0] < 0.5 < p[1]
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
@@ -366,7 +376,7 @@ class TestPredictProb:
 
     def test_zero_theta_gives_half(self):
         model = self._model(np.zeros(3), np.zeros((2, 4)))
-        assert predict_prob(model, np.ones(4)) == 0.5
+        assert predict_prob_batch(model, np.ones((3, 4))).tolist() == [0.5] * 3
 
     def test_negated_theta_mirrors_probability(self):
         rng = np.random.default_rng(15)
@@ -374,28 +384,26 @@ class TestPredictProb:
         landmarks = rng.normal(size=(4, 3))
         model = self._model(theta, landmarks)
         flipped = self._model(-theta, landmarks)
-        for _ in range(10):
-            x = rng.normal(size=3)
-            assert predict_prob(flipped, x) == pytest.approx(
-                1.0 - predict_prob(model, x), abs=1e-12)
+        X = rng.normal(size=(10, 3))
+        assert predict_prob_batch(flipped, X) == pytest.approx(
+            1.0 - predict_prob_batch(model, X), abs=1e-12)
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(16)
         theta = rng.normal(size=6)
         landmarks = rng.normal(size=(5, 5))
         model = self._model(theta, landmarks, gamma=0.8)
-        for _ in range(20):
-            x = rng.normal(size=5)
-            phi = rbf_map(x, landmarks, 0.8)
-            assert predict_prob(model, x) == pytest.approx(
-                naive_sigmoid_dot(theta, phi), abs=1e-12)
+        X = rng.normal(size=(20, 5))
+        for x, got in zip(X, predict_prob_batch(model, X)):
+            phi = rbf_map_reference(x, landmarks, 0.8)
+            assert got == pytest.approx(naive_sigmoid_dot(theta, phi), abs=1e-12)
 
     def test_strictly_inside_unit_interval(self):
         model = self._model([1000.0, 0.0], np.zeros((1, 2)))
-        p = predict_prob(model, np.zeros(2))
+        p = predict_prob_batch(model, np.zeros((1, 2)))[0]
         assert 0.0 < p < 1.0
         model = self._model([-1000.0, 0.0], np.zeros((1, 2)))
-        p = predict_prob(model, np.zeros(2))
+        p = predict_prob_batch(model, np.zeros((1, 2)))[0]
         assert 0.0 < p < 1.0
 
     def test_permuting_landmarks_with_theta_preserves_predictions(self):
@@ -406,10 +414,9 @@ class TestPredictProb:
         perm = rng.permutation(8)
         permuted = self._model(np.concatenate([[theta[0]], theta[1:][perm]]),
                                landmarks[perm])
-        for _ in range(10):
-            x = rng.normal(size=5)
-            assert predict_prob(permuted, x) == pytest.approx(
-                predict_prob(model, x), abs=1e-12)
+        X = rng.normal(size=(10, 5))
+        assert predict_prob_batch(permuted, X) == pytest.approx(
+            predict_prob_batch(model, X), abs=1e-12)
 
 
 class TestModelFiles:
@@ -455,9 +462,9 @@ class TestModelFiles:
                    loaded.train_circuits, loaded.tau)
         assert path.read_bytes() == second.read_bytes()
 
-        preds_orig = [predict_prob(model, x) for x in X[:5]]
-        preds_load = [predict_prob(loaded.model, x) for x in X[:5]]
-        assert preds_orig == preds_load
+        preds_orig = predict_prob_batch(model, X[:5])
+        preds_load = predict_prob_batch(loaded.model, X[:5])
+        assert preds_orig.tolist() == preds_load.tolist()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.txt"

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import AND_BENCH, random_small_circuit
-from oracles import recursive_truth_table_eval
+from oracles import recursive_truth_table_eval, structurally_equal
 from testtrim.faultsim import exhaustive_patterns
-from testtrim.netlist import (BenchParseError, evaluate, evaluate_all_signals,
-                              format_bench, parse_bench)
+from testtrim.netlist import BenchParseError, evaluate, format_bench, parse_bench
 
 
 def test_parse_smallest_legal_netlist(and_circuit):
@@ -64,8 +63,8 @@ def test_evaluate_rejects_non_bits(and_circuit):
 
 def test_roundtrip_fixture(sample6):
     again = parse_bench(format_bench(sample6), name=sample6.name)
-    assert sample6.structurally_equal(again)
-    assert again.structurally_equal(sample6)
+    assert structurally_equal(sample6, again)
+    assert structurally_equal(again, sample6)
 
 
 @settings(max_examples=30, deadline=None)
@@ -73,7 +72,7 @@ def test_roundtrip_fixture(sample6):
 def test_roundtrip_random_circuits(seed):
     circuit = random_small_circuit(seed)
     again = parse_bench(format_bench(circuit), name=circuit.name)
-    assert circuit.structurally_equal(again)
+    assert structurally_equal(circuit, again)
 
 
 def test_gates_topologically_sorted_even_when_declared_backwards():
@@ -120,14 +119,18 @@ def test_all_gate_kinds_evaluate():
         assert got == want
 
 
-def test_evaluate_all_signals(sample6):
+def test_evaluate_all_signals(sample6_text):
+    # every gate output declared an output, so evaluate reports its value
+    internal = "".join(f"OUTPUT({n})\n" for n in ("g1", "g2", "g3", "g4"))
+    circuit = parse_bench(sample6_text + internal)
     pattern = (1, 1, 0, 0, 1)
-    values = evaluate_all_signals(sample6, pattern)
-    assert len(values) == sample6.signal_count
-    by_name = dict(zip(sample6.signal_names, values))
+    by_name = {circuit.signal_names[o]: v
+               for o, v in zip(circuit.outputs, evaluate(circuit, pattern))}
     assert by_name["g1"] == 1      # AND(1, 1)
     assert by_name["g2"] == 1      # NOR(0, 0)
     assert by_name["g3"] == 0      # XOR(1, 1)
+    assert by_name["g4"] == 1      # NAND(g3, 1)
+    assert by_name["p"] == 1       # OR(g4, g2)
     assert by_name["q"] == 1       # NOT(g3)
 
 
