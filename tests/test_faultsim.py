@@ -71,6 +71,17 @@ def test_dictionary_rows_match_per_pair_simulation(sample6, sample6_text):
             assert fdict.response(fi, p) == want, (fault, pattern)
 
 
+def test_simulate_faulty_matches_rewrite_oracle(sample6, sample6_text):
+    # one pattern per dictionary: each faulty response is simulated on its own,
+    # in a single-bit word, rather than as one lane of a packed batch
+    patterns = exhaustive_patterns(len(sample6.inputs))
+    for pattern in patterns:
+        fdict = build_fault_dictionary(sample6, [pattern])
+        for fi, fault in enumerate(fdict.faults):
+            want = rewrite_fault_response(sample6_text, sample6, fault, pattern)
+            assert fdict.response(fi, 0) == want, (fault, pattern)
+
+
 def test_undetected_fault_rows_equal_fault_free(sample6):
     patterns = exhaustive_patterns(len(sample6.inputs))[:4]
     fdict = build_fault_dictionary(sample6, patterns)
