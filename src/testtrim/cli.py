@@ -89,8 +89,8 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_corpus_files(cfg: RunConfig):
-    """The corpus traces, the dataset derived from them (``dataset.csv`` is
-    an export only) and the config ``generate`` recorded with them.
+    """The dataset derived from the corpus traces (``dataset.csv`` is an
+    export only) and the config ``generate`` recorded with them.
 
     A ``corpus.*`` setting of ``cfg`` that differs from that record is
     refused: the files describe another corpus.
@@ -105,8 +105,7 @@ def _load_corpus_files(cfg: RunConfig):
     except ValueError as exc:
         raise ValueError(f"{record_path}: {exc}") from None
     check_same_corpus(cfg, record, record_path)
-    traces = read_traces(traces_path)
-    return dataset_from_traces(traces), traces, record
+    return dataset_from_traces(read_traces(traces_path)), record
 
 
 def cmd_generate(cfg: RunConfig) -> int:
@@ -114,7 +113,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     corpus = corpus_mod.build_corpus(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if corpus.generated:
+    if cfg.corpus_netlist_dir is None:
         netdir = out / "netlists"
         netdir.mkdir(exist_ok=True)
         for circuit in corpus.circuits:
@@ -151,10 +150,11 @@ def _fit_from_split(cfg: RunConfig, split: corpus_mod.CorpusSplit):
             X_train, split.train.labels_binary(), cfg.model_lambda, cfg.model_gamma,
             _train_config(cfg))
     if cfg.policy_tau == "auto":
-        if not split.validation_traces:
+        if split.validation is None:
             raise ValueError("policy.tau = auto needs a validation split "
                              "(set split.validation_fraction > 0)")
-        tau = ev.select_tau(model, std, split.validation, split.validation_traces)
+        tau = ev.select_tau(split.validation,
+                            ev.score_matrix(model, std.transform(split.validation.X)))
     else:
         tau = float(cfg.policy_tau)
     return model, std, tau
@@ -163,9 +163,8 @@ def _fit_from_split(cfg: RunConfig, split: corpus_mod.CorpusSplit):
 def cmd_train(cfg: RunConfig) -> int:
     """Fit the configured model and stop threshold, write model.txt."""
     out = Path(cfg.out_dir)
-    dataset, traces, _ = _load_corpus_files(cfg)
-    split = corpus_mod.split_corpus(dataset, traces, cfg,
-                                    with_validation=cfg.policy_tau == "auto")
+    dataset, _ = _load_corpus_files(cfg)
+    split = corpus_mod.split_corpus(dataset, cfg, with_validation=cfg.policy_tau == "auto")
     model, std, tau = _fit_from_split(cfg, split)
     save_model(out / "model.txt", model, std,
                train_circuits=sorted(split.trainval_circuits), tau=tau)
@@ -188,8 +187,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if not model_path.exists():
         raise FileNotFoundError(f"missing {model_path}; run 'testtrim train' first")
     loaded = load_model(model_path)
-    dataset, traces, record = _load_corpus_files(cfg)
-    split = corpus_mod.split_corpus(dataset, traces, cfg, with_validation=False)
+    dataset, record = _load_corpus_files(cfg)
+    split = corpus_mod.split_corpus(dataset, cfg, with_validation=False)
 
     overlap = set(split.test.circuit_ids) & set(loaded.train_circuits)
     if overlap:
@@ -198,12 +197,14 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             f"{sorted(overlap)[:5]}{'...' if len(overlap) > 5 else ''}")
 
     tau = loaded.tau if loaded.tau is not None else 0.5
-    policy = ev.TerminationPolicy(loaded.model, tau, loaded.standardizer)
-    report = ev.evaluate(policy, split.test, split.test_traces, corpus_seed=record.corpus_seed)
+    scores = ev.score_matrix(loaded.model, loaded.standardizer.transform(split.test.X))
+    report = ev.evaluate(split.test, scores, tau)
     cls_acc = report.classification_accuracy
+    model = ev.model_descriptor(loaded.model)
     ev.write_report_csv(report, out / "report.csv")
-    ev.write_summary_csv(report, out / "summary.csv", classification_acc=cls_acc)
-    print(f"evaluated {report.model} at tau={report.tau:g}: "
+    ev.write_summary_csv(report, out / "summary.csv", model, record.corpus_seed,
+                         classification_acc=cls_acc)
+    print(f"evaluated {model} at tau={report.tau:g}: "
           f"diagnosis_accuracy={report.diagnosis_accuracy:.4f} "
           f"volume_reduction={report.volume_reduction:.4f} "
           f"classification_accuracy={cls_acc:.4f}")
@@ -213,9 +214,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     """Emit sweep_alpha.csv, beta_weights.csv and learning_curve.csv."""
     out = Path(cfg.out_dir)
-    dataset, traces, _ = _load_corpus_files(cfg)
-    split = corpus_mod.split_corpus(dataset, traces, cfg, with_validation=True)
-    if not split.validation_traces:
+    dataset, _ = _load_corpus_files(cfg)
+    split = corpus_mod.split_corpus(dataset, cfg, with_validation=True)
+    if split.validation is None:
         raise ValueError("sweep needs a validation split "
                          "(set split.validation_fraction > 0)")
 
@@ -226,22 +227,21 @@ def cmd_sweep(cfg: RunConfig) -> int:
     sizes = ev.curve_sizes(len(split.train))
     curve = ev.learning_curve(
         sizes, split.train, split.test, cfg.model_lambda, cfg.model_gamma,
-        _train_config(cfg), seed=cfg.model_seed)
+        _train_config(cfg))
     ev.write_curve_csv(curve, out / "learning_curve.csv")
     print(f"sweep done: {len(points)} alpha points, {len(curve)} curve sizes")
     return 0
 
 
 def cmd_oracle_eval(cfg: RunConfig) -> int:
-    """Evaluate the ground-truth scorer through the same policy machinery."""
+    """Evaluate the ground-truth scorer (each row's label) on the held-out circuits."""
     out = Path(cfg.out_dir)
-    dataset, traces, record = _load_corpus_files(cfg)
-    split = corpus_mod.split_corpus(dataset, traces, cfg, with_validation=False)
+    dataset, record = _load_corpus_files(cfg)
+    split = corpus_mod.split_corpus(dataset, cfg, with_validation=False)
     tau = 1.0 if cfg.policy_tau == "auto" else float(cfg.policy_tau)
-    policy = ev.TerminationPolicy(ev.OracleScorer(), tau)
-    report = ev.evaluate(policy, split.test, split.test_traces, corpus_seed=record.corpus_seed)
+    report = ev.evaluate(split.test, split.test.y, tau)
     ev.write_report_csv(report, out / "oracle_report.csv")
-    ev.write_summary_csv(report, out / "oracle_summary.csv")
+    ev.write_summary_csv(report, out / "oracle_summary.csv", "oracle", record.corpus_seed)
     print(f"oracle policy at tau={tau:g}: "
           f"diagnosis_accuracy={report.diagnosis_accuracy:.4f} "
           f"volume_reduction={report.volume_reduction:.4f}")

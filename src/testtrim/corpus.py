@@ -31,7 +31,6 @@ class Corpus:
     traces: list[DiagnosisTrace]
     dataset: Dataset
     seed: int
-    generated: bool
 
 
 def _patterns_for(circuit: Circuit, spec: int | str, seed: int):
@@ -57,6 +56,19 @@ def build_corpus(cfg: RunConfig) -> Corpus:
     dictionaries: list[FaultDictionary] = []
     traces: list[DiagnosisTrace] = []
 
+    def fill_slot(circuit: Circuit, rng: random.Random) -> bool:
+        """Add ``circuit`` with a fault drawn from those its patterns
+        detect; False, adding nothing, when they detect none."""
+        patterns = _patterns_for(circuit, cfg.corpus_patterns, rng.randrange(1 << 32))
+        fdict = build_fault_dictionary(circuit, patterns, seed=cfg.corpus_seed)
+        detectable = fdict.detected_fault_indices()
+        if not detectable:
+            return False
+        circuits.append(circuit)
+        dictionaries.append(fdict)
+        traces.append(trace_diagnosis(fdict, fdict.faults[rng.choice(detectable)]))
+        return True
+
     if cfg.corpus_netlist_dir is not None:
         paths = sorted(Path(cfg.corpus_netlist_dir).glob("*.bench"))
         if not paths:
@@ -66,16 +78,7 @@ def build_corpus(cfg: RunConfig) -> Corpus:
                 circuit = parse_bench(path.read_text(), name=path.stem)
             except BenchParseError as exc:
                 raise BenchParseError(f"{path}: {exc}") from None
-            rng = _slot_rng(cfg.corpus_seed, slot, 0)
-            patterns = _patterns_for(circuit, cfg.corpus_patterns, rng.randrange(1 << 32))
-            fdict = build_fault_dictionary(circuit, patterns, seed=cfg.corpus_seed)
-            detectable = fdict.detected_fault_indices()
-            if not detectable:
-                continue
-            injected = fdict.faults[rng.choice(detectable)]
-            circuits.append(circuit)
-            dictionaries.append(fdict)
-            traces.append(trace_diagnosis(fdict, injected))
+            fill_slot(circuit, _slot_rng(cfg.corpus_seed, slot, 0))
     else:
         for slot in range(cfg.corpus_circuits):
             for attempt in range(_MAX_GENERATION_ATTEMPTS):
@@ -84,18 +87,11 @@ def build_corpus(cfg: RunConfig) -> Corpus:
                     f"c{slot:03d}", rng,
                     min_inputs=cfg.corpus_min_inputs, max_inputs=cfg.corpus_max_inputs,
                     min_gates=cfg.corpus_min_gates, max_gates=cfg.corpus_max_gates)
-                patterns = _patterns_for(circuit, cfg.corpus_patterns, rng.randrange(1 << 32))
-                fdict = build_fault_dictionary(circuit, patterns, seed=cfg.corpus_seed)
-                detectable = fdict.detected_fault_indices()
-                if detectable:
+                if fill_slot(circuit, rng):
                     break
             else:
                 raise RuntimeError(f"no detectable fault found for slot {slot} after "
                                    f"{_MAX_GENERATION_ATTEMPTS} attempts")
-            injected = fdict.faults[rng.choice(detectable)]
-            circuits.append(circuit)
-            dictionaries.append(fdict)
-            traces.append(trace_diagnosis(fdict, injected))
 
     if not traces:
         raise ValueError("corpus produced no diagnosable traces")
@@ -105,21 +101,16 @@ def build_corpus(cfg: RunConfig) -> Corpus:
         traces=traces,
         dataset=dataset_from_traces(traces),
         seed=cfg.corpus_seed,
-        generated=cfg.corpus_netlist_dir is None,
     )
 
 
 @dataclass
 class CorpusSplit:
-    """Circuit-disjoint train / validation / test portions with their traces,
-    each trace list in its portion's circuit order."""
+    """Circuit-disjoint train / validation / test portions."""
 
     train: Dataset
     validation: Dataset | None
     test: Dataset
-    train_traces: list[DiagnosisTrace]
-    validation_traces: list[DiagnosisTrace]
-    test_traces: list[DiagnosisTrace]
 
     @property
     def trainval_circuits(self) -> set[str]:
@@ -129,7 +120,7 @@ class CorpusSplit:
         return ids
 
 
-def split_corpus(dataset: Dataset, traces: list[DiagnosisTrace], cfg: RunConfig,
+def split_corpus(dataset: Dataset, cfg: RunConfig,
                  with_validation: bool = True) -> CorpusSplit:
     """Two seeded circuit-level splits: test held out first, then validation
     carved from the train side when requested."""
@@ -140,16 +131,4 @@ def split_corpus(dataset: Dataset, traces: list[DiagnosisTrace], cfg: RunConfig,
         # derived seed keeps the two shuffles independent
         train, validation = split(trainval, 1.0 - cfg.split_validation_fraction,
                                   cfg.split_seed + 1)
-
-    by_id = {t.circuit_id: t for t in traces}
-    def pick(ds: Dataset | None) -> list[DiagnosisTrace]:
-        if ds is None:
-            return []
-        return [by_id[cid] for cid in ds.circuit_ids]
-
-    return CorpusSplit(
-        train=train, validation=validation, test=test,
-        train_traces=pick(train),
-        validation_traces=pick(validation),
-        test_traces=pick(test),
-    )
+    return CorpusSplit(train=train, validation=validation, test=test)

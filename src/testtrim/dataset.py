@@ -8,12 +8,14 @@ Each failing pattern of a trace becomes one row with five features:
     x4  index of this failing pattern
     x5  index of the circuit's last failing pattern
 
-plus the regression label y.  A :class:`Dataset` holds these as arrays:
-the float feature matrix ``X``, the label vector ``y``, and the circuit
-boundaries (circuit ids plus row offsets), so circuit ``c`` owns rows
-``offsets[c]:offsets[c + 1]`` in trace order.  Rows of one circuit are
-heavily correlated (they share x1/x3/x5), so train/test splits cut whole
-circuits.
+plus the regression label y and the row's convergence ratio m.  A
+:class:`Dataset` holds these as arrays: the float feature matrix ``X``,
+the label vector ``y``, the ratio vector ``m``, each circuit's applied
+pattern count ``total_patterns``, and the circuit boundaries (circuit ids
+plus row offsets), so circuit ``c`` owns rows ``offsets[c]:offsets[c + 1]``
+in trace order.  A split's ``Dataset`` is all that scoring a stop policy
+on it needs.  Rows of one circuit are heavily correlated (they share
+x1/x3/x5), so train/test splits cut whole circuits.
 """
 
 from __future__ import annotations
@@ -66,15 +68,19 @@ class Standardizer:
 class Dataset:
     """Feature rows of whole circuits, as arrays.
 
-    ``X`` is the ``(rows, 5)`` float feature matrix and ``y`` the labels;
-    circuit ``circuit_ids[c]`` owns rows ``offsets[c]:offsets[c + 1]``.
-    ``X`` holds raw features; a fit standardizes them with a
-    :class:`Standardizer` fitted on its training portion.
+    ``X`` is the ``(rows, 5)`` float feature matrix, ``y`` the labels and
+    ``m`` the convergence ratios, one per row; circuit ``circuit_ids[c]``
+    owns rows ``offsets[c]:offsets[c + 1]`` and applied
+    ``total_patterns[c]`` patterns.  ``X`` holds raw features; a fit
+    standardizes them with a :class:`Standardizer` fitted on its training
+    portion.
     """
 
     X: np.ndarray
     y: np.ndarray
+    m: np.ndarray
     circuit_ids: list[str]
+    total_patterns: np.ndarray
     offsets: np.ndarray
 
     def __len__(self) -> int:
@@ -94,16 +100,18 @@ def _offsets(counts: Sequence[int]) -> np.ndarray:
 
 def dataset_from_traces(traces: Iterable[DiagnosisTrace]) -> Dataset:
     """One row per failing pattern of each trace, circuits in trace order."""
-    ids, counts, x1, x3, x4, x5, y = [], [], [], [], [], [], []
+    ids, totals, counts, x1, x3, x4, x5, y, m = [], [], [], [], [], [], [], [], []
     for t in traces:
         failing = t.failing_indices
         ids.append(t.circuit_id)
+        totals.append(t.total_patterns)
         counts.append(len(failing))
         x1.append(t.num_inputs)
         x3.append(failing[0])
         x5.append(failing[-1])
         x4.extend(failing)
         y.extend(t.y_values)
+        m.extend(t.m_values)
     offsets = _offsets(counts)
     X = np.empty((len(x4), NUM_FEATURES))
     X[:, 0] = np.repeat(x1, counts)
@@ -111,7 +119,8 @@ def dataset_from_traces(traces: Iterable[DiagnosisTrace]) -> Dataset:
     X[:, 2] = np.repeat(x3, counts)
     X[:, 3] = x4
     X[:, 4] = np.repeat(x5, counts)
-    return Dataset(X, np.array(y, dtype=float), ids, offsets)
+    return Dataset(X, np.array(y, dtype=float), np.array(m, dtype=float), ids,
+                   np.array(totals, dtype=np.int64), offsets)
 
 
 def _take(dataset: Dataset, keep: np.ndarray) -> Dataset:
@@ -119,7 +128,8 @@ def _take(dataset: Dataset, keep: np.ndarray) -> Dataset:
     counts = np.diff(dataset.offsets)
     rows = np.repeat(keep, counts)
     ids = [cid for cid, k in zip(dataset.circuit_ids, keep) if k]
-    return Dataset(dataset.X[rows], dataset.y[rows], ids, _offsets(counts[keep]))
+    return Dataset(dataset.X[rows], dataset.y[rows], dataset.m[rows], ids,
+                   dataset.total_patterns[keep], _offsets(counts[keep]))
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

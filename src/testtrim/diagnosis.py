@@ -37,7 +37,7 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .faultsim import Fault, FaultDictionary
 
@@ -183,37 +183,24 @@ def write_traces(traces: Iterable[DiagnosisTrace], path) -> None:
                 ])
 
 
-class _TraceRecord(NamedTuple):
-    circuit_id: str
-    num_inputs: int
-    total_patterns: int
-    k: int
-    failing_index: int
-    intermediate_size: int
-    golden_size: int
-    m: float
-    y: float
-
-
-def _parse_trace_record(fields: list[str]) -> _TraceRecord:
-    m, y = float(fields[7]), float(fields[8])
-    if not (math.isfinite(m) and math.isfinite(y)):
-        raise ValueError(f"non-finite m or y ({fields[7]!r}, {fields[8]!r})")
-    return _TraceRecord(fields[0], *map(int, fields[1:7]), m, y)
-
-
 def read_traces(path) -> list[DiagnosisTrace]:
-    """Rebuild traces from a CSV export.
+    """Rebuild traces from a CSV export, in one pass over its records.
 
     Each record carries its circuit's applied pattern count, so a reader
     needs no corpus settings.  Loaded traces carry no injected-fault ground
     truth.  Raises ``ValueError`` on a different header, on a file without
     records, and, naming the file and line, on a record with the wrong
-    number of fields (as a truncated file leaves) or a bad value; blank
-    lines are skipped.  A circuit whose records stop before its golden set
-    is reached is rejected too.
+    number of fields (as a truncated file leaves), a bad value, a k that
+    does not continue its circuit's records (a circuit's records come in k
+    order, as :func:`write_traces` writes them), or an m or y other than
+    the one its candidate-set sizes give, to six digits; blank lines are
+    skipped.  A circuit whose records stop before its golden set is
+    reached is rejected too.  So a loaded row has y == 1 exactly where its
+    intermediate size is the golden size (a non-converged y reaches
+    1.000000 only above two million candidates).
     """
-    groups: dict[str, list[_TraceRecord]] = {}
+    traces: dict[str, DiagnosisTrace] = {}
+    lines: dict[str, list[int]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -225,35 +212,51 @@ def read_traces(path) -> list[DiagnosisTrace]:
             try:
                 if len(fields) != len(TRACE_HEADER):
                     raise ValueError(f"expected {len(TRACE_HEADER)} fields, got {len(fields)}")
-                rec = _parse_trace_record(fields)
+                m, y = float(fields[7]), float(fields[8])
+                if not (math.isfinite(m) and math.isfinite(y)):
+                    raise ValueError(f"non-finite m or y ({fields[7]!r}, {fields[8]!r})")
+                num_inputs, total, k, failing, size, golden = map(int, fields[1:7])
+                cid = fields[0]
+                t = traces.get(cid)
+                if t is None:
+                    t = traces[cid] = DiagnosisTrace(cid, num_inputs, total, [], [], golden,
+                                                     [], [])
+                    lines[cid] = []
+                if k != t.num_failing + 1:
+                    raise ValueError(f"non-contiguous k sequence for circuit '{cid}'")
             except ValueError as exc:
                 raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-            groups.setdefault(rec.circuit_id, []).append(rec)
-    if not groups:
+            t.failing_indices.append(failing)
+            t.intermediate_sizes.append(size)
+            t.m_values.append(m)
+            t.y_values.append(y)
+            lines[cid].append(reader.line_num)
+    if not traces:
         raise ValueError(f"trace file {path} holds no rows")
 
-    traces = []
-    for cid, rows in groups.items():
-        rows.sort(key=lambda r: r.k)
-        if [r.k for r in rows] != list(range(1, len(rows) + 1)):
-            raise ValueError(f"{path}: non-contiguous k sequence for circuit '{cid}'")
-        failing = [r.failing_index for r in rows]
-        first = rows[0]
-        if first.total_patterns < failing[-1]:
-            raise ValueError(f"{path}: circuit '{cid}': total_patterns {first.total_patterns} "
-                             f"is below its last failing pattern {failing[-1]}")
-        if rows[-1].intermediate_size != first.golden_size:
+    for cid, t in traces.items():
+        if t.total_patterns < t.failing_indices[-1]:
+            raise ValueError(f"{path}: circuit '{cid}': total_patterns {t.total_patterns} "
+                             f"is below its last failing pattern {t.failing_indices[-1]}")
+        if t.intermediate_sizes[-1] != t.golden_size:
             raise ValueError(f"{path}: circuit '{cid}' ends at intermediate size "
-                             f"{rows[-1].intermediate_size}, not at its golden size "
-                             f"{first.golden_size}")
-        traces.append(DiagnosisTrace(
-            circuit_id=cid,
-            num_inputs=first.num_inputs,
-            total_patterns=first.total_patterns,
-            failing_indices=failing,
-            intermediate_sizes=[r.intermediate_size for r in rows],
-            golden_size=first.golden_size,
-            m_values=[r.m for r in rows],
-            y_values=[r.y for r in rows],
-        ))
-    return traces
+                             f"{t.intermediate_sizes[-1]}, not at its golden size "
+                             f"{t.golden_size}")
+        _check_labels(path, t, lines[cid])
+    return list(traces.values())
+
+
+def _check_labels(path, trace: DiagnosisTrace, lines: list[int]) -> None:
+    """Reject a record whose m or y differs, at six digits, from the value
+    its circuit's candidate-set sizes give (:func:`compute_labels`)."""
+    golden = trace.golden_size
+    for size, line in zip(trace.intermediate_sizes, lines):
+        if not 0 < golden <= size:
+            raise ValueError(f"{path} line {line}: intermediate size {size} and golden "
+                             f"size {golden} break 1 <= golden <= intermediate")
+    m_values = [golden / size for size in trace.intermediate_sizes]
+    for m, y, m_read, y_read, line in zip(m_values, compute_labels(m_values),
+                                          trace.m_values, trace.y_values, lines):
+        if round(m, 6) != m_read or round(y, 6) != y_read:
+            raise ValueError(f"{path} line {line}: m {m_read:.6f} and y {y_read:.6f} differ "
+                             f"from {m:.6f} and {y:.6f} given by the candidate-set sizes")

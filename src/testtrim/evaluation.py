@@ -1,19 +1,19 @@
-"""Termination policies and the experiment sweeps built on them.
+"""Stop policies scored on a split, and the experiment sweeps built on them.
 
-A policy wraps a trained model and a threshold tau: walking a failing
-circuit's rows in order, testing stops at the first row whose model score
-reaches tau (linear predictions are clamped to [0, 1] first).  A circuit
-whose rows never reach tau runs to its last failing pattern.
-
-Each (model, split) pair is scored once: the split's standardized feature
-matrix goes through one :func:`score_matrix` call, and every stop decision,
-at every tau tried, is read off that one score vector cut at the split's
-circuit boundaries.
+A stop policy is a score per row and a threshold tau: walking a failing
+circuit's rows in order, testing stops at the first row whose score
+reaches tau, or at the circuit's last failing pattern when none does.
+There is no policy object: :func:`evaluate` takes a split's
+:class:`~testtrim.dataset.Dataset` and one score vector over its rows, and
+reads every fact of a stop off the stop row.  A trained model gives that
+vector through one :func:`score_matrix` call on the split's standardized
+rows (linear predictions clamped to [0, 1]); the oracle policy scores each
+row with its label ``y``.  Every tau tried reads the same vector.
 
 The headline metrics:
 
 * diagnosis accuracy: fraction of circuits whose candidate set had already
-  converged to the golden set (m = 1) when testing stopped;
+  converged to the golden set (m = 1, hence y = 1) when testing stopped;
 * volume reduction: fraction of applied patterns saved by stopping,
   averaged per circuit, counting passing and failing patterns alike.
 
@@ -33,7 +33,6 @@ import numpy as np
 
 from .corpus import CorpusSplit
 from .dataset import Dataset, Standardizer
-from .diagnosis import DiagnosisTrace
 from .models import (KernelLogisticModel, LinearModel, TrainConfig,
                      fit_kernel_logistic, fit_penalized_linear,
                      predict_linear_batch, predict_prob_batch)
@@ -43,50 +42,17 @@ DEFAULT_ALPHA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 DEFAULT_CURVE_FRACTIONS = (0.05, 0.1, 0.2, 1 / 3, 0.5, 2 / 3, 0.85, 1.0)
 
 
-class OracleScorer:
-    """Scores each row with its ground-truth label; the perfect policy."""
-
-    def __repr__(self) -> str:
-        return "OracleScorer()"
-
-
-Scorer = LinearModel | KernelLogisticModel | OracleScorer
-
-
-@dataclass
-class TerminationPolicy:
-    """A scorer plus a stop threshold, fixed before touching the test set."""
-
-    model: Scorer
-    tau: float
-    standardizer: Standardizer | None = None
-
-
-def model_descriptor(model: Scorer) -> str:
-    if isinstance(model, OracleScorer):
-        return "oracle"
+def model_descriptor(model: LinearModel | KernelLogisticModel) -> str:
     if isinstance(model, LinearModel):
         return f"linear(alpha={model.alpha:g},penalty={model.penalty})"
     return f"kernel-logistic(lambda={model.lam:g},gamma={model.gamma:g})"
 
 
-def score_matrix(model: Scorer, X_std: np.ndarray) -> np.ndarray:
+def score_matrix(model: LinearModel | KernelLogisticModel, X_std: np.ndarray) -> np.ndarray:
     """Model scores in [0, 1] for standardized feature rows."""
     if isinstance(model, LinearModel):
         return np.clip(predict_linear_batch(model, X_std), 0.0, 1.0)
-    if isinstance(model, KernelLogisticModel):
-        return predict_prob_batch(model, X_std)
-    raise TypeError(f"cannot score rows with {model!r}")
-
-
-def _row_scores(model: Scorer, standardizer: Standardizer | None,
-                data: Dataset) -> np.ndarray:
-    """The score of every row of ``data``; the oracle scores with the labels."""
-    if isinstance(model, OracleScorer):
-        return data.y
-    if standardizer is None:
-        raise ValueError("policy needs the training standardizer to score traces")
-    return score_matrix(model, standardizer.transform(data.X))
+    return predict_prob_batch(model, X_std)
 
 
 def _stop_ordinals(scores: np.ndarray, offsets: np.ndarray, tau: float) -> np.ndarray:
@@ -119,81 +85,59 @@ class TerminationReport:
     volume_reduction: float
     per_circuit: list[CircuitOutcome]
     tau: float
-    model: str
     classification_accuracy: float
-    corpus_seed: int | None = None
 
 
-def _report(model: Scorer, scores: np.ndarray, data: Dataset,
-            traces: Sequence[DiagnosisTrace], tau: float,
-            corpus_seed: int | None = None) -> TerminationReport:
-    """The policy (model, tau) on ``traces``, given the score of every row
-    of ``data``, the traces' feature rows."""
-    if not traces:
+def evaluate(data: Dataset, scores: np.ndarray, tau: float) -> TerminationReport:
+    """Stop every circuit of ``data`` at its first row whose score is >= tau,
+    or at its last row, and summarize.
+
+    ``scores`` holds one score per row of ``data``.  The stop row gives the
+    terminated pattern (its x4), the convergence ratio m there, and
+    whether the stop is correct: the candidate set has converged to the
+    golden set, i.e. y == 1.  The saved volume counts every pattern after
+    the stopping one.  ``classification_accuracy`` reads the same scores
+    at 0.5.
+    """
+    if not data.circuit_ids:
         raise ValueError("empty test set")
-    if data.circuit_ids != [t.circuit_id for t in traces]:
-        raise ValueError("feature rows and traces cover different circuits")
-    outcomes = []
-    for t, k_star in zip(traces, _stop_ordinals(scores, data.offsets, tau).tolist()):
-        outcomes.append(CircuitOutcome(
-            circuit_id=t.circuit_id,
-            k_star=k_star,
-            terminated_pattern=t.failing_indices[k_star - 1],
-            m_at_termination=t.m_values[k_star - 1],
-            correct=t.intermediate_sizes[k_star - 1] == t.golden_size,
-        ))
+    k_star = _stop_ordinals(scores, data.offsets, tau)
+    rows = data.offsets[:-1] + k_star - 1
+    outcomes = [
+        CircuitOutcome(circuit_id=cid, k_star=k, terminated_pattern=int(pattern),
+                       m_at_termination=m, correct=y == 1.0)
+        for cid, k, pattern, m, y in zip(data.circuit_ids, k_star.tolist(),
+                                         data.X[rows, 3].tolist(), data.m[rows].tolist(),
+                                         data.y[rows].tolist())
+    ]
     accuracy = sum(o.correct for o in outcomes) / len(outcomes)
+    # a Python sum in circuit order: select_tau breaks ties on this value
     reduction = sum(
-        (t.total_patterns - o.terminated_pattern) / t.total_patterns
-        for t, o in zip(traces, outcomes)
+        (total - o.terminated_pattern) / total
+        for total, o in zip(data.total_patterns.tolist(), outcomes)
     ) / len(outcomes)
     return TerminationReport(
         diagnosis_accuracy=accuracy,
         volume_reduction=reduction,
         per_circuit=outcomes,
         tau=tau,
-        model=model_descriptor(model),
         classification_accuracy=classification_accuracy(scores, data.y),
-        corpus_seed=corpus_seed,
     )
 
 
-def evaluate(policy: TerminationPolicy, data: Dataset, traces: Sequence[DiagnosisTrace],
-             corpus_seed: int | None = None) -> TerminationReport:
-    """Apply the policy to every trace and summarize.
-
-    ``data`` holds the traces' feature rows (``dataset_from_traces(traces)``
-    or the matching split); it is scored once.  A circuit stops at its
-    first row scoring >= tau, or at its last row.  A stop is correct when
-    the intermediate candidate set equals the golden set at the stopping
-    row; the saved volume counts every pattern after the stopping one.
-    ``classification_accuracy`` reads the same scores at 0.5.
-    """
-    scores = _row_scores(policy.model, policy.standardizer, data)
-    return _report(policy.model, scores, data, traces, policy.tau, corpus_seed)
-
-
-def _pick_tau(model: Scorer, scores: np.ndarray, data: Dataset,
-              traces: Sequence[DiagnosisTrace], grid: Sequence[float]) -> float:
-    scored = []
-    for tau in grid:
-        rep = _report(model, scores, data, traces, tau)
-        scored.append((rep.diagnosis_accuracy, rep.volume_reduction, -tau, tau))
-    eligible = [s for s in scored if s[1] > 0.0]
-    pool = eligible if eligible else scored
-    return max(pool)[3]
-
-
-def select_tau(model: Scorer, standardizer: Standardizer | None, data: Dataset,
-               traces: Sequence[DiagnosisTrace],
-               grid: Sequence[float] = DEFAULT_TAU_GRID) -> float:
-    """Pick tau on validation traces (feature rows ``data``, scored once):
-    best accuracy subject to reduction > 0.
+def select_tau(data: Dataset, scores: np.ndarray) -> float:
+    """Pick tau from ``DEFAULT_TAU_GRID`` on validation rows ``data`` scored
+    ``scores``: best accuracy subject to reduction > 0.
 
     Ties prefer higher reduction, then the smaller tau.  If no grid point
     yields positive reduction the constraint is dropped.
     """
-    return _pick_tau(model, _row_scores(model, standardizer, data), data, traces, grid)
+    scored = []
+    for tau in DEFAULT_TAU_GRID:
+        rep = evaluate(data, scores, tau)
+        scored.append((rep.diagnosis_accuracy, rep.volume_reduction, -tau, tau))
+    pool = [s for s in scored if s[1] > 0.0] or scored
+    return max(pool)[3]
 
 
 def sweep_lasso_alpha(alpha: float, n: int) -> float:
@@ -212,9 +156,8 @@ class AlphaPoint:
     intercept: float
 
 
-def sweep_alpha(alphas: Sequence[float], split: CorpusSplit, penalty: str = "l1",
-                tau_grid: Sequence[float] = DEFAULT_TAU_GRID) -> list[AlphaPoint]:
-    """One linear model per alpha, each taken through the same policy machinery.
+def sweep_alpha(alphas: Sequence[float], split: CorpusSplit) -> list[AlphaPoint]:
+    """One lasso model per alpha, each taken through the same stop policy.
 
     Each model is fitted on the split's train rows, picks tau on its
     validation circuits and is scored on its test circuits.  Results are
@@ -230,13 +173,10 @@ def sweep_alpha(alphas: Sequence[float], split: CorpusSplit, penalty: str = "l1"
 
     points = []
     for alpha in alphas:
-        model = fit_penalized_linear(
-            X_train, split.train.y,
-            sweep_lasso_alpha(alpha, n) if penalty == "l1" else alpha,
-            penalty=penalty)
-        tau = _pick_tau(model, score_matrix(model, X_val), split.validation,
-                        split.validation_traces, tau_grid)
-        rep = _report(model, score_matrix(model, X_test), split.test, split.test_traces, tau)
+        model = fit_penalized_linear(X_train, split.train.y, sweep_lasso_alpha(alpha, n),
+                                     penalty="l1")
+        tau = select_tau(split.validation, score_matrix(model, X_val))
+        rep = evaluate(split.test, score_matrix(model, X_test), tau)
         points.append(AlphaPoint(
             alpha=alpha,
             tau=tau,
@@ -250,14 +190,13 @@ def sweep_alpha(alphas: Sequence[float], split: CorpusSplit, penalty: str = "l1"
 
 
 def learning_curve(sizes: Sequence[int], train: Dataset, test: Dataset,
-                   lam: float, gamma: float, config: TrainConfig,
-                   seed: int) -> list[tuple[int, float]]:
+                   lam: float, gamma: float, config: TrainConfig) -> list[tuple[int, float]]:
     """Classifier test score at nested training-subset sizes.
 
-    Subsets are the first ``size`` entries of one seeded permutation, so
-    smaller sets are contained in larger ones; rows are fed to the fit in
-    original dataset order, which makes the full-size point identical to a
-    direct fit on the whole training set.
+    Subsets are the first ``size`` entries of one permutation seeded with
+    ``config.seed``, so smaller sets are contained in larger ones; rows are
+    fed to the fit in original dataset order, which makes the full-size
+    point identical to a direct fit on the whole training set.
     """
     import random as _random
 
@@ -266,7 +205,7 @@ def learning_curve(sizes: Sequence[int], train: Dataset, test: Dataset,
     y_train = train.labels_binary()
     n = len(train)
     order = list(range(n))
-    _random.Random(seed).shuffle(order)
+    _random.Random(config.seed).shuffle(order)
 
     results = []
     for size in sizes:
@@ -279,9 +218,8 @@ def learning_curve(sizes: Sequence[int], train: Dataset, test: Dataset,
     return results
 
 
-def curve_sizes(n_rows: int,
-                fractions: Sequence[float] = DEFAULT_CURVE_FRACTIONS) -> list[int]:
-    sizes = sorted({max(2, round(f * n_rows)) for f in fractions})
+def curve_sizes(n_rows: int) -> list[int]:
+    sizes = sorted({max(2, round(f * n_rows)) for f in DEFAULT_CURVE_FRACTIONS})
     return [s for s in sizes if s <= n_rows]
 
 
@@ -299,17 +237,19 @@ def write_report_csv(report: TerminationReport, path) -> None:
                              f"{o.m_at_termination:.6f}", int(o.correct)])
 
 
-def write_summary_csv(report: TerminationReport, path,
+def write_summary_csv(report: TerminationReport, path, model: str, corpus_seed: int,
                       classification_acc: float | None = None) -> None:
+    """One row: ``model`` names the scorer; the classification accuracy is
+    left blank when none is given."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "tau", "diagnosis_accuracy", "volume_reduction",
                          "classification_accuracy", "corpus_seed"])
         writer.writerow([
-            report.model, f"{report.tau:.6f}",
+            model, f"{report.tau:.6f}",
             f"{report.diagnosis_accuracy:.6f}", f"{report.volume_reduction:.6f}",
             "" if classification_acc is None else f"{classification_acc:.6f}",
-            "" if report.corpus_seed is None else report.corpus_seed,
+            corpus_seed,
         ])
 
 

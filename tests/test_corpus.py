@@ -10,7 +10,7 @@ def test_small_corpus_shape(small_corpus):
     assert len(small_corpus.dictionaries) == 12
     assert len(small_corpus.traces) == 12
     assert len(small_corpus.dataset) == sum(t.num_failing for t in small_corpus.traces)
-    assert small_corpus.generated
+    assert [c.name for c in small_corpus.circuits] == [f"c{i:03d}" for i in range(12)]
 
 
 def test_corpus_deterministic():
@@ -67,8 +67,7 @@ def test_netlist_dir_corpus(tmp_path, small_corpus):
         (netdir / f"{c.name}.bench").write_text(format_bench(c))
     cfg = RunConfig(corpus_netlist_dir=str(netdir), corpus_patterns=32, corpus_seed=5)
     corpus = build_corpus(cfg)
-    assert not corpus.generated
-    assert [c.name for c in corpus.circuits] == sorted(c.name for c in corpus.circuits)
+    assert [c.name for c in corpus.circuits] == sorted(c.name for c in small_corpus.circuits[:5])
     assert len(corpus.traces) == 5
 
 
@@ -82,17 +81,19 @@ def test_netlist_dir_missing_files(tmp_path):
 def test_split_corpus_partitions_traces(small_corpus):
     cfg = RunConfig(split_train_fraction=0.7, split_validation_fraction=0.25,
                     split_seed=4)
-    s = split_corpus(small_corpus.dataset, small_corpus.traces, cfg)
+    s = split_corpus(small_corpus.dataset, cfg)
     train_ids = set(s.train.circuit_ids)
     val_ids = set(s.validation.circuit_ids)
     test_ids = set(s.test.circuit_ids)
     assert not train_ids & test_ids
     assert not train_ids & val_ids
     assert not val_ids & test_ids
-    # each portion's traces line up with its circuits, in row order
-    assert [t.circuit_id for t in s.train_traces] == s.train.circuit_ids
-    assert [t.circuit_id for t in s.validation_traces] == s.validation.circuit_ids
-    assert [t.circuit_id for t in s.test_traces] == s.test.circuit_ids
+    # each portion carries its circuits' pattern counts and its rows' m
+    by_id = {t.circuit_id: t for t in small_corpus.traces}
+    for part in (s.train, s.validation, s.test):
+        assert part.total_patterns.tolist() == [by_id[c].total_patterns
+                                                for c in part.circuit_ids]
+        assert part.m.tolist() == [m for c in part.circuit_ids for m in by_id[c].m_values]
     assert len(s.train) + len(s.validation) + len(s.test) == len(small_corpus.dataset)
     assert s.trainval_circuits == train_ids | val_ids
 

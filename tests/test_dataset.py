@@ -41,6 +41,8 @@ def test_extract_features_single_failing_pattern():
     assert ds.y.tolist() == [1.0, 0.0, 1.0]
     assert ds.circuit_ids == ["c2", "c3"]
     assert ds.offsets.tolist() == [0, 1, 3]
+    assert ds.m.tolist() == [1.0, 0.5, 1.0]
+    assert ds.total_patterns.tolist() == [50, 50]
 
 
 def test_feature_row_invariants(small_corpus):

@@ -264,3 +264,41 @@ def test_read_traces_rejects_circuit_cut_before_golden_set(tmp_path, small_corpu
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="not at its golden size"):
         read_traces(path)
+
+
+def _edit_field(path, line, column, value):
+    """Set ``column`` of 1-based file line ``line`` to ``value``."""
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[TRACE_HEADER.index(column)] = value
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _unconverged_first_row(small_corpus):
+    return next(t for t in small_corpus.traces if t.m_values[0] < 1.0)
+
+
+@pytest.mark.parametrize("column, value, message", [
+    # a non-converged row relabelled as converged
+    ("y", lambda t: "1.000000", r"m 0\.\d{6} and y 1\.000000 differ"),
+    ("m", lambda t: f"{t.m_values[0] / 2:.6f}", r"m 0\.\d{6} and y 0\.000000 differ"),
+    ("intermediate_size", lambda t: "0", r"intermediate size 0 and golden size \d+ break"),
+], ids=["y", "m", "size"])
+def test_read_traces_rejects_labels_the_sizes_do_not_give(tmp_path, small_corpus,
+                                                         column, value, message):
+    trace = _unconverged_first_row(small_corpus)
+    path = tmp_path / "traces.csv"
+    write_traces([trace], path)
+    _edit_field(path, 2, column, value(trace))
+    with pytest.raises(ValueError, match=rf"traces\.csv line 2: {message}"):
+        read_traces(path)
+
+
+@pytest.mark.parametrize("k", ["2", "0"])
+def test_read_traces_rejects_k_out_of_sequence(tmp_path, small_corpus, k):
+    path = tmp_path / "traces.csv"
+    write_traces(small_corpus.traces[:2], path)
+    _edit_field(path, 2, "k", k)
+    with pytest.raises(ValueError, match=r"traces\.csv line 2: non-contiguous k sequence"):
+        read_traces(path)

@@ -13,11 +13,6 @@ from testtrim.models import (LinearModel, TrainConfig, fit_kernel_logistic,
                              fit_penalized_linear)
 
 
-def _identity_standardizer():
-    return Standardizer(mean=np.zeros(5), scale=np.ones(5),
-                        constant=np.zeros(5, dtype=bool))
-
-
 def _constant_model(value):
     return LinearModel(beta=np.zeros(5), intercept=float(value), alpha=0.0)
 
@@ -34,60 +29,57 @@ def _trace(circuit_id="t0", failing=(3, 7, 12), sizes=(6, 2, 2), total=20,
     )
 
 
-def _evaluate(policy, traces):
-    return ev.evaluate(policy, dataset_from_traces(traces), traces)
-
-
-def _stop(policy, trace):
-    """``(k_star, terminated_pattern)`` of ``policy`` on one trace."""
-    outcome, = _evaluate(policy, [trace]).per_circuit
+def _stop(trace, score, tau):
+    """``(k_star, terminated_pattern)`` on one trace, each of its rows
+    scored by ``score(data)``."""
+    data = dataset_from_traces([trace])
+    outcome, = ev.evaluate(data, score(data), tau).per_circuit
     return outcome.k_star, outcome.terminated_pattern
 
 
+def _model_score(model):
+    """Scores of a model on raw rows (an identity standardization)."""
+    return lambda data: ev.score_matrix(model, data.X)
+
+
+def _oracle_score(data):
+    return data.y
+
+
 class TestApplyPolicy:
-    """The policy applied to a single trace, through ``evaluate``."""
+    """The stop rule applied to a single trace, through ``evaluate``."""
 
     def test_constant_one_stops_immediately(self):
-        policy = ev.TerminationPolicy(_constant_model(1.0), 0.9, _identity_standardizer())
-        assert _stop(policy, _trace()) == (1, 3)
+        assert _stop(_trace(), _model_score(_constant_model(1.0)), 0.9) == (1, 3)
 
     def test_constant_zero_never_stops_early(self):
-        policy = ev.TerminationPolicy(_constant_model(0.0), 0.9, _identity_standardizer())
-        assert _stop(policy, _trace()) == (3, 12)
+        assert _stop(_trace(), _model_score(_constant_model(0.0)), 0.9) == (3, 12)
 
     def test_oracle_scorer_with_tau_one_stops_at_first_converged_row(self):
         trace = _trace(sizes=(6, 2, 2))  # m = [1/3, 1, 1]
-        policy = ev.TerminationPolicy(ev.OracleScorer(), 1.0)
-        k, stop = _stop(policy, trace)
+        k, stop = _stop(trace, _oracle_score, 1.0)
         assert (k, stop) == (2, 7)
         assert trace.m_values[k - 1] == 1.0
-
-    def test_missing_standardizer_is_an_error(self):
-        policy = ev.TerminationPolicy(_constant_model(1.0), 0.5, None)
-        with pytest.raises(ValueError, match="standardizer"):
-            _stop(policy, _trace())
 
     def test_linear_scores_clamped_before_threshold(self):
         # wildly positive prediction still compares as 1.0, not more
         model = LinearModel(beta=np.zeros(5), intercept=50.0, alpha=0.0)
-        policy = ev.TerminationPolicy(model, 1.0, _identity_standardizer())
-        k, _ = _stop(policy, _trace())
+        k, _ = _stop(_trace(), _model_score(model), 1.0)
         assert k == 1
 
 
 class TestEvaluate:
     def test_oracle_policy_is_always_correct(self, small_corpus):
-        policy = ev.TerminationPolicy(ev.OracleScorer(), 1.0)
-        report = _evaluate(policy, small_corpus.traces)
+        ds = small_corpus.dataset
+        report = ev.evaluate(ds, ds.y, 1.0)
         assert report.diagnosis_accuracy == 1.0
         assert all(o.correct for o in report.per_circuit)
         assert all(o.m_at_termination == 1.0 for o in report.per_circuit)
 
     def test_always_stop_first_is_aggressive_endpoint(self, small_corpus):
-        never = ev.TerminationPolicy(_constant_model(0.0), 0.5, _identity_standardizer())
-        always = ev.TerminationPolicy(_constant_model(1.0), 0.5, _identity_standardizer())
-        rep_never = _evaluate(never, small_corpus.traces)
-        rep_always = _evaluate(always, small_corpus.traces)
+        ds = small_corpus.dataset
+        rep_never = ev.evaluate(ds, np.zeros(len(ds)), 0.5)
+        rep_always = ev.evaluate(ds, np.ones(len(ds)), 0.5)
         assert rep_always.volume_reduction >= rep_never.volume_reduction
         assert rep_never.diagnosis_accuracy == 1.0  # last failing row has m = 1
         # some circuits need more than one failing pattern
@@ -95,8 +87,8 @@ class TestEvaluate:
         assert rep_always.diagnosis_accuracy < 1.0
 
     def test_report_summary_matches_per_circuit_rows(self, small_corpus):
-        policy = ev.TerminationPolicy(_constant_model(1.0), 0.5, _identity_standardizer())
-        report = _evaluate(policy, small_corpus.traces)
+        ds = small_corpus.dataset
+        report = ev.evaluate(ds, np.ones(len(ds)), 0.5)
         acc = sum(o.correct for o in report.per_circuit) / len(report.per_circuit)
         vol = np.mean([(t.total_patterns - o.terminated_pattern) / t.total_patterns
                        for t, o in zip(small_corpus.traces, report.per_circuit)])
@@ -104,15 +96,8 @@ class TestEvaluate:
         assert report.volume_reduction == pytest.approx(vol, abs=1e-15)
 
     def test_empty_test_set_rejected(self):
-        policy = ev.TerminationPolicy(ev.OracleScorer(), 1.0)
         with pytest.raises(ValueError, match="empty"):
-            _evaluate(policy, [])
-
-    def test_rows_of_other_circuits_rejected(self, small_corpus):
-        policy = ev.TerminationPolicy(ev.OracleScorer(), 1.0)
-        traces = small_corpus.traces
-        with pytest.raises(ValueError, match="different circuits"):
-            ev.evaluate(policy, dataset_from_traces(traces[1:]), traces[:-1])
+            ev.evaluate(dataset_from_traces([]), np.zeros(0), 1.0)
 
 
 class TestTauMonotonicity:
@@ -124,28 +109,22 @@ class TestTauMonotonicity:
         trace = _trace("m", failing=list(range(1, len(scores) + 1)),
                        sizes=[len(scores) - i for i in range(len(scores))],
                        total=len(scores) + 5)
-
-        class FixedScorer(ev.OracleScorer):
-            pass
-
-        trace.y_values = list(scores)  # oracle scorer reads y as the score
-        k_lo, _ = _stop(ev.TerminationPolicy(FixedScorer(), lo), trace)
-        k_hi, _ = _stop(ev.TerminationPolicy(FixedScorer(), hi), trace)
+        k_lo, _ = _stop(trace, lambda data: np.array(scores), lo)
+        k_hi, _ = _stop(trace, lambda data: np.array(scores), hi)
         assert k_lo <= k_hi
 
     def test_monotone_on_real_model(self, small_corpus):
         cfg = RunConfig(split_train_fraction=0.6, split_validation_fraction=0.0,
                         split_seed=2)
-        split = split_corpus(small_corpus.dataset, small_corpus.traces, cfg,
-                             with_validation=False)
+        split = split_corpus(small_corpus.dataset, cfg, with_validation=False)
         std = Standardizer.fit(split.train.X)
         model = fit_kernel_logistic(std.transform(split.train.X),
                                     split.train.labels_binary(), 1.0, 1.0,
                                     TrainConfig(iterations=150, landmark_cap=64))
-        last = [0] * len(split.test_traces)
+        scores = ev.score_matrix(model, std.transform(split.test.X))
+        last = [0] * len(split.test.circuit_ids)
         for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-            rep = ev.evaluate(ev.TerminationPolicy(model, tau, std), split.test,
-                              split.test_traces)
+            rep = ev.evaluate(split.test, scores, tau)
             ks = [o.k_star for o in rep.per_circuit]
             assert all(k >= prev for k, prev in zip(ks, last))
             last = ks
@@ -153,24 +132,21 @@ class TestTauMonotonicity:
 
 class TestSelectTau:
     def test_prefers_accuracy_then_reduction(self):
-        # two traces, oracle scorer: every tau gives accuracy 1; the
+        # two traces, oracle scores: every tau gives accuracy 1; the
         # tie-break must then pick the highest-reduction (lowest) tau
-        traces = [_trace("a", sizes=(4, 2, 2)), _trace("b", sizes=(5, 5, 5))]
-        tau = ev.select_tau(ev.OracleScorer(), None, dataset_from_traces(traces), traces,
-                            grid=(0.5, 0.9))
-        assert tau == 0.5
+        ds = dataset_from_traces([_trace("a", sizes=(4, 2, 2)), _trace("b", sizes=(5, 5, 5))])
+        assert ev.select_tau(ds, ds.y) == 0.5
 
     def test_deterministic(self, small_corpus):
-        tau1 = ev.select_tau(ev.OracleScorer(), None, small_corpus.dataset, small_corpus.traces)
-        tau2 = ev.select_tau(ev.OracleScorer(), None, small_corpus.dataset, small_corpus.traces)
-        assert tau1 == tau2
+        ds = small_corpus.dataset
+        assert ev.select_tau(ds, ds.y) == ev.select_tau(ds, ds.y)
 
 
 @pytest.fixture(scope="module")
 def splits(small_corpus):
     cfg = RunConfig(split_train_fraction=0.7, split_validation_fraction=0.3,
                     split_seed=1)
-    return split_corpus(small_corpus.dataset, small_corpus.traces, cfg)
+    return split_corpus(small_corpus.dataset, cfg)
 
 
 @pytest.fixture(scope="module", params=["kernel", "linear"])
@@ -197,13 +173,17 @@ class TestScoresOnceMatchPerTraceReference:
         exempt = [bool(np.any(np.abs(scores - tau) < 1e-9)) for _, _, scores in stops]
         return [(k, stop) for k, stop, _ in stops], exempt
 
+    @staticmethod
+    def _scores(model, std, data):
+        return ev.score_matrix(model, std.transform(data.X))
+
     def test_evaluate_stops(self, fitted, small_corpus):
         model, std = fitted
         traces = small_corpus.traces
+        scores = self._scores(model, std, small_corpus.dataset)
         stops_seen = set()
         for tau in ev.DEFAULT_TAU_GRID:
-            rep = ev.evaluate(ev.TerminationPolicy(model, tau, std), small_corpus.dataset,
-                              traces)
+            rep = ev.evaluate(small_corpus.dataset, scores, tau)
             want, exempt = self._reference(model, std, traces, tau)
             got = [(o.k_star, o.terminated_pattern) for o in rep.per_circuit]
             assert [g for g, e in zip(got, exempt) if not e] == \
@@ -225,7 +205,21 @@ class TestScoresOnceMatchPerTraceReference:
                         for t, (_, stop) in zip(traces, want)) / len(traces)
             table.append((sum(correct) / len(traces), saved, -tau, tau))
         pool = [row for row in table if row[1] > 0.0] or table
-        assert ev.select_tau(model, std, small_corpus.dataset, traces) == max(pool)[3]
+        scores = self._scores(model, std, small_corpus.dataset)
+        assert ev.select_tau(small_corpus.dataset, scores) == max(pool)[3]
+
+    def test_stop_facts_match_traces(self, fitted, small_corpus):
+        # each outcome's facts, read off the stop row, are the trace's own
+        # values at the stop ordinal
+        model, std = fitted
+        scores = self._scores(model, std, small_corpus.dataset)
+        for tau in ev.DEFAULT_TAU_GRID:
+            rep = ev.evaluate(small_corpus.dataset, scores, tau)
+            for t, o in zip(small_corpus.traces, rep.per_circuit, strict=True):
+                assert o.circuit_id == t.circuit_id
+                assert o.correct == (t.intermediate_sizes[o.k_star - 1] == t.golden_size)
+                assert o.terminated_pattern == t.failing_indices[o.k_star - 1]
+                assert o.m_at_termination == t.m_values[o.k_star - 1]
 
 
 class TestSweeps:
@@ -238,31 +232,23 @@ class TestSweeps:
     def test_zero_alpha_equals_plain_least_squares(self, splits):
         X = Standardizer.fit(splits.train.X).transform(splits.train.X)
         direct = fit_penalized_linear(X, splits.train.y, 0.0)
-        for penalty in ("l1", "l2"):
-            pts = ev.sweep_alpha([0.0], splits, penalty=penalty)
-            assert pts[0].beta == pytest.approx(direct.beta, abs=0)
+        pts = ev.sweep_alpha([0.0], splits)
+        assert pts[0].beta == pytest.approx(direct.beta, abs=0)
 
     def test_results_in_grid_order(self, splits):
         grid = [1e-2, 1e-4, 1e-3]
         pts = ev.sweep_alpha(grid, splits)
         assert [p.alpha for p in pts] == grid
 
-    def test_ridge_norm_monotone_over_sweep(self, splits):
-        alphas = [1e-4, 1e-2, 1.0, 1e2, 1e4]
-        pts = ev.sweep_alpha(alphas, splits, penalty="l2")
-        norms = [np.linalg.norm(p.beta) for p in pts]
-        assert all(a >= b for a, b in zip(norms, norms[1:]))
-
 
 class TestLearningCurve:
     def test_curve_and_full_size_consistency(self, small_corpus):
         cfg = RunConfig(split_train_fraction=0.7, split_validation_fraction=0.0)
-        split = split_corpus(small_corpus.dataset, small_corpus.traces, cfg,
-                             with_validation=False)
+        split = split_corpus(small_corpus.dataset, cfg, with_validation=False)
         tc = TrainConfig(iterations=120, landmark_cap=64, seed=5)
         n = len(split.train)
         curve = ev.learning_curve([max(2, n // 2), n], split.train, split.test,
-                                  lam=1.0, gamma=1.0, config=tc, seed=5)
+                                  lam=1.0, gamma=1.0, config=tc)
         assert [s for s, _ in curve] == [max(2, n // 2), n]
 
         # the full-size point reproduces a direct fit on the whole train set
@@ -275,22 +261,20 @@ class TestLearningCurve:
 
     def test_oversized_request_rejected(self, small_corpus):
         cfg = RunConfig(split_train_fraction=0.7, split_validation_fraction=0.0)
-        split = split_corpus(small_corpus.dataset, small_corpus.traces, cfg,
-                             with_validation=False)
+        split = split_corpus(small_corpus.dataset, cfg, with_validation=False)
         with pytest.raises(ValueError, match="exceeds"):
             ev.learning_curve([10 ** 6], split.train, split.test, 1.0, 1.0,
-                              TrainConfig(iterations=5), seed=0)
+                              TrainConfig(iterations=5))
 
 
 class TestCsvWriters:
     def test_six_fractional_digits(self, tmp_path, small_corpus):
-        policy = ev.TerminationPolicy(ev.OracleScorer(), 1.0)
-        report = ev.evaluate(policy, small_corpus.dataset, small_corpus.traces,
-                             corpus_seed=5)
+        ds = small_corpus.dataset
+        report = ev.evaluate(ds, ds.y, 1.0)
         rp = tmp_path / "report.csv"
         sp = tmp_path / "summary.csv"
         ev.write_report_csv(report, rp)
-        ev.write_summary_csv(report, sp, classification_acc=0.5)
+        ev.write_summary_csv(report, sp, "oracle", 5, classification_acc=0.5)
         rl = rp.read_text().splitlines()
         assert rl[0] == "circuit_id,k_star,terminated_pattern,m_at_termination,correct"
         assert len(rl) == 1 + len(report.per_circuit)

@@ -4,7 +4,8 @@ The simulation side stays numpy-free.  A static scan follows each module's
 own imports through the source, so it names the module that breaks the
 rule; a fresh interpreter confirms that importing the simulation side
 really leaves numpy unloaded.  A second scan keeps the public surface to
-what the package itself, the benchmark or the console script uses.
+what the package itself, the benchmark or the console script uses, and a
+third keeps each optional parameter to one that some call there sets.
 """
 
 import ast
@@ -132,6 +133,108 @@ def test_every_public_name_has_a_non_test_user():
     used = _used_names()
     unused = [name for name in _public_definitions() if name.rpartition(".")[2] not in used]
     assert unused == [], "public names that only tests use: " + ", ".join(unused)
+
+
+def _optional_parameters(trees: list[ast.Module]) -> list[tuple[str, int | None, str]]:
+    """``(function name, position, parameter)`` of every parameter with a
+    default of every public top-level function and public method of a
+    public class in ``trees``.  The position counts the arguments a call
+    passes (``self`` and ``cls`` aside) and is None for keyword-only ones."""
+    found = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions, bound = [node], 0
+            elif isinstance(node, ast.ClassDef) and node.name[0] != "_":
+                functions = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+                bound = 1
+            else:
+                continue
+            for fn in functions:
+                if fn.name[0] == "_":
+                    continue
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                skip = bound if not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in fn.decorator_list) else 0
+                first = len(positional) - len(args.defaults)
+                found += [(fn.name, i - skip, positional[i].arg)
+                          for i in range(first, len(positional))]
+                found += [(fn.name, None, a.arg)
+                          for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _set_parameters(trees: list[ast.Module]) -> dict[str, tuple[int, set[str]]]:
+    """Per called name (a ``Name`` or an ``Attribute``'s attribute), the most
+    positional arguments any call passes and every keyword any call sets.
+    A ``*`` or ``**`` argument counts as setting every position or keyword."""
+    every = 1 << 30
+    calls: dict[str, tuple[int, set[str]]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            most, keywords = calls.get(name, (0, set()))
+            star = any(isinstance(arg, ast.Starred) for arg in node.args)
+            most = max(most, every if star else len(node.args))
+            keywords = keywords | {kw.arg for kw in node.keywords}
+            calls[name] = (most, keywords)
+    return calls
+
+
+def _unset_optional_parameters(defining: list[ast.Module],
+                               calling: list[ast.Module]) -> list[str]:
+    calls = _set_parameters(calling)
+    unset = []
+    for name, position, param in _optional_parameters(defining):
+        most, keywords = calls.get(name, (0, set()))
+        if param in keywords or None in keywords:
+            continue
+        if position is not None and most > position:
+            continue
+        unset.append(f"{name}.{param}")
+    return unset
+
+
+def _package_and_benchmark_trees() -> tuple[list[ast.Module], list[ast.Module]]:
+    package = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"]
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    return package, package + bench
+
+
+def test_every_optional_parameter_is_set_by_a_non_test_caller():
+    defining, calling = _package_and_benchmark_trees()
+    unset = _unset_optional_parameters(defining, calling)
+    assert unset == [], "optional parameters no package or benchmark call sets: " + \
+        ", ".join(unset)
+
+
+def test_optional_parameter_scan_sees_positions_keywords_and_methods():
+    defining = [ast.parse(
+        "def f(a, b=1, *, c=2): pass\n"
+        "def _hidden(a=1): pass\n"
+        "class K:\n"
+        "    def m(self, x, y=0): pass\n"
+        "    @classmethod\n"
+        "    def build(cls, z=0): pass\n"
+        "    @staticmethod\n"
+        "    def s(w=0): pass\n")]
+    assert len(_optional_parameters(defining)) == 5
+    assert _unset_optional_parameters(defining, [ast.parse("f(1)")]) == \
+        ["f.b", "f.c", "m.y", "build.z", "s.w"]
+    # by position (methods not counting self or cls) or by keyword
+    calling = [ast.parse("f(1, 2, c=3)\nk.m(1, 2)\nK.build(5)\nK.s(w=1)\n")]
+    assert _unset_optional_parameters(defining, calling) == []
+    calling = [ast.parse("k.m(1)\nK.build()\n'f(1, 2)'\n")]
+    assert _unset_optional_parameters(defining, calling) == \
+        ["f.b", "f.c", "m.y", "build.z", "s.w"]
 
 
 def test_public_surface_scan_sees_definitions_and_uses():
