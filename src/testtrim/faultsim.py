@@ -7,13 +7,17 @@ parallel-pattern single-fault propagation over fanout-free regions
 (Waicukauski et al. 1985).  A *stem* is a primary output or a signal read
 by zero or by several distinct gates; every other signal has exactly one
 next gate, so the signals between a fault site and its stem form a
-fanout-free path.  A fault is simulated gate by gate along that path only;
-it reaches the rest of the circuit through its stem alone.  Each stem some
-fault flips is flipped once under all patterns, with several stems
-propagated together in slices of one wide word, as in parallel-fault
-simulation (Seshu 1965); the outputs each stem changes are kept as sparse
-``(position, diff word)`` pairs.  Cones are read off per-signal
-reachability bitsets.
+fanout-free path, and a fault reaches the rest of the circuit through its
+stem alone.  Inside the fanout-free regions no fault is simulated on its
+own: critical-path tracing (Abramovici, Menon & Miller 1984) gives every
+signal, in one reverse-topological pass, the patterns under which its
+complement reaches its stem, and a fault flips its stem under those of
+them that excite it.  Each stem some fault flips is flipped once under
+all patterns, with several stems propagated together in slices of one
+wide word, as in parallel-fault simulation (Seshu 1965); the outputs each
+stem changes are kept as sparse ``(position, diff word)`` pairs.  Cones
+are read off per-signal reachability bitsets.  Every gate evaluation runs
+on the circuit's compiled gate program (``netlist._run``).
 
 The dictionary keeps one record per fault, its stem and its detection
 mask, and derives every row from it: the fault-free row with the stem's
@@ -35,9 +39,8 @@ import operator
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
 
-from .netlist import Circuit, Gate, Pattern, Response, _check_pattern, _propagate
+from .netlist import Circuit, Pattern, Response, _check_pattern, _run
 
 EXHAUSTIVE_INPUT_LIMIT = 12
 
@@ -159,65 +162,90 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 # Bits per batched propagation word: stems are flipped K = _BATCH_BITS // P
 # at a time (at least one) for P patterns.  Fixed from timing the whole build
-# of a 3000-gate, 1024-pattern netlist on a 2-core x86 host: budget 1024 bits
-# (one stem per batch) 0.60 s, 4096 0.41 s, 8192 0.37 s, 16384 0.44 s,
-# 32768 0.60 s; wider words cost more per gate than the shared gates save.
+# of a 3000-gate, 1024-pattern netlist on a 2-core x86 host (median of 11
+# interleaved builds): budget 1024 bits (one stem per batch) 0.37 s, 2048
+# 0.26 s, 4096 0.24 s, 8192 0.22 s, 16384 0.24 s, 32768 0.28 s; wider words
+# cost more per gate than the shared gates save.
 _BATCH_BITS = 8192
 
 
-def _fanout_free_paths(circuit: Circuit) -> tuple[list[int], list[Gate | None], list[int]]:
-    """Per-signal ``(reach, next_gate, stem_of)`` lists.
+def _fanout_free_regions(circuit: Circuit, free: list[int],
+                         mask: int) -> tuple[list[int], list[int], list[int]]:
+    """Per-signal ``(reach, stem_of, sens)`` lists.
 
     ``reach[s]`` has bit ``gi`` set for each gate ``gates[gi]`` that
-    transitively reads ``s``.  ``next_gate[s]`` is the one gate reading a
-    non-stem signal and None for a stem; ``stem_of[s]`` is the stem that
-    ends ``s``'s fanout-free path (``s`` itself for a stem).  Signal ids are
-    not topological, so both passes walk the gate order backwards.
+    transitively reads ``s``.  ``stem_of[s]`` is the stem that ends ``s``'s
+    fanout-free path (``s`` itself for a stem).  ``sens[s]`` marks the
+    patterns under which complementing ``s`` complements ``stem_of[s]``,
+    by critical-path tracing: ``mask`` for a stem, and for a signal with
+    one reader gate, ``sens`` of the reader's output under the patterns
+    where the reader's output changes with ``s`` complemented (one
+    evaluation of the reader on the fault-free words ``free``).  None of
+    the reader's other inputs depends on ``s``, so this is exact.  Signal
+    ids are not topological, so both passes walk the gate order backwards.
     """
-    gates = circuit.gates
+    program = circuit._program
     num_signals = circuit.signal_count
     reach = [0] * num_signals
     readers: list[set[int]] = [set() for _ in range(num_signals)]
-    for gi in range(len(gates) - 1, -1, -1):
-        out, _, ins = gates[gi]
+    for gi in range(len(program) - 1, -1, -1):
+        out, _, _, _, ins = program[gi]
         r = reach[out] | (1 << gi)
         for i in ins:
             reach[i] |= r
             readers[i].add(gi)
     is_output = set(circuit.outputs)
-    next_gate = [gates[min(r)] if len(r) == 1 and s not in is_output else None
-                 for s, r in enumerate(readers)]
     stem_of = list(range(num_signals))
-    for s in itertools.chain((g.output for g in reversed(gates)), circuit.inputs):
-        if next_gate[s] is not None:
-            stem_of[s] = stem_of[next_gate[s].output]
-    return reach, next_gate, stem_of
+    sens = [mask] * num_signals
+    words = list(free)
+    for s in itertools.chain((g.output for g in reversed(circuit.gates)), circuit.inputs):
+        if len(readers[s]) != 1 or s in is_output:
+            continue
+        (gi,) = readers[s]
+        out = program[gi][0]
+        stem_of[s] = stem_of[out]
+        if sens[out]:
+            words[s] ^= mask
+            _run(program[gi:gi + 1], words, mask)
+            sens[s] = (words[out] ^ free[out]) & sens[out]
+            words[s] = free[s]
+            words[out] = free[out]
+        else:
+            sens[s] = 0
+    return reach, stem_of, sens
 
 
 def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
-                stems: Sequence[int], num_patterns: int) -> list[tuple[tuple[int, int], ...]]:
+                stems: Sequence[int], num_patterns: int) -> tuple[list, list[int]]:
     """Per signal id, the ``(output position, diff word)`` pairs that
-    complementing each of ``stems`` under every pattern changes.
+    complementing each of ``stems`` under every pattern changes, and
+    their OR.
 
     ``stems`` must be in topological order.  They are flipped K at a time,
     K = max(1, _BATCH_BITS // P): every signal word is replicated into K
-    slices of P bits (``free[s] * R``, ``R = sum(1 << k*P)``), slice ``k``
-    of the ``k``-th stem is complemented, and the union of the stems'
-    ``reach`` cones is propagated once with the K-slice mask (K is capped
-    at the number of stems, so no slice goes unused).  A batch stem
-    driven by a gate of that union is recomputed by the gate, so its slice
-    is complemented again right after it; upstream stems then reach it in
-    their own slices only.  Each output's diff word is cut back into its K
-    slices.  Signals that are not in ``stems`` get no pairs.
+    slices of P bits by shift-ORs, slice ``k`` of the ``k``-th stem is
+    complemented, and the union of the stems' ``reach`` cones is
+    propagated once with the K-slice mask (K is capped at the number of
+    stems, so no slice goes unused).  A batch stem driven by a gate of that
+    union is recomputed by the gate, so its slice is complemented again
+    right after it; upstream stems then reach it in their own slices only.
+    Each output the union reaches has its diff word cut back into its K
+    slices.  Signals that are not in ``stems`` get no pairs and a zero OR.
     """
-    gates = circuit.gates
+    program = circuit._program
     mask = (1 << num_patterns) - 1
     per_batch = max(1, min(_BATCH_BITS // num_patterns, len(stems)))
     wide = (1 << (per_batch * num_patterns)) - 1
-    ones = sum(1 << (k * num_patterns) for k in range(per_batch))
-    rep = [w * ones for w in free]
-    driver = {g.output: gi for gi, g in enumerate(gates)}
+    rep = []
+    for w in free:
+        copies = 1
+        while copies < per_batch:
+            w |= w << (copies * num_patterns)
+            copies *= 2
+        rep.append(w & wide)
+    driver = {g.output: gi for gi, g in enumerate(circuit.gates)}
     diffs: list[tuple[tuple[int, int], ...]] = [()] * circuit.signal_count
+    obs = [0] * circuit.signal_count
     for b in range(0, len(stems), per_batch):
         batch = stems[b:b + per_batch]
         words = rep.copy()
@@ -230,24 +258,30 @@ def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
         for k, s in enumerate(batch):
             gi = driver.get(s)
             if gi is not None and (cone >> gi) & 1:
-                _propagate(itertools.compress(gates[start:gi + 1], selectors[start:gi + 1]),
-                           words, wide)
+                _run(itertools.compress(program[start:gi + 1], selectors[start:gi + 1]),
+                     words, wide)
                 words[s] ^= mask << (k * num_patterns)
                 start = gi + 1
-        _propagate(itertools.compress(gates[start:], selectors[start:]), words, wide)
+        _run(itertools.compress(program[start:], selectors[start:]), words, wide)
         found: list[list[tuple[int, int]]] = [[] for _ in batch]
+        seen = [0] * len(batch)
         for j, o in enumerate(circuit.outputs):
-            w = words[o] ^ rep[o]
+            w = words[o]
+            if w is rep[o]:
+                continue
+            w ^= rep[o]
             k = 0
             while w:
                 x = w & mask
                 if x:
                     found[k].append((j, x))
+                    seen[k] |= x
                 w >>= num_patterns
                 k += 1
-        for s, pairs in zip(batch, found):
+        for s, pairs, x in zip(batch, found, seen):
             diffs[s] = tuple(pairs)
-    return diffs
+            obs[s] = x
+    return diffs, obs
 
 
 def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
@@ -255,12 +289,16 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
     """Simulate every enumerated fault against every pattern.
 
     All patterns are packed into machine words, and one fault-free pass
-    covers every gate.  A fault whose stuck word equals the fault-free word
-    is never excited.  An excited fault pins its site's word and evaluates
-    its fanout-free path one next gate at a time up to the site's stem.  It
-    stops early, with nothing flipped, where its word equals the fault-free
-    word again.  At the stem, ``D`` = faulty XOR fault-free word marks the
-    patterns under which the fault flips the stem.
+    covers every gate.  No fault is simulated on its own inside the
+    fanout-free regions.  Critical-path tracing (Abramovici, Menon &
+    Miller 1984) gives every signal ``s`` its sensitization word
+    ``sens[s]``, the patterns under which complementing ``s`` complements
+    its stem: ``mask`` for a stem, and ``local[s] & sens[next_gate(s)]``
+    for a non-stem signal, where ``local[s]`` marks where its one reader's
+    output changes when ``s`` is complemented under every pattern (see
+    :func:`_fanout_free_regions`).  A fault excites its site under
+    ``stuck ^ free[site]``, so it flips its stem under ``D = (stuck ^
+    free[site]) & sens[site]``.
 
     Every stem some fault flips is then flipped once under all patterns,
     several stems per propagation (see :func:`_flip_stems`), and the
@@ -280,7 +318,6 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
     for p in patterns:
         _check_pattern(circuit, p)
     mask = (1 << len(patterns)) - 1
-    gates = circuit.gates
     num_signals = circuit.signal_count
 
     free = [0] * num_signals
@@ -289,42 +326,20 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
         for p, pat in enumerate(patterns):
             w |= pat[j] << p
         free[sid] = w
-    _propagate(gates, free, mask)
+    _run(circuit._program, free, mask)
     free_words = tuple(free[o] for o in circuit.outputs)
 
-    reach, next_gate, stem_of = _fanout_free_paths(circuit)
+    reach, stem_of, sens = _fanout_free_regions(circuit, free, mask)
     faults = tuple(enumerate_faults(circuit))
     fault_stems = tuple(stem_of[fault.signal] for fault in faults)
-    words = list(free)
-    stem_flips = []
-    for fault, stem in zip(faults, fault_stems):
-        site = fault.signal
-        stuck = mask if fault.stuck_value else 0
-        d = stuck ^ free[site]
-        if d:
-            words[site] = stuck
-            sig = site
-            while sig != stem:
-                gate = next_gate[sig]
-                _propagate((gate,), words, mask)
-                sig = gate.output
-                d = words[sig] ^ free[sig]
-                if not d:
-                    break
-            s = site
-            words[s] = free[s]
-            while s != sig:
-                s = next_gate[s].output
-                words[s] = free[s]
-        stem_flips.append(d)
-
+    stem_flips = [((mask if fault.stuck_value else 0) ^ free[fault.signal]) & sens[fault.signal]
+                  for fault in faults]
     flipped = {stem for stem, d in zip(fault_stems, stem_flips) if d}
-    order = [s for s in itertools.chain(circuit.inputs, (g.output for g in gates))
+    order = [s for s in itertools.chain(circuit.inputs, (g.output for g in circuit.gates))
              if s in flipped]
-    stem_diffs = tuple(_flip_stems(circuit, free, reach, order, len(patterns)))
-    obs = {s: reduce(operator.or_, (w for _, w in stem_diffs[s]), 0) for s in order}
-    fault_masks = tuple(obs[stem] & d if d else 0
-                        for stem, d in zip(fault_stems, stem_flips))
+    stem_diffs, obs = _flip_stems(circuit, free, reach, order, len(patterns))
+    fault_masks = tuple(obs[stem] & d for stem, d in zip(fault_stems, stem_flips))
+    stem_diffs = tuple(stem_diffs)
     return FaultDictionary(
         circuit=circuit, patterns=tuple(patterns), faults=faults,
         fault_words=_DerivedRows(free_words, fault_masks, fault_stems, stem_diffs),

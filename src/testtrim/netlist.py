@@ -17,13 +17,15 @@ circuit's input and output lists respectively.
 Simulation works on packed machine words: every signal holds an int whose
 bit ``p`` is the signal's value under pattern ``p``.  With ``mask = 1`` this
 degenerates to ordinary single-pattern evaluation; the fault-dictionary
-builder passes wider masks to simulate all patterns of a set at once.
+builder passes wider masks to simulate all patterns of a set at once.  Each
+circuit compiles its gates once into a program of small-int opcodes, and
+one loop, :func:`_run`, evaluates any topologically ordered part of it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 GATE_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF")
@@ -61,7 +63,8 @@ class Circuit:
     ``signal_names`` maps dense signal ids back to source names; ``inputs``,
     ``outputs`` and gate pins are stored as signal ids.  ``gates`` is
     topologically sorted: every gate input is a primary input or the output
-    of an earlier gate.
+    of an earlier gate.  ``_program`` is ``gates`` compiled once for the
+    gate-evaluation loop :func:`_run`.
     """
 
     name: str
@@ -69,6 +72,10 @@ class Circuit:
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
     gates: tuple[Gate, ...]
+    _program: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_program", _compile(self.gates))
 
     @property
     def signal_count(self) -> int:
@@ -164,9 +171,15 @@ def build_circuit(name: str,
     """Assemble a validated Circuit from name-level statements.
 
     Shared by the parser and the random-circuit generator.  Performs the
-    stable topological sort (declaration order is kept among ready gates)
-    and interns signals: inputs first, then gate outputs, in declaration
-    order.
+    stable topological sort and interns signals: inputs first, then gate
+    outputs, in declaration order.  The sort gives the order of repeated
+    passes over the statements in declaration order, each placing every
+    statement whose inputs are defined by then: a gate's pass is one, or
+    the largest pass of a gate it reads, plus one if that gate is declared
+    after it.  Gates are sorted by (pass, declaration index), with the
+    passes computed in linear time over Kahn's algorithm.  A statement
+    never placed is reported as a cyclic dependency, the first such one in
+    declaration order.
     """
     ids: dict[str, int] = {}
     for n in input_names:
@@ -174,25 +187,29 @@ def build_circuit(name: str,
     for out, _, _ in gate_stmts:
         ids[out] = len(ids)
 
-    defined = set(input_names)
-    remaining = list(gate_stmts)
-    ordered: list[tuple[str, str, Sequence[str]]] = []
-    while remaining:
-        progressed = False
-        rest = []
-        for stmt in remaining:
-            out, kind, ins = stmt
-            if all(i in defined for i in ins):
-                ordered.append(stmt)
-                defined.add(out)
-                progressed = True
-            else:
-                rest.append(stmt)
-        if not progressed:
-            out = rest[0][0]
-            line = (_lines or {}).get(out)
-            raise BenchParseError(f"cyclic dependency involving '{out}'", line)
-        remaining = rest
+    primary = set(input_names)
+    declared = {out: g for g, (out, _, _) in enumerate(gate_stmts)}
+    waiting = [0] * len(gate_stmts)
+    readers: list[list[int]] = [[] for _ in gate_stmts]
+    for g, (_, _, ins) in enumerate(gate_stmts):
+        for i in ins:
+            if i not in primary:
+                waiting[g] += 1
+                h = declared.get(i)
+                if h is not None:
+                    readers[h].append(g)
+    passes = [1] * len(gate_stmts)
+    placed = [g for g, w in enumerate(waiting) if not w]
+    for h in placed:
+        for g in readers[h]:
+            passes[g] = max(passes[g], passes[h] + (h > g))
+            waiting[g] -= 1
+            if not waiting[g]:
+                placed.append(g)
+    if len(placed) < len(gate_stmts):
+        out = gate_stmts[next(g for g, w in enumerate(waiting) if w)][0]
+        raise BenchParseError(f"cyclic dependency involving '{out}'", (_lines or {}).get(out))
+    ordered = [gate_stmts[g] for g in sorted(placed, key=lambda g: (passes[g], g))]
 
     gates = tuple(Gate(ids[out], kind, tuple(ids[i] for i in ins)) for out, kind, ins in ordered)
     return Circuit(
@@ -215,52 +232,73 @@ def format_bench(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _propagate(gates: Iterable[Gate], words: list[int], mask: int) -> None:
-    """Evaluate ``gates`` in order, bit-parallel across patterns.
+# Gate program opcodes: a one- or two-pin gate of kind GATE_KINDS[k] has
+# opcode k, and a gate with three or more pins has opcode 8 + k.  In both
+# ranges NAND, NOR and XNOR have the odd opcodes.
+_OPCODES = {kind: op for op, kind in enumerate(GATE_KINDS)}
+
+
+def _compile(gates: Sequence[Gate]) -> tuple[tuple[int, int, int, int, tuple[int, ...]], ...]:
+    """One ``(out, op, a, b, ins)`` entry per gate, for :func:`_run`.
+
+    ``a`` and ``b`` are the first and last pins (equal for one pin), and
+    ``op`` is the kind's opcode, offset by 8 when the gate has more than
+    two pins.
+    """
+    return tuple((out, _OPCODES[kind] + (8 if len(ins) > 2 else 0), ins[0], ins[-1], ins)
+                 for out, kind, ins in gates)
+
+
+def _run(program: Iterable[tuple[int, int, int, int, tuple[int, ...]]],
+         words: list[int], mask: int) -> None:
+    """Evaluate the gate-program entries in ``program`` in order,
+    bit-parallel across patterns.
 
     ``words[s]`` holds signal ``s``; bit ``p`` is its value under pattern
-    ``p``, and ``mask`` has one bit set per pattern.  Each gate's output word
-    is overwritten from its input words, so ``gates`` must be in topological
-    order.  This is the package's only gate-evaluation loop: fault-free
-    evaluation passes every gate.  The dictionary builder pins a fault
-    site's word and passes one gate at a time along its fanout-free path,
-    and the union of several stems' fanout cones at once with a mask of
-    several P-bit slices, one per flipped stem; it cuts the gate sequence
-    after each such stem's own driver gate to complement the stem's slice
-    again.
+    ``p``, and ``mask`` has one bit set per pattern.  Every input word must
+    lie inside ``mask``.  Each entry's output word is overwritten from its
+    input words, so entries must come in topological order, e.g. as a
+    subsequence of a circuit's ``_program``.  This is the package's only
+    gate-evaluation loop: :func:`evaluate` runs a whole program on one-bit
+    words.  The dictionary builder runs it over a whole program for the
+    fault-free words, one entry at a time to find where a fanout-free
+    signal's flip propagates through its reader, and over the union of
+    several stems' fanout cones at once with a mask of several P-bit
+    slices, one per flipped stem; it cuts the union after each such stem's
+    own driver gate to complement the stem's slice again.
     """
-    for out, kind, ins in gates:
-        if kind == "AND":
-            w = mask
-            for i in ins:
-                w &= words[i]
-        elif kind == "NAND":
-            w = mask
-            for i in ins:
-                w &= words[i]
-            w ^= mask
-        elif kind == "OR":
-            w = 0
-            for i in ins:
-                w |= words[i]
-        elif kind == "NOR":
-            w = 0
-            for i in ins:
-                w |= words[i]
-            w ^= mask
-        elif kind == "XOR":
-            w = 0
-            for i in ins:
-                w ^= words[i]
-        elif kind == "XNOR":
-            w = 0
-            for i in ins:
-                w ^= words[i]
-            w ^= mask
-        elif kind == "NOT":
-            w = words[ins[0]] ^ mask
-        else:  # BUF
-            w = words[ins[0]]
+    for out, op, a, b, ins in program:
+        if op < 2:
+            w = words[a] & words[b]
+            if op:
+                w ^= mask
+        elif op < 4:
+            w = words[a] | words[b]
+            if op == 3:
+                w ^= mask
+        elif op < 6:
+            w = words[a] ^ words[b]
+            if op == 5:
+                w ^= mask
+        elif op == 6:
+            w = words[a] ^ mask
+        elif op == 7:
+            w = words[a]
+        else:
+            if op < 10:
+                w = mask
+                for i in ins:
+                    w &= words[i]
+            elif op < 12:
+                w = 0
+                for i in ins:
+                    w |= words[i]
+            else:
+                w = 0
+                for i in ins:
+                    w ^= words[i]
+            if op & 1:
+                w ^= mask
         words[out] = w
 
 
@@ -280,5 +318,5 @@ def evaluate(circuit: Circuit, pattern: Sequence[int]) -> Response:
     words = [0] * circuit.signal_count
     for sid, bit in zip(circuit.inputs, pattern):
         words[sid] = bit
-    _propagate(circuit.gates, words, 1)
+    _run(circuit._program, words, 1)
     return tuple(words[o] for o in circuit.outputs)

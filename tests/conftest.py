@@ -42,6 +42,19 @@ EDGE_BENCHES = {
                          "s3 = NOT(s2)\nz3 = XOR(s3, b)\nw = AND(s3, a)\n",
     "out_of_order": "INPUT(a)\nINPUT(b)\nOUTPUT(z)\n"
                     "z = OR(y, x)\ny = AND(a, x)\nx = NOT(b)\n",
+    # Gates with three and four pins: between them the three benches below
+    # hold every multi-input kind at both widths.  t -> u -> v -> z is one
+    # fanout-free path of wide gates.
+    "wide_fanout_free_path": "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nOUTPUT(z)\n"
+                             "t = AND(a, b, c)\nu = NOR(t, d, e)\nv = XOR(u, a, b, c)\n"
+                             "z = NAND(v, d, e, c)\n",
+    # the stem s is a wide gate's output read by three wide gates
+    "wide_stem": "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nOUTPUT(y1)\nOUTPUT(z)\n"
+                 "s = OR(a, b, c, d)\ny1 = XNOR(s, c, e)\ny2 = AND(s, a, b, e)\n"
+                 "y3 = NAND(s, d, b)\nz = OR(y2, y3, e)\n",
+    # repeated pins: r is read by q alone but on two pins, and q likewise by z
+    "wide_repeated_pin": "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(z)\n"
+                         "r = XOR(a, b, a)\nq = NOR(r, r, c, d)\nz = XNOR(q, a, b, q)\n",
 }
 
 

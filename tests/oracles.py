@@ -1,7 +1,9 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here deliberately avoids the package's production code paths:
-the structure comparison reads gates by signal name, the truth-table
+the structure comparison reads gates by signal name, the gate-order
+reference places statements by repeated passes over the declaration order,
+the truth-table
 evaluator recurses over name-level gate expressions, the
 fault oracle rewrites netlist text and reuses only the fault-free
 evaluator, the full-pass dictionary builder re-simulates every gate for
@@ -43,6 +45,32 @@ def structurally_equal(a: Circuit, b: Circuit) -> bool:
                   for g in c.gates),
         )
     return shape(a) == shape(b)
+
+
+def multipass_gate_order(input_names, gate_stmts):
+    """Name-level gate statements in the parser's topological order.
+
+    Repeated passes scan the statements not yet placed in declaration order
+    and place each one whose inputs are all defined by then.  A pass that
+    places none raises ValueError naming the first statement left, as the
+    parser's cyclic-dependency error does.
+    """
+    defined = set(input_names)
+    remaining = list(gate_stmts)
+    ordered = []
+    while remaining:
+        rest = []
+        for stmt in remaining:
+            out, _, ins = stmt
+            if all(i in defined for i in ins):
+                ordered.append(stmt)
+                defined.add(out)
+            else:
+                rest.append(stmt)
+        if len(rest) == len(remaining):
+            raise ValueError(f"cyclic dependency involving '{rest[0][0]}'")
+        remaining = rest
+    return ordered
 
 
 def recursive_signal_values(circuit: Circuit, pattern) -> dict[str, int]:

@@ -5,7 +5,9 @@ own imports through the source, so it names the module that breaks the
 rule; a fresh interpreter confirms that importing the simulation side
 really leaves numpy unloaded.  A second scan keeps the public surface to
 what the package itself, the benchmark or the console script uses, and a
-third keeps each optional parameter to one that some call there sets.
+third keeps each optional parameter to one that some call there sets.  A
+fourth keeps gate evaluation in ``netlist``: no other module branches on a
+gate kind or reads the gate program's opcode table.
 """
 
 import ast
@@ -16,6 +18,8 @@ import tomllib
 from pathlib import Path
 
 import pytest
+
+from testtrim.netlist import GATE_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "testtrim"
@@ -245,3 +249,61 @@ def test_public_surface_scan_sees_definitions_and_uses():
     used = _used_names()
     assert {"response", "signal_count", "entry", "build_fault_dictionary"} <= used
     assert "Waicukauski" not in used
+
+
+def _gate_kind_logic(tree: ast.Module, kinds) -> list[int]:
+    """Line numbers in ``tree`` of every comparison or ``case`` pattern with
+    a gate-kind string literal (also inside a tuple, list or set literal)
+    and of every use of the opcode table ``_OPCODES``."""
+    def is_kind(node) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(is_kind, node.elts))
+        return isinstance(node, ast.Constant) and node.value in kinds
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            hit = any(map(is_kind, [node.left, *node.comparators]))
+        elif isinstance(node, ast.MatchValue):
+            hit = is_kind(node.value)
+        elif isinstance(node, ast.Name):
+            hit = node.id == "_OPCODES"
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "_OPCODES"
+        elif isinstance(node, ast.alias):
+            hit = node.name.rpartition(".")[2] == "_OPCODES"
+        else:
+            continue
+        if hit:
+            lines.append(getattr(node, "lineno", None))
+    return lines
+
+
+def test_gate_evaluation_stays_in_netlist():
+    # one gate-evaluation loop: a second, private kernel elsewhere would fork it
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "netlist.py"
+             for line in _gate_kind_logic(ast.parse(path.read_text()), GATE_KINDS)]
+    assert found == [], "gate-kind logic outside netlist.py: " + ", ".join(found)
+
+
+def test_gate_kind_scan_sees_comparisons_cases_and_the_opcode_table():
+    kinds = ("AND", "NOT", "BUF")
+    flagged = ['if kind == "AND": pass',
+               'x = "NOT" != kind',
+               'y = kind in ("NOT", "BUF")',
+               'match kind:\n    case "BUF": pass',
+               'op = netlist._OPCODES[kind]',
+               'op = _OPCODES.get(kind)',
+               'from .netlist import _OPCODES as ops']
+    for code in flagged:
+        assert _gate_kind_logic(ast.parse(code), kinds), code
+    clean = ['"""AND of the pins."""',
+             'ok = kind in GATE_KINDS',
+             'ok = kind == "ANDY"',
+             'table = {"AND": 0}',
+             'x = _OPCODE_COUNT']
+    for code in clean:
+        assert _gate_kind_logic(ast.parse(code), kinds) == [], code
+    assert _gate_kind_logic(ast.parse(
+        'if a:\n    pass\nelif kind == "AND":\n    pass\n'), kinds) == [3]

@@ -1,13 +1,14 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import AND_BENCH, random_small_circuit
-from oracles import recursive_truth_table_eval, structurally_equal
+from oracles import multipass_gate_order, recursive_truth_table_eval, structurally_equal
 from testtrim.faultsim import exhaustive_patterns
-from testtrim.netlist import BenchParseError, evaluate, format_bench, parse_bench
+from testtrim.netlist import BenchParseError, build_circuit, evaluate, format_bench, parse_bench
 
 
 def test_parse_smallest_legal_netlist(and_circuit):
@@ -105,18 +106,64 @@ def test_topological_order_property_random(seed):
 
 def test_all_gate_kinds_evaluate():
     text = (
-        "INPUT(a)\nINPUT(b)\n"
-        "OUTPUT(o1)\nOUTPUT(o2)\nOUTPUT(o3)\nOUTPUT(o4)\n"
-        "OUTPUT(o5)\nOUTPUT(o6)\nOUTPUT(o7)\nOUTPUT(o8)\n"
-        "o1 = AND(a, b)\no2 = NAND(a, b)\no3 = OR(a, b)\no4 = NOR(a, b)\n"
+        "INPUT(a)\nINPUT(b)\nINPUT(c)\n"
+        + "".join(f"OUTPUT(o{j})\n" for j in range(1, 15))
+        + "o1 = AND(a, b)\no2 = NAND(a, b)\no3 = OR(a, b)\no4 = NOR(a, b)\n"
         "o5 = XOR(a, b)\no6 = XNOR(a, b)\no7 = NOT(a)\no8 = BUF(a)\n"
+        "o9 = AND(a, b, c)\no10 = NAND(a, b, c)\no11 = OR(a, b, c)\no12 = NOR(a, b, c)\n"
+        "o13 = XOR(a, b, c)\no14 = XNOR(a, b, c)\n"
     )
     circuit = parse_bench(text)
-    for a, b in itertools.product((0, 1), repeat=2):
-        got = evaluate(circuit, (a, b))
+    for a, b, c in itertools.product((0, 1), repeat=3):
+        got = evaluate(circuit, (a, b, c))
         want = (a & b, 1 - (a & b), a | b, 1 - (a | b),
-                a ^ b, 1 - (a ^ b), 1 - a, a)
+                a ^ b, 1 - (a ^ b), 1 - a, a,
+                a & b & c, 1 - (a & b & c), a | b | c, 1 - (a | b | c),
+                a ^ b ^ c, 1 - (a ^ b ^ c))
         assert got == want
+
+
+def _statements(circuit):
+    names = circuit.signal_names
+    return ([names[i] for i in circuit.inputs], [names[o] for o in circuit.outputs],
+            [(names[g.output], g.kind, tuple(names[i] for i in g.inputs))
+             for g in circuit.gates])
+
+
+def test_gate_order_and_cycle_errors_match_multipass_reference():
+    # shuffled declaration orders; every other circuit has one pin rewired to a
+    # random gate output, which closes a cycle when that gate reads the pin's gate
+    cycles = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        inputs, outputs, stmts = _statements(random_small_circuit(seed, max_gates=30))
+        rng.shuffle(stmts)
+        if seed % 2:
+            g = rng.randrange(len(stmts))
+            out, kind, ins = stmts[g]
+            pins = list(ins)
+            pins[rng.randrange(len(pins))] = rng.choice(stmts)[0]
+            stmts[g] = (out, kind, tuple(pins))
+        try:
+            want = multipass_gate_order(inputs, stmts)
+        except ValueError as exc:
+            cycles += 1
+            with pytest.raises(BenchParseError) as got:
+                build_circuit("c", inputs, outputs, stmts)
+            assert str(got.value) == str(exc)
+            continue
+        assert _statements(build_circuit("c", inputs, outputs, stmts))[2] == want
+    assert 30 < cycles < 150
+
+
+def test_chain_declared_outputs_first_parses_in_gate_order():
+    n = 3000
+    text = ("INPUT(a)\nOUTPUT(g3000)\n"
+            + "".join(f"g{i} = NOT(g{i - 1})\n" for i in range(n, 1, -1)) + "g1 = NOT(a)\n")
+    circuit = parse_bench(text)
+    assert [circuit.signal_names[g.output] for g in circuit.gates] == \
+        [f"g{i}" for i in range(1, n + 1)]
+    assert evaluate(circuit, (1,)) == (1,)
 
 
 def test_evaluate_all_signals(sample6_text):
