@@ -334,6 +334,7 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
     fault_stems = tuple(stem_of[fault.signal] for fault in faults)
     stem_flips = [((mask if fault.stuck_value else 0) ^ free[fault.signal]) & sens[fault.signal]
                   for fault in faults]
+    del sens  # one word per signal: kept out of the stem flips' peak memory
     flipped = {stem for stem, d in zip(fault_stems, stem_flips) if d}
     order = [s for s in itertools.chain(circuit.inputs, (g.output for g in circuit.gates))
              if s in flipped]
