@@ -12,6 +12,9 @@ Every subcommand is a pure function of the config file and its input
 files; reruns produce byte-identical artifacts.  Diagnostics go to stderr,
 data goes to files, and the exit status is nonzero exactly when an error
 case fires.
+
+Only ``generate`` simulates; the other stages read ``traces.csv``, split
+with ``dataset.split_corpus`` and fit with ``evaluation.fit_policy``.
 """
 
 from __future__ import annotations
@@ -20,15 +23,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import corpus as corpus_mod
 from . import evaluation as ev
 from .config import (RunConfig, check_same_corpus, config_from_text, load_config,
                      save_config)
-from .dataset import Standardizer, dataset_from_traces, write_dataset
+from .corpus import build_corpus
+from .dataset import dataset_from_traces, split_corpus, write_dataset
 from .diagnosis import UndiagnosableFaultError, read_traces, write_traces
 from .faultsim import write_dictionary
-from .models import (KernelLogisticModel, TrainConfig, fit_kernel_logistic,
-                     fit_penalized_linear, load_model, save_model)
+from .models import KernelLogisticModel, load_model, save_model
 from .netlist import BenchParseError, format_bench
 
 
@@ -110,7 +112,7 @@ def _load_corpus_files(cfg: RunConfig):
 
 def cmd_generate(cfg: RunConfig) -> int:
     """Synthesize the corpus: netlists, dictionaries, traces, dataset."""
-    corpus = corpus_mod.build_corpus(cfg)
+    corpus = build_corpus(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.corpus_netlist_dir is None:
@@ -130,44 +132,15 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(iterations=cfg.model_iterations, seed=cfg.model_seed,
-                       landmark_cap=cfg.model_landmark_cap)
-
-
-def _fit_from_split(cfg: RunConfig, split: corpus_mod.CorpusSplit):
-    """Fit the configured model on the train rows; returns (model, standardizer, tau)."""
-    std = Standardizer.fit(split.train.X)
-    X_train = std.transform(split.train.X)
-    if cfg.model_kind == "linear":
-        alpha = cfg.model_alpha
-        if cfg.model_penalty == "l1":
-            alpha = ev.sweep_lasso_alpha(alpha, len(split.train))
-        model = fit_penalized_linear(X_train, split.train.y, alpha,
-                                     penalty=cfg.model_penalty)
-    else:
-        model = fit_kernel_logistic(
-            X_train, split.train.labels_binary(), cfg.model_lambda, cfg.model_gamma,
-            _train_config(cfg))
-    if cfg.policy_tau == "auto":
-        if split.validation is None:
-            raise ValueError("policy.tau = auto needs a validation split "
-                             "(set split.validation_fraction > 0)")
-        tau = ev.select_tau(split.validation,
-                            ev.score_matrix(model, std.transform(split.validation.X)))
-    else:
-        tau = float(cfg.policy_tau)
-    return model, std, tau
-
-
 def cmd_train(cfg: RunConfig) -> int:
     """Fit the configured model and stop threshold, write model.txt."""
     out = Path(cfg.out_dir)
     dataset, _ = _load_corpus_files(cfg)
-    split = corpus_mod.split_corpus(dataset, cfg, with_validation=cfg.policy_tau == "auto")
-    model, std, tau = _fit_from_split(cfg, split)
+    split = split_corpus(dataset, cfg, with_validation=cfg.policy_tau == "auto")
+    model, std, tau = ev.fit_policy(cfg, split)
+    validation = split.validation.circuit_ids if split.validation is not None else []
     save_model(out / "model.txt", model, std,
-               train_circuits=sorted(split.trainval_circuits), tau=tau)
+               train_circuits=sorted(split.train.circuit_ids + validation), tau=tau)
     fit = ""
     if isinstance(model, KernelLogisticModel):
         fit = (f", fit: {len(model.cost_history) - 1} iterations, "
@@ -188,7 +161,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         raise FileNotFoundError(f"missing {model_path}; run 'testtrim train' first")
     loaded = load_model(model_path)
     dataset, record = _load_corpus_files(cfg)
-    split = corpus_mod.split_corpus(dataset, cfg, with_validation=False)
+    split = split_corpus(dataset, cfg, with_validation=False)
 
     overlap = set(split.test.circuit_ids) & set(loaded.train_circuits)
     if overlap:
@@ -215,7 +188,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     """Emit sweep_alpha.csv, beta_weights.csv and learning_curve.csv."""
     out = Path(cfg.out_dir)
     dataset, _ = _load_corpus_files(cfg)
-    split = corpus_mod.split_corpus(dataset, cfg, with_validation=True)
+    split = split_corpus(dataset, cfg, with_validation=True)
     if split.validation is None:
         raise ValueError("sweep needs a validation split "
                          "(set split.validation_fraction > 0)")
@@ -224,10 +197,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     ev.write_sweep_csv(points, out / "sweep_alpha.csv")
     ev.write_beta_csv(points, out / "beta_weights.csv")
 
-    sizes = ev.curve_sizes(len(split.train))
-    curve = ev.learning_curve(
-        sizes, split.train, split.test, cfg.model_lambda, cfg.model_gamma,
-        _train_config(cfg))
+    curve = ev.learning_curve(split, cfg)
     ev.write_curve_csv(curve, out / "learning_curve.csv")
     print(f"sweep done: {len(points)} alpha points, {len(curve)} curve sizes")
     return 0
@@ -237,7 +207,7 @@ def cmd_oracle_eval(cfg: RunConfig) -> int:
     """Evaluate the ground-truth scorer (each row's label) on the held-out circuits."""
     out = Path(cfg.out_dir)
     dataset, record = _load_corpus_files(cfg)
-    split = corpus_mod.split_corpus(dataset, cfg, with_validation=False)
+    split = split_corpus(dataset, cfg, with_validation=False)
     tau = 1.0 if cfg.policy_tau == "auto" else float(cfg.policy_tau)
     report = ev.evaluate(split.test, split.test.y, tau)
     ev.write_report_csv(report, out / "oracle_report.csv")

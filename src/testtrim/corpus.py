@@ -5,6 +5,8 @@ a seeded pattern set, and one seeded injected fault drawn from the faults
 the pattern set can actually detect.  Slots use independent sub-seeds
 derived from the corpus seed, so the whole corpus is reproducible and
 individual slots do not perturb each other.
+
+The model side reads the traces and owns the split (``dataset.split_corpus``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import RunConfig
-from .dataset import Dataset, dataset_from_traces, split
+from .dataset import Dataset, dataset_from_traces
 from .diagnosis import DiagnosisTrace, trace_diagnosis
 from .faultsim import (FaultDictionary, build_fault_dictionary,
                        exhaustive_patterns, random_patterns)
@@ -102,33 +104,3 @@ def build_corpus(cfg: RunConfig) -> Corpus:
         dataset=dataset_from_traces(traces),
         seed=cfg.corpus_seed,
     )
-
-
-@dataclass
-class CorpusSplit:
-    """Circuit-disjoint train / validation / test portions."""
-
-    train: Dataset
-    validation: Dataset | None
-    test: Dataset
-
-    @property
-    def trainval_circuits(self) -> set[str]:
-        ids = set(self.train.circuit_ids)
-        if self.validation is not None:
-            ids |= set(self.validation.circuit_ids)
-        return ids
-
-
-def split_corpus(dataset: Dataset, cfg: RunConfig,
-                 with_validation: bool = True) -> CorpusSplit:
-    """Two seeded circuit-level splits: test held out first, then validation
-    carved from the train side when requested."""
-    trainval, test = split(dataset, cfg.split_train_fraction, cfg.split_seed)
-    validation = None
-    train = trainval
-    if with_validation and cfg.split_validation_fraction > 0.0:
-        # derived seed keeps the two shuffles independent
-        train, validation = split(trainval, 1.0 - cfg.split_validation_fraction,
-                                  cfg.split_seed + 1)
-    return CorpusSplit(train=train, validation=validation, test=test)

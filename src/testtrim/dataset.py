@@ -1,4 +1,4 @@
-"""Feature matrix, circuit-level splits, CSV export.
+"""Feature matrix, the circuit-level split, CSV export.
 
 Each failing pattern of a trace becomes one row with five features:
 
@@ -15,7 +15,8 @@ pattern count ``total_patterns``, and the circuit boundaries (circuit ids
 plus row offsets), so circuit ``c`` owns rows ``offsets[c]:offsets[c + 1]``
 in trace order.  A split's ``Dataset`` is all that scoring a stop policy
 on it needs.  Rows of one circuit are heavily correlated (they share
-x1/x3/x5), so train/test splits cut whole circuits.
+x1/x3/x5), so :func:`split_corpus`, the one split every stage applies,
+cuts whole circuits.  Rows come from the trace record alone.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .diagnosis import DiagnosisTrace
 
 NUM_FEATURES = 5
@@ -132,7 +134,7 @@ def _take(dataset: Dataset, keep: np.ndarray) -> Dataset:
                    dataset.total_patterns[keep], _offsets(counts[keep]))
 
 
-def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+def _split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic split by circuit.
 
     Circuits are shuffled with the seed, then assigned to the train side
@@ -166,6 +168,28 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
             f"train_fraction {train_fraction} produces an empty side "
             f"({num_circuits} circuits, {len(dataset)} rows)")
     return _take(dataset, keep), _take(dataset, ~keep)
+
+
+@dataclass
+class CorpusSplit:
+    """Circuit-disjoint train / validation / test portions."""
+
+    train: Dataset
+    validation: Dataset | None
+    test: Dataset
+
+
+def split_corpus(dataset: Dataset, cfg: RunConfig,
+                 with_validation: bool = True) -> CorpusSplit:
+    """Two seeded circuit-level splits: test held out first, then validation
+    carved from the train side when requested."""
+    trainval, test = _split(dataset, cfg.split_train_fraction, cfg.split_seed)
+    train, validation = trainval, None
+    if with_validation and cfg.split_validation_fraction > 0.0:
+        # derived seed keeps the two shuffles independent
+        train, validation = _split(trainval, 1.0 - cfg.split_validation_fraction,
+                                   cfg.split_seed + 1)
+    return CorpusSplit(train=train, validation=validation, test=test)
 
 
 def write_dataset(dataset: Dataset, path) -> None:

@@ -28,7 +28,9 @@ output supports, and ``E_si = 0``.
 The golden candidate set is the intermediate set at the last failing
 pattern.  The convergence ratio m = |golden| / |intermediate| is
 non-decreasing and ends at 1; the regression label y rescales m so that
-each trace spans [0, 1], with y = 1 reserved for converged rows.
+each trace spans [0, 1], with y = 1 reserved for converged rows.  A trace
+stores the sizes and derives m and y from them.  The model side reads this
+record, so the fault simulator is imported for type annotations only.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .faultsim import Fault, FaultDictionary
+if TYPE_CHECKING:
+    from .faultsim import Fault, FaultDictionary
 
 
 class UndiagnosableFaultError(ValueError):
@@ -48,24 +52,39 @@ class UndiagnosableFaultError(ValueError):
 
 @dataclass
 class DiagnosisTrace:
-    """Ordered per-failing-pattern record for one failing circuit."""
+    """Ordered per-failing-pattern record for one failing circuit.
+
+    The convergence ratios ``m_values`` and labels ``y_values`` are derived
+    from the sizes, at the six digits ``traces.csv`` holds, so a trace read
+    back from its CSV export gives the rows of the trace written.  Each is
+    derived once, on first use: a trace is not changed after it is built.
+    """
 
     circuit_id: str
     num_inputs: int
     total_patterns: int
     failing_indices: list[int]          # 1-based pattern indices, strictly increasing
-    intermediate_sizes: list[int]
+    intermediate_sizes: list[int]       # non-increasing, ending at golden_size
     golden_size: int
-    m_values: list[float]
-    y_values: list[float]
     injected_fault: Fault | None = None
 
     @property
     def num_failing(self) -> int:
         return len(self.failing_indices)
 
+    @cached_property
+    def m_values(self) -> list[float]:
+        """Per failing pattern, m = |golden| / |intermediate|."""
+        return [round(self.golden_size / size, 6) for size in self.intermediate_sizes]
 
-def compute_labels(m_values: Sequence[float]) -> list[float]:
+    @cached_property
+    def y_values(self) -> list[float]:
+        """Per failing pattern, the label :func:`_compute_labels` gives m."""
+        m_values = [self.golden_size / size for size in self.intermediate_sizes]
+        return [round(y, 6) for y in _compute_labels(m_values)]
+
+
+def _compute_labels(m_values: Sequence[float]) -> list[float]:
     """Rescale a trace's m sequence to labels in [0, 1].
 
     y = 1 where m = 1, otherwise (m - m_min) / (1 - m_min) with m_min the
@@ -150,17 +169,13 @@ def trace_diagnosis(fdict: FaultDictionary, injected: Fault) -> DiagnosisTrace:
     failing0 = [p for p in range(fdict.num_patterns) if (fail_mask >> p) & 1]
     sizes = [len(order) - bisect.bisect_right(order, p) for p in failing0]
 
-    golden = sizes[-1]
-    m_values = [golden / s for s in sizes]
     return DiagnosisTrace(
         circuit_id=fdict.circuit.name,
         num_inputs=len(fdict.circuit.inputs),
         total_patterns=fdict.num_patterns,
         failing_indices=[p + 1 for p in failing0],
         intermediate_sizes=sizes,
-        golden_size=golden,
-        m_values=m_values,
-        y_values=compute_labels(m_values),
+        golden_size=sizes[-1],
         injected_fault=injected,
     )
 
@@ -175,12 +190,10 @@ def write_traces(traces: Iterable[DiagnosisTrace], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for t in traces:
-            for k in range(t.num_failing):
-                writer.writerow([
-                    t.circuit_id, t.num_inputs, t.total_patterns, k + 1, t.failing_indices[k],
-                    t.intermediate_sizes[k], t.golden_size,
-                    f"{t.m_values[k]:.6f}", f"{t.y_values[k]:.6f}",
-                ])
+            rows = zip(t.failing_indices, t.intermediate_sizes, t.m_values, t.y_values)
+            for k, (failing, size, m, y) in enumerate(rows, 1):
+                writer.writerow([t.circuit_id, t.num_inputs, t.total_patterns, k, failing,
+                                 size, t.golden_size, f"{m:.6f}", f"{y:.6f}"])
 
 
 def read_traces(path) -> list[DiagnosisTrace]:
@@ -188,19 +201,25 @@ def read_traces(path) -> list[DiagnosisTrace]:
 
     Each record carries its circuit's applied pattern count, so a reader
     needs no corpus settings.  Loaded traces carry no injected-fault ground
-    truth.  Raises ``ValueError`` on a different header, on a file without
-    records, and, naming the file and line, on a record with the wrong
-    number of fields (as a truncated file leaves), a bad value, a k that
-    does not continue its circuit's records (a circuit's records come in k
-    order, as :func:`write_traces` writes them), or an m or y other than
-    the one its candidate-set sizes give, to six digits; blank lines are
-    skipped.  A circuit whose records stop before its golden set is
-    reached is rejected too.  So a loaded row has y == 1 exactly where its
-    intermediate size is the golden size (a non-converged y reaches
-    1.000000 only above two million candidates).
+    truth.  Raises ``ValueError`` on a different header and on a file
+    without records; blank lines are skipped.  Every other refusal names
+    the file and the line at fault: a wrong number of fields (as a
+    truncated file leaves) or a bad value; a ``num_inputs``,
+    ``total_patterns`` or ``golden_size`` other than the circuit's first
+    record holds; a k that does not continue its circuit's records (they
+    come in k order, as :func:`write_traces` writes them); a failing index
+    that does not rise strictly from 1 up to ``total_patterns``; an
+    intermediate size above the one before it or below a golden size of at
+    least 1; a circuit whose last record is not at its golden size; and an
+    m or y other than the one the sizes give, to six digits.  So a loaded
+    row has y == 1 exactly where its intermediate size is the golden size
+    (a non-converged y reaches 1.000000 only above two million candidates).
+    A failing index moved to another value that still rises passes: no file
+    records the applied patterns, so it cannot be re-checked until they are persisted.
     """
-    traces: dict[str, DiagnosisTrace] = {}
-    lines: dict[str, list[int]] = {}
+    # circuit id -> (trace, (num_inputs, total_patterns, golden_size) of its first
+    # record, its failing indices, its sizes, and each record's line, m and y)
+    circuits: dict[str, tuple] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -217,46 +236,50 @@ def read_traces(path) -> list[DiagnosisTrace]:
                     raise ValueError(f"non-finite m or y ({fields[7]!r}, {fields[8]!r})")
                 num_inputs, total, k, failing, size, golden = map(int, fields[1:7])
                 cid = fields[0]
-                t = traces.get(cid)
-                if t is None:
-                    t = traces[cid] = DiagnosisTrace(cid, num_inputs, total, [], [], golden,
-                                                     [], [])
-                    lines[cid] = []
-                if k != t.num_failing + 1:
+                entry = circuits.get(cid)
+                if entry is None:
+                    t = DiagnosisTrace(cid, num_inputs, total, [], [], golden)
+                    entry = circuits[cid] = (t, (num_inputs, total, golden), t.failing_indices,
+                                             t.intermediate_sizes, [], [], [])
+                _, first, failing_indices, sizes, lines, ms, ys = entry
+                if (num_inputs, total, golden) != first:
+                    raise ValueError(f"(num_inputs, total_patterns, golden_size) "
+                                     f"{num_inputs, total, golden} differ from {first} in the "
+                                     f"first record of circuit '{cid}'")
+                if k != len(sizes) + 1:
                     raise ValueError(f"non-contiguous k sequence for circuit '{cid}'")
+                low = failing_indices[-1] + 1 if k > 1 else 1
+                if failing < low:
+                    raise ValueError(f"failing index {failing} is below {low}: a circuit's "
+                                     f"failing indices rise strictly from 1")
+                if failing > total:
+                    raise ValueError(f"total_patterns {total} is below failing index {failing}")
+                if not 0 < golden <= size:
+                    raise ValueError(f"intermediate size {size} and golden size {golden} "
+                                     f"break 1 <= golden <= intermediate")
+                if k > 1 and size > sizes[-1]:
+                    raise ValueError(f"intermediate size {size} rises above the size "
+                                     f"{sizes[-1]} before it")
             except ValueError as exc:
                 raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-            t.failing_indices.append(failing)
-            t.intermediate_sizes.append(size)
-            t.m_values.append(m)
-            t.y_values.append(y)
-            lines[cid].append(reader.line_num)
-    if not traces:
+            failing_indices.append(failing)
+            sizes.append(size)
+            lines.append(reader.line_num)
+            ms.append(m)
+            ys.append(y)
+    if not circuits:
         raise ValueError(f"trace file {path} holds no rows")
 
-    for cid, t in traces.items():
-        if t.total_patterns < t.failing_indices[-1]:
-            raise ValueError(f"{path}: circuit '{cid}': total_patterns {t.total_patterns} "
-                             f"is below its last failing pattern {t.failing_indices[-1]}")
-        if t.intermediate_sizes[-1] != t.golden_size:
-            raise ValueError(f"{path}: circuit '{cid}' ends at intermediate size "
-                             f"{t.intermediate_sizes[-1]}, not at its golden size "
+    for t, _, _, sizes, lines, ms, ys in circuits.values():
+        if sizes[-1] != t.golden_size:
+            raise ValueError(f"{path} line {lines[-1]}: circuit '{t.circuit_id}' ends at "
+                             f"intermediate size {sizes[-1]}, not at its golden size "
                              f"{t.golden_size}")
-        _check_labels(path, t, lines[cid])
-    return list(traces.values())
-
-
-def _check_labels(path, trace: DiagnosisTrace, lines: list[int]) -> None:
-    """Reject a record whose m or y differs, at six digits, from the value
-    its circuit's candidate-set sizes give (:func:`compute_labels`)."""
-    golden = trace.golden_size
-    for size, line in zip(trace.intermediate_sizes, lines):
-        if not 0 < golden <= size:
-            raise ValueError(f"{path} line {line}: intermediate size {size} and golden "
-                             f"size {golden} break 1 <= golden <= intermediate")
-    m_values = [golden / size for size in trace.intermediate_sizes]
-    for m, y, m_read, y_read, line in zip(m_values, compute_labels(m_values),
-                                          trace.m_values, trace.y_values, lines):
-        if round(m, 6) != m_read or round(y, 6) != y_read:
-            raise ValueError(f"{path} line {line}: m {m_read:.6f} and y {y_read:.6f} differ "
-                             f"from {m:.6f} and {y:.6f} given by the candidate-set sizes")
+        m_want, y_want = t.m_values, t.y_values
+        if m_want != ms or y_want != ys:
+            i = next(i for i, row in enumerate(zip(m_want, y_want, ms, ys)) if row[:2] != row[2:])
+            raise ValueError(f"{path} line {lines[i]}: m {ms[i]:.6f} and y {ys[i]:.6f} differ "
+                             f"from {m_want[i]:.6f} and {y_want[i]:.6f} given by the "
+                             f"candidate-set sizes")
+        del ms[:], ys[:]  # free the read copies; the trace caches the derived ones
+    return [entry[0] for entry in circuits.values()]

@@ -10,6 +10,9 @@ vector through one :func:`score_matrix` call on the split's standardized
 rows (linear predictions clamped to [0, 1]); the oracle policy scores each
 row with its label ``y``.  Every tau tried reads the same vector.
 
+:func:`fit_policy` is the one fit path, for ``train`` and for each swept
+alpha.  Everything here reads the trace-derived dataset only.
+
 The headline metrics:
 
 * diagnosis accuracy: fraction of circuits whose candidate set had already
@@ -26,13 +29,14 @@ solvers, i.e. the raw objective is ||Xb - Y||^2 + 2*n*alpha*||b||_1;
 from __future__ import annotations
 
 import csv
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import CorpusSplit
-from .dataset import Dataset, Standardizer
+from .config import RunConfig
+from .dataset import CorpusSplit, Dataset, Standardizer
 from .models import (KernelLogisticModel, LinearModel, TrainConfig,
                      fit_kernel_logistic, fit_penalized_linear,
                      predict_linear_batch, predict_prob_batch)
@@ -140,9 +144,32 @@ def select_tau(data: Dataset, scores: np.ndarray) -> float:
     return max(pool)[3]
 
 
-def sweep_lasso_alpha(alpha: float, n: int) -> float:
-    """Raw penalty weight matching the per-sample lasso convention."""
-    return 2.0 * n * alpha
+def _train_config(cfg: RunConfig) -> TrainConfig:
+    return TrainConfig(iterations=cfg.model_iterations, seed=cfg.model_seed,
+                       landmark_cap=cfg.model_landmark_cap)
+
+
+def fit_policy(cfg: RunConfig, split: CorpusSplit):
+    """Fit the configured model on the train rows and pick tau, on the
+    validation rows when ``policy.tau = auto``; returns ``(model,
+    standardizer, tau)``.  A lasso's alpha is per sample."""
+    std = Standardizer.fit(split.train.X)
+    X_train = std.transform(split.train.X)
+    if cfg.model_kind == "linear":
+        per_sample = 2.0 * len(split.train) if cfg.model_penalty == "l1" else 1.0
+        model = fit_penalized_linear(X_train, split.train.y, cfg.model_alpha * per_sample,
+                                     penalty=cfg.model_penalty)
+    else:
+        model = fit_kernel_logistic(
+            X_train, split.train.labels_binary(), cfg.model_lambda, cfg.model_gamma,
+            _train_config(cfg))
+    if cfg.policy_tau != "auto":
+        return model, std, float(cfg.policy_tau)
+    if split.validation is None:
+        raise ValueError("policy.tau = auto needs a validation split "
+                         "(set split.validation_fraction > 0)")
+    scores = score_matrix(model, std.transform(split.validation.X))
+    return model, std, select_tau(split.validation, scores)
 
 
 @dataclass(frozen=True)
@@ -159,24 +186,17 @@ class AlphaPoint:
 def sweep_alpha(alphas: Sequence[float], split: CorpusSplit) -> list[AlphaPoint]:
     """One lasso model per alpha, each taken through the same stop policy.
 
-    Each model is fitted on the split's train rows, picks tau on its
-    validation circuits and is scored on its test circuits.  Results are
-    listed in the given alpha order.  ``label_accuracy`` is the
-    alternative row-level reading of the same test scores: clamped
-    predictions thresholded at 0.5 against the binary convergence labels.
+    Each alpha is fitted by :func:`fit_policy` as a lasso with tau picked
+    on the validation circuits, and scored on the test circuits, in the
+    given alpha order.  ``label_accuracy`` is the alternative row-level
+    reading of the same test scores: clamped predictions thresholded at 0.5
+    against the binary convergence labels.
     """
-    std = Standardizer.fit(split.train.X)
-    X_train = std.transform(split.train.X)
-    X_val = std.transform(split.validation.X)
-    X_test = std.transform(split.test.X)
-    n = len(split.train)
-
     points = []
     for alpha in alphas:
-        model = fit_penalized_linear(X_train, split.train.y, sweep_lasso_alpha(alpha, n),
-                                     penalty="l1")
-        tau = select_tau(split.validation, score_matrix(model, X_val))
-        rep = evaluate(split.test, score_matrix(model, X_test), tau)
+        model, std, tau = fit_policy(
+            RunConfig(model_kind="linear", model_penalty="l1", model_alpha=alpha), split)
+        rep = evaluate(split.test, score_matrix(model, std.transform(split.test.X)), tau)
         points.append(AlphaPoint(
             alpha=alpha,
             tau=tau,
@@ -189,38 +209,32 @@ def sweep_alpha(alphas: Sequence[float], split: CorpusSplit) -> list[AlphaPoint]
     return points
 
 
-def learning_curve(sizes: Sequence[int], train: Dataset, test: Dataset,
-                   lam: float, gamma: float, config: TrainConfig) -> list[tuple[int, float]]:
-    """Classifier test score at nested training-subset sizes.
+def learning_curve(split: CorpusSplit, cfg: RunConfig) -> list[tuple[int, float]]:
+    """Test score of the configured kernel classifier trained on nested
+    subsets, ``DEFAULT_CURVE_FRACTIONS`` of the train rows.
 
     Subsets are the first ``size`` entries of one permutation seeded with
-    ``config.seed``, so smaller sets are contained in larger ones; rows are
-    fed to the fit in original dataset order, which makes the full-size
-    point identical to a direct fit on the whole training set.
+    ``model.seed``; rows are fed to the fit in dataset order and
+    standardized with the whole train side's statistics, so the full-size
+    point is a direct fit on the whole training set.
     """
-    import random as _random
-
-    std = Standardizer.fit(train.X)
-    X_train, X_test = std.transform(train.X), std.transform(test.X)
-    y_train = train.labels_binary()
-    n = len(train)
+    config = _train_config(cfg)
+    std = Standardizer.fit(split.train.X)
+    X_train, X_test = std.transform(split.train.X), std.transform(split.test.X)
+    y_train = split.train.labels_binary()
+    n = len(split.train)
     order = list(range(n))
-    _random.Random(config.seed).shuffle(order)
+    random.Random(config.seed).shuffle(order)
 
     results = []
-    for size in sizes:
-        if size > n:
-            raise ValueError(f"requested train size {size} exceeds corpus ({n} rows)")
+    sizes = {max(2, round(f * n)) for f in DEFAULT_CURVE_FRACTIONS}
+    for size in sorted(s for s in sizes if s <= n):
         idx = sorted(order[:size])
-        model = fit_kernel_logistic(X_train[idx], y_train[idx], lam, gamma, config)
-        score = classification_accuracy(score_matrix(model, X_test), test.y)
+        model = fit_kernel_logistic(X_train[idx], y_train[idx], cfg.model_lambda,
+                                    cfg.model_gamma, config)
+        score = classification_accuracy(score_matrix(model, X_test), split.test.y)
         results.append((size, score))
     return results
-
-
-def curve_sizes(n_rows: int) -> list[int]:
-    sizes = sorted({max(2, round(f * n_rows)) for f in DEFAULT_CURVE_FRACTIONS})
-    return [s for s in sizes if s <= n_rows]
 
 
 # ---------------------------------------------------------------------------

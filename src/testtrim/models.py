@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ MAX_BACKTRACKS = 50     # step halvings before the line search gives up
 
 CD_MAX_ITER = 10000     # coordinate-descent sweeps of the lasso fit
 CD_TOL = 1e-12          # it stops once no coordinate moves more than this
+GRAD_TOL = 1e-6         # the kernel-logistic fit converges below this gradient norm
 
 MODEL_FILE_MAGIC = "testtrim-model v1"
 
@@ -47,7 +48,6 @@ class LinearModel:
     intercept: float
     alpha: float
     penalty: str = "l2"
-    rank_deficient: bool = False
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class TrainConfig:
     iterations: int = 2000       # cap on accepted L-BFGS steps
     seed: int = 0
     landmark_cap: int = 512
-    grad_tol: float = 1e-6
 
 
 @dataclass
@@ -70,7 +69,7 @@ class KernelLogisticModel:
 
     @property
     def converged(self) -> bool:
-        return self.grad_norm is not None and self.grad_norm < self.config.grad_tol
+        return self.grad_norm is not None and self.grad_norm < GRAD_TOL
 
 
 def _soft_threshold(x: float, t: float) -> float:
@@ -109,14 +108,13 @@ def fit_penalized_linear(X: np.ndarray, Y: np.ndarray, alpha: float,
     A = np.column_stack([np.ones(X.shape[0]), X])
     if penalty == "l1" and alpha > 0:
         coef = _lasso_cd(A, Y, alpha)
-        rank_deficient = False
     else:
-        coef, rank_deficient = _ridge_solve(A, Y, alpha)
+        coef = _ridge_solve(A, Y, alpha)
     return LinearModel(beta=coef[1:], intercept=float(coef[0]), alpha=alpha,
-                       penalty=penalty, rank_deficient=rank_deficient)
+                       penalty=penalty)
 
 
-def _ridge_solve(A: np.ndarray, Y: np.ndarray, alpha: float) -> tuple[np.ndarray, bool]:
+def _ridge_solve(A: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
     d = A.shape[1]
     G = A.T @ A
     if alpha > 0:
@@ -130,15 +128,13 @@ def _ridge_solve(A: np.ndarray, Y: np.ndarray, alpha: float) -> tuple[np.ndarray
             warnings.warn(
                 f"unpenalized design matrix is rank deficient (rank {rank} < {d}); "
                 f"returning the minimum-norm solution", RuntimeWarning, stacklevel=3)
-            coef = np.linalg.lstsq(A, Y, rcond=None)[0]
-            return coef, True
+            return np.linalg.lstsq(A, Y, rcond=None)[0]
     try:
         L = np.linalg.cholesky(G)
-        coef = np.linalg.solve(L.T, np.linalg.solve(L, b))
+        return np.linalg.solve(L.T, np.linalg.solve(L, b))
     except np.linalg.LinAlgError:
         # numerically singular despite full rank; fall back to least squares
-        coef = np.linalg.lstsq(A, Y, rcond=None)[0]
-    return coef, False
+        return np.linalg.lstsq(A, Y, rcond=None)[0]
 
 
 def _lasso_cd(A: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
@@ -241,7 +237,7 @@ def fit_kernel_logistic(X_train: np.ndarray, y_bin: np.ndarray, lam: float,
     ``LBFGS_MEMORY`` curvature pairs (the normalized steepest-descent
     direction on the first step) and backtracks from a unit step until the
     Armijo condition holds with a strict decrease.  The fit stops when the
-    gradient norm drops below ``config.grad_tol`` (converged), after
+    gradient norm drops below ``GRAD_TOL`` (converged), after
     ``config.iterations`` accepted steps, or when the line search finds no
     decrease; the last two leave ``model.converged`` false.
     ``cost_history`` holds the initial cost and the cost after each
@@ -266,7 +262,7 @@ def fit_kernel_logistic(X_train: np.ndarray, y_bin: np.ndarray, lam: float,
     costs = [cost]
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
     grad_norm = float(np.linalg.norm(grad))
-    while grad_norm >= config.grad_tol and len(costs) <= config.iterations:
+    while grad_norm >= GRAD_TOL and len(costs) <= config.iterations:
         direction = _lbfgs_direction(grad, grad_norm, pairs)
         slope = float(grad @ direction)
         step = 1.0

@@ -216,6 +216,26 @@ def test_stage_refuses_corpus_drift(generated_run, tmp_path, capsys, stage, drif
     assert captured.out == "" and _tree(out) == before
 
 
+def test_train_refuses_record_contradicting_its_circuit(finished_run, tmp_path, capsys):
+    # a circuit's second record claims 99 inputs
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    lines = (out / "traces.csv").read_text().splitlines()
+    second = next(i for i in range(2, len(lines))
+                  if lines[i].split(",")[0] == lines[i - 1].split(",")[0])
+    fields = lines[second].split(",")
+    fields[1] = "99"
+    lines[second] = ",".join(fields)
+    (out / "traces.csv").write_text("\n".join(lines) + "\n")
+    assert main(["train", "--config", str(out / "config.txt"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"traces.csv line {second + 1}: (num_inputs, total_patterns, golden_size) (99, " \
+        in err[0]
+    assert captured.out == ""
+
+
 def test_old_learning_rate_key_fails_cleanly(tmp_path, capsys):
     cfg_path = tmp_path / "old.txt"
     cfg_path.write_text("model.learning_rate = 0.3\n")

@@ -1,7 +1,8 @@
 import pytest
 
 from testtrim.config import RunConfig
-from testtrim.corpus import build_corpus, split_corpus
+from testtrim.corpus import build_corpus
+from testtrim.dataset import split_corpus
 from testtrim.netlist import format_bench
 
 
@@ -95,7 +96,6 @@ def test_split_corpus_partitions_traces(small_corpus):
                                                 for c in part.circuit_ids]
         assert part.m.tolist() == [m for c in part.circuit_ids for m in by_id[c].m_values]
     assert len(s.train) + len(s.validation) + len(s.test) == len(small_corpus.dataset)
-    assert s.trainval_circuits == train_ids | val_ids
 
 
 def test_rows_rederive_trace_boundaries(small_corpus):

@@ -5,37 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from testtrim.dataset import Standardizer, dataset_from_traces, split, write_dataset
+from testtrim.dataset import Standardizer, _split as split, dataset_from_traces, write_dataset
 from testtrim.diagnosis import DiagnosisTrace
 
 
-def _trace(circuit_id, num_inputs, failing, y_values, total=50):
-    n = len(failing)
+def _trace(circuit_id, num_inputs, failing, sizes=None, total=50):
+    """A trace over ``failing``; its sizes fall by one to a golden size of 1
+    unless given."""
+    sizes = list(range(len(failing), 0, -1)) if sizes is None else list(sizes)
     return DiagnosisTrace(
         circuit_id=circuit_id, num_inputs=num_inputs, total_patterns=total,
-        failing_indices=list(failing),
-        intermediate_sizes=list(range(n, 0, -1)),
-        golden_size=1,
-        m_values=[1 / s for s in range(n, 0, -1)],
-        y_values=list(y_values),
+        failing_indices=list(failing), intermediate_sizes=sizes, golden_size=sizes[-1],
     )
 
 
 def test_extract_features_basic():
-    trace = _trace("c1", 5, [3, 7, 12], [0.0, 0.4, 1.0])
+    trace = _trace("c1", 5, [3, 7, 12], sizes=[6, 4, 3])  # m = 0.5, 0.75, 1
     ds = dataset_from_traces([trace])
     assert ds.X.tolist() == [
         [5, 1, 3, 3, 12],
         [5, 2, 3, 7, 12],
         [5, 3, 3, 12, 12],
     ]
-    assert ds.y.tolist() == [0.0, 0.4, 1.0]
+    assert ds.y.tolist() == [0.0, 0.5, 1.0]
     assert ds.circuit_ids == ["c1"]
     assert ds.offsets.tolist() == [0, 3]
 
 
 def test_extract_features_single_failing_pattern():
-    ds = dataset_from_traces([_trace("c2", 4, [9], [1.0]), _trace("c3", 6, [2, 5], [0.0, 1.0])])
+    ds = dataset_from_traces([_trace("c2", 4, [9]), _trace("c3", 6, [2, 5])])
     assert len(ds) == 3
     assert ds.X.tolist() == [[4, 1, 9, 9, 9], [6, 1, 2, 2, 5], [6, 2, 2, 5, 5]]
     assert ds.y.tolist() == [1.0, 0.0, 1.0]
@@ -63,7 +61,7 @@ def test_feature_row_invariants(small_corpus):
 
 def _equal_row_dataset(num_circuits=10, rows_each=4):
     return dataset_from_traces(
-        _trace(f"c{c}", 5, list(range(2, 2 + rows_each)), [0.0] * (rows_each - 1) + [1.0])
+        _trace(f"c{c}", 5, list(range(2, 2 + rows_each)))
         for c in range(num_circuits))
 
 
@@ -147,8 +145,8 @@ def test_standardize_constant_column_flagged():
 
 
 def test_standardize_fit_apply_uses_train_stats_only():
-    train = dataset_from_traces([_trace("a", 5, range(1, 10), [0.5] * 9)])
-    test = dataset_from_traces([_trace("b", 8, range(4, 31, 3), [0.5] * 9)])
+    train = dataset_from_traces([_trace("a", 5, range(1, 10))])
+    test = dataset_from_traces([_trace("b", 8, range(4, 31, 3))])
     std = Standardizer.fit(train.X)
     train_X, test_X = std.transform(train.X), std.transform(test.X)
     varying = ~std.constant
@@ -163,8 +161,10 @@ def test_standardizer_rejects_empty_training_set():
 
 
 def test_labels_binary_exact_on_converged_rows():
-    ds = dataset_from_traces([_trace("a", 5, [1, 3], [0.999999, 1.0])])
-    assert ds.labels_binary().tolist() == [0.0, 1.0]
+    # 999999 of 1000000 candidates: y is just below 1 yet not converged
+    ds = dataset_from_traces([_trace("a", 5, [1, 3, 4], sizes=[10 ** 9, 10 ** 6, 999_999])])
+    assert 0.99999 < ds.y[1] < 1.0
+    assert ds.labels_binary().tolist() == [0.0, 0.0, 1.0]
 
 
 def test_dataset_csv_roundtrip(tmp_path, small_corpus):

@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import EDGE_BENCHES, random_pattern_list, random_small_circuit
 from oracles import full_pass_fault_words, oracle_candidate_sets, prefix_replay_candidate_sets
-from testtrim.diagnosis import (TRACE_HEADER, UndiagnosableFaultError, _elimination_indices,
-                                compute_labels, read_traces, trace_diagnosis, write_traces)
+from testtrim.diagnosis import (TRACE_HEADER, UndiagnosableFaultError, _compute_labels,
+                                _elimination_indices, read_traces, trace_diagnosis,
+                                write_traces)
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns)
 from testtrim.generator import random_circuit
@@ -144,28 +147,28 @@ def test_unknown_injected_fault(and_circuit):
 
 class TestComputeLabels:
     def test_direct_substitution(self):
-        got = compute_labels([0.2, 0.5, 1.0])
+        got = _compute_labels([0.2, 0.5, 1.0])
         assert got == pytest.approx([0.0, 0.375, 1.0], abs=1e-12)
         assert got[0] == 0.0 and got[-1] == 1.0  # boundary rows are exact
 
     def test_single_converged_row(self):
-        assert compute_labels([1.0]) == [1.0]
+        assert _compute_labels([1.0]) == [1.0]
 
     def test_minimum_maps_to_zero(self):
-        assert compute_labels([0.25, 0.25, 1.0]) == [0.0, 0.0, 1.0]
+        assert _compute_labels([0.25, 0.25, 1.0]) == [0.0, 0.0, 1.0]
 
     def test_all_converged(self):
-        assert compute_labels([1.0, 1.0, 1.0]) == [1.0, 1.0, 1.0]
+        assert _compute_labels([1.0, 1.0, 1.0]) == [1.0, 1.0, 1.0]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            compute_labels([])
+            _compute_labels([])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            compute_labels([0.5, 1.5])
+            _compute_labels([0.5, 1.5])
         with pytest.raises(ValueError):
-            compute_labels([0.0, 1.0])
+            _compute_labels([0.0, 1.0])
 
     @settings(max_examples=100)
     @given(st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=30),
@@ -179,7 +182,7 @@ class TestComputeLabels:
             acc += inc
         sizes = list(reversed(sizes))
         m = [golden / s for s in sizes]
-        y = compute_labels(m)
+        y = _compute_labels(m)
         assert all(0.0 <= v <= 1.0 for v in y)
         assert y[-1] == 1.0
         m_min = min(m)
@@ -195,19 +198,11 @@ def test_trace_csv_roundtrip(tmp_path, small_corpus):
     write_traces(small_corpus.traces, path)
     loaded = read_traces(path)
     assert len(loaded) == len(small_corpus.traces)
-    by_id = {t.circuit_id: t for t in loaded}
-    for orig in small_corpus.traces:
-        got = by_id[orig.circuit_id]
-        assert got.failing_indices == orig.failing_indices
-        assert got.intermediate_sizes == orig.intermediate_sizes
-        assert got.golden_size == orig.golden_size
-        assert got.num_inputs == orig.num_inputs
-        assert got.total_patterns == orig.total_patterns
-        assert got.m_values == pytest.approx(orig.m_values, abs=5e-7)
-        assert got.y_values == pytest.approx(orig.y_values, abs=5e-7)
-        # converged rows survive the 6-digit round trip exactly
-        for y_orig, y_got in zip(orig.y_values, got.y_values):
-            assert (y_orig == 1.0) == (y_got == 1.0)
+    # the record is the sizes: m and y come back exactly, only the
+    # injected fault is not persisted
+    assert loaded == [replace(t, injected_fault=None) for t in small_corpus.traces]
+    for orig, got in zip(small_corpus.traces, loaded):
+        assert (got.m_values, got.y_values) == (orig.m_values, orig.y_values)
 
 
 def test_read_traces_rejects_header_without_total_patterns(tmp_path, small_corpus):
@@ -301,4 +296,52 @@ def test_read_traces_rejects_k_out_of_sequence(tmp_path, small_corpus, k):
     write_traces(small_corpus.traces[:2], path)
     _edit_field(path, 2, "k", k)
     with pytest.raises(ValueError, match=r"traces\.csv line 2: non-contiguous k sequence"):
+        read_traces(path)
+
+
+def _two_record_trace(small_corpus):
+    return next(t for t in small_corpus.traces
+                if t.num_failing > 2 and t.intermediate_sizes[0] > t.golden_size)
+
+
+@pytest.mark.parametrize("column, value", [
+    ("num_inputs", 99), ("total_patterns", 5), ("golden_size", 777)])
+def test_read_traces_rejects_record_contradicting_its_circuit(tmp_path, small_corpus,
+                                                              column, value):
+    # the second record of the circuit disagrees with its first
+    trace = _two_record_trace(small_corpus)
+    path = tmp_path / "traces.csv"
+    write_traces([trace], path)
+    _edit_field(path, 3, column, str(value))
+    first = (trace.num_inputs, trace.total_patterns, trace.golden_size)
+    got = tuple(value if name == column else v
+                for name, v in zip(("num_inputs", "total_patterns", "golden_size"), first))
+    message = (f"traces.csv line 3: (num_inputs, total_patterns, golden_size) {got} differ "
+               f"from {first} in the first record of circuit '{trace.circuit_id}'")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_traces(path)
+
+
+@pytest.mark.parametrize("line, value, message", [
+    (2, "0", "failing index 0 is below 1"),
+    (3, "-3", r"failing index -3 is below \d+"),
+])
+def test_read_traces_rejects_failing_indices_not_rising_from_one(tmp_path, small_corpus,
+                                                                 line, value, message):
+    path = tmp_path / "traces.csv"
+    write_traces([_two_record_trace(small_corpus)], path)
+    _edit_field(path, line, "failing_index_k", value)
+    with pytest.raises(ValueError, match=rf"traces\.csv line {line}: {message}"):
+        read_traces(path)
+
+
+def test_read_traces_rejects_a_rising_size(tmp_path, small_corpus):
+    # the second size raised above the first, m and y written to match
+    trace = _two_record_trace(small_corpus)
+    sizes = list(trace.intermediate_sizes)
+    sizes[1] = sizes[0] + 1
+    path = tmp_path / "traces.csv"
+    write_traces([replace(trace, intermediate_sizes=sizes)], path)
+    with pytest.raises(ValueError, match=rf"traces\.csv line 3: intermediate size "
+                                         rf"{sizes[1]} rises above the size {sizes[0]}"):
         read_traces(path)

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import per_trace_stop
 from testtrim import evaluation as ev
-from testtrim.corpus import split_corpus
 from testtrim.config import RunConfig
-from testtrim.dataset import Standardizer, dataset_from_traces
+from testtrim.dataset import Standardizer, dataset_from_traces, split_corpus
 from testtrim.diagnosis import DiagnosisTrace
 from testtrim.models import (LinearModel, TrainConfig, fit_kernel_logistic,
                              fit_penalized_linear)
@@ -19,13 +18,10 @@ def _constant_model(value):
 
 def _trace(circuit_id="t0", failing=(3, 7, 12), sizes=(6, 2, 2), total=20,
            num_inputs=5):
-    from testtrim.diagnosis import compute_labels
-    golden = sizes[-1]
-    m = [golden / s for s in sizes]
     return DiagnosisTrace(
         circuit_id=circuit_id, num_inputs=num_inputs, total_patterns=total,
         failing_indices=list(failing), intermediate_sizes=list(sizes),
-        golden_size=golden, m_values=m, y_values=compute_labels(m),
+        golden_size=sizes[-1],
     )
 
 
@@ -222,6 +218,28 @@ class TestScoresOnceMatchPerTraceReference:
                 assert o.m_at_termination == t.m_values[o.k_star - 1]
 
 
+class TestFitPolicy:
+    def test_lasso_alpha_is_per_sample_and_tau_fixed(self, splits):
+        cfg = RunConfig(model_kind="linear", model_penalty="l1", model_alpha=1e-3,
+                        policy_tau=0.8)
+        model, std, tau = ev.fit_policy(cfg, splits)
+        raw = 2.0 * len(splits.train) * 1e-3
+        direct = fit_penalized_linear(std.transform(splits.train.X), splits.train.y, raw,
+                                      penalty="l1")
+        assert (model.alpha, tau) == (raw, 0.8)
+        assert model.beta.tolist() == direct.beta.tolist()
+
+    def test_auto_tau_picks_on_validation_rows(self, splits):
+        model, std, tau = ev.fit_policy(RunConfig(), splits)
+        scores = ev.score_matrix(model, std.transform(splits.validation.X))
+        assert tau == ev.select_tau(splits.validation, scores)
+
+    def test_auto_tau_without_validation_refused(self, small_corpus):
+        split = split_corpus(small_corpus.dataset, RunConfig(), with_validation=False)
+        with pytest.raises(ValueError, match="needs a validation split"):
+            ev.fit_policy(RunConfig(model_kind="linear"), split)
+
+
 class TestSweeps:
     def test_duplicate_alphas_identical(self, splits):
         pts = ev.sweep_alpha([1e-3, 1e-3], splits)
@@ -241,30 +259,41 @@ class TestSweeps:
         assert [p.alpha for p in pts] == grid
 
 
+def _balanced_split(cfg):
+    """40 circuits of eight rows, the last four of each converged: even the
+    smallest curve subset holds both classes."""
+    traces = [_trace(f"c{c:02d}", failing=range(1 + c % 3, 9 + c % 3),
+                     sizes=(3 + c % 4,) * 4 + (2,) * 4, total=30, num_inputs=4 + c % 5)
+              for c in range(40)]
+    return split_corpus(dataset_from_traces(traces), cfg, with_validation=False)
+
+
 class TestLearningCurve:
-    def test_curve_and_full_size_consistency(self, small_corpus):
-        cfg = RunConfig(split_train_fraction=0.7, split_validation_fraction=0.0)
-        split = split_corpus(small_corpus.dataset, cfg, with_validation=False)
-        tc = TrainConfig(iterations=120, landmark_cap=64, seed=5)
-        n = len(split.train)
-        curve = ev.learning_curve([max(2, n // 2), n], split.train, split.test,
-                                  lam=1.0, gamma=1.0, config=tc)
-        assert [s for s, _ in curve] == [max(2, n // 2), n]
+    def test_curve_and_full_size_consistency(self):
+        cfg = RunConfig(split_train_fraction=0.7, split_validation_fraction=0.0,
+                        model_iterations=120, model_landmark_cap=64, model_seed=5,
+                        model_lambda=0.5, model_gamma=2.0)
+        split = _balanced_split(cfg)
+        curve = ev.learning_curve(split, cfg)
 
         # the full-size point reproduces a direct fit on the whole train set
+        tc = TrainConfig(iterations=120, landmark_cap=64, seed=5)
         std = Standardizer.fit(split.train.X)
         model = fit_kernel_logistic(std.transform(split.train.X),
-                                    split.train.labels_binary(), 1.0, 1.0, tc)
+                                    split.train.labels_binary(), 0.5, 2.0, tc)
         X_test = std.transform(split.test.X)
         direct = ev.classification_accuracy(ev.score_matrix(model, X_test), split.test.y)
-        assert curve[-1][1] == direct
+        assert curve[-1] == (len(split.train), direct)
 
-    def test_oversized_request_rejected(self, small_corpus):
-        cfg = RunConfig(split_train_fraction=0.7, split_validation_fraction=0.0)
-        split = split_corpus(small_corpus.dataset, cfg, with_validation=False)
-        with pytest.raises(ValueError, match="exceeds"):
-            ev.learning_curve([10 ** 6], split.train, split.test, 1.0, 1.0,
-                              TrainConfig(iterations=5))
+    def test_sizes_are_the_curve_fractions_of_the_train_side(self):
+        cfg = RunConfig(split_train_fraction=0.7, split_validation_fraction=0.0,
+                        model_iterations=5)
+        split = _balanced_split(cfg)
+        n = len(split.train)
+        sizes = [size for size, _ in ev.learning_curve(split, cfg)]
+        want = sorted({max(2, round(f * n)) for f in ev.DEFAULT_CURVE_FRACTIONS})
+        # nested sizes, none above the train rows, the last the whole side
+        assert sizes == want and sizes[-1] == n
 
 
 class TestCsvWriters:

@@ -1,9 +1,11 @@
 """Import layering and the public surface of the package.
 
-The simulation side stays numpy-free.  A static scan follows each module's
-own imports through the source, so it names the module that breaks the
-rule; a fresh interpreter confirms that importing the simulation side
-really leaves numpy unloaded.  A second scan keeps the public surface to
+The simulation side stays numpy-free, and the model side, which reads only
+the trace record, loads no simulation code.  A static scan follows each
+module's own imports through the source (imports under ``if
+TYPE_CHECKING:`` do not run, so it skips them), so it names the module that
+breaks a rule; fresh interpreters confirm that importing either side really
+leaves the other's modules unloaded.  A second scan keeps the public surface to
 what the package itself, the benchmark or the console script uses, and a
 third keeps each optional parameter to one that some call there sets.  A
 fourth keeps gate evaluation in ``netlist``: no other module branches on a
@@ -25,14 +27,33 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "testtrim"
 SIMULATION_SIDE = ("netlist", "generator", "faultsim", "diagnosis")
 MODEL_SIDE = ("dataset", "models", "evaluation")
+# the trace record in diagnosis is what the model side reads
+TRACE_READERS = MODEL_SIDE + ("diagnosis",)
+SIMULATION_ONLY = ("netlist", "generator", "faultsim", "corpus")
 
 
-def _imports(module: str) -> tuple[set[str], set[str]]:
-    """``(package modules, outside top-level modules)`` that ``module``'s
-    source imports anywhere in its body."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
+            or isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+
+
+def _runtime_nodes(tree: ast.AST):
+    """Every node of ``tree`` except the bodies of ``if TYPE_CHECKING:``."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            todo += node.orelse
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _tree_imports(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """``(package modules, outside top-level modules)`` that ``tree``
+    imports anywhere in its body when it runs."""
     inside, outside = set(), set()
-    for node in ast.walk(tree):
+    for node in _runtime_nodes(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 top, _, rest = alias.name.partition(".")
@@ -57,6 +78,25 @@ def _imports(module: str) -> tuple[set[str], set[str]]:
     return inside, outside
 
 
+def _imports(module: str) -> tuple[set[str], set[str]]:
+    return _tree_imports(ast.parse((PACKAGE / f"{module}.py").read_text()))
+
+
+def test_import_scan_skips_type_checking_bodies():
+    code = ("from typing import TYPE_CHECKING\n"
+            "import typing\n"
+            "if TYPE_CHECKING:\n"
+            "    from .faultsim import Fault\n"
+            "    import numpy\n"
+            "if typing.TYPE_CHECKING:\n"
+            "    from . import netlist\n"
+            "else:\n"
+            "    from .config import RunConfig\n"
+            "def f():\n"
+            "    from .dataset import split_corpus\n")
+    assert _tree_imports(ast.parse(code)) == ({"config", "dataset"}, {"typing"})
+
+
 def _reached(module: str) -> tuple[set[str], set[str]]:
     """Package modules and outside modules reachable from ``module`` by
     following the package's own imports."""
@@ -79,20 +119,37 @@ def test_simulation_side_reaches_no_numpy_or_model_code(module):
     assert not inside & set(MODEL_SIDE), (module, sorted(inside & set(MODEL_SIDE)))
 
 
+@pytest.mark.parametrize("module", TRACE_READERS)
+def test_model_side_reaches_no_simulation_code(module):
+    inside, _ = _reached(module)
+    assert not inside & set(SIMULATION_ONLY), (module, sorted(inside & set(SIMULATION_ONLY)))
+
+
 def test_import_scan_sees_the_model_side():
     # the scan itself finds numpy and the model modules where they are
     inside, outside = _reached("evaluation")
     assert "numpy" in outside and {"dataset", "models"} <= inside
 
 
-def test_simulation_side_import_leaves_numpy_unloaded():
-    code = ("import sys, testtrim.netlist, testtrim.generator, testtrim.faultsim, "
-            "testtrim.diagnosis; print('numpy' in sys.modules)")
+def _loaded_after(modules, watched) -> list[str]:
+    """Which of ``watched`` a fresh interpreter has loaded after importing
+    ``modules``."""
+    code = (f"import sys; import {', '.join(modules)}; "
+            f"print(sorted(m for m in {list(watched)!r} if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    return ast.literal_eval(done.stdout.strip())
+
+
+def test_simulation_side_import_leaves_numpy_unloaded():
+    assert _loaded_after([f"testtrim.{m}" for m in SIMULATION_SIDE], ["numpy"]) == []
+
+
+def test_model_side_import_leaves_simulation_unloaded():
+    assert _loaded_after([f"testtrim.{m}" for m in TRACE_READERS],
+                         [f"testtrim.{m}" for m in SIMULATION_ONLY]) == []
 
 
 def _public_definitions() -> list[str]:

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (central_difference_gradient, gradient_descent_ridge,
                      naive_sigmoid_dot, newton_logistic, rbf_map_reference,
                      sigmoid_reference)
+from testtrim import models
 from testtrim.models import (KernelLogisticModel, TrainConfig, _sigmoid, fit_kernel_logistic,
                              fit_penalized_linear, load_model, logistic_cost_grad,
                              predict_linear_batch, predict_prob_batch, rbf_features,
@@ -77,7 +79,6 @@ class TestPenalizedLinear:
         Y = np.array([1.0, 2.0, 3.0])
         with pytest.warns(RuntimeWarning, match="rank deficient"):
             model = fit_penalized_linear(X, Y, 0.0)
-        assert model.rank_deficient
         A = np.column_stack([np.ones(3), X])
         want = np.linalg.lstsq(A, Y, rcond=None)[0]  # the minimum-norm solution
         assert [model.intercept, *model.beta] == pytest.approx(want, abs=1e-12)
@@ -92,8 +93,9 @@ class TestPenalizedLinear:
         assert np.linalg.matrix_rank(A) == 2
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(A.T @ A)
-        model = fit_penalized_linear(X, Y, 0.0)
-        assert not model.rank_deficient
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # full rank: no rank-deficiency warning
+            model = fit_penalized_linear(X, Y, 0.0)
         want = np.linalg.lstsq(A, Y, rcond=None)[0]
         assert [model.intercept, *model.beta] == pytest.approx(want, rel=1e-12)
 
@@ -306,7 +308,7 @@ class TestFitKernelLogistic:
         assert len(costs) > 1
         assert all(b <= a + 1e-10 for a, b in zip(costs, costs[1:]))
 
-    # grad_tol 1e-8: at the default 1e-6 and lam = 0.01 the stopping rule
+    # GRAD_TOL 1e-8: at the default 1e-6 and lam = 0.01 the stopping rule
     # itself leaves up to ~2e-8 relative cost above the optimum.
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -318,15 +320,18 @@ class TestFitKernelLogistic:
         X = rng.normal(size=(rows, width))
         y = (rng.random(rows) < 0.6).astype(float)
         y[:2] = (0.0, 1.0)
-        model = fit_kernel_logistic(X, y, lam, 1.0, TrainConfig(grad_tol=1e-8))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "GRAD_TOL", 1e-8)
+            model = fit_kernel_logistic(X, y, lam, 1.0)
+            converged = model.converged
         Phi = rbf_features(X, model.landmarks, 1.0)
         _, ref_cost = newton_logistic(Phi, y, lam)
         cost, grad = logistic_cost_grad(model.theta, Phi, y, lam)
         assert cost == model.cost_history[-1]
         assert abs(cost - ref_cost) <= 1e-9 * ref_cost
         assert model.grad_norm == np.linalg.norm(grad)
-        if model.converged:
-            assert np.linalg.norm(grad) < model.config.grad_tol
+        if converged:
+            assert np.linalg.norm(grad) < 1e-8
 
     def test_iteration_cap_ends_unconverged(self):
         rng = np.random.default_rng(21)
@@ -334,7 +339,7 @@ class TestFitKernelLogistic:
         y = (X[:, 0] - X[:, 1] > 0).astype(float)
         model = fit_kernel_logistic(X, y, 1.0, 1.0, TrainConfig(iterations=3))
         assert not model.converged
-        assert model.grad_norm >= model.config.grad_tol
+        assert model.grad_norm >= models.GRAD_TOL
         assert len(model.cost_history) <= 4
 
     def test_single_class_rejected(self):
