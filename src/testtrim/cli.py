@@ -193,11 +193,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ValueError("sweep needs a validation split "
                          "(set split.validation_fraction > 0)")
 
+    # every point first: a failed fit leaves none of the three files
     points = ev.sweep_alpha(ev.DEFAULT_ALPHA_GRID, split)
+    curve = ev.learning_curve(split, cfg)
     ev.write_sweep_csv(points, out / "sweep_alpha.csv")
     ev.write_beta_csv(points, out / "beta_weights.csv")
-
-    curve = ev.learning_curve(split, cfg)
     ev.write_curve_csv(curve, out / "learning_curve.csv")
     print(f"sweep done: {len(points)} alpha points, {len(curve)} curve sizes")
     return 0

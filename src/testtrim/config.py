@@ -140,6 +140,24 @@ def save_config(cfg: RunConfig, path, include_out_dir: bool = True) -> None:
         fh.write(config_to_text(cfg, include_out_dir=include_out_dir))
 
 
+# The ranges of the float settings that a model file records as well, so
+# that loading one refuses what a config would: key -> (wording, test).
+_FLOAT_RANGES = {
+    "model.alpha": ("finite and non-negative", lambda v: math.isfinite(v) and v >= 0.0),
+    "model.lambda": ("finite and non-negative", lambda v: math.isfinite(v) and v >= 0.0),
+    "model.gamma": ("finite and positive", lambda v: math.isfinite(v) and v > 0.0),
+    "policy.tau": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+}
+
+
+def out_of_range(key: str, value: float) -> str | None:
+    """``"must be ..."`` naming the range of the float setting ``key``
+    (``model.alpha``, ``model.lambda``, ``model.gamma`` or ``policy.tau``)
+    when ``value`` is outside it, else None."""
+    wording, test = _FLOAT_RANGES[key]
+    return None if test(value) else f"must be {wording}"
+
+
 def _validate(cfg: RunConfig) -> None:
     if cfg.model_kind not in ("linear", "kernel-logistic"):
         raise ValueError(f"model.kind must be 'linear' or 'kernel-logistic', "
@@ -161,14 +179,14 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.corpus_min_gates > cfg.corpus_max_gates:
         raise ValueError(f"corpus.min_gates {cfg.corpus_min_gates} is above "
                          f"corpus.max_gates {cfg.corpus_max_gates}")
-    for key, value in (("model.alpha", cfg.model_alpha), ("model.lambda", cfg.model_lambda)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{key} must be finite and non-negative, got {value}")
-    if not (math.isfinite(cfg.model_gamma) and cfg.model_gamma > 0.0):
-        raise ValueError(f"model.gamma must be finite and positive, got {cfg.model_gamma}")
+    for key, value in (("model.alpha", cfg.model_alpha), ("model.lambda", cfg.model_lambda),
+                       ("model.gamma", cfg.model_gamma)):
+        problem = out_of_range(key, value)
+        if problem:
+            raise ValueError(f"{key} {problem}, got {value}")
     if not 0.0 < cfg.split_train_fraction < 1.0:
         raise ValueError("split.train_fraction must be in (0, 1)")
     if not 0.0 <= cfg.split_validation_fraction < 1.0:
         raise ValueError("split.validation_fraction must be in [0, 1)")
-    if isinstance(cfg.policy_tau, float) and not 0.0 < cfg.policy_tau < 1.0:
+    if isinstance(cfg.policy_tau, float) and out_of_range("policy.tau", cfg.policy_tau):
         raise ValueError("policy.tau must be in (0, 1) or 'auto'")

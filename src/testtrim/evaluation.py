@@ -211,12 +211,16 @@ def sweep_alpha(alphas: Sequence[float], split: CorpusSplit) -> list[AlphaPoint]
 
 def learning_curve(split: CorpusSplit, cfg: RunConfig) -> list[tuple[int, float]]:
     """Test score of the configured kernel classifier trained on nested
-    subsets, ``DEFAULT_CURVE_FRACTIONS`` of the train rows.
+    subsets, ``DEFAULT_CURVE_FRACTIONS`` of the train rows, as
+    ``(size, score)`` in ascending size.
 
     Subsets are the first ``size`` entries of one permutation seeded with
     ``model.seed``; rows are fed to the fit in dataset order and
     standardized with the whole train side's statistics, so the full-size
-    point is a direct fit on the whole training set.
+    point is a direct fit on the whole training set.  The sizes are fitted
+    largest first, so each smaller feature matrix fits in the memory the
+    one before it freed.  A fit that fails raises ``ValueError`` naming
+    its size.
     """
     config = _train_config(cfg)
     std = Standardizer.fit(split.train.X)
@@ -228,13 +232,16 @@ def learning_curve(split: CorpusSplit, cfg: RunConfig) -> list[tuple[int, float]
 
     results = []
     sizes = {max(2, round(f * n)) for f in DEFAULT_CURVE_FRACTIONS}
-    for size in sorted(s for s in sizes if s <= n):
+    for size in sorted((s for s in sizes if s <= n), reverse=True):
         idx = sorted(order[:size])
-        model = fit_kernel_logistic(X_train[idx], y_train[idx], cfg.model_lambda,
-                                    cfg.model_gamma, config)
+        try:
+            model = fit_kernel_logistic(X_train[idx], y_train[idx], cfg.model_lambda,
+                                        cfg.model_gamma, config)
+        except ValueError as exc:
+            raise ValueError(f"learning curve at {size} train rows: {exc}") from None
         score = classification_accuracy(score_matrix(model, X_test), split.test.y)
         results.append((size, score))
-    return results
+    return results[::-1]
 
 
 # ---------------------------------------------------------------------------

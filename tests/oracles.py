@@ -19,7 +19,11 @@ standardizes and scores one row at a time with its own formulas, the RBF
 map takes each landmark distance directly instead of through the
 expanded-norm identity, the logistic minimizer takes damped Newton steps on
 its own cost, gradient and Hessian, and the sigmoid calls libm's exp one
-value at a time.
+value at a time.  Two references keep the package's arithmetic but not its
+memory plan, so the fast paths must match them bit for bit: the one-shot
+RBF map builds the whole distance matrix in one expression, and the
+every-trial L-BFGS loop takes the cost and the gradient together at each
+line-search trial.
 """
 
 from __future__ import annotations
@@ -357,6 +361,54 @@ def rbf_map_reference(x, landmarks, gamma):
     x = np.asarray(x, float)
     d2 = ((np.asarray(landmarks, float) - x) ** 2).sum(axis=1)
     return np.concatenate([[1.0], np.exp(-gamma * d2)])
+
+
+def rbf_features_one_shot(X, landmarks, gamma):
+    """The expanded-norm RBF map in one expression over all rows, with the
+    constant feature stacked in front."""
+    X = np.asarray(X, dtype=float)
+    L = np.asarray(landmarks, dtype=float)
+    x_sq = (X ** 2).sum(axis=1)[:, None]
+    l_sq = (L ** 2).sum(axis=1)[None, :]
+    d2 = np.maximum(x_sq + l_sq - 2.0 * X @ L.T, 0.0)
+    phi = np.exp(-gamma * d2)
+    return np.column_stack([np.ones(X.shape[0]), phi])
+
+
+def lbfgs_every_trial(Phi, y_bin, lam, iterations):
+    """The kernel-logistic L-BFGS loop from theta = 0, with the cost and the
+    gradient taken together by ``logistic_cost_grad`` at every line-search
+    trial.  Returns ``(theta, costs, grad_norm, backtracks)``: the final
+    weights, the cost history, the final gradient norm, and the number of
+    rejected trials."""
+    from testtrim.models import (ARMIJO_C1, GRAD_TOL, LBFGS_MEMORY, MAX_BACKTRACKS,
+                                 _lbfgs_direction, logistic_cost_grad)
+
+    theta = np.zeros(Phi.shape[1])
+    cost, grad = logistic_cost_grad(theta, Phi, y_bin, lam)
+    costs, pairs, backtracks = [cost], [], 0
+    grad_norm = float(np.linalg.norm(grad))
+    while grad_norm >= GRAD_TOL and len(costs) <= iterations:
+        direction = _lbfgs_direction(grad, grad_norm, pairs[-LBFGS_MEMORY:])
+        slope = float(grad @ direction)
+        step = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            trial = theta + step * direction
+            trial_cost, trial_grad = logistic_cost_grad(trial, Phi, y_bin, lam)
+            if trial_cost < cost and trial_cost <= cost + ARMIJO_C1 * step * slope:
+                break
+            step *= 0.5
+            backtracks += 1
+        else:
+            break
+        s, y = trial - theta, trial_grad - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs.append((s, y, sy))
+        theta, cost, grad = trial, trial_cost, trial_grad
+        costs.append(cost)
+        grad_norm = float(np.linalg.norm(grad))
+    return theta, costs, grad_norm, backtracks
 
 
 def sigmoid_reference(z: float) -> float:

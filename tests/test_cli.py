@@ -164,6 +164,61 @@ def test_evaluate_rejects_model_missing_key(tmp_path, capsys):
     assert err[0].startswith("error:") and "'tau'" in err[0]
 
 
+@pytest.fixture(scope="module")
+def kernel_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("kernel")
+    overrides = _smoke_overrides(base / "run", circuits=8)
+    overrides.update(model_kind="kernel-logistic", model_iterations=20)
+    cfg_path = _write_config(base, **overrides)
+    with redirect_stdout(io.StringIO()):
+        for cmd in ("generate", "train"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0
+    return base / "run"
+
+
+def _set_first_value(line: str, value: str) -> str:
+    key, _, rest = line.partition(" ")
+    return " ".join([key, value, *rest.split()[1:]])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gamma", "nan"), ("gamma", "inf"), ("theta", "nan"),
+    ("standardize_scale", "0.0"), ("tau", "nan"), ("tau", "7.5"),
+])
+def test_evaluate_refuses_model_value_a_config_refuses(kernel_run, tmp_path, capsys,
+                                                       key, value):
+    out = tmp_path / "run"
+    shutil.copytree(kernel_run, out)
+    model_path = out / "model.txt"
+    lines = model_path.read_text().splitlines()
+    lines = [_set_first_value(ln, value) if ln.split(" ", 1)[0] == key else ln
+             for ln in lines]
+    model_path.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "--config", str(out / "config.txt"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"'{key}'" in err[0], err
+    assert captured.out == "" and not (out / "summary.csv").exists()
+
+
+def test_failed_learning_curve_leaves_no_sweep_files(tmp_path, capsys):
+    # the 5 % curve subset of this corpus holds converged rows only
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, corpus_circuits=12, corpus_patterns=48,
+                             corpus_seed=5, corpus_min_inputs=4, corpus_max_inputs=6,
+                             corpus_min_gates=8, corpus_max_gates=16, out_dir=str(out))
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert err == ["error: learning curve at 3 train rows: "
+                   "training labels contain a single class ([1.0])"]
+    assert captured.out == ""
+    for name in ("sweep_alpha.csv", "beta_weights.csv", "learning_curve.csv"):
+        assert not (out / name).exists(), name
+
+
 def test_evaluate_reads_pattern_count_from_traces(tmp_path, capsys):
     # a corpus.patterns in the recorded and the stage config must not
     # rescale the volume saved in traces.csv

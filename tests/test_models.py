@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (central_difference_gradient, gradient_descent_ridge,
-                     naive_sigmoid_dot, newton_logistic, rbf_map_reference,
-                     sigmoid_reference)
+                     lbfgs_every_trial, naive_sigmoid_dot, newton_logistic,
+                     rbf_features_one_shot, rbf_map_reference, sigmoid_reference)
 from testtrim import models
 from testtrim.models import (KernelLogisticModel, TrainConfig, _sigmoid, fit_kernel_logistic,
                              fit_penalized_linear, load_model, logistic_cost_grad,
@@ -213,6 +214,29 @@ class TestRbfMap:
         with pytest.raises(ValueError):
             rbf_features([[0.0]], np.zeros((1, 1)), gamma=0.0)
 
+    # row counts around the block height, one-row tails included
+    @pytest.mark.parametrize("rows", [1, 2, 127, 128, 129, 130, 257, 2628])
+    @pytest.mark.parametrize("count", [1, 3, 131, 512])
+    def test_blocks_equal_one_shot_map(self, rows, count):
+        rng = np.random.default_rng(rows * 1000 + count)
+        X = rng.normal(size=(rows, 5))
+        landmarks = rng.normal(size=(count, 5))
+        assert np.array_equal(rbf_features(X, landmarks, 0.8),
+                              rbf_features_one_shot(X, landmarks, 0.8))
+
+    def test_map_holds_one_matrix(self):
+        # the train-side shape of the default config: 2628 rows, 512 landmarks
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(2628, 5))
+        landmarks = X[:512].copy()
+        tracemalloc.start()
+        try:
+            Phi = rbf_features(X, landmarks, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < Phi.nbytes + 2 * 2 ** 20, (peak, Phi.nbytes)
+
 
 class TestLogisticCostGrad:
     def test_zero_theta_costs_log_two(self):
@@ -346,6 +370,28 @@ class TestFitKernelLogistic:
         X = np.zeros((5, 2))
         with pytest.raises(ValueError, match="single class"):
             fit_kernel_logistic(X, np.ones(5), 1.0, 1.0)
+
+    # every problem backtracks at least once; the last one stops at its cap
+    @pytest.mark.parametrize("seed, lam, gamma, iterations", [
+        (0, 0.01, 1.0, 300), (1, 1.0, 0.3, 300), (2, 0.1, 2.0, 300),
+        (3, 0.01, 1.0, 300), (3, 0.01, 1.0, 20),
+    ])
+    def test_matches_every_trial_reference(self, seed, lam, gamma, iterations):
+        rng = np.random.default_rng(seed)
+        rows, width = int(rng.integers(20, 300)), int(rng.integers(1, 6))
+        X = rng.normal(size=(rows, width)) * (1 + seed)
+        y = (X[:, 0] + rng.normal(size=rows) * 0.5 > 0).astype(float)
+        model = fit_kernel_logistic(X, y, lam, gamma,
+                                    TrainConfig(iterations=iterations, seed=seed,
+                                                landmark_cap=64))
+        Phi = rbf_features_one_shot(X, model.landmarks, gamma)
+        theta, costs, grad_norm, backtracks = lbfgs_every_trial(Phi, y, lam, iterations)
+        assert backtracks > 0
+        assert np.array_equal(model.theta, theta)
+        assert model.cost_history == costs
+        assert model.grad_norm == grad_norm
+        _, grad = logistic_cost_grad(model.theta, Phi, y, lam)
+        assert model.grad_norm == float(np.linalg.norm(grad))
 
 
 class TestSigmoid:
@@ -517,6 +563,21 @@ class TestModelFileValidation:
         ("kernel", _edit_line("landmark", "0.5 0.5"), "'landmark' has 2 values, expected 5"),
         ("kernel", _edit_line("theta", "0.0 1.0"), "'theta' has 2 values, expected 5"),
         ("kernel", _edit_line("iterations", "1.5"), "bad value for 'iterations'"),
+        ("linear", _edit_line("alpha", "-0.5"), "'alpha' must be finite and non-negative"),
+        ("linear", _edit_line("intercept", "-inf"), "'intercept' holds a non-finite value"),
+        ("linear", _edit_line("beta", "0.1 0.2 nan 0.4 0.5"),
+         "'beta' holds a non-finite value"),
+        ("linear", _edit_line("penalty", "l3"), "'penalty' must be 'l2' or 'l1'"),
+        ("linear", _edit_line("standardize_mean", "0 0 inf 0 0"),
+         "'standardize_mean' holds a non-finite value"),
+        ("linear", _edit_line("standardize_scale", "1 1 1 -2 1"),
+         "'standardize_scale' must be positive"),
+        ("linear", _edit_line("tau", "0"), "'tau' must be in (0, 1)"),
+        ("kernel", _edit_line("lambda", "-1"), "'lambda' must be finite and non-negative"),
+        ("kernel", _edit_line("gamma", "0.0"), "'gamma' must be finite and positive"),
+        ("kernel", _edit_line("landmark", "0 0 0 0 nan"), "'landmark' holds a non-finite value"),
+        ("kernel", _edit_line("iterations", "-4"), "'iterations' must be at least 1"),
+        ("kernel", _edit_line("landmark_cap", "0"), "'landmark_cap' must be at least 1"),
     ])
     def test_rejects_corrupt_file(self, files, tmp_path, kind, edit, message):
         path = tmp_path / "model.txt"
