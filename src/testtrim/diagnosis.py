@@ -22,8 +22,18 @@ its stem and ``t`` the stem of fault ``f``::
 A pattern eliminates ``f`` where exactly one of the two faults fails;
 where both fail, each row reads its stem's flip, so it eliminates ``f``
 where the two stem flips differ at some output:
-``E_t = OR_j (diff_t[j] ^ diff_si[j])`` over the union of the two stems'
-output supports, and ``E_si = 0``.
+``E_t = OR_j (diff_t[j] ^ diff_si[j])``.  The dictionary keeps the flips
+per batch of K stems: batch ``B`` holds one diff word ``W_j`` per output
+``j`` it changes, packing the K stems' diffs at ``j`` in P-bit slices, and
+stem ``t`` sits at bit offset ``off_t`` of its batch.  So ``E_t`` is
+computed for a whole batch at once.  With ``R_j`` the injected stem's diff
+at ``j`` copied into all K slices::
+
+    X_B = OR_j (W_j ^ R_j)      over the union of both supports,
+                                a missing side reading 0
+    E_t = (X_B >> off_t) & (2^P - 1)
+
+and ``E_si = 0`` follows, as ``s_i``'s slice of ``W_j`` is its own diff.
 
 The golden candidate set is the intermediate set at the last failing
 pattern.  The convergence ratio m = |golden| / |intermediate| is
@@ -102,35 +112,46 @@ def _compute_labels(m_values: Sequence[float]) -> list[float]:
     return [1.0 if m == 1.0 else (m - m_min) / (1.0 - m_min) for m in m_values]
 
 
-def _flip_mismatch(diffs: Sequence[tuple[int, int]], other: dict[int, int]) -> int:
-    """Patterns under which two stem flips differ at some output: the OR of
-    ``diff[j] ^ other[j]`` over the union of both ``(position, diff word)``
-    supports, a position missing on one side reading 0 there."""
+def _flip_mismatch(diffs: Sequence[tuple[int, int, int]], other: dict[int, int]) -> int:
+    """The OR of ``W_j ^ other[j]`` over the union of the output positions
+    of a batch's ``(j, low, W_j >> low)`` entries and of ``other``, a
+    position missing on one side reading 0 there."""
     rest = dict(other)
-    e = 0
-    for j, w in diffs:
-        e |= w ^ rest.pop(j, 0)
+    x = 0
+    for j, low, w in diffs:
+        x |= (w << low) ^ rest.pop(j, 0)
     for w in rest.values():
-        e |= w
-    return e
+        x |= w
+    return x
 
 
 def _elimination_indices(fdict: FaultDictionary, inj_idx: int) -> list[int]:
     """Per fault, the first pattern under which its response differs from
     fault ``inj_idx``'s, or ``fdict.num_patterns`` where none does.
 
-    The mismatch comes from ``fault_masks``, ``fault_stems`` and
-    ``stem_diffs`` as the module docstring gives, never from
-    ``fault_words``; ``E_t`` is computed once per stem, and only for stems
-    with a fault that fails where the injected fault fails.  The
-    intermediate set at a failing pattern ``p`` is the faults whose index
-    lies above ``p``.
+    The mismatch comes from ``fault_masks``, ``fault_stems``, ``stem_slots``
+    and ``batch_diffs`` as the module docstring gives, never from
+    ``fault_words``.  ``X_B`` is computed once per batch, and only for
+    batches holding the stem of a fault that fails where the injected fault
+    fails; ``E_t`` is cut from it once per such stem.  The intermediate set
+    at a failing pattern ``p`` is the faults whose index lies above ``p``.
     """
+    full = (1 << fdict.num_patterns) - 1
     fail_mask = fdict.fault_masks[inj_idx]
     never = fdict.num_patterns          # elimination index of a surviving fault
-    inj_stem = fdict.fault_stems[inj_idx]
-    inj_diffs = dict(fdict.stem_diffs[inj_stem])
-    stem_mismatch = {inj_stem: 0}       # E_t, for the stems that need it
+    slots = fdict.stem_slots
+    batch_diffs = fdict.batch_diffs
+    inj_batch, inj_offset = slots[fdict.fault_stems[inj_idx]]
+    # bit 0 of every slice of a batch word: d * copies is d in every slice
+    width = max(slot[1] for slot in slots if slot) + fdict.num_patterns
+    copies = ((1 << width) - 1) // full
+    inj_diffs = {}                      # R_j, in every slice
+    for j, low, w in batch_diffs[inj_batch]:
+        d = (w >> (inj_offset - low)) & full if inj_offset >= low else 0
+        if d:
+            inj_diffs[j] = d * copies
+    batch_mismatch: dict[int, int] = {}  # X_B, for the batches that need it
+    stem_mismatch: dict[int, int] = {}   # E_t, for the stems that need it
     elim = []
     for m, t in zip(fdict.fault_masks, fdict.fault_stems):
         diff = m ^ fail_mask
@@ -138,7 +159,11 @@ def _elimination_indices(fdict: FaultDictionary, inj_idx: int) -> list[int]:
         if both:
             e = stem_mismatch.get(t)
             if e is None:
-                e = stem_mismatch[t] = _flip_mismatch(fdict.stem_diffs[t], inj_diffs)
+                batch, offset = slots[t]
+                x = batch_mismatch.get(batch)
+                if x is None:
+                    x = batch_mismatch[batch] = _flip_mismatch(batch_diffs[batch], inj_diffs)
+                e = stem_mismatch[t] = (x >> offset) & full
             diff |= both & e
         elim.append((diff & -diff).bit_length() - 1 if diff else never)
     return elim

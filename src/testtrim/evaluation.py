@@ -220,13 +220,16 @@ def learning_curve(split: CorpusSplit, cfg: RunConfig) -> list[tuple[int, float]
     point is a direct fit on the whole training set.  The sizes are fitted
     largest first, so each smaller feature matrix fits in the memory the
     one before it freed.  A fit that fails raises ``ValueError`` naming
-    its size.
+    its size, and so does a train side of fewer than 2 rows, which gives
+    no size.
     """
+    n = len(split.train)
+    if n < 2:
+        raise ValueError(f"learning curve needs at least 2 train rows, got {n}")
     config = _train_config(cfg)
     std = Standardizer.fit(split.train.X)
     X_train, X_test = std.transform(split.train.X), std.transform(split.test.X)
     y_train = split.train.labels_binary()
-    n = len(split.train)
     order = list(range(n))
     random.Random(config.seed).shuffle(order)
 

@@ -13,19 +13,21 @@ own: critical-path tracing (Abramovici, Menon & Miller 1984) gives every
 signal, in one reverse-topological pass, the patterns under which its
 complement reaches its stem, and a fault flips its stem under those of
 them that excite it.  Each stem some fault flips is flipped once under
-all patterns, with several stems propagated together in slices of one
-wide word, as in parallel-fault simulation (Seshu 1965); the outputs each
-stem changes are kept as sparse ``(position, diff word)`` pairs.  Cones
-are read off per-signal reachability bitsets.  Every gate evaluation runs
-on the circuit's compiled gate program (``netlist._run``).
+all patterns, with K stems propagated together in K slices of one wide
+word, as in parallel-fault simulation (Seshu 1965).  Each batch keeps one
+K-slice diff word per output it changes, and each stem keeps only its
+batch and the bit offset of its slice: no diff word is cut per stem.
+Cones are read off per-signal reachability bitsets.  Every gate
+evaluation runs on the circuit's compiled gate program (``netlist._run``).
 
 The dictionary keeps one record per fault, its stem and its detection
 mask, and derives every row from it: the fault-free row with the stem's
-diffs applied under the patterns in the mask.  Trace replay
-(:mod:`testtrim.diagnosis`) works on the masks and stem diffs directly.
-:meth:`FaultDictionary.response` unpacks one (fault, pattern) entry into
-a bit tuple on demand.  The ``.dict`` export (:func:`write_dictionary`)
-writes the packed rows, one line per fault with one hex word per output.
+slice of its batch's diffs applied under the patterns in the mask.  Trace
+replay (:mod:`testtrim.diagnosis`) works on the masks and batch diffs
+directly.  :meth:`FaultDictionary.response` unpacks one (fault, pattern)
+entry into a bit tuple on demand.  The ``.dict`` export
+(:func:`write_dictionary`) writes the packed rows, one line per fault with
+one hex word per output.
 
 Fault collapsing is deliberately not performed: candidate-set sizes feed
 the downstream label arithmetic and must stay reproducible counts over the
@@ -79,19 +81,20 @@ def random_patterns(num_inputs: int, count: int, seed: int) -> list[Pattern]:
 class _DerivedRows(Sequence):
     """Read-only ``fault_words`` view of a built dictionary.
 
-    Row ``f`` is derived on access: ``free_words`` with ``diff & M_f``
-    XORed in at each of the stem's ``(position, diff)`` pairs, where ``M_f``
-    is the fault's detection mask.  Rows compare equal to any sequence of
-    the same rows, e.g. a tuple of tuples.
+    Row ``f`` is derived on access: ``free_words`` with the stem's slice of
+    each diff word of its batch, ANDed with the fault's detection mask,
+    XORed in (see :class:`FaultDictionary`).  Rows compare equal to any
+    sequence of the same rows, e.g. a tuple of tuples.
     """
 
-    __slots__ = ("_free_words", "_fault_masks", "_fault_stems", "_stem_diffs")
+    __slots__ = ("_free_words", "_fault_masks", "_fault_stems", "_stem_slots", "_batch_diffs")
 
-    def __init__(self, free_words, fault_masks, fault_stems, stem_diffs) -> None:
+    def __init__(self, free_words, fault_masks, fault_stems, stem_slots, batch_diffs) -> None:
         self._free_words = free_words
         self._fault_masks = fault_masks
         self._fault_stems = fault_stems
-        self._stem_diffs = stem_diffs
+        self._stem_slots = stem_slots
+        self._batch_diffs = batch_diffs
 
     def __len__(self) -> int:
         return len(self._fault_masks)
@@ -100,9 +103,11 @@ class _DerivedRows(Sequence):
         detected = self._fault_masks[fault_idx]
         if not detected:
             return self._free_words
+        batch, offset = self._stem_slots[self._fault_stems[fault_idx]]
         row = list(self._free_words)
-        for j, w in self._stem_diffs[self._fault_stems[fault_idx]]:
-            row[j] ^= w & detected
+        for j, low, w in self._batch_diffs[batch]:
+            if offset >= low:
+                row[j] ^= (w >> (offset - low)) & detected
         return tuple(row)
 
     def __eq__(self, other) -> bool:
@@ -122,13 +127,19 @@ class FaultDictionary:
 
     The builder stores one record per fault, not its rows: the stem
     ``fault_stems[f]`` that ends the fault's fanout-free path, and its
-    detection mask.  ``stem_diffs[t]`` holds, per signal id, the sparse
-    ``(output position, diff word)`` pairs that flipping stem ``t`` under
-    every pattern changes (empty for a stem never flipped and for any other
-    signal).  Every diff word of ``t`` lies inside ``obs_t``, their OR, and
-    the mask is ``obs_t & D`` for the patterns ``D`` under which ``f``
-    flips ``t``, so row ``f`` is ``free_words[j] ^ (diff_t[j] &
-    fault_masks[f])`` at each pair and the fault-free word elsewhere;
+    detection mask.  Stems are flipped K at a time (see
+    :func:`_flip_stems`), and the flips are kept per batch.  For each
+    output ``j`` that batch ``b`` changes, ``batch_diffs[b]`` holds one
+    ``(j, low, W_j >> low)`` entry: ``W_j`` is K * P bits wide, its P-bit
+    slice at offset ``k * P`` is the diff at ``j`` under the batch's
+    ``k``-th stem, and ``low`` is the offset of its lowest nonzero slice,
+    so the zero slices below it are not stored.  ``stem_slots[t]`` is ``(b,
+    k * P)`` for a flipped stem ``t`` and None for any other signal id.
+    Stem ``t``'s diff at ``j`` is ``diff_t[j] = (W_j >> off_t) & full``
+    (0 where the batch has no entry), ``obs_t`` is their OR, and the mask
+    is ``obs_t & D`` for the patterns ``D`` under which ``f`` flips ``t``.
+    So row ``f`` is ``free_words[j] ^ ((W_j >> off_t) & fault_masks[f])``
+    at the batch's entries and the fault-free word elsewhere, and
     ``fault_words`` derives it so on access.  ``fault_words`` still
     accepts any sequence of rows (``dataclasses.replace(fdict,
     fault_words=rows)``), and :meth:`response` and
@@ -142,7 +153,8 @@ class FaultDictionary:
     free_words: tuple[int, ...]
     fault_masks: tuple[int, ...]
     fault_stems: tuple[int, ...]
-    stem_diffs: tuple[tuple[tuple[int, int], ...], ...]
+    stem_slots: tuple[tuple[int, int] | None, ...]
+    batch_diffs: tuple[tuple[tuple[int, int, int], ...], ...]
     seed: int | None = None
 
     @property
@@ -216,21 +228,28 @@ def _fanout_free_regions(circuit: Circuit, free: list[int],
 
 
 def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
-                stems: Sequence[int], num_patterns: int) -> tuple[list, list[int]]:
-    """Per signal id, the ``(output position, diff word)`` pairs that
-    complementing each of ``stems`` under every pattern changes, and
-    their OR.
+                stems: Sequence[int], num_patterns: int) -> tuple[list, list, list[int]]:
+    """Flip each of ``stems`` under every pattern, K stems per propagation.
 
-    ``stems`` must be in topological order.  They are flipped K at a time,
-    K = max(1, _BATCH_BITS // P): every signal word is replicated into K
-    slices of P bits by shift-ORs, slice ``k`` of the ``k``-th stem is
-    complemented, and the union of the stems' ``reach`` cones is
-    propagated once with the K-slice mask (K is capped at the number of
-    stems, so no slice goes unused).  A batch stem driven by a gate of that
-    union is recomputed by the gate, so its slice is complemented again
-    right after it; upstream stems then reach it in their own slices only.
-    Each output the union reaches has its diff word cut back into its K
-    slices.  Signals that are not in ``stems`` get no pairs and a zero OR.
+    Returns ``(batch_diffs, stem_slots, obs)`` in the layout
+    :class:`FaultDictionary` gives: per batch ``b``, one ``(output
+    position, low, W >> low)`` entry per output the batch changes, with
+    ``W`` the output's K * P-bit diff word and ``low`` the offset of its
+    lowest nonzero slice; ``stem_slots[s] = (b, k * P)`` for the ``k``-th
+    stem of batch ``b`` and None for every other signal; ``obs[s]`` the OR
+    of ``s``'s slices (0 for other signals).
+
+    ``stems`` must be in topological order.  K = max(1, _BATCH_BITS // P),
+    capped at the number of stems, so no slice of a full batch goes unused:
+    every signal word is replicated into K slices of P bits by shift-ORs,
+    slice ``k`` of the ``k``-th stem is complemented, and the union of the
+    stems' ``reach`` cones is propagated once with the K-slice mask.  A
+    batch stem driven by a gate of that union is recomputed by the gate, so
+    its slice is complemented again right after it; upstream stems then
+    reach it in their own slices only.  The diff words stay packed: only
+    their OR is cut, once per stem, and a word drops only its low zero
+    slices, which keeps the retained words small where the batch's low
+    stems do not reach the output.
     """
     program = circuit._program
     mask = (1 << num_patterns) - 1
@@ -243,8 +262,11 @@ def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
             w |= w << (copies * num_patterns)
             copies *= 2
         rep.append(w & wide)
+    # slice masks: a test against one costs its width, not the whole word's
+    slices = [mask << (k * num_patterns) for k in range(per_batch)]
     driver = {g.output: gi for gi, g in enumerate(circuit.gates)}
-    diffs: list[tuple[tuple[int, int], ...]] = [()] * circuit.signal_count
+    batch_diffs: list[tuple[tuple[int, int, int], ...]] = []
+    stem_slots: list[tuple[int, int] | None] = [None] * circuit.signal_count
     obs = [0] * circuit.signal_count
     for b in range(0, len(stems), per_batch):
         batch = stems[b:b + per_batch]
@@ -263,25 +285,25 @@ def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
                 words[s] ^= mask << (k * num_patterns)
                 start = gi + 1
         _run(itertools.compress(program[start:], selectors[start:]), words, wide)
-        found: list[list[tuple[int, int]]] = [[] for _ in batch]
-        seen = [0] * len(batch)
+        entries = []
+        seen = 0
         for j, o in enumerate(circuit.outputs):
             w = words[o]
-            if w is rep[o]:
-                continue
-            w ^= rep[o]
-            k = 0
-            while w:
-                x = w & mask
-                if x:
-                    found[k].append((j, x))
-                    seen[k] |= x
-                w >>= num_patterns
-                k += 1
-        for s, pairs, x in zip(batch, found, seen):
-            diffs[s] = tuple(pairs)
-            obs[s] = x
-    return diffs, obs
+            if w is not rep[o]:
+                w ^= rep[o]
+                if w:
+                    seen |= w
+                    k = 0
+                    while not w & slices[k]:
+                        k += 1
+                    if k:  # a shift by 0 would copy the word
+                        w >>= k * num_patterns
+                    entries.append((j, k * num_patterns, w))
+        for k, s in enumerate(batch):
+            stem_slots[s] = (len(batch_diffs), k * num_patterns)
+            obs[s] = (seen >> (k * num_patterns)) & mask
+        batch_diffs.append(tuple(entries))
+    return batch_diffs, stem_slots, obs
 
 
 def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
@@ -301,17 +323,18 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
     free[site]) & sens[site]``.
 
     Every stem some fault flips is then flipped once under all patterns,
-    several stems per propagation (see :func:`_flip_stems`), and the
-    outputs that change are kept as sparse ``(position, diff word)`` pairs
-    whose OR is ``obs``.  The cones are read off ``reach[s]``, an int with
-    bit ``gi`` set for every gate that transitively reads ``s``, built in
-    one reverse-topological pass.  The fault reaches the rest of the
+    several stems per propagation (see :func:`_flip_stems`); each batch
+    keeps one diff word per output that changes, and each stem's ``obs`` is
+    its slice of their OR.  The cones are read off ``reach[s]``, an int
+    with bit ``gi`` set for every gate that transitively reads ``s``, built
+    in one reverse-topological pass.  The fault reaches the rest of the
     circuit through its stem only, so under a pattern in ``D`` every output
     reads its stem-flipped value and elsewhere its fault-free value: the
     detection mask is ``obs & D``, and the row is derived from the stem's
-    pairs and that mask (see :class:`FaultDictionary`).  The result is
-    deterministic for a given circuit and pattern list; ``seed`` is only
-    recorded for export metadata.
+    slot, its batch's diff words and that mask (see
+    :class:`FaultDictionary`).  The result is deterministic for a given
+    circuit and pattern list; ``seed`` is only recorded for export
+    metadata.
     """
     if not patterns:
         raise ValueError("empty pattern list")
@@ -338,14 +361,15 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
     flipped = {stem for stem, d in zip(fault_stems, stem_flips) if d}
     order = [s for s in itertools.chain(circuit.inputs, (g.output for g in circuit.gates))
              if s in flipped]
-    stem_diffs, obs = _flip_stems(circuit, free, reach, order, len(patterns))
+    batch_diffs, stem_slots, obs = _flip_stems(circuit, free, reach, order, len(patterns))
     fault_masks = tuple(obs[stem] & d for stem, d in zip(fault_stems, stem_flips))
-    stem_diffs = tuple(stem_diffs)
+    batch_diffs, stem_slots = tuple(batch_diffs), tuple(stem_slots)
     return FaultDictionary(
         circuit=circuit, patterns=tuple(patterns), faults=faults,
-        fault_words=_DerivedRows(free_words, fault_masks, fault_stems, stem_diffs),
+        fault_words=_DerivedRows(free_words, fault_masks, fault_stems, stem_slots,
+                                 batch_diffs),
         free_words=free_words, fault_masks=fault_masks, fault_stems=fault_stems,
-        stem_diffs=stem_diffs, seed=seed)
+        stem_slots=stem_slots, batch_diffs=batch_diffs, seed=seed)
 
 
 def write_dictionary(fdict: FaultDictionary, path) -> None:

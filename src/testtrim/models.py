@@ -297,9 +297,9 @@ def fit_kernel_logistic(X_train: np.ndarray, y_bin: np.ndarray, lam: float,
     """
     X_train = np.asarray(X_train, dtype=float)
     y_bin = np.asarray(y_bin, dtype=float)
-    classes = np.unique(y_bin)
-    if classes.size < 2:
-        raise ValueError(f"training labels contain a single class ({classes.tolist()})")
+    # min and max, not np.unique: that loads numpy.ma on its first call
+    if y_bin.size == 0 or y_bin.min() == y_bin.max():
+        raise ValueError(f"training labels contain a single class ({y_bin[:1].tolist()})")
 
     n = X_train.shape[0]
     if n > config.landmark_cap:

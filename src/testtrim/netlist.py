@@ -97,6 +97,7 @@ def parse_bench(text: str, name: str = "circuit") -> Circuit:
     """
     input_names: list[str] = []
     output_names: list[str] = []
+    declared_outputs: set[str] = set()
     # gate statements: (out_name, kind, in_names, line_no, raw_line)
     gate_stmts: list[tuple[str, str, tuple[str, ...], int, str]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -111,9 +112,10 @@ def parse_bench(text: str, name: str = "circuit") -> Circuit:
             if kw == "INPUT":
                 input_names.append(sig)
             else:
-                if sig in output_names:
+                if sig in declared_outputs:
                     raise BenchParseError(f"duplicate OUTPUT declaration for '{sig}'",
                                           line_no, raw.find(sig) + 1)
+                declared_outputs.add(sig)
                 output_names.append(sig)
             continue
         m = _GATE_RE.fullmatch(code)

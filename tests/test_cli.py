@@ -219,6 +219,23 @@ def test_failed_learning_curve_leaves_no_sweep_files(tmp_path, capsys):
         assert not (out / name).exists(), name
 
 
+def test_sweep_refuses_a_train_side_too_small_for_a_curve(tmp_path, capsys):
+    # three one-gate circuits leave one train row: no learning-curve size
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, corpus_circuits=3, corpus_seed=7,
+                             corpus_min_inputs=1, corpus_max_inputs=1,
+                             corpus_min_gates=1, corpus_max_gates=1, out_dir=str(out))
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == \
+        ["error: learning curve needs at least 2 train rows, got 1"]
+    assert captured.out == ""
+    for name in ("sweep_alpha.csv", "beta_weights.csv", "learning_curve.csv"):
+        assert not (out / name).exists(), name
+
+
 def test_evaluate_reads_pattern_count_from_traces(tmp_path, capsys):
     # a corpus.patterns in the recorded and the stage config must not
     # rescale the volume saved in traces.csv

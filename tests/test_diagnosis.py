@@ -1,6 +1,7 @@
 import random
 import re
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import EDGE_BENCHES, random_pattern_list, random_small_circuit
 from oracles import full_pass_fault_words, oracle_candidate_sets, prefix_replay_candidate_sets
+from testtrim import faultsim
 from testtrim.diagnosis import (TRACE_HEADER, UndiagnosableFaultError, _compute_labels,
                                 _elimination_indices, read_traces, trace_diagnosis,
                                 write_traces)
@@ -116,6 +118,44 @@ def _assert_trace_matches_prefix_replay(fdict, fault_words, free_words, injected
     assert trace.failing_indices == want_failing, injected
     assert trace.intermediate_sizes == [len(s) for s in want_sets], injected
     assert sets == want_sets, injected
+
+
+@pytest.mark.parametrize("stems_per_batch", (1, 2, 3))
+def test_trace_replay_across_batches_matches_prefix_replay(stems_per_batch):
+    # 19 flipped stems: with 2 or 3 per batch the last batch holds one stem;
+    # 65 patterns put the slice offsets off machine-word boundaries
+    rng = random.Random(1)
+    circuit = random_circuit("batches", rng, min_inputs=6, max_inputs=6, min_gates=30,
+                             max_gates=30, p_unread=0.5)
+    patterns = random_pattern_list(circuit, 65, rng)
+    fault_words, free_words = full_pass_fault_words(circuit, patterns)
+    with mock.patch.object(faultsim, "_BATCH_BITS", stems_per_batch * len(patterns)):
+        fdict = build_fault_dictionary(circuit, patterns)
+    slots = fdict.stem_slots
+    assert sum(slot is not None for slot in slots) == 19
+    last = len(fdict.batch_diffs) - 1
+    partial = 19 % stems_per_batch != 0
+    # where the stem of each candidate that fails with the injected fault sits
+    cases = set()
+    for injected, row in enumerate(fault_words):
+        if row == free_words:
+            continue
+        inj_mask = fdict.fault_masks[injected]
+        inj_stem = fdict.fault_stems[injected]
+        for mask, stem in zip(fdict.fault_masks, fdict.fault_stems):
+            if not mask & inj_mask:
+                continue
+            batch = slots[stem][0]
+            if batch == slots[inj_stem][0]:
+                cases.add("same stem" if stem == inj_stem else "same batch")
+            else:
+                cases.add("partial last batch" if partial and batch == last
+                          else "other batch")
+        _assert_trace_matches_prefix_replay(fdict, fault_words, free_words, injected)
+    want = {"same stem", "other batch"}
+    if stems_per_batch > 1:
+        want |= {"same batch", "partial last batch"}
+    assert cases == want
 
 
 def test_monotone_refinement_and_soundness(small_corpus):

@@ -131,10 +131,10 @@ def test_import_scan_sees_the_model_side():
     assert "numpy" in outside and {"dataset", "models"} <= inside
 
 
-def _loaded_after(modules, watched) -> list[str]:
+def _loaded_after(modules, watched, run: str = "") -> list[str]:
     """Which of ``watched`` a fresh interpreter has loaded after importing
-    ``modules``."""
-    code = (f"import sys; import {', '.join(modules)}; "
+    ``modules`` and then running the statements ``run``."""
+    code = (f"import sys; import {', '.join(modules)}\n{run}\n"
             f"print(sorted(m for m in {list(watched)!r} if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -150,6 +150,14 @@ def test_simulation_side_import_leaves_numpy_unloaded():
 def test_model_side_import_leaves_simulation_unloaded():
     assert _loaded_after([f"testtrim.{m}" for m in TRACE_READERS],
                          [f"testtrim.{m}" for m in SIMULATION_ONLY]) == []
+
+
+def test_kernel_fit_leaves_numpy_ma_unloaded():
+    # every train and sweep process fits; numpy.ma costs a fresh one ~10 ms
+    fit = ("import numpy as np\n"
+           "X = np.random.default_rng(0).normal(size=(20, 3))\n"
+           "testtrim.models.fit_kernel_logistic(X, (X[:, 0] > 0) * 1.0, 1e-3, 0.5)")
+    assert _loaded_after(["testtrim.models"], ["numpy.ma"], fit) == []
 
 
 def _public_definitions() -> list[str]:

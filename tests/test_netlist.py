@@ -223,6 +223,15 @@ class TestParseErrors:
         with pytest.raises(BenchParseError, match="duplicate OUTPUT"):
             parse_bench("INPUT(a)\nOUTPUT(a)\nOUTPUT(a)\n")
 
+    def test_duplicate_output_names_its_line_and_column(self):
+        # the repeat is found among many outputs, at its own line and column
+        names = [f"o{i}" for i in range(5000)]
+        text = "".join(f"INPUT({n})\nOUTPUT({n})\n" for n in names) + "  OUTPUT( o4321 )\n"
+        with pytest.raises(BenchParseError) as exc:
+            parse_bench(text)
+        assert (exc.value.line, exc.value.col) == (10001, 11)
+        assert str(exc.value) == "line 10001, col 11: duplicate OUTPUT declaration for 'o4321'"
+
     def test_not_arity(self):
         with pytest.raises(BenchParseError, match="NOT takes exactly 1"):
             parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NOT(a, b)\n")
