@@ -94,8 +94,8 @@ def _load_corpus_files(cfg: RunConfig):
     """The dataset derived from the corpus traces (``dataset.csv`` is an
     export only) and the config ``generate`` recorded with them.
 
-    A ``corpus.*`` setting of ``cfg`` that differs from that record is
-    refused: the files describe another corpus.
+    A ``corpus.*`` or ``split.*`` setting of ``cfg`` that differs from that
+    record is refused: the files describe another corpus or split.
     """
     out = Path(cfg.out_dir)
     traces_path, record_path = out / "traces.csv", out / "config.txt"
@@ -169,9 +169,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             f"test circuits overlap the model's training circuits: "
             f"{sorted(overlap)[:5]}{'...' if len(overlap) > 5 else ''}")
 
-    tau = loaded.tau if loaded.tau is not None else 0.5
     scores = ev.score_matrix(loaded.model, loaded.standardizer.transform(split.test.X))
-    report = ev.evaluate(split.test, scores, tau)
+    report = ev.evaluate(split.test, scores, loaded.tau)
     cls_acc = report.classification_accuracy
     model = ev.model_descriptor(loaded.model)
     ev.write_report_csv(report, out / "report.csv")

@@ -118,10 +118,12 @@ def config_to_text(cfg: RunConfig, include_out_dir: bool = True) -> str:
 
 
 def check_same_corpus(cfg: RunConfig, record: RunConfig, source) -> None:
-    """Raise ``ValueError`` naming the first ``corpus.*`` key whose value in
-    ``cfg`` differs from ``record``, the settings ``source`` was built with."""
+    """Raise ``ValueError`` naming the first ``corpus.*`` or ``split.*`` key
+    whose value in ``cfg`` differs from ``record``, the settings ``source``
+    was built with: every stage reads the corpus and the split that
+    ``generate`` recorded."""
     for key, (attr, _) in _KEYS.items():
-        if key.startswith("corpus.") and getattr(cfg, attr) != getattr(record, attr):
+        if key.startswith(("corpus.", "split.")) and getattr(cfg, attr) != getattr(record, attr):
             raise ValueError(f"{key} = {_text(getattr(cfg, attr))} differs from "
                              f"{_text(getattr(record, attr))} recorded in {source}")
 

@@ -62,7 +62,7 @@ def build_corpus(cfg: RunConfig) -> Corpus:
         """Add ``circuit`` with a fault drawn from those its patterns
         detect; False, adding nothing, when they detect none."""
         patterns = _patterns_for(circuit, cfg.corpus_patterns, rng.randrange(1 << 32))
-        fdict = build_fault_dictionary(circuit, patterns, seed=cfg.corpus_seed)
+        fdict = build_fault_dictionary(circuit, patterns)
         detectable = fdict.detected_fault_indices()
         if not detectable:
             return False

@@ -38,8 +38,12 @@ and ``E_si = 0`` follows, as ``s_i``'s slice of ``W_j`` is its own diff.
 The golden candidate set is the intermediate set at the last failing
 pattern.  The convergence ratio m = |golden| / |intermediate| is
 non-decreasing and ends at 1; the regression label y rescales m so that
-each trace spans [0, 1], with y = 1 reserved for converged rows.  A trace
-stores the sizes and derives m and y from them.  The model side reads this
+each trace spans [0, 1], with y = 1 reserved for converged rows.
+
+``traces.csv`` holds one record per failing circuit: its id, input count
+and applied pattern count, its failing indices and its intermediate sizes.
+The golden size is the last size, and m and y are derived from the sizes,
+so no field of the record repeats another.  The model side reads this
 record, so the fault simulator is imported for type annotations only.
 """
 
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -64,10 +67,13 @@ class UndiagnosableFaultError(ValueError):
 class DiagnosisTrace:
     """Ordered per-failing-pattern record for one failing circuit.
 
-    The convergence ratios ``m_values`` and labels ``y_values`` are derived
-    from the sizes, at the six digits ``traces.csv`` holds, so a trace read
-    back from its CSV export gives the rows of the trace written.  Each is
-    derived once, on first use: a trace is not changed after it is built.
+    ``golden_size`` is the last intermediate size; :func:`read_traces`
+    sets it so, and a trace keeps it as built.  The convergence ratios
+    ``m_values`` and labels ``y_values`` are derived from the sizes, each
+    once, on first use: a trace is not changed after it is built.  They are
+    rounded to six digits, the digits ``traces.csv`` held when it stored
+    them, so the rows, and with them ``dataset.csv``, ``model.txt`` and
+    every metric CSV, keep the bytes they had then.
     """
 
     circuit_id: str
@@ -205,106 +211,79 @@ def trace_diagnosis(fdict: FaultDictionary, injected: Fault) -> DiagnosisTrace:
     )
 
 
-TRACE_HEADER = ["circuit_id", "num_inputs", "total_patterns", "k", "failing_index_k",
-                "intermediate_size", "golden_size", "m", "y"]
+TRACE_HEADER = ["circuit_id", "num_inputs", "total_patterns", "failing_indices",
+                "intermediate_sizes"]
 
 
 def write_traces(traces: Iterable[DiagnosisTrace], path) -> None:
-    """CSV export, one record per failing pattern."""
+    """CSV export, one record per trace; the two lists are space-separated ints."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for t in traces:
-            rows = zip(t.failing_indices, t.intermediate_sizes, t.m_values, t.y_values)
-            for k, (failing, size, m, y) in enumerate(rows, 1):
-                writer.writerow([t.circuit_id, t.num_inputs, t.total_patterns, k, failing,
-                                 size, t.golden_size, f"{m:.6f}", f"{y:.6f}"])
+            writer.writerow([t.circuit_id, t.num_inputs, t.total_patterns,
+                             " ".join(map(str, t.failing_indices)),
+                             " ".join(map(str, t.intermediate_sizes))])
 
 
 def read_traces(path) -> list[DiagnosisTrace]:
-    """Rebuild traces from a CSV export, in one pass over its records.
+    """Rebuild traces from a CSV export, one trace per record.
 
     Each record carries its circuit's applied pattern count, so a reader
-    needs no corpus settings.  Loaded traces carry no injected-fault ground
-    truth.  Raises ``ValueError`` on a different header and on a file
-    without records; blank lines are skipped.  Every other refusal names
-    the file and the line at fault: a wrong number of fields (as a
-    truncated file leaves) or a bad value; a ``num_inputs``,
-    ``total_patterns`` or ``golden_size`` other than the circuit's first
-    record holds; a k that does not continue its circuit's records (they
-    come in k order, as :func:`write_traces` writes them); a failing index
-    that does not rise strictly from 1 up to ``total_patterns``; an
-    intermediate size above the one before it or below a golden size of at
-    least 1; a circuit whose last record is not at its golden size; and an
-    m or y other than the one the sizes give, to six digits.  So a loaded
-    row has y == 1 exactly where its intermediate size is the golden size
-    (a non-converged y reaches 1.000000 only above two million candidates).
-    A failing index moved to another value that still rises passes: no file
-    records the applied patterns, so it cannot be re-checked until they are persisted.
+    needs no corpus settings.  The golden size is the record's last size,
+    and m and y are derived from the sizes.  Loaded traces carry no
+    injected-fault ground truth.  Blank lines are skipped.  Each refusal
+    raises ``ValueError`` naming the file and the line: a header other than
+    :data:`TRACE_HEADER` (as an older export holds), a file without
+    records, a wrong number of fields or a value that is not an int, a
+    second record for one circuit id, lists that are empty or differ in
+    length, failing indices that do not rise strictly from 1 up to
+    ``total_patterns``, sizes that rise or fall below 1, and a last record
+    without a line end, which is what a cut file leaves.  A failing index
+    moved to another value that still rises passes: no file records the
+    applied patterns, so it cannot be re-checked until they are persisted.
     """
-    # circuit id -> (trace, (num_inputs, total_patterns, golden_size) of its first
-    # record, its failing indices, its sizes, and each record's line, m and y)
-    circuits: dict[str, tuple] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    traces: dict[str, DiagnosisTrace] = {}
+    try:
         header = next(reader, None)
         if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header in {path}: {header}")
+            raise ValueError(f"unexpected trace header {header}; run 'testtrim generate' again")
         for fields in reader:
             if not fields:
                 continue
-            try:
-                if len(fields) != len(TRACE_HEADER):
-                    raise ValueError(f"expected {len(TRACE_HEADER)} fields, got {len(fields)}")
-                m, y = float(fields[7]), float(fields[8])
-                if not (math.isfinite(m) and math.isfinite(y)):
-                    raise ValueError(f"non-finite m or y ({fields[7]!r}, {fields[8]!r})")
-                num_inputs, total, k, failing, size, golden = map(int, fields[1:7])
-                cid = fields[0]
-                entry = circuits.get(cid)
-                if entry is None:
-                    t = DiagnosisTrace(cid, num_inputs, total, [], [], golden)
-                    entry = circuits[cid] = (t, (num_inputs, total, golden), t.failing_indices,
-                                             t.intermediate_sizes, [], [], [])
-                _, first, failing_indices, sizes, lines, ms, ys = entry
-                if (num_inputs, total, golden) != first:
-                    raise ValueError(f"(num_inputs, total_patterns, golden_size) "
-                                     f"{num_inputs, total, golden} differ from {first} in the "
-                                     f"first record of circuit '{cid}'")
-                if k != len(sizes) + 1:
-                    raise ValueError(f"non-contiguous k sequence for circuit '{cid}'")
-                low = failing_indices[-1] + 1 if k > 1 else 1
-                if failing < low:
-                    raise ValueError(f"failing index {failing} is below {low}: a circuit's "
-                                     f"failing indices rise strictly from 1")
-                if failing > total:
-                    raise ValueError(f"total_patterns {total} is below failing index {failing}")
-                if not 0 < golden <= size:
-                    raise ValueError(f"intermediate size {size} and golden size {golden} "
-                                     f"break 1 <= golden <= intermediate")
-                if k > 1 and size > sizes[-1]:
+            if len(fields) != len(TRACE_HEADER):
+                raise ValueError(f"expected {len(TRACE_HEADER)} fields, got {len(fields)}")
+            cid = fields[0]
+            num_inputs, total = int(fields[1]), int(fields[2])
+            failing = [int(v) for v in fields[3].split()]
+            sizes = [int(v) for v in fields[4].split()]
+            if cid in traces:
+                raise ValueError(f"a second record for circuit '{cid}'")
+            if not failing or len(failing) != len(sizes):
+                raise ValueError(f"{len(failing)} failing indices and {len(sizes)} "
+                                 f"intermediate sizes: want as many, at least 1")
+            low = 1
+            for index in failing:
+                if index < low:
+                    raise ValueError(f"failing index {index} is below {low}: failing "
+                                     f"indices rise strictly from 1")
+                low = index + 1
+            if failing[-1] > total:
+                raise ValueError(f"failing index {failing[-1]} is above total_patterns {total}")
+            for before, size in zip(sizes, sizes[1:]):
+                if size > before:
                     raise ValueError(f"intermediate size {size} rises above the size "
-                                     f"{sizes[-1]} before it")
-            except ValueError as exc:
-                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-            failing_indices.append(failing)
-            sizes.append(size)
-            lines.append(reader.line_num)
-            ms.append(m)
-            ys.append(y)
-    if not circuits:
-        raise ValueError(f"trace file {path} holds no rows")
-
-    for t, _, _, sizes, lines, ms, ys in circuits.values():
-        if sizes[-1] != t.golden_size:
-            raise ValueError(f"{path} line {lines[-1]}: circuit '{t.circuit_id}' ends at "
-                             f"intermediate size {sizes[-1]}, not at its golden size "
-                             f"{t.golden_size}")
-        m_want, y_want = t.m_values, t.y_values
-        if m_want != ms or y_want != ys:
-            i = next(i for i, row in enumerate(zip(m_want, y_want, ms, ys)) if row[:2] != row[2:])
-            raise ValueError(f"{path} line {lines[i]}: m {ms[i]:.6f} and y {ys[i]:.6f} differ "
-                             f"from {m_want[i]:.6f} and {y_want[i]:.6f} given by the "
-                             f"candidate-set sizes")
-        del ms[:], ys[:]  # free the read copies; the trace caches the derived ones
-    return [entry[0] for entry in circuits.values()]
+                                     f"{before} before it")
+            if sizes[-1] < 1:
+                raise ValueError(f"intermediate size {sizes[-1]} is below 1")
+            traces[cid] = DiagnosisTrace(cid, num_inputs, total, failing, sizes, sizes[-1])
+        if not traces:
+            raise ValueError("no trace record")
+        if not lines[-1].endswith(("\n", "\r")):
+            raise ValueError("the last record has no line end: the file is cut")
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path} line {max(reader.line_num, 1)}: {exc}") from None
+    return list(traces.values())

@@ -155,7 +155,6 @@ class FaultDictionary:
     fault_stems: tuple[int, ...]
     stem_slots: tuple[tuple[int, int] | None, ...]
     batch_diffs: tuple[tuple[tuple[int, int, int], ...], ...]
-    seed: int | None = None
 
     @property
     def num_patterns(self) -> int:
@@ -306,8 +305,7 @@ def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
     return batch_diffs, stem_slots, obs
 
 
-def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
-                           seed: int | None = None) -> FaultDictionary:
+def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern]) -> FaultDictionary:
     """Simulate every enumerated fault against every pattern.
 
     All patterns are packed into machine words, and one fault-free pass
@@ -333,8 +331,7 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
     detection mask is ``obs & D``, and the row is derived from the stem's
     slot, its batch's diff words and that mask (see
     :class:`FaultDictionary`).  The result is deterministic for a given
-    circuit and pattern list; ``seed`` is only recorded for export
-    metadata.
+    circuit and pattern list.
     """
     if not patterns:
         raise ValueError("empty pattern list")
@@ -369,7 +366,7 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern],
         fault_words=_DerivedRows(free_words, fault_masks, fault_stems, stem_slots,
                                  batch_diffs),
         free_words=free_words, fault_masks=fault_masks, fault_stems=fault_stems,
-        stem_slots=stem_slots, batch_diffs=batch_diffs, seed=seed)
+        stem_slots=stem_slots, batch_diffs=batch_diffs)
 
 
 def write_dictionary(fdict: FaultDictionary, path) -> None:
@@ -386,7 +383,7 @@ def write_dictionary(fdict: FaultDictionary, path) -> None:
     names = circuit.signal_names
     lines = [
         f"# circuit={circuit.name} signals={circuit.signal_count} "
-        f"faults={len(fdict.faults)} patterns={fdict.num_patterns} seed={fdict.seed}"
+        f"faults={len(fdict.faults)} patterns={fdict.num_patterns}"
     ]
     for fault, words in zip(fdict.faults, fdict.fault_words):
         lines.append(" ".join([names[fault.signal], str(fault.stuck_value),

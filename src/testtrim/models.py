@@ -375,7 +375,7 @@ def _fmt_floats(values) -> str:
 
 
 def save_model(path, model: LinearModel | KernelLogisticModel, standardizer: Standardizer,
-               train_circuits: Sequence[str] = (), tau: float | None = None) -> None:
+               train_circuits: Sequence[str] = (), *, tau: float) -> None:
     lines = [MODEL_FILE_MAGIC]
     if isinstance(model, LinearModel):
         lines.append("kind linear")
@@ -389,7 +389,7 @@ def save_model(path, model: LinearModel | KernelLogisticModel, standardizer: Sta
         lines.append(f"iterations {cfg.iterations}")
         lines.append(f"seed {cfg.seed}")
         lines.append(f"landmark_cap {cfg.landmark_cap}")
-    lines.append(f"tau {'none' if tau is None else repr(float(tau))}")
+    lines.append(f"tau {float(tau)!r}")
     lines.append(f"standardize_mean {_fmt_floats(standardizer.mean)}")
     lines.append(f"standardize_scale {_fmt_floats(standardizer.scale)}")
     lines.append("standardize_constant " + " ".join(str(int(c)) for c in standardizer.constant))
@@ -411,7 +411,7 @@ def save_model(path, model: LinearModel | KernelLogisticModel, standardizer: Sta
 class LoadedModel:
     model: LinearModel | KernelLogisticModel
     standardizer: Standardizer
-    tau: float | None
+    tau: float
     train_circuits: tuple[str, ...]
 
 
@@ -517,7 +517,7 @@ def load_model(path) -> LoadedModel:
     if (std.scale <= 0.0).any():
         raise ValueError(f"{path}: 'standardize_scale' must be positive, "
                          f"got {float(std.scale.min())!r}")
-    tau = None if fields["tau"] == "none" else ranged("tau")
+    tau = ranged("tau")
     circuits = tuple(fields["train_circuits"].split())
 
     if kind == "linear":

@@ -140,12 +140,14 @@ def test_evaluate_refuses_split_mismatch(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg_path)]) == 0
     assert main(["train", "--config", str(cfg_path)]) == 0
 
-    # different split seed sends trained circuits into the test side
+    # a different split seed would send trained circuits into the test side
     overrides["split_seed"] = 7
     bad_cfg = tmp_path / "bad.txt"
     save_config(RunConfig(**overrides), bad_cfg)
+    capsys.readouterr()
     assert main(["evaluate", "--config", str(bad_cfg)]) == 1
-    assert "overlap" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: split.seed = 7 differs from 0 recorded in {out / 'config.txt'}"]
 
 
 def test_evaluate_rejects_model_missing_key(tmp_path, capsys):
@@ -183,7 +185,7 @@ def _set_first_value(line: str, value: str) -> str:
 
 @pytest.mark.parametrize("key, value", [
     ("gamma", "nan"), ("gamma", "inf"), ("theta", "nan"),
-    ("standardize_scale", "0.0"), ("tau", "nan"), ("tau", "7.5"),
+    ("standardize_scale", "0.0"), ("tau", "nan"), ("tau", "7.5"), ("tau", "none"),
 ])
 def test_evaluate_refuses_model_value_a_config_refuses(kernel_run, tmp_path, capsys,
                                                        key, value):
@@ -270,7 +272,7 @@ def generated_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("stage", ["train", "evaluate", "oracle-eval", "sweep"])
-@pytest.mark.parametrize("drift", ["seed_flag", "patterns_in_config"])
+@pytest.mark.parametrize("drift", ["seed_flag", "patterns_in_config", "split_in_config"])
 def test_stage_refuses_corpus_drift(generated_run, tmp_path, capsys, stage, drift):
     cfg_path, overrides = generated_run
     out = Path(overrides["out_dir"])
@@ -278,9 +280,11 @@ def test_stage_refuses_corpus_drift(generated_run, tmp_path, capsys, stage, drif
     if drift == "seed_flag":
         argv, key = ["--config", str(cfg_path), "--seed", "99"], "corpus.seed"
     else:
+        attr, value = (("corpus_patterns", 64) if drift == "patterns_in_config"
+                       else ("split_train_fraction", 0.9))
         drifted = tmp_path / "drifted.txt"
-        save_config(RunConfig(**{**overrides, "corpus_patterns": 64}), drifted)
-        argv, key = ["--config", str(drifted)], "corpus.patterns"
+        save_config(RunConfig(**{**overrides, attr: value}), drifted)
+        argv, key = ["--config", str(drifted)], attr.replace("_", ".", 1)
     assert main([stage, *argv]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
@@ -289,22 +293,22 @@ def test_stage_refuses_corpus_drift(generated_run, tmp_path, capsys, stage, drif
 
 
 def test_train_refuses_record_contradicting_its_circuit(finished_run, tmp_path, capsys):
-    # a circuit's second record claims 99 inputs
+    # a circuit's second intermediate size rises above its first
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
     lines = (out / "traces.csv").read_text().splitlines()
-    second = next(i for i in range(2, len(lines))
-                  if lines[i].split(",")[0] == lines[i - 1].split(",")[0])
-    fields = lines[second].split(",")
-    fields[1] = "99"
-    lines[second] = ",".join(fields)
+    line = next(i for i, ln in enumerate(lines[1:], 2) if len(ln.split(",")[4].split()) > 1)
+    fields = lines[line - 1].split(",")
+    sizes = fields[4].split()
+    sizes[1] = str(int(sizes[0]) + 1)
+    fields[4] = " ".join(sizes)
+    lines[line - 1] = ",".join(fields)
     (out / "traces.csv").write_text("\n".join(lines) + "\n")
     assert main(["train", "--config", str(out / "config.txt"), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert f"traces.csv line {second + 1}: (num_inputs, total_patterns, golden_size) (99, " \
-        in err[0]
+    assert f"traces.csv line {line}: intermediate size {sizes[1]} rises above" in err[0]
     assert captured.out == ""
 
 

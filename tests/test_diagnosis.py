@@ -1,5 +1,4 @@
 import random
-import re
 from dataclasses import replace
 from unittest import mock
 
@@ -10,9 +9,9 @@ from hypothesis import strategies as st
 from conftest import EDGE_BENCHES, random_pattern_list, random_small_circuit
 from oracles import full_pass_fault_words, oracle_candidate_sets, prefix_replay_candidate_sets
 from testtrim import faultsim
-from testtrim.diagnosis import (TRACE_HEADER, UndiagnosableFaultError, _compute_labels,
-                                _elimination_indices, read_traces, trace_diagnosis,
-                                write_traces)
+from testtrim.diagnosis import (TRACE_HEADER, DiagnosisTrace, UndiagnosableFaultError,
+                                _compute_labels, _elimination_indices, read_traces,
+                                trace_diagnosis, write_traces)
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns)
 from testtrim.generator import random_circuit
@@ -234,14 +233,16 @@ class TestComputeLabels:
 
 
 def test_trace_csv_roundtrip(tmp_path, small_corpus):
+    # an id taken from a netlist file name may hold a comma: csv quotes it
+    traces = [replace(small_corpus.traces[0], circuit_id="c,000"), *small_corpus.traces[1:]]
     path = tmp_path / "traces.csv"
-    write_traces(small_corpus.traces, path)
+    write_traces(traces, path)
+    assert len(path.read_text().splitlines()) == 1 + len(traces)  # one record per trace
     loaded = read_traces(path)
-    assert len(loaded) == len(small_corpus.traces)
-    # the record is the sizes: m and y come back exactly, only the
-    # injected fault is not persisted
-    assert loaded == [replace(t, injected_fault=None) for t in small_corpus.traces]
-    for orig, got in zip(small_corpus.traces, loaded):
+    # the record is the sizes: the golden size, m and y come back exactly,
+    # only the injected fault is not persisted
+    assert loaded == [replace(t, injected_fault=None) for t in traces]
+    for orig, got in zip(traces, loaded):
         assert (got.m_values, got.y_values) == (orig.m_values, orig.y_values)
 
 
@@ -259,107 +260,76 @@ def test_read_traces_rejects_header_without_total_patterns(tmp_path, small_corpu
 def test_read_traces_rejects_total_below_last_failing_pattern(tmp_path, small_corpus):
     path = tmp_path / "traces.csv"
     write_traces(small_corpus.traces[:1], path)
-    header, *rows = path.read_text().splitlines()
-    col = TRACE_HEADER.index("total_patterns")
-    rows = [",".join("0" if i == col else c for i, c in enumerate(r.split(","))) for r in rows]
-    path.write_text("\n".join([header, *rows]) + "\n")
-    with pytest.raises(ValueError, match="total_patterns 0 is below"):
+    _edit_field(path, 2, "total_patterns", "0")
+    with pytest.raises(ValueError, match=r"traces\.csv line 2: failing index \d+ is above "
+                                         r"total_patterns 0"):
         read_traces(path)
 
 
-def _drop_last_field(row):
-    return row.rsplit(",", 1)[0]
+def _set_field(column, value, line=2):
+    """The file lines with ``column`` of 1-based line ``line`` set to ``value``."""
+    def edit(lines):
+        fields = lines[line - 1].split(",")
+        fields[TRACE_HEADER.index(column)] = value
+        return [*lines[:line - 1], ",".join(fields), *lines[line:]]
+    return edit
 
 
-@pytest.mark.parametrize("edit, message", [
-    (_drop_last_field, "expected 9 fields"),
-    (lambda row: row + ",0", "expected 9 fields"),
-    (lambda row: _drop_last_field(row) + ",nan", "non-finite m or y"),
-    (lambda row: ",".join(row.split(",")[:7] + ["inf"] + row.split(",")[8:]),
-     "non-finite m or y"),
-    (lambda row: _drop_last_field(row) + ",", "could not convert"),
-])
+_PER_PATTERN_HEADER = ("circuit_id,num_inputs,total_patterns,k,failing_index_k,"
+                       "intermediate_size,golden_size,m,y")
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda lines: lines[:1], 1, "no trace record"),
+    (lambda lines: [_PER_PATTERN_HEADER, *lines[1:]], 1,
+     r"unexpected trace header .*; run 'testtrim generate' again"),
+    (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], lines[2]], 2,
+     "expected 5 fields, got 4"),
+    (lambda lines: [*lines[:2], lines[2] + ",0"], 3, "expected 5 fields, got 6"),
+    (_set_field("num_inputs", "6.0"), 2, "invalid literal for int"),
+    (_set_field("intermediate_sizes", "3 2 x", line=3), 3, "invalid literal for int"),
+    (lambda lines: [*lines[:2], lines[1]], 3, r"a second record for circuit 'c\d+'"),
+    (_set_field("failing_indices", ""), 2, r"0 failing indices and \d+ intermediate sizes"),
+    (_set_field("intermediate_sizes", ""), 2, r"\d+ failing indices and 0 intermediate sizes"),
+    (_set_field("intermediate_sizes", "5 4"), 2, r"\d+ failing indices and 2 intermediate"),
+    (_set_field("intermediate_sizes", "0", line=3), 3, "intermediate size 0 is below 1"),
+    (_set_field("intermediate_sizes", "1 " * 70_000, line=3), 3, "field larger than field limit"),
+], ids=["no record", "per-pattern header", "field missing", "field added", "non-int value",
+        "non-int list entry", "repeated circuit", "no failing index", "no size",
+        "list lengths differ", "size below 1", "field over the csv limit"])
 def test_read_traces_rejects_bad_row_naming_file_and_line(tmp_path, small_corpus,
-                                                          edit, message):
+                                                          edit, line, message):
+    # the header, the failing indices, the rising sizes and the cut last
+    # record are refused in the tests around this one
     path = tmp_path / "traces.csv"
     write_traces(small_corpus.traces[:2], path)
-    lines = path.read_text().splitlines()
-    lines[2] = edit(lines[2])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"traces\.csv line 3: {message}"):
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=rf"traces\.csv line {line}: {message}"):
         read_traces(path)
 
 
 def test_read_traces_rejects_circuit_cut_before_golden_set(tmp_path, small_corpus):
-    trace = next(t for t in small_corpus.traces
-                 if t.num_failing > 1 and t.intermediate_sizes[-2] > t.golden_size)
+    # a last size cut from 12 to 1 would be a converged size: only the
+    # missing line end shows the file is cut
+    trace = DiagnosisTrace("c1", 4, 16, [2, 5, 9], [40, 12, 12], 12)
     path = tmp_path / "traces.csv"
-    write_traces([trace], path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValueError, match="not at its golden size"):
+    write_traces([small_corpus.traces[0], trace], path)
+    data = path.read_bytes()
+    assert data.endswith(b",40 12 12\r\n")
+    path.write_bytes(data[:-3])
+    with pytest.raises(ValueError, match=r"traces\.csv line 3: the last record has no line end"):
         read_traces(path)
 
 
 def _edit_field(path, line, column, value):
     """Set ``column`` of 1-based file line ``line`` to ``value``."""
-    lines = path.read_text().splitlines()
-    fields = lines[line - 1].split(",")
-    fields[TRACE_HEADER.index(column)] = value
-    lines[line - 1] = ",".join(fields)
+    lines = _set_field(column, value, line)(path.read_text().splitlines())
     path.write_text("\n".join(lines) + "\n")
-
-
-def _unconverged_first_row(small_corpus):
-    return next(t for t in small_corpus.traces if t.m_values[0] < 1.0)
-
-
-@pytest.mark.parametrize("column, value, message", [
-    # a non-converged row relabelled as converged
-    ("y", lambda t: "1.000000", r"m 0\.\d{6} and y 1\.000000 differ"),
-    ("m", lambda t: f"{t.m_values[0] / 2:.6f}", r"m 0\.\d{6} and y 0\.000000 differ"),
-    ("intermediate_size", lambda t: "0", r"intermediate size 0 and golden size \d+ break"),
-], ids=["y", "m", "size"])
-def test_read_traces_rejects_labels_the_sizes_do_not_give(tmp_path, small_corpus,
-                                                         column, value, message):
-    trace = _unconverged_first_row(small_corpus)
-    path = tmp_path / "traces.csv"
-    write_traces([trace], path)
-    _edit_field(path, 2, column, value(trace))
-    with pytest.raises(ValueError, match=rf"traces\.csv line 2: {message}"):
-        read_traces(path)
-
-
-@pytest.mark.parametrize("k", ["2", "0"])
-def test_read_traces_rejects_k_out_of_sequence(tmp_path, small_corpus, k):
-    path = tmp_path / "traces.csv"
-    write_traces(small_corpus.traces[:2], path)
-    _edit_field(path, 2, "k", k)
-    with pytest.raises(ValueError, match=r"traces\.csv line 2: non-contiguous k sequence"):
-        read_traces(path)
 
 
 def _two_record_trace(small_corpus):
     return next(t for t in small_corpus.traces
                 if t.num_failing > 2 and t.intermediate_sizes[0] > t.golden_size)
-
-
-@pytest.mark.parametrize("column, value", [
-    ("num_inputs", 99), ("total_patterns", 5), ("golden_size", 777)])
-def test_read_traces_rejects_record_contradicting_its_circuit(tmp_path, small_corpus,
-                                                              column, value):
-    # the second record of the circuit disagrees with its first
-    trace = _two_record_trace(small_corpus)
-    path = tmp_path / "traces.csv"
-    write_traces([trace], path)
-    _edit_field(path, 3, column, str(value))
-    first = (trace.num_inputs, trace.total_patterns, trace.golden_size)
-    got = tuple(value if name == column else v
-                for name, v in zip(("num_inputs", "total_patterns", "golden_size"), first))
-    message = (f"traces.csv line 3: (num_inputs, total_patterns, golden_size) {got} differ "
-               f"from {first} in the first record of circuit '{trace.circuit_id}'")
-    with pytest.raises(ValueError, match=re.escape(message)):
-        read_traces(path)
 
 
 @pytest.mark.parametrize("line, value, message", [
@@ -368,20 +338,24 @@ def test_read_traces_rejects_record_contradicting_its_circuit(tmp_path, small_co
 ])
 def test_read_traces_rejects_failing_indices_not_rising_from_one(tmp_path, small_corpus,
                                                                  line, value, message):
+    # the first index of the first record, the second index of the second
+    trace = _two_record_trace(small_corpus)
     path = tmp_path / "traces.csv"
-    write_traces([_two_record_trace(small_corpus)], path)
-    _edit_field(path, line, "failing_index_k", value)
+    write_traces([trace, replace(trace, circuit_id="other")], path)
+    failing = [str(i) for i in trace.failing_indices]
+    failing[line - 2] = value
+    _edit_field(path, line, "failing_indices", " ".join(failing))
     with pytest.raises(ValueError, match=rf"traces\.csv line {line}: {message}"):
         read_traces(path)
 
 
 def test_read_traces_rejects_a_rising_size(tmp_path, small_corpus):
-    # the second size raised above the first, m and y written to match
+    # the second size raised above the first
     trace = _two_record_trace(small_corpus)
     sizes = list(trace.intermediate_sizes)
     sizes[1] = sizes[0] + 1
     path = tmp_path / "traces.csv"
     write_traces([replace(trace, intermediate_sizes=sizes)], path)
-    with pytest.raises(ValueError, match=rf"traces\.csv line 3: intermediate size "
+    with pytest.raises(ValueError, match=rf"traces\.csv line 2: intermediate size "
                                          rf"{sizes[1]} rises above the size {sizes[0]}"):
         read_traces(path)

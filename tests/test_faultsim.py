@@ -141,11 +141,11 @@ def test_random_patterns_seeded_and_distinct():
 
 def test_dictionary_export_format(tmp_path, and_circuit):
     patterns = exhaustive_patterns(2)  # (a, b) = 00, 10, 01, 11: z = a & b is 0b1000
-    fdict = build_fault_dictionary(and_circuit, patterns, seed=42)
+    fdict = build_fault_dictionary(and_circuit, patterns)
     path = tmp_path / "and2.dict"
     write_dictionary(fdict, path)
     assert path.read_text().splitlines() == [
-        "# circuit=and2 signals=3 faults=6 patterns=4 seed=42",
+        "# circuit=and2 signals=3 faults=6 patterns=4",
         "a 0 0", "a 1 c",   # a stuck-at-1: z = b
         "b 0 0", "b 1 a",   # b stuck-at-1: z = a
         "z 0 0", "z 1 f",
@@ -162,8 +162,7 @@ def _assert_export_round_trips(fdict, tmp_path):
     header, rows = read_dictionary_text(text)
     circuit = fdict.circuit
     assert header == (f"# circuit={circuit.name} signals={circuit.signal_count} "
-                      f"faults={2 * circuit.signal_count} patterns={len(fdict.patterns)} "
-                      f"seed={fdict.seed}")
+                      f"faults={2 * circuit.signal_count} patterns={len(fdict.patterns)}")
     want_words, _ = full_pass_fault_words(circuit, fdict.patterns)
     names = circuit.signal_names
     assert rows == [(names[f.signal], f.stuck_value, words)
@@ -177,8 +176,7 @@ def test_dictionary_export_matches_bitwise_reference(tmp_path, seed, num_pattern
     circuit = random_circuit(f"r{seed}", rng, min_inputs=3, max_inputs=10,
                              min_gates=10, max_gates=60, p_unread=0.5)
     patterns = random_pattern_list(circuit, num_patterns, rng)
-    _assert_export_round_trips(build_fault_dictionary(circuit, patterns, seed=seed),
-                               tmp_path)
+    _assert_export_round_trips(build_fault_dictionary(circuit, patterns), tmp_path)
 
 
 @pytest.mark.parametrize("bench", (AND_BENCH, "INPUT(a)\nINPUT(b)\nz = AND(a, b)\n"),

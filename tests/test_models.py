@@ -489,7 +489,7 @@ class TestModelFiles:
 
         second = tmp_path / "linear2.txt"
         save_model(second, loaded.model, loaded.standardizer,
-                   loaded.train_circuits, loaded.tau)
+                   loaded.train_circuits, tau=loaded.tau)
         assert path.read_bytes() == second.read_bytes()
 
     def test_kernel_roundtrip_bit_exact(self, tmp_path):
@@ -500,17 +500,17 @@ class TestModelFiles:
                                     TrainConfig(iterations=50, landmark_cap=8, seed=2))
         std = Standardizer.fit(X)
         path = tmp_path / "kernel.txt"
-        save_model(path, model, std, train_circuits=("c9",), tau=None)
+        save_model(path, model, std, train_circuits=("c9",), tau=0.6)
         loaded = load_model(path)
         assert np.array_equal(loaded.model.theta, model.theta)
         assert np.array_equal(loaded.model.landmarks, model.landmarks)
         assert loaded.model.lam == model.lam
         assert loaded.model.gamma == model.gamma
-        assert loaded.tau is None
+        assert loaded.tau == 0.6
 
         second = tmp_path / "kernel2.txt"
         save_model(second, loaded.model, loaded.standardizer,
-                   loaded.train_circuits, loaded.tau)
+                   loaded.train_circuits, tau=loaded.tau)
         assert path.read_bytes() == second.read_bytes()
 
         preds_orig = predict_prob_batch(model, X[:5])
@@ -544,7 +544,7 @@ class TestModelFileValidation:
         kernel = tmp / "kernel.txt"
         model = fit_kernel_logistic(X, (X[:, 0] > 0).astype(float), 0.7, 1.1,
                                     TrainConfig(iterations=5, landmark_cap=4, seed=2))
-        save_model(kernel, model, std, tau=None)
+        save_model(kernel, model, std, tau=0.6)
         return {"linear": linear.read_text().splitlines(),
                 "kernel": kernel.read_text().splitlines()}
 

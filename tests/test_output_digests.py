@@ -23,36 +23,36 @@ PINNED = """\
 e59ee2e02048e59262cedd3213d06e4021f52bd847749c5ed02cc9b7892d3717  beta_weights.csv
 03604c60387ccd7086a1a444ac70209a34ae3daba213d3ba9b69c0fdd9e7d5a5  config.txt
 491ad6ba6dba917d68bb48af058adfb751e0e2872ffd8e1b76da0b4f83161cd8  dataset.csv
-5655be706beccaac6da4cfc510ec21d1adb0464779b852209cdeba9384c6ec33  dicts/c000.dict
-11f52bb0b7e7d4b47ce6a3ea33d743b32e150b00925b4a663a6e076921613328  dicts/c001.dict
-eef9d5b5394d135471158d8a1d46473025a331f1c0a5cfaf2751b1d2faea19d0  dicts/c002.dict
-89a4676f6b0b7b2644497443de855cf6179f1c10b6ad7fdf86199c05ceb75807  dicts/c003.dict
-596309eed17640f4a47cb47257a4ca87196c01578158bd4162220f78ce94f288  dicts/c004.dict
-bf12627ea43c61e649b1e8a0736b43bbfb1d763af2446f1f38fa5ea9b524ec93  dicts/c005.dict
-45395404bdfcdce64388544dd3c765edf6ccfbe9be505496491ba772b2f169ab  dicts/c006.dict
-9d1cd87b6b446d4cf37c3e8b086f1682cf81ab07af3d84f93a355614657f9923  dicts/c007.dict
-3c1f7789c8cf6c5b2bfc018be99652ff7587091dbb6b02ae9ba452fb475c9174  dicts/c008.dict
-c1ea403b46158d91a274283cbffb3f8ee962b1af89d0e4de16c774aca9a74d89  dicts/c009.dict
-9baa2b071e28a4635e3ca2e6fc9e706f98ca7788c856f46050f285a9bbcc721b  dicts/c010.dict
-35401049c8e7f405e31cb694938bc07035cf135a207c2920504ee6f53e5c655c  dicts/c011.dict
-dcbbc81b3d780f76d0d30f4f3ec4cddc0e81e8ca89e91cd12e34c46de2032293  dicts/c012.dict
-eab75a5d8c19aebc81266101aeca80a9066e7edf13cbee9c883d95b3bce38b47  dicts/c013.dict
-92628f7f530213d4bf290de8f5df73c21b3867d9cdddef781ff8a560f1161594  dicts/c014.dict
-87f22717a878b17255bd69c850e135ad0410750a7f3c26f341a1984ab2da774a  dicts/c015.dict
-4c9c18922d515317fc9528f587a25e5d5a4f01060aa9d94dedf4708955c8850b  dicts/c016.dict
-21837346b47f9a88d38b1205d5aa150dd91c51c41538843f678393e287fdd647  dicts/c017.dict
-97ff08e65948d595b1d3913ad75221014206cb9b2d9d73bcce447470e21e48f9  dicts/c018.dict
-11f0f4fb239c661d4fdadee4f4fca2386daa6f1c4e63a9ed89ee9c7a8099b3e7  dicts/c019.dict
-05b347977d8f86a0ed001ba0002dc44aa9e074dc67fcf98bb18374a5caaec5bb  dicts/c020.dict
-2528f39bb042325c5f97437076762de0b2e15e02ab0be401c4bbb0a4fc69d628  dicts/c021.dict
-79c8f1b6f0f7b6e88a52bc44976f7b52b0aa0fb9c2b2fe3f0a637c8e4cad6e2e  dicts/c022.dict
-6516d7651b62c3d40def3bc39c9087c0503602d8589b6af95725a01d78da3957  dicts/c023.dict
-2a758e8a2ac457abddc9a8648956d64d9d1ece78d23d316b0581ff72b8d01d1c  dicts/c024.dict
-fdcc30cabbe5157a60bda05ffcdfb2506883fd052e08b4ab9cd02f9696058833  dicts/c025.dict
-eb66b465a0bb534eec5c6215238eadbd94f08746d3ac6141b48e4ec353e0e5f4  dicts/c026.dict
-077f4419b162866960f7caebc7c0e456dde0463a6926f0b0dd7bcd1c6fc38385  dicts/c027.dict
-3c622b6b27eb89e24295fd39d4a956f6035c3d6792d6f0152db387e9715238a5  dicts/c028.dict
-56198261d7dbe6f4aa76861c7763eb94ebae899e56313019297535124a569852  dicts/c029.dict
+c15fc43d4df749fdb8850d37024fb56784db0d58799ccb657f58f99f39dc0faa  dicts/c000.dict
+c40591b858be1a5abbbfcf6b06975dc23683d11bb919d2d5aac0a2e252d103a3  dicts/c001.dict
+605bfffd9c9be4785acd44f65d2ef9b29380fbafa99b39fcc03a3c3447b97c94  dicts/c002.dict
+e7498dec477507222057f2db50331e09e68baabaf0f0e8ccba1de5a536595b39  dicts/c003.dict
+f585ed17c759f4d7c6fe863318cdc189680d7a65229673d84090fa4dfdfa5ef3  dicts/c004.dict
+02df95f0f23bf1fcbc630bda2777252b45488105294e0214eebc03bc1f4d818d  dicts/c005.dict
+9a43a0fe1ca20049581e494dd10b543ab215a0068d45582e64bb3b004ed7b6a7  dicts/c006.dict
+56cfd441312e48ef313dbcbdbe137e6a96b45bbaef3717f6fbb993fe3a3af953  dicts/c007.dict
+b380d5bf0e69d2b6603e44da2e32e826d52525da9661f52e7301e83f73c75cac  dicts/c008.dict
+1083c27caf7781fd07d44babb4f54e0f5a0129a710659075e707fdabff040fd7  dicts/c009.dict
+0b379aedbc90dacd941633d933a5bc9f1880a2920b77f0d0128694dbddfa0760  dicts/c010.dict
+ab75379b789af33f6e0a24c18d9e77a7dd1cb355d643e8d889eff111ea5c8e69  dicts/c011.dict
+3540ad96d1050a28c5134919fbc4fa6608ae91241fe554c1075beff2f9db0de5  dicts/c012.dict
+acbf8861d2316b58281e66d126faf0348c047674ecb82ea25918111e0b0f9d13  dicts/c013.dict
+cb8e121028f5af2041a8fff25e0179f8d5b8618a769506442401177433a6723b  dicts/c014.dict
+4fe42f0054ac33d8c4eab906b87733774dc1d4bb00964cabc8a507b669db6c2a  dicts/c015.dict
+a22306b8d2035056765fef55a9abf0ccdd2127ffe253d825c6fda1587830c7ea  dicts/c016.dict
+96da1869387beb6220050f26c8029be67ce709fab40076281a1551ee41f18ea5  dicts/c017.dict
+75684fe34bda1fdce9bff5694eeb007ee3933bc25274119eff00faf6172fc148  dicts/c018.dict
+6119e34a73097301f3325cad7c5506bbd541bf54e0ba053cadd86dc23b37d18d  dicts/c019.dict
+57989116acb82ce2c411b00fc36e5248a0447b0f0d7619a2f3f5033c222db8b8  dicts/c020.dict
+e16b3774ff8d7bae1b0a3e1610c93b3ed924b4fa8af712223918e20f6a10816d  dicts/c021.dict
+3751a81714dbb6ba7027bc392580d25995452373604b9ae24b88a6e2cfc9e7a9  dicts/c022.dict
+8d45a1e3a287adcde6644431c42a7aa30302b3bdfc4697602896250780501284  dicts/c023.dict
+9742f644bf38694b09cc57b5a2f59d34f856cd38a484ff488a5351eae35b8da0  dicts/c024.dict
+a31711a790dbd757a1c561b3aa62b21be1fd4864e8ceab2a797f4a795e00c60a  dicts/c025.dict
+73b655173d3d4e444a11a82cf9b91f1e9f8b5437a9cfe227086e34c0c4fcaa3a  dicts/c026.dict
+cb5db0733f3ee1738dd7e076b5c85333e6d31e206f3115ec17cbffb1a1c2f6e8  dicts/c027.dict
+048855be26718c2202d79e6dcea6fb1999a32ae4e264ea6d80c75959132501a1  dicts/c028.dict
+25025920f807446c34e350a8e788030f0f64e8ce095ce4855c11fcbc452cd0ff  dicts/c029.dict
 f5af04fc0cf4256ddc5a761a23805e3121af1bb163e548324ea1fe7bfcaf6167  learning_curve.csv
 d938c02d49ef37b3f0a8b4d90734e81da6f54fbdb319123e39cee98bcd638ce2  netlists/c000.bench
 dab1dbf926435af476ac769d63bca42f1d2a6ec7eea9a5def1dd85ac26a31679  netlists/c001.bench
@@ -89,7 +89,7 @@ e23ecc88cf32024351424eacb31795b4fa87b1bc40330564264a0c2074d69c6a  oracle_summary
 f730e7601e8b3e4bf6e6beac9f347b4f176a4a850def7d0da6b5af198f454312  report.csv
 212547868bc5388dc3d34b290971a8a5e55c687cb5fa7698a7c88e7fc20674c0  summary.csv
 e3819be954a0ac4a886d7d8ddecc55c4f1c935ec24fcd07b03f1ad6b8b2e03c1  sweep_alpha.csv
-72f1997516ac3eac2d14c37e9e6c63597ebdf5590ad2555dc069935253e7417b  traces.csv
+3ee4d34ef862571690927084b0f614b993bf9fee73fb792e8af30a92f423e2e1  traces.csv
 """
 
 
