@@ -28,10 +28,10 @@ from .config import (RunConfig, check_same_corpus, config_from_text, load_config
                      save_config)
 from .corpus import build_corpus
 from .dataset import dataset_from_traces, split_corpus, write_dataset
-from .diagnosis import UndiagnosableFaultError, read_traces, write_traces
+from .diagnosis import read_traces, write_traces
 from .faultsim import write_dictionary
 from .models import KernelLogisticModel, load_model, save_model
-from .netlist import BenchParseError, format_bench
+from .netlist import format_bench
 
 
 # Every flag takes one value; the value word may start with "-" (``--alpha -1e-9``).
@@ -128,7 +128,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     write_dataset(corpus.dataset, out / "dataset.csv")
     save_config(cfg, out / "config.txt", include_out_dir=False)
     print(f"generated corpus: {len(corpus.circuits)} circuits, "
-          f"{len(corpus.dataset)} dataset rows, seed {corpus.seed}")
+          f"{len(corpus.dataset)} dataset rows, seed {cfg.corpus_seed}")
     return 0
 
 
@@ -232,8 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(_attach_flag_values(argv))
         cfg = _effective_config(args)
         return _COMMANDS[args.command](cfg)
-    except (_UsageError, ValueError, OSError, RuntimeError, BenchParseError,
-            UndiagnosableFaultError) as exc:
+    except (_UsageError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

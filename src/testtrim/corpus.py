@@ -32,7 +32,6 @@ class Corpus:
     dictionaries: list[FaultDictionary]
     traces: list[DiagnosisTrace]
     dataset: Dataset
-    seed: int
 
 
 def _patterns_for(circuit: Circuit, spec: int | str, seed: int):
@@ -102,5 +101,4 @@ def build_corpus(cfg: RunConfig) -> Corpus:
         dictionaries=dictionaries,
         traces=traces,
         dataset=dataset_from_traces(traces),
-        seed=cfg.corpus_seed,
     )

@@ -13,27 +13,10 @@ bit of its packed mismatch against the injected fault, and the
 intermediate size at pattern ``p`` counts the faults whose elimination
 index lies above ``p``.
 
-The mismatch is read off the dictionary's per-fault records, not its
-rows.  With ``M`` the detection masks, ``i`` the injected fault, ``s_i``
-its stem and ``t`` the stem of fault ``f``::
-
-    mismatch(f, i) = (M_f ^ M_i) | (M_f & M_i & E_t)
-
-A pattern eliminates ``f`` where exactly one of the two faults fails;
-where both fail, each row reads its stem's flip, so it eliminates ``f``
-where the two stem flips differ at some output:
-``E_t = OR_j (diff_t[j] ^ diff_si[j])``.  The dictionary keeps the flips
-per batch of K stems: batch ``B`` holds one diff word ``W_j`` per output
-``j`` it changes, packing the K stems' diffs at ``j`` in P-bit slices, and
-stem ``t`` sits at bit offset ``off_t`` of its batch.  So ``E_t`` is
-computed for a whole batch at once.  With ``R_j`` the injected stem's diff
-at ``j`` copied into all K slices::
-
-    X_B = OR_j (W_j ^ R_j)      over the union of both supports,
-                                a missing side reading 0
-    E_t = (X_B >> off_t) & (2^P - 1)
-
-and ``E_si = 0`` follows, as ``s_i``'s slice of ``W_j`` is its own diff.
+The elimination indices come from the dictionary
+(:meth:`~testtrim.faultsim.FaultDictionary.elimination_indices`), which
+reads its packed per-fault records, not its rows; this module keeps the
+record math.
 
 The golden candidate set is the intermediate set at the last failing
 pattern.  The convergence ratio m = |golden| / |intermediate| is
@@ -118,72 +101,15 @@ def _compute_labels(m_values: Sequence[float]) -> list[float]:
     return [1.0 if m == 1.0 else (m - m_min) / (1.0 - m_min) for m in m_values]
 
 
-def _flip_mismatch(diffs: Sequence[tuple[int, int, int]], other: dict[int, int]) -> int:
-    """The OR of ``W_j ^ other[j]`` over the union of the output positions
-    of a batch's ``(j, low, W_j >> low)`` entries and of ``other``, a
-    position missing on one side reading 0 there."""
-    rest = dict(other)
-    x = 0
-    for j, low, w in diffs:
-        x |= (w << low) ^ rest.pop(j, 0)
-    for w in rest.values():
-        x |= w
-    return x
-
-
-def _elimination_indices(fdict: FaultDictionary, inj_idx: int) -> list[int]:
-    """Per fault, the first pattern under which its response differs from
-    fault ``inj_idx``'s, or ``fdict.num_patterns`` where none does.
-
-    The mismatch comes from ``fault_masks``, ``fault_stems``, ``stem_slots``
-    and ``batch_diffs`` as the module docstring gives, never from
-    ``fault_words``.  ``X_B`` is computed once per batch, and only for
-    batches holding the stem of a fault that fails where the injected fault
-    fails; ``E_t`` is cut from it once per such stem.  The intermediate set
-    at a failing pattern ``p`` is the faults whose index lies above ``p``.
-    """
-    full = (1 << fdict.num_patterns) - 1
-    fail_mask = fdict.fault_masks[inj_idx]
-    never = fdict.num_patterns          # elimination index of a surviving fault
-    slots = fdict.stem_slots
-    batch_diffs = fdict.batch_diffs
-    inj_batch, inj_offset = slots[fdict.fault_stems[inj_idx]]
-    # bit 0 of every slice of a batch word: d * copies is d in every slice
-    width = max(slot[1] for slot in slots if slot) + fdict.num_patterns
-    copies = ((1 << width) - 1) // full
-    inj_diffs = {}                      # R_j, in every slice
-    for j, low, w in batch_diffs[inj_batch]:
-        d = (w >> (inj_offset - low)) & full if inj_offset >= low else 0
-        if d:
-            inj_diffs[j] = d * copies
-    batch_mismatch: dict[int, int] = {}  # X_B, for the batches that need it
-    stem_mismatch: dict[int, int] = {}   # E_t, for the stems that need it
-    elim = []
-    for m, t in zip(fdict.fault_masks, fdict.fault_stems):
-        diff = m ^ fail_mask
-        both = m & fail_mask
-        if both:
-            e = stem_mismatch.get(t)
-            if e is None:
-                batch, offset = slots[t]
-                x = batch_mismatch.get(batch)
-                if x is None:
-                    x = batch_mismatch[batch] = _flip_mismatch(batch_diffs[batch], inj_diffs)
-                e = stem_mismatch[t] = (x >> offset) & full
-            diff |= both & e
-        elim.append((diff & -diff).bit_length() - 1 if diff else never)
-    return elim
-
-
 def trace_diagnosis(fdict: FaultDictionary, injected: Fault) -> DiagnosisTrace:
     """Replay the injected fault's pass/fail log and record candidate refinement.
 
     Each fault's elimination index is the first pattern under which its
     response differs from the injected fault's (see
-    :func:`_elimination_indices`).  The size at a failing pattern ``p`` is
-    the number of faults whose index lies above ``p``, read off the sorted
-    indices.  Raises :class:`UndiagnosableFaultError` if the fault is never
-    detected.
+    :meth:`FaultDictionary.elimination_indices`).  The size at a failing
+    pattern ``p`` is the number of faults whose index lies above ``p``, read
+    off the sorted indices.  Raises :class:`UndiagnosableFaultError` if the
+    fault is never detected.
     """
     try:
         inj_idx = fdict.faults.index(injected)
@@ -196,7 +122,7 @@ def trace_diagnosis(fdict: FaultDictionary, injected: Fault) -> DiagnosisTrace:
             f"fault {injected} on circuit '{fdict.circuit.name}' is undiagnosable "
             f"with this pattern set")
 
-    order = sorted(_elimination_indices(fdict, inj_idx))
+    order = sorted(fdict.elimination_indices(inj_idx))
     failing0 = [p for p in range(fdict.num_patterns) if (fail_mask >> p) & 1]
     sizes = [len(order) - bisect.bisect_right(order, p) for p in failing0]
 
@@ -210,6 +136,9 @@ def trace_diagnosis(fdict: FaultDictionary, injected: Fault) -> DiagnosisTrace:
         injected_fault=injected,
     )
 
+
+# the largest int the float feature matrix (and a float m) holds exactly
+_EXACT_INT_LIMIT = 2 ** 53
 
 TRACE_HEADER = ["circuit_id", "num_inputs", "total_patterns", "failing_indices",
                 "intermediate_sizes"]
@@ -237,14 +166,20 @@ def read_traces(path) -> list[DiagnosisTrace]:
     :data:`TRACE_HEADER` (as an older export holds), a file without
     records, a wrong number of fields or a value that is not an int, a
     second record for one circuit id, lists that are empty or differ in
-    length, failing indices that do not rise strictly from 1 up to
-    ``total_patterns``, sizes that rise or fall below 1, and a last record
-    without a line end, which is what a cut file leaves.  A failing index
-    moved to another value that still rises passes: no file records the
-    applied patterns, so it cannot be re-checked until they are persisted.
+    length, ``num_inputs`` below 1, a count or size above 2**53, failing
+    indices that do not rise strictly from 1 up to ``total_patterns``, more
+    patterns than ``2**num_inputs``, sizes that rise or fall below 1, and a
+    last record without a line end, which is what a cut file leaves.  A
+    field is never refused for its length.  A failing index moved to
+    another value that still rises passes: no file records the applied
+    patterns, so it cannot be re-checked until they are persisted.
     """
     with open(path, newline="") as fh:
         lines = fh.readlines()
+    # no field is longer than its line: a long failing list is read, not refused
+    longest = max(map(len, lines), default=0)
+    if longest > csv.field_size_limit():
+        csv.field_size_limit(longest)
     reader = csv.reader(lines)
     traces: dict[str, DiagnosisTrace] = {}
     try:
@@ -265,6 +200,13 @@ def read_traces(path) -> list[DiagnosisTrace]:
             if not failing or len(failing) != len(sizes):
                 raise ValueError(f"{len(failing)} failing indices and {len(sizes)} "
                                  f"intermediate sizes: want as many, at least 1")
+            if num_inputs < 1:
+                raise ValueError(f"num_inputs {num_inputs} is below 1")
+            for name, value in (("num_inputs", num_inputs), ("total_patterns", total),
+                                ("intermediate size", max(sizes))):
+                if value > _EXACT_INT_LIMIT:
+                    raise ValueError(f"{name} {value} is above 2**53, the largest int a "
+                                     f"float holds exactly")
             low = 1
             for index in failing:
                 if index < low:
@@ -273,6 +215,9 @@ def read_traces(path) -> list[DiagnosisTrace]:
                 low = index + 1
             if failing[-1] > total:
                 raise ValueError(f"failing index {failing[-1]} is above total_patterns {total}")
+            if (total - 1).bit_length() > num_inputs:  # total > 2**num_inputs, not built
+                raise ValueError(f"total_patterns {total} is above 2**{num_inputs}, the "
+                                 f"patterns {num_inputs} inputs have")
             for before, size in zip(sizes, sizes[1:]):
                 if size > before:
                     raise ValueError(f"intermediate size {size} rises above the size "

@@ -20,12 +20,14 @@ batch and the bit offset of its slice: no diff word is cut per stem.
 Cones are read off per-signal reachability bitsets.  Every gate
 evaluation runs on the circuit's compiled gate program (``netlist._run``).
 
-The dictionary keeps one record per fault, its stem and its detection
-mask, and derives every row from it: the fault-free row with the stem's
-slice of its batch's diffs applied under the patterns in the mask.  Trace
-replay (:mod:`testtrim.diagnosis`) works on the masks and batch diffs
-directly.  :meth:`FaultDictionary.response` unpacks one (fault, pattern)
-entry into a bit tuple on demand.  The ``.dict`` export
+The dictionary keeps one record per fault, its detection mask and its
+stem's slot in the batch diffs, and derives every row from it: the
+fault-free row with the stem's slice of its batch's diffs applied under
+the patterns in the mask.  This module alone knows that layout.  Trace
+replay (:mod:`testtrim.diagnosis`) asks
+:meth:`FaultDictionary.elimination_indices`, which compares the records
+directly, never the rows.  :meth:`FaultDictionary.response` unpacks one
+(fault, pattern) entry into a bit tuple on demand.  The ``.dict`` export
 (:func:`write_dictionary`) writes the packed rows, one line per fault with
 one hex word per output.
 
@@ -37,7 +39,6 @@ uncollapsed fault universe.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -78,22 +79,29 @@ def random_patterns(num_inputs: int, count: int, seed: int) -> list[Pattern]:
     return [tuple((code >> j) & 1 for j in range(num_inputs)) for code in codes]
 
 
+def _stem_diffs(entries, offset: int, mask: int):
+    """``(j, diff & mask)`` for each of a batch's ``(j, low, W_j >> low)``
+    entries that reaches the slice at bit ``offset``, ``diff`` being that
+    slice: the diff at output ``j`` under the stem in that slice."""
+    for j, low, w in entries:
+        if offset >= low:
+            yield j, (w >> (offset - low)) & mask
+
+
 class _DerivedRows(Sequence):
     """Read-only ``fault_words`` view of a built dictionary.
 
-    Row ``f`` is derived on access: ``free_words`` with the stem's slice of
-    each diff word of its batch, ANDed with the fault's detection mask,
-    XORed in (see :class:`FaultDictionary`).  Rows compare equal to any
-    sequence of the same rows, e.g. a tuple of tuples.
+    Row ``f`` is derived on access: ``free_words`` with the fault's stem
+    diffs, ANDed with its detection mask, XORed in (see
+    :class:`FaultDictionary`).
     """
 
-    __slots__ = ("_free_words", "_fault_masks", "_fault_stems", "_stem_slots", "_batch_diffs")
+    __slots__ = ("_free_words", "_fault_masks", "_fault_slots", "_batch_diffs")
 
-    def __init__(self, free_words, fault_masks, fault_stems, stem_slots, batch_diffs) -> None:
+    def __init__(self, free_words, fault_masks, fault_slots, batch_diffs) -> None:
         self._free_words = free_words
         self._fault_masks = fault_masks
-        self._fault_stems = fault_stems
-        self._stem_slots = stem_slots
+        self._fault_slots = fault_slots
         self._batch_diffs = batch_diffs
 
     def __len__(self) -> int:
@@ -103,17 +111,11 @@ class _DerivedRows(Sequence):
         detected = self._fault_masks[fault_idx]
         if not detected:
             return self._free_words
-        batch, offset = self._stem_slots[self._fault_stems[fault_idx]]
+        batch, offset = self._fault_slots[fault_idx]
         row = list(self._free_words)
-        for j, low, w in self._batch_diffs[batch]:
-            if offset >= low:
-                row[j] ^= (w >> (offset - low)) & detected
+        for j, d in _stem_diffs(self._batch_diffs[batch], offset, detected):
+            row[j] ^= d
         return tuple(row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 @dataclass(frozen=True)
@@ -125,25 +127,23 @@ class FaultDictionary:
     ``fault_masks[f]`` has bit ``p`` set where fault ``f``'s response
     differs from the fault-free one under pattern ``p``.
 
-    The builder stores one record per fault, not its rows: the stem
-    ``fault_stems[f]`` that ends the fault's fanout-free path, and its
-    detection mask.  Stems are flipped K at a time (see
-    :func:`_flip_stems`), and the flips are kept per batch.  For each
-    output ``j`` that batch ``b`` changes, ``batch_diffs[b]`` holds one
-    ``(j, low, W_j >> low)`` entry: ``W_j`` is K * P bits wide, its P-bit
-    slice at offset ``k * P`` is the diff at ``j`` under the batch's
-    ``k``-th stem, and ``low`` is the offset of its lowest nonzero slice,
-    so the zero slices below it are not stored.  ``stem_slots[t]`` is ``(b,
-    k * P)`` for a flipped stem ``t`` and None for any other signal id.
-    Stem ``t``'s diff at ``j`` is ``diff_t[j] = (W_j >> off_t) & full``
-    (0 where the batch has no entry), ``obs_t`` is their OR, and the mask
-    is ``obs_t & D`` for the patterns ``D`` under which ``f`` flips ``t``.
-    So row ``f`` is ``free_words[j] ^ ((W_j >> off_t) & fault_masks[f])``
-    at the batch's entries and the fault-free word elsewhere, and
-    ``fault_words`` derives it so on access.  ``fault_words`` still
-    accepts any sequence of rows (``dataclasses.replace(fdict,
-    fault_words=rows)``), and :meth:`response` and
-    :func:`write_dictionary` read whatever it holds.
+    The builder stores one record per fault, not its rows: its detection
+    mask and the slot of the stem that ends its fanout-free path.  Stems
+    are flipped K at a time (see :func:`_flip_stems`), and the flips are
+    kept per batch.  For each output ``j`` that batch ``b`` changes,
+    ``batch_diffs[b]`` holds one ``(j, low, W_j >> low)`` entry: ``W_j`` is
+    K * P bits wide, its P-bit slice at offset ``k * P`` is the diff at
+    ``j`` under the batch's ``k``-th stem, and ``low`` is the offset of its
+    lowest nonzero slice, so the zero slices below it are not stored.
+    ``fault_slots[f]`` is ``(b, k * P)`` for a detected fault whose stem
+    is the ``k``-th of batch ``b``, and None for an undetected fault.  The
+    stem's diff at ``j`` is ``diff[j] = (W_j >> k * P) & full`` (0 where
+    the batch has no entry), so row ``f`` is ``free_words[j] ^ (diff[j] &
+    fault_masks[f])``, and ``fault_words`` derives it so on access.
+    ``fault_words`` still accepts any sequence of rows
+    (``dataclasses.replace(fdict, fault_words=rows)``), and
+    :meth:`response` and :func:`write_dictionary` read whatever it holds;
+    :meth:`elimination_indices` reads the records alone.
     """
 
     circuit: Circuit
@@ -152,8 +152,7 @@ class FaultDictionary:
     fault_words: Sequence[tuple[int, ...]]
     free_words: tuple[int, ...]
     fault_masks: tuple[int, ...]
-    fault_stems: tuple[int, ...]
-    stem_slots: tuple[tuple[int, int] | None, ...]
+    fault_slots: tuple[tuple[int, int] | None, ...]
     batch_diffs: tuple[tuple[tuple[int, int, int], ...], ...]
 
     @property
@@ -166,6 +165,63 @@ class FaultDictionary:
 
     def detected_fault_indices(self) -> list[int]:
         return [f for f, m in enumerate(self.fault_masks) if m]
+
+    def elimination_indices(self, inj_idx: int) -> list[int]:
+        """Per fault, the first 0-based pattern under which its response
+        differs from fault ``inj_idx``'s, or ``num_patterns`` where none does.
+
+        Read off the records, not the rows: with ``M`` the masks,
+        ``mismatch(f, i) = (M_f ^ M_i) | (M_f & M_i & E_f)``.  Where both
+        faults fail, each row reads its stem's diff, so ``E_f = OR_j
+        (diff_f[j] ^ diff_i[j])``.  With ``R_j`` the injected stem's diff
+        copied into all K slices, ``X_B = OR_j (W_j ^ R_j)`` (a missing side
+        reading 0) and ``E_f = (X_B >> off_f) & full``.  ``X_B`` is computed
+        once per batch and ``E`` once per slot, each only where a fault that
+        fails together with the injected one needs it.
+        """
+        full = (1 << self.num_patterns) - 1
+        fail_mask = self.fault_masks[inj_idx]
+        never = self.num_patterns           # elimination index of a surviving fault
+        slots = self.fault_slots
+        batch_diffs = self.batch_diffs
+        inj_diffs = {}                      # R_j, in every slice
+        if fail_mask:  # an undetected fault fails with none: no batch is read
+            inj_batch, inj_offset = slots[inj_idx]
+            # bit 0 of every slice of a batch word: d * copies is d in every slice
+            width = max(slot[1] for slot in slots if slot) + self.num_patterns
+            copies = ((1 << width) - 1) // full
+            inj_diffs = {j: d * copies
+                         for j, d in _stem_diffs(batch_diffs[inj_batch], inj_offset, full) if d}
+        batch_mismatch: dict[int, int] = {}  # X_B, for the batches that need it
+        slot_mismatch: dict[tuple[int, int], int] = {}  # E, for the slots that need it
+        elim = []
+        for m, slot in zip(self.fault_masks, slots):
+            diff = m ^ fail_mask
+            both = m & fail_mask
+            if both:
+                e = slot_mismatch.get(slot)
+                if e is None:
+                    batch, offset = slot
+                    x = batch_mismatch.get(batch)
+                    if x is None:
+                        x = batch_mismatch[batch] = _flip_mismatch(batch_diffs[batch],
+                                                                   inj_diffs)
+                    e = slot_mismatch[slot] = (x >> offset) & full
+                diff |= both & e
+            elim.append((diff & -diff).bit_length() - 1 if diff else never)
+        return elim
+
+
+def _flip_mismatch(entries, other: dict[int, int]) -> int:
+    """``OR_j (W_j ^ other[j])`` over a batch's ``(j, low, W_j >> low)``
+    entries and ``other``, a side missing ``j`` reading 0 there."""
+    rest = dict(other)
+    x = 0
+    for j, low, w in entries:
+        x |= (w << low) ^ rest.pop(j, 0)
+    for w in rest.values():
+        x |= w
+    return x
 
 
 # bytes.translate table: a bit string's "0"/"1" characters to 0/1 selector bytes
@@ -328,9 +384,9 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern]) -> Fau
     in one reverse-topological pass.  The fault reaches the rest of the
     circuit through its stem only, so under a pattern in ``D`` every output
     reads its stem-flipped value and elsewhere its fault-free value: the
-    detection mask is ``obs & D``, and the row is derived from the stem's
-    slot, its batch's diff words and that mask (see
-    :class:`FaultDictionary`).  The result is deterministic for a given
+    detection mask is ``obs & D``.  A detected fault keeps its stem's
+    slot, and its row is derived from that slot, its batch's diff words and
+    its mask (see :class:`FaultDictionary`).  The result is deterministic for a given
     circuit and pattern list.
     """
     if not patterns:
@@ -351,7 +407,7 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern]) -> Fau
 
     reach, stem_of, sens = _fanout_free_regions(circuit, free, mask)
     faults = tuple(enumerate_faults(circuit))
-    fault_stems = tuple(stem_of[fault.signal] for fault in faults)
+    fault_stems = [stem_of[fault.signal] for fault in faults]
     stem_flips = [((mask if fault.stuck_value else 0) ^ free[fault.signal]) & sens[fault.signal]
                   for fault in faults]
     del sens  # one word per signal: kept out of the stem flips' peak memory
@@ -360,13 +416,14 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern]) -> Fau
              if s in flipped]
     batch_diffs, stem_slots, obs = _flip_stems(circuit, free, reach, order, len(patterns))
     fault_masks = tuple(obs[stem] & d for stem, d in zip(fault_stems, stem_flips))
-    batch_diffs, stem_slots = tuple(batch_diffs), tuple(stem_slots)
+    fault_slots = tuple(stem_slots[stem] if m else None
+                        for stem, m in zip(fault_stems, fault_masks))
+    batch_diffs = tuple(batch_diffs)
     return FaultDictionary(
         circuit=circuit, patterns=tuple(patterns), faults=faults,
-        fault_words=_DerivedRows(free_words, fault_masks, fault_stems, stem_slots,
-                                 batch_diffs),
-        free_words=free_words, fault_masks=fault_masks, fault_stems=fault_stems,
-        stem_slots=stem_slots, batch_diffs=batch_diffs)
+        fault_words=_DerivedRows(free_words, fault_masks, fault_slots, batch_diffs),
+        free_words=free_words, fault_masks=fault_masks, fault_slots=fault_slots,
+        batch_diffs=batch_diffs)
 
 
 def write_dictionary(fdict: FaultDictionary, path) -> None:

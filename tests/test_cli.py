@@ -312,6 +312,22 @@ def test_train_refuses_record_contradicting_its_circuit(finished_run, tmp_path, 
     assert captured.out == ""
 
 
+def test_evaluate_refuses_a_pattern_count_no_int64_holds(finished_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    lines = (out / "traces.csv").read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[2] = str(10**23)
+    lines[1] = ",".join(fields)
+    (out / "traces.csv").write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "--config", str(out / "config.txt"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {out / 'traces.csv'} line 2: total_patterns {10**23} is above 2**53, "
+        f"the largest int a float holds exactly"]
+    assert captured.out == ""
+
+
 def test_old_learning_rate_key_fails_cleanly(tmp_path, capsys):
     cfg_path = tmp_path / "old.txt"
     cfg_path.write_text("model.learning_rate = 0.3\n")

@@ -10,8 +10,8 @@ from conftest import EDGE_BENCHES, random_pattern_list, random_small_circuit
 from oracles import full_pass_fault_words, oracle_candidate_sets, prefix_replay_candidate_sets
 from testtrim import faultsim
 from testtrim.diagnosis import (TRACE_HEADER, DiagnosisTrace, UndiagnosableFaultError,
-                                _compute_labels, _elimination_indices, read_traces,
-                                trace_diagnosis, write_traces)
+                                _compute_labels, read_traces, trace_diagnosis,
+                                write_traces)
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns)
 from testtrim.generator import random_circuit
@@ -27,7 +27,7 @@ def _traced_sets(fdict, injected):
     pattern: the faults whose elimination index lies above the pattern's
     0-based index."""
     trace = trace_diagnosis(fdict, injected)
-    elim = _elimination_indices(fdict, fdict.faults.index(injected))
+    elim = fdict.elimination_indices(fdict.faults.index(injected))
     sets = [{f for f, e in enumerate(elim) if e > k - 1} for k in trace.failing_indices]
     return trace, sets
 
@@ -130,8 +130,7 @@ def test_trace_replay_across_batches_matches_prefix_replay(stems_per_batch):
     fault_words, free_words = full_pass_fault_words(circuit, patterns)
     with mock.patch.object(faultsim, "_BATCH_BITS", stems_per_batch * len(patterns)):
         fdict = build_fault_dictionary(circuit, patterns)
-    slots = fdict.stem_slots
-    assert sum(slot is not None for slot in slots) == 19
+    assert len(fdict.batch_diffs) == -(-19 // stems_per_batch)
     last = len(fdict.batch_diffs) - 1
     partial = 19 % stems_per_batch != 0
     # where the stem of each candidate that fails with the injected fault sits
@@ -140,13 +139,13 @@ def test_trace_replay_across_batches_matches_prefix_replay(stems_per_batch):
         if row == free_words:
             continue
         inj_mask = fdict.fault_masks[injected]
-        inj_stem = fdict.fault_stems[injected]
-        for mask, stem in zip(fdict.fault_masks, fdict.fault_stems):
+        inj_slot = fdict.fault_slots[injected]
+        for mask, slot in zip(fdict.fault_masks, fdict.fault_slots):
             if not mask & inj_mask:
                 continue
-            batch = slots[stem][0]
-            if batch == slots[inj_stem][0]:
-                cases.add("same stem" if stem == inj_stem else "same batch")
+            batch = slot[0]
+            if batch == inj_slot[0]:
+                cases.add("same stem" if slot == inj_slot else "same batch")
             else:
                 cases.add("partial last batch" if partial and batch == last
                           else "other batch")
@@ -246,6 +245,17 @@ def test_trace_csv_roundtrip(tmp_path, small_corpus):
         assert (got.m_values, got.y_values) == (orig.m_values, orig.y_values)
 
 
+def test_trace_csv_roundtrip_past_the_default_field_limit(tmp_path):
+    # 25,000 failing indices make a field over csv's default 131,072 characters
+    failing = list(range(1, 50_001, 2))
+    sizes = [30_000 - i for i in range(len(failing))]
+    trace = DiagnosisTrace("big", 16, 60_000, failing, sizes, sizes[-1])
+    path = tmp_path / "traces.csv"
+    write_traces([trace], path)
+    assert len(path.read_text().splitlines()[1].split(",")[3]) > 131_072
+    assert read_traces(path) == [trace]
+
+
 def test_read_traces_rejects_header_without_total_patterns(tmp_path, small_corpus):
     path = tmp_path / "traces.csv"
     write_traces(small_corpus.traces[:1], path)
@@ -275,6 +285,14 @@ def _set_field(column, value, line=2):
     return edit
 
 
+def _sizes_from(line, first):
+    """``line`` with its first intermediate size set to ``first``."""
+    fields = line.split(",")
+    sizes = fields[-1].split()
+    fields[-1] = " ".join([str(first), *sizes[1:]])
+    return ",".join(fields)
+
+
 _PER_PATTERN_HEADER = ("circuit_id,num_inputs,total_patterns,k,failing_index_k,"
                        "intermediate_size,golden_size,m,y")
 
@@ -293,10 +311,20 @@ _PER_PATTERN_HEADER = ("circuit_id,num_inputs,total_patterns,k,failing_index_k,"
     (_set_field("intermediate_sizes", ""), 2, r"\d+ failing indices and 0 intermediate sizes"),
     (_set_field("intermediate_sizes", "5 4"), 2, r"\d+ failing indices and 2 intermediate"),
     (_set_field("intermediate_sizes", "0", line=3), 3, "intermediate size 0 is below 1"),
-    (_set_field("intermediate_sizes", "1 " * 70_000, line=3), 3, "field larger than field limit"),
+    (_set_field("num_inputs", "0"), 2, "num_inputs 0 is below 1"),
+    (_set_field("num_inputs", str(10**23), line=3), 3,
+     r"num_inputs 10{23} is above 2\*\*53"),
+    (_set_field("total_patterns", str(10**23)), 2, r"total_patterns 10{23} is above 2\*\*53"),
+    (_set_field("total_patterns", str(2**53 + 1)), 2,
+     r"total_patterns 9007199254740993 is above 2\*\*53"),
+    (lambda lines: [lines[0], lines[1], _sizes_from(lines[2], 2**53 + 1)], 3,
+     r"intermediate size 9007199254740993 is above 2\*\*53"),
+    (_set_field("num_inputs", "1"), 2, r"total_patterns \d+ is above 2\*\*1, the patterns"),
 ], ids=["no record", "per-pattern header", "field missing", "field added", "non-int value",
         "non-int list entry", "repeated circuit", "no failing index", "no size",
-        "list lengths differ", "size below 1", "field over the csv limit"])
+        "list lengths differ", "size below 1", "no input", "input count over 2**53",
+        "pattern count over 2**53", "pattern count just over 2**53", "size over 2**53",
+        "more patterns than inputs give"])
 def test_read_traces_rejects_bad_row_naming_file_and_line(tmp_path, small_corpus,
                                                           edit, line, message):
     # the header, the failing indices, the rising sizes and the cut last

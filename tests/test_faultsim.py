@@ -109,7 +109,7 @@ def test_dictionary_rebuild_identical(sample6):
     patterns = random_patterns(len(sample6.inputs), 12, seed=3)
     a = build_fault_dictionary(sample6, patterns)
     b = build_fault_dictionary(sample6, patterns)
-    assert a.fault_words == b.fault_words
+    assert tuple(a.fault_words) == tuple(b.fault_words)
     assert a.free_words == b.free_words
 
 
@@ -191,7 +191,7 @@ def _assert_matches_full_pass(circuit, patterns):
     fdict = build_fault_dictionary(circuit, patterns)
     want_fault_words, want_free_words = full_pass_fault_words(circuit, patterns)
     assert fdict.free_words == want_free_words
-    assert fdict.fault_words == want_fault_words
+    assert tuple(fdict.fault_words) == want_fault_words
     for row, fault_mask in zip(want_fault_words, fdict.fault_masks):
         want_mask = 0
         for w, w0 in zip(row, want_free_words):
@@ -222,7 +222,7 @@ def test_replaced_rows_are_the_rows_read(sample6):
     full = (1 << fdict.num_patterns) - 1
     inverted = tuple(tuple(w ^ full for w in row) for row in fdict.fault_words)
     replaced = dataclasses.replace(fdict, fault_words=inverted)
-    assert replaced.fault_words == inverted != fdict.fault_words
+    assert replaced.fault_words == inverted != tuple(fdict.fault_words)
     for fi in range(len(fdict.faults)):
         for p in range(fdict.num_patterns):
             want = tuple(1 - b for b in fdict.response(fi, p))
@@ -235,3 +235,25 @@ def test_dictionary_matches_full_pass_on_edge_netlists(name, num_patterns):
     circuit = parse_bench(EDGE_BENCHES[name], name=name)
     patterns = random_pattern_list(circuit, num_patterns, random.Random(num_patterns))
     _assert_matches_full_pass(circuit, patterns)
+
+
+@pytest.mark.parametrize("num_patterns", (1, 7, 65))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_elimination_indices_match_full_pass_rows(seed, num_patterns):
+    # every fault injected, undetected ones too: their row is the fault-free row
+    rng = random.Random(seed)
+    circuit = random_circuit(f"r{seed}", rng, min_inputs=3, max_inputs=8,
+                             min_gates=20, max_gates=40, p_unread=0.5)
+    patterns = random_pattern_list(circuit, num_patterns, rng)
+    rows, _ = full_pass_fault_words(circuit, patterns)
+    with mock.patch.object(faultsim, "_BATCH_BITS", 3 * num_patterns):
+        fdict = build_fault_dictionary(circuit, patterns)
+    assert not all(fdict.fault_masks) and len(fdict.batch_diffs) > 1
+    for injected, inj_row in enumerate(rows):
+        want = []
+        for row in rows:
+            diff = 0
+            for w, v in zip(row, inj_row):
+                diff |= w ^ v
+            want.append((diff & -diff).bit_length() - 1 if diff else num_patterns)
+        assert fdict.elimination_indices(injected) == want, injected

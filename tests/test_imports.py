@@ -9,7 +9,9 @@ leaves the other's modules unloaded.  A second scan keeps the public surface to
 what the package itself, the benchmark or the console script uses, and a
 third keeps each optional parameter to one that some call there sets.  A
 fourth keeps gate evaluation in ``netlist``: no other module branches on a
-gate kind or reads the gate program's opcode table.
+gate kind or reads the gate program's opcode table.  A fifth keeps the fault
+dictionary's packed layout in ``faultsim``: no other module reads its batch
+diffs or fault slots.
 """
 
 import ast
@@ -372,3 +374,28 @@ def test_gate_kind_scan_sees_comparisons_cases_and_the_opcode_table():
         assert _gate_kind_logic(ast.parse(code), kinds) == [], code
     assert _gate_kind_logic(ast.parse(
         'if a:\n    pass\nelif kind == "AND":\n    pass\n'), kinds) == [3]
+
+
+# the fault dictionary's packed layout: only faultsim reads it
+_LAYOUT_FIELDS = ("batch_diffs", "fault_slots")
+
+
+def _layout_reads(tree: ast.Module) -> list[int]:
+    """Line numbers in ``tree`` of every attribute read of a layout field."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in _LAYOUT_FIELDS]
+
+
+def test_dictionary_layout_stays_in_faultsim():
+    # replay asks FaultDictionary.elimination_indices: a second decoder would fork it
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "faultsim.py"
+             for line in _layout_reads(ast.parse(path.read_text()))]
+    assert found == [], "dictionary layout read outside faultsim.py: " + ", ".join(found)
+
+
+def test_layout_scan_sees_attribute_reads_not_docstrings():
+    assert _layout_reads(ast.parse("x = fdict.batch_diffs[0]")) == [1]
+    assert _layout_reads(ast.parse("y = 1\nslot = self.fault_slots[f]")) == [2]
+    assert _layout_reads(ast.parse('"""Reads fdict.batch_diffs and fault_slots."""\n'
+                                   "batch_diffs = fault_slots = 0")) == []
