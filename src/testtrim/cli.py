@@ -14,7 +14,11 @@ data goes to files, and the exit status is nonzero exactly when an error
 case fires.
 
 Only ``generate`` simulates; the other stages read ``traces.csv``, split
-with ``dataset.split_corpus`` and fit with ``evaluation.fit_policy``.
+with ``dataset.split_corpus`` and fit with ``evaluation.fit_policy``.  They
+refuse a ``corpus.*`` or ``split.*`` setting that differs from the one
+``generate`` recorded in ``config.txt``, and ``evaluate`` also refuses a
+``model.*`` or ``policy.tau`` setting that differs from the one ``train``
+recorded in ``model.txt``.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import sys
 from pathlib import Path
 
 from . import evaluation as ev
-from .config import (RunConfig, check_same_corpus, config_from_text, load_config,
-                     save_config)
+from .config import (CORPUS_KEYS, MODEL_KEYS, RunConfig, check_same_settings,
+                     config_from_text, load_config, save_config)
 from .corpus import build_corpus
 from .dataset import dataset_from_traces, split_corpus, write_dataset
 from .diagnosis import read_traces, write_traces
@@ -106,7 +110,7 @@ def _load_corpus_files(cfg: RunConfig):
         record = load_config(record_path)
     except ValueError as exc:
         raise ValueError(f"{record_path}: {exc}") from None
-    check_same_corpus(cfg, record, record_path)
+    check_same_settings(cfg, record, record_path, CORPUS_KEYS)
     return dataset_from_traces(read_traces(traces_path)), record
 
 
@@ -126,7 +130,7 @@ def cmd_generate(cfg: RunConfig) -> int:
         write_dictionary(fdict, dictdir / f"{fdict.circuit.name}.dict")
     write_traces(corpus.traces, out / "traces.csv")
     write_dataset(corpus.dataset, out / "dataset.csv")
-    save_config(cfg, out / "config.txt", include_out_dir=False)
+    save_config(cfg, out / "config.txt", CORPUS_KEYS + MODEL_KEYS)
     print(f"generated corpus: {len(corpus.circuits)} circuits, "
           f"{len(corpus.dataset)} dataset rows, seed {cfg.corpus_seed}")
     return 0
@@ -139,15 +143,15 @@ def cmd_train(cfg: RunConfig) -> int:
     split = split_corpus(dataset, cfg, with_validation=cfg.policy_tau == "auto")
     model, std, tau = ev.fit_policy(cfg, split)
     validation = split.validation.circuit_ids if split.validation is not None else []
-    save_model(out / "model.txt", model, std,
-               train_circuits=sorted(split.train.circuit_ids + validation), tau=tau)
+    save_model(out / "model.txt", model, std, cfg,
+               sorted(split.train.circuit_ids + validation), tau=tau)
     fit = ""
     if isinstance(model, KernelLogisticModel):
         fit = (f", fit: {len(model.cost_history) - 1} iterations, "
                f"grad_norm={model.grad_norm:.3g}, "
                f"{'converged' if model.converged else 'not converged'}")
     positive = float(split.train.labels_binary().mean())
-    print(f"trained {ev.model_descriptor(model)} on {len(split.train)} rows "
+    print(f"trained {ev.model_descriptor(cfg)} on {len(split.train)} rows "
           f"({len(split.train.circuit_ids)} circuits, {positive:.1%} positive), "
           f"tau={tau:g}{fit}")
     return 0
@@ -160,6 +164,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if not model_path.exists():
         raise FileNotFoundError(f"missing {model_path}; run 'testtrim train' first")
     loaded = load_model(model_path)
+    check_same_settings(cfg, loaded.settings, model_path, MODEL_KEYS)
     dataset, record = _load_corpus_files(cfg)
     split = split_corpus(dataset, cfg, with_validation=False)
 
@@ -169,10 +174,13 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             f"test circuits overlap the model's training circuits: "
             f"{sorted(overlap)[:5]}{'...' if len(overlap) > 5 else ''}")
 
-    scores = ev.score_matrix(loaded.model, loaded.standardizer.transform(split.test.X))
+    try:
+        scores = ev.score_matrix(loaded.model, loaded.standardizer, split.test.X)
+    except FloatingPointError as exc:
+        raise ValueError(f"{model_path}: its scores are out of float range ({exc})") from None
     report = ev.evaluate(split.test, scores, loaded.tau)
     cls_acc = report.classification_accuracy
-    model = ev.model_descriptor(loaded.model)
+    model = ev.model_descriptor(cfg)
     ev.write_report_csv(report, out / "report.csv")
     ev.write_summary_csv(report, out / "summary.csv", model, record.corpus_seed,
                          classification_acc=cls_acc)

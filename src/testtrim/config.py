@@ -79,11 +79,13 @@ _KEYS: dict[str, tuple[str, object]] = {
 def config_from_text(text: str, overrides: Mapping[str, str] | None = None) -> RunConfig:
     """Parse a config file's text, apply ``overrides`` on top, then validate.
 
-    ``overrides`` maps file keys to value text, parsed exactly like a file
-    line; the command-line flags arrive this way, so the config they yield
-    passes the same checks as a config file would.
+    A key set on two lines of ``text`` is refused.  ``overrides`` maps file
+    keys to value text, parsed exactly like a file line; the command-line
+    flags arrive this way, so the config they yield passes the same checks
+    as a config file would.
     """
     cfg = RunConfig()
+    first_set: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,7 +93,11 @@ def config_from_text(text: str, overrides: Mapping[str, str] | None = None) -> R
         if "=" not in line:
             raise ValueError(f"config line {line_no}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        _set(cfg, key.strip(), value.strip(), f"config line {line_no}")
+        key = key.strip()
+        if key in first_set:
+            raise ValueError(f"config lines {first_set[key]} and {line_no} both set {key!r}")
+        first_set[key] = line_no
+        _set(cfg, key, value.strip(), f"config line {line_no}")
     for key, value in (overrides or {}).items():
         _set(cfg, key, value, "override")
     _validate(cfg)
@@ -108,22 +114,27 @@ def _set(cfg: RunConfig, key: str, value: str, where: str) -> None:
         raise ValueError(f"{where}: bad value for {key!r}: {value!r}") from None
 
 
-def config_to_text(cfg: RunConfig, include_out_dir: bool = True) -> str:
-    lines = []
-    for key, (attr, _) in _KEYS.items():
-        if key == "out.dir" and not include_out_dir:
-            continue
-        lines.append(f"{key} = {_text(getattr(cfg, attr))}")
-    return "\n".join(lines) + "\n"
+# Key prefixes of the settings each artifact records: ``config.txt`` the
+# corpus and the split it was built with, ``model.txt`` the fit's settings.
+CORPUS_KEYS = ("corpus.", "split.")
+MODEL_KEYS = ("model.", "policy.")
 
 
-def check_same_corpus(cfg: RunConfig, record: RunConfig, source) -> None:
-    """Raise ``ValueError`` naming the first ``corpus.*`` or ``split.*`` key
-    whose value in ``cfg`` differs from ``record``, the settings ``source``
-    was built with: every stage reads the corpus and the split that
-    ``generate`` recorded."""
+def config_to_text(cfg: RunConfig, prefixes: tuple[str, ...] = ("",)) -> str:
+    """One ``key = value`` line per key that starts with one of ``prefixes``
+    (by default every key), in file order."""
+    return "".join(f"{key} = {_text(getattr(cfg, attr))}\n"
+                   for key, (attr, _) in _KEYS.items() if key.startswith(prefixes))
+
+
+def check_same_settings(cfg: RunConfig, record: RunConfig, source,
+                        prefixes: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` naming the first key starting with one of
+    ``prefixes`` whose value in ``cfg`` differs from ``record``, the
+    settings that ``source`` recorded: a stage reads the corpus and the
+    split that ``generate`` recorded, and the model that ``train`` did."""
     for key, (attr, _) in _KEYS.items():
-        if key.startswith(("corpus.", "split.")) and getattr(cfg, attr) != getattr(record, attr):
+        if key.startswith(prefixes) and getattr(cfg, attr) != getattr(record, attr):
             raise ValueError(f"{key} = {_text(getattr(cfg, attr))} differs from "
                              f"{_text(getattr(record, attr))} recorded in {source}")
 
@@ -137,27 +148,9 @@ def load_config(path, overrides: Mapping[str, str] | None = None) -> RunConfig:
         return config_from_text(fh.read(), overrides)
 
 
-def save_config(cfg: RunConfig, path, include_out_dir: bool = True) -> None:
+def save_config(cfg: RunConfig, path, prefixes: tuple[str, ...] = ("",)) -> None:
     with open(path, "w") as fh:
-        fh.write(config_to_text(cfg, include_out_dir=include_out_dir))
-
-
-# The ranges of the float settings that a model file records as well, so
-# that loading one refuses what a config would: key -> (wording, test).
-_FLOAT_RANGES = {
-    "model.alpha": ("finite and non-negative", lambda v: math.isfinite(v) and v >= 0.0),
-    "model.lambda": ("finite and non-negative", lambda v: math.isfinite(v) and v >= 0.0),
-    "model.gamma": ("finite and positive", lambda v: math.isfinite(v) and v > 0.0),
-    "policy.tau": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
-}
-
-
-def out_of_range(key: str, value: float) -> str | None:
-    """``"must be ..."`` naming the range of the float setting ``key``
-    (``model.alpha``, ``model.lambda``, ``model.gamma`` or ``policy.tau``)
-    when ``value`` is outside it, else None."""
-    wording, test = _FLOAT_RANGES[key]
-    return None if test(value) else f"must be {wording}"
+        fh.write(config_to_text(cfg, prefixes))
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -181,14 +174,14 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.corpus_min_gates > cfg.corpus_max_gates:
         raise ValueError(f"corpus.min_gates {cfg.corpus_min_gates} is above "
                          f"corpus.max_gates {cfg.corpus_max_gates}")
-    for key, value in (("model.alpha", cfg.model_alpha), ("model.lambda", cfg.model_lambda),
-                       ("model.gamma", cfg.model_gamma)):
-        problem = out_of_range(key, value)
-        if problem:
-            raise ValueError(f"{key} {problem}, got {value}")
+    for key, value in (("model.alpha", cfg.model_alpha), ("model.lambda", cfg.model_lambda)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{key} must be finite and non-negative, got {value}")
+    if not 0.0 < cfg.model_gamma < math.inf:
+        raise ValueError(f"model.gamma must be finite and positive, got {cfg.model_gamma}")
     if not 0.0 < cfg.split_train_fraction < 1.0:
         raise ValueError("split.train_fraction must be in (0, 1)")
     if not 0.0 <= cfg.split_validation_fraction < 1.0:
         raise ValueError("split.validation_fraction must be in [0, 1)")
-    if isinstance(cfg.policy_tau, float) and out_of_range("policy.tau", cfg.policy_tau):
+    if isinstance(cfg.policy_tau, float) and not 0.0 < cfg.policy_tau < 1.0:
         raise ValueError("policy.tau must be in (0, 1) or 'auto'")

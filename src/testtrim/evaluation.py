@@ -6,9 +6,9 @@ reaches tau, or at the circuit's last failing pattern when none does.
 There is no policy object: :func:`evaluate` takes a split's
 :class:`~testtrim.dataset.Dataset` and one score vector over its rows, and
 reads every fact of a stop off the stop row.  A trained model gives that
-vector through one :func:`score_matrix` call on the split's standardized
-rows (linear predictions clamped to [0, 1]); the oracle policy scores each
-row with its label ``y``.  Every tau tried reads the same vector.
+vector through one :func:`score_matrix` call on the split's rows (linear
+predictions clamped to [0, 1]); the oracle policy scores each row with its
+label ``y``.  Every tau tried reads the same vector.
 
 :func:`fit_policy` is the one fit path, for ``train`` and for each swept
 alpha.  Everything here reads the trace-derived dataset only.
@@ -46,17 +46,23 @@ DEFAULT_ALPHA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 DEFAULT_CURVE_FRACTIONS = (0.05, 0.1, 0.2, 1 / 3, 0.5, 2 / 3, 0.85, 1.0)
 
 
-def model_descriptor(model: LinearModel | KernelLogisticModel) -> str:
-    if isinstance(model, LinearModel):
-        return f"linear(alpha={model.alpha:g},penalty={model.penalty})"
-    return f"kernel-logistic(lambda={model.lam:g},gamma={model.gamma:g})"
+def model_descriptor(cfg: RunConfig) -> str:
+    """The configured model and the settings of its fit, as set."""
+    if cfg.model_kind == "linear":
+        return f"linear(alpha={cfg.model_alpha:g},penalty={cfg.model_penalty})"
+    return f"kernel-logistic(lambda={cfg.model_lambda:g},gamma={cfg.model_gamma:g})"
 
 
-def score_matrix(model: LinearModel | KernelLogisticModel, X_std: np.ndarray) -> np.ndarray:
-    """Model scores in [0, 1] for standardized feature rows."""
-    if isinstance(model, LinearModel):
-        return np.clip(predict_linear_batch(model, X_std), 0.0, 1.0)
-    return predict_prob_batch(model, X_std)
+def score_matrix(model: LinearModel | KernelLogisticModel, std: Standardizer,
+                 X: np.ndarray) -> np.ndarray:
+    """Model scores in [0, 1] for feature rows ``X``, standardized by ``std``.
+    Arithmetic that overflows raises ``FloatingPointError``: only a model of
+    absurd magnitude, such as a corrupted ``model.txt``, gets there."""
+    with np.errstate(over="raise", invalid="raise"):
+        X_std = std.transform(X)
+        if isinstance(model, LinearModel):
+            return np.clip(predict_linear_batch(model, X_std), 0.0, 1.0)
+        return predict_prob_batch(model, X_std)
 
 
 def _stop_ordinals(scores: np.ndarray, offsets: np.ndarray, tau: float) -> np.ndarray:
@@ -168,7 +174,7 @@ def fit_policy(cfg: RunConfig, split: CorpusSplit):
     if split.validation is None:
         raise ValueError("policy.tau = auto needs a validation split "
                          "(set split.validation_fraction > 0)")
-    scores = score_matrix(model, std.transform(split.validation.X))
+    scores = score_matrix(model, std, split.validation.X)
     return model, std, select_tau(split.validation, scores)
 
 
@@ -196,7 +202,7 @@ def sweep_alpha(alphas: Sequence[float], split: CorpusSplit) -> list[AlphaPoint]
     for alpha in alphas:
         model, std, tau = fit_policy(
             RunConfig(model_kind="linear", model_penalty="l1", model_alpha=alpha), split)
-        rep = evaluate(split.test, score_matrix(model, std.transform(split.test.X)), tau)
+        rep = evaluate(split.test, score_matrix(model, std, split.test.X), tau)
         points.append(AlphaPoint(
             alpha=alpha,
             tau=tau,
@@ -228,7 +234,7 @@ def learning_curve(split: CorpusSplit, cfg: RunConfig) -> list[tuple[int, float]
         raise ValueError(f"learning curve needs at least 2 train rows, got {n}")
     config = _train_config(cfg)
     std = Standardizer.fit(split.train.X)
-    X_train, X_test = std.transform(split.train.X), std.transform(split.test.X)
+    X_train = std.transform(split.train.X)
     y_train = split.train.labels_binary()
     order = list(range(n))
     random.Random(config.seed).shuffle(order)
@@ -242,7 +248,8 @@ def learning_curve(split: CorpusSplit, cfg: RunConfig) -> list[tuple[int, float]
                                         cfg.model_gamma, config)
         except ValueError as exc:
             raise ValueError(f"learning curve at {size} train rows: {exc}") from None
-        score = classification_accuracy(score_matrix(model, X_test), split.test.y)
+        score = classification_accuracy(score_matrix(model, std, split.test.X),
+                                        split.test.y)
         results.append((size, score))
     return results[::-1]
 

@@ -17,21 +17,41 @@
   that matrix, at the accepted step only.
 
 Both fits are deterministic under a fixed seed, and fitted models are
-immutable for prediction purposes.  Model files use a line-oriented text
-format with shortest-repr floats, so save/load round-trips are bit exact.
+immutable for prediction purposes.
+
+A model file (``model.txt``, layout ``testtrim-model v2``) is line-oriented
+text.  After the header come the fit's settings, every ``model.*`` key and
+``policy.tau`` as set, written and parsed as config text, so they pass the
+checks a config file does.  Then one ``key values`` line each:
+
+* ``tau``: the threshold the policy stops at, chosen when ``policy.tau`` is
+  ``auto``;
+* ``standardize_mean``, ``standardize_scale`` and ``standardize_constant``:
+  the feature standardizer, ``NUM_FEATURES`` values each;
+* ``train_circuits``: the ids of the train and validation circuits, one
+  csv row, so any id round-trips;
+* linear: ``intercept`` and ``beta``; kernel-logistic: ``theta``, then
+  ``landmarks L`` and L ``landmark`` rows.
+
+The last line is ``end``.  Floats are written in shortest repr, so
+save/load round-trips are bit exact.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import Standardizer
+from .config import MODEL_KEYS, RunConfig, config_from_text, config_to_text
+from .dataset import NUM_FEATURES, Standardizer
 
 PROB_EPS = 1e-12
 
@@ -43,15 +63,13 @@ CD_MAX_ITER = 10000     # coordinate-descent sweeps of the lasso fit
 CD_TOL = 1e-12          # it stops once no coordinate moves more than this
 GRAD_TOL = 1e-6         # the kernel-logistic fit converges below this gradient norm
 
-MODEL_FILE_MAGIC = "testtrim-model v1"
+MODEL_FILE_MAGIC = "testtrim-model v2"
 
 
 @dataclass
 class LinearModel:
     beta: np.ndarray
     intercept: float
-    alpha: float
-    penalty: str = "l2"
 
 
 @dataclass(frozen=True)
@@ -66,8 +84,6 @@ class KernelLogisticModel:
     theta: np.ndarray            # (L+1,); theta[0] weighs the constant feature
     landmarks: np.ndarray        # (L, d) stored training rows
     gamma: float
-    lam: float
-    config: TrainConfig
     cost_history: list[float] = field(default_factory=list, repr=False)
     grad_norm: float | None = None   # ||grad||_2 where the fit stopped; not persisted
 
@@ -114,8 +130,7 @@ def fit_penalized_linear(X: np.ndarray, Y: np.ndarray, alpha: float,
         coef = _lasso_cd(A, Y, alpha)
     else:
         coef = _ridge_solve(A, Y, alpha)
-    return LinearModel(beta=coef[1:], intercept=float(coef[0]), alpha=alpha,
-                       penalty=penalty)
+    return LinearModel(beta=coef[1:], intercept=float(coef[0]))
 
 
 def _ridge_solve(A: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
@@ -336,8 +351,7 @@ def fit_kernel_logistic(X_train: np.ndarray, y_bin: np.ndarray, lam: float,
         costs.append(cost)
         grad_norm = float(np.linalg.norm(grad))
     return KernelLogisticModel(theta=theta, landmarks=landmarks, gamma=gamma,
-                               lam=lam, config=config, cost_history=costs,
-                               grad_norm=grad_norm)
+                               cost_history=costs, grad_norm=grad_norm)
 
 
 def _lbfgs_direction(grad: np.ndarray, grad_norm: float,
@@ -375,41 +389,34 @@ def _fmt_floats(values) -> str:
 
 
 def save_model(path, model: LinearModel | KernelLogisticModel, standardizer: Standardizer,
-               train_circuits: Sequence[str] = (), *, tau: float) -> None:
-    lines = [MODEL_FILE_MAGIC]
+               settings: RunConfig, train_circuits: Sequence[str], *, tau: float) -> None:
+    """Write ``model`` in the layout of the module docstring: the
+    ``settings`` it was fitted with, the ``tau`` its policy stops at, its
+    feature standardizer and the circuits it saw, then its weights."""
+    ids = io.StringIO()
+    csv.writer(ids).writerow(train_circuits)
+    lines = [MODEL_FILE_MAGIC,
+             *config_to_text(settings, MODEL_KEYS).splitlines(),
+             f"tau {float(tau)!r}",
+             f"standardize_mean {_fmt_floats(standardizer.mean)}",
+             f"standardize_scale {_fmt_floats(standardizer.scale)}",
+             "standardize_constant " + " ".join(str(int(c)) for c in standardizer.constant),
+             # the writer quotes an id holding a line break, so the row may span lines
+             "train_circuits " + ids.getvalue().removesuffix("\r\n")]
     if isinstance(model, LinearModel):
-        lines.append("kind linear")
-        lines.append(f"alpha {model.alpha!r}")
-        lines.append(f"penalty {model.penalty}")
+        lines += [f"intercept {model.intercept!r}", f"beta {_fmt_floats(model.beta)}"]
     else:
-        cfg = model.config
-        lines.append("kind kernel-logistic")
-        lines.append(f"lambda {model.lam!r}")
-        lines.append(f"gamma {model.gamma!r}")
-        lines.append(f"iterations {cfg.iterations}")
-        lines.append(f"seed {cfg.seed}")
-        lines.append(f"landmark_cap {cfg.landmark_cap}")
-    lines.append(f"tau {float(tau)!r}")
-    lines.append(f"standardize_mean {_fmt_floats(standardizer.mean)}")
-    lines.append(f"standardize_scale {_fmt_floats(standardizer.scale)}")
-    lines.append("standardize_constant " + " ".join(str(int(c)) for c in standardizer.constant))
-    lines.append("train_circuits " + " ".join(train_circuits))
-    if isinstance(model, LinearModel):
-        lines.append(f"intercept {model.intercept!r}")
-        lines.append(f"beta {_fmt_floats(model.beta)}")
-    else:
-        lines.append(f"theta {_fmt_floats(model.theta)}")
-        lines.append(f"landmarks {model.landmarks.shape[0]}")
-        for row in model.landmarks:
-            lines.append(f"landmark {_fmt_floats(row)}")
+        lines += [f"theta {_fmt_floats(model.theta)}", f"landmarks {len(model.landmarks)}"]
+        lines += [f"landmark {_fmt_floats(row)}" for row in model.landmarks]
     lines.append("end")
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 @dataclass
 class LoadedModel:
     model: LinearModel | KernelLogisticModel
+    settings: RunConfig          # the model.* and policy.tau settings of the fit
     standardizer: Standardizer
     tau: float
     train_circuits: tuple[str, ...]
@@ -417,53 +424,64 @@ class LoadedModel:
 
 _COMMON_KEYS = ("tau", "standardize_mean", "standardize_scale", "standardize_constant",
                 "train_circuits")
-_KIND_KEYS = {
-    "linear": ("alpha", "penalty", "intercept", "beta"),
-    "kernel-logistic": ("lambda", "gamma", "iterations", "seed",
-                        "landmark_cap", "theta", "landmarks"),
-}
+_KIND_KEYS = {"linear": ("intercept", "beta"), "kernel-logistic": ("theta", "landmarks")}
 
 
 def load_model(path) -> LoadedModel:
     """Read a model file written by :func:`save_model`.
 
-    Raises ``ValueError`` naming the offending key when a key its ``kind``
-    needs is missing, a value does not parse, or vector lengths disagree:
-    the ``standardize_*`` vectors with each other and with ``beta`` or the
-    landmark width, and ``theta`` with the landmark count.  Every float,
-    scalar or vector entry, must be finite, each ``standardize_scale``
-    positive, ``penalty`` one a config takes, ``iterations`` and
-    ``landmark_cap`` at least 1, and ``alpha``, ``lambda``, ``gamma`` and
-    ``tau`` inside the ranges a config gives ``model.alpha``,
-    ``model.lambda``, ``model.gamma`` and ``policy.tau``.
+    Its settings lines pass :func:`~testtrim.config.config_from_text`, so
+    they meet the checks of a config file, and each ``model.*`` and
+    ``policy.tau`` key must be set.  Every other refusal raises
+    ``ValueError`` naming the offending key: a key the kind needs is
+    missing, a value does not parse or is not finite, a vector is not
+    ``NUM_FEATURES`` wide (the ``standardize_*`` vectors, ``beta`` and each
+    landmark row), a ``standardize_scale`` is not positive, ``tau`` is
+    outside (0, 1) or differs from a numeric ``policy.tau``, the landmark
+    count is below 1 or differs from the ``landmark`` lines, or ``theta`` is
+    not one longer than it.  A file of an older layout is refused with a
+    request to train again.
     """
-    from .config import out_of_range
-
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != MODEL_FILE_MAGIC:
+    with open(path, newline="") as fh:
+        lines = iter(fh.readlines())
+    header = next(lines, "").rstrip("\r\n")
+    if header != MODEL_FILE_MAGIC:
+        if header.startswith("testtrim-model "):
+            raise ValueError(f"{path} is a {header} file, not {MODEL_FILE_MAGIC}; "
+                             f"run 'testtrim train' again")
         raise ValueError(f"{path} is not a model file (bad header)")
 
+    settings_lines = [""]           # blank lines keep the file's line numbers
     fields: dict[str, str] = {}
+    circuits: list[str] = []
     landmark_rows: list[str] = []
-    for line in lines[1:]:
+    for raw in lines:
+        line = raw.rstrip("\r\n")
         if line == "end":
             break
         key, _, rest = line.partition(" ")
+        settings_lines.append(line if "." in key else "")
         if key == "landmark":
             landmark_rows.append(rest)
-        else:
+        elif "." not in key:
             fields[key] = rest
+        if key == "train_circuits":
+            try:
+                circuits = next(csv.reader(chain([raw.partition(" ")[2]], lines)))
+            except csv.Error as exc:
+                raise ValueError(f"{path}: bad value for 'train_circuits': {exc}") from None
     else:
         raise ValueError(f"{path} is truncated (missing 'end')")
 
-    kind = fields.get("kind")
-    if kind is None:
-        raise ValueError(f"{path}: missing key 'kind'")
-    if kind not in _KIND_KEYS:
-        raise ValueError(f"{path}: unknown model kind {kind!r}")
-    for key in _COMMON_KEYS + _KIND_KEYS[kind]:
-        if key not in fields:
+    try:
+        settings = config_from_text("\n".join(settings_lines))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    present = fields.keys() | {line.partition("=")[0].strip() for line in settings_lines}
+    setting_keys = [line.partition(" ")[0]
+                    for line in config_to_text(settings, MODEL_KEYS).splitlines()]
+    for key in setting_keys + [*_COMMON_KEYS, *_KIND_KEYS[settings.model_kind]]:
+        if key not in present:
             raise ValueError(f"{path}: missing key {key!r}")
 
     def parse(key: str, convert, text: str | None = None):
@@ -478,19 +496,13 @@ def load_model(path) -> LoadedModel:
             raise ValueError(f"{path}: {key!r} holds a non-finite value")
         return value
 
-    def number(key: str) -> float:
-        return finite(key, parse(key, float))
+    def sized(key: str, values: np.ndarray, want: int = NUM_FEATURES) -> np.ndarray:
+        if len(values) != want:
+            raise ValueError(f"{path}: {key!r} has {len(values)} values, expected {want}")
+        return values
 
-    def vector(key: str) -> np.ndarray:
-        return finite(key, parse(key, floats))
-
-    def ranged(key: str) -> float:
-        # a setting a config holds too, in the range the config gives it
-        value = number(key)
-        problem = out_of_range("policy.tau" if key == "tau" else f"model.{key}", value)
-        if problem:
-            raise ValueError(f"{path}: {key!r} {problem}, got {value!r}")
-        return value
+    def vector(key: str, text: str | None = None) -> np.ndarray:
+        return finite(key, parse(key, floats, text))
 
     def floats(text: str) -> np.ndarray:
         return np.array([float(v) for v in text.split()])
@@ -500,62 +512,37 @@ def load_model(path) -> LoadedModel:
             raise ValueError(text)
         return np.array([v == "1" for v in text.split()])
 
-    def check_length(key: str, values: np.ndarray, want: int, what: str) -> None:
-        if len(values) != want:
-            raise ValueError(f"{path}: {key!r} has {len(values)} values, "
-                             f"expected {want} ({what})")
-
     std = Standardizer(
-        mean=vector("standardize_mean"),
-        scale=vector("standardize_scale"),
-        constant=parse("standardize_constant", flags),
+        mean=sized("standardize_mean", vector("standardize_mean")),
+        scale=sized("standardize_scale", vector("standardize_scale")),
+        constant=sized("standardize_constant", parse("standardize_constant", flags)),
     )
-    width = len(std.mean)
-    check_length("standardize_scale", std.scale, width, "the length of 'standardize_mean'")
-    check_length("standardize_constant", std.constant, width,
-                 "the length of 'standardize_mean'")
     if (std.scale <= 0.0).any():
         raise ValueError(f"{path}: 'standardize_scale' must be positive, "
                          f"got {float(std.scale.min())!r}")
-    tau = ranged("tau")
-    circuits = tuple(fields["train_circuits"].split())
+    tau = parse("tau", float)
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"{path}: 'tau' must be in (0, 1), got {tau!r}")
+    if settings.policy_tau not in ("auto", tau):
+        raise ValueError(f"{path}: 'tau' {tau!r} differs from policy.tau = {settings.policy_tau}")
 
-    if kind == "linear":
-        beta = vector("beta")
-        check_length("beta", beta, width, "the length of 'standardize_mean'")
-        if fields["penalty"] not in ("l2", "l1"):
-            raise ValueError(f"{path}: 'penalty' must be 'l2' or 'l1', "
-                             f"got {fields['penalty']!r}")
+    if settings.model_kind == "linear":
         model: LinearModel | KernelLogisticModel = LinearModel(
-            beta=beta,
-            intercept=number("intercept"),
-            alpha=ranged("alpha"),
-            penalty=fields["penalty"],
+            beta=sized("beta", vector("beta")),
+            intercept=finite("intercept", parse("intercept", float)),
         )
     else:
-        cfg = TrainConfig(
-            iterations=parse("iterations", int),
-            seed=parse("seed", int),
-            landmark_cap=parse("landmark_cap", int),
-        )
-        for key in ("iterations", "landmark_cap"):
-            if getattr(cfg, key) < 1:
-                raise ValueError(f"{path}: {key!r} must be at least 1, "
-                                 f"got {getattr(cfg, key)}")
         count = parse("landmarks", int)
+        if count < 1:
+            raise ValueError(f"{path}: 'landmarks' must be at least 1, got {count}")
         if len(landmark_rows) != count:
             raise ValueError(f"{path}: 'landmarks' says {count} rows, "
                              f"found {len(landmark_rows)} 'landmark' lines")
-        rows = [parse("landmark", floats, text) for text in landmark_rows]
-        for row in rows:
-            check_length("landmark", row, width, "the length of 'standardize_mean'")
-        theta = vector("theta")
-        check_length("theta", theta, count + 1, "one more than 'landmarks'")
         model = KernelLogisticModel(
-            theta=theta,
-            landmarks=finite("landmark", np.array(rows).reshape(count, width)),
-            gamma=ranged("gamma"),
-            lam=ranged("lambda"),
-            config=cfg,
+            theta=sized("theta", vector("theta"), count + 1),
+            landmarks=np.array([sized("landmark", vector("landmark", text))
+                                for text in landmark_rows]),
+            gamma=settings.model_gamma,
         )
-    return LoadedModel(model=model, standardizer=std, tau=tau, train_circuits=circuits)
+    return LoadedModel(model=model, settings=settings, standardizer=std, tau=tau,
+                       train_circuits=tuple(circuits))

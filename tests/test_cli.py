@@ -1,10 +1,13 @@
 import io
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from testtrim.cli import main
-from testtrim.config import RunConfig, save_config
+from testtrim.config import CORPUS_KEYS, MODEL_KEYS, RunConfig, save_config
+from testtrim.dataset import dataset_from_traces, split_corpus
+from testtrim.diagnosis import read_traces
+from testtrim.models import load_model
+from testtrim.netlist import format_bench
+
+from conftest import random_small_circuit
 
 
 def _write_config(tmp_path, **overrides) -> Path:
@@ -180,6 +189,8 @@ def kernel_run(tmp_path_factory):
 
 def _set_first_value(line: str, value: str) -> str:
     key, _, rest = line.partition(" ")
+    if "." in key:  # a setting line: key = value
+        return f"{key} = {value}"
     return " ".join([key, value, *rest.split()[1:]])
 
 
@@ -193,13 +204,14 @@ def test_evaluate_refuses_model_value_a_config_refuses(kernel_run, tmp_path, cap
     shutil.copytree(kernel_run, out)
     model_path = out / "model.txt"
     lines = model_path.read_text().splitlines()
-    lines = [_set_first_value(ln, value) if ln.split(" ", 1)[0] == key else ln
+    # gamma is the setting model.gamma
+    lines = [_set_first_value(ln, value) if ln.split(" ", 1)[0] in (key, f"model.{key}") else ln
              for ln in lines]
     model_path.write_text("\n".join(lines) + "\n")
     assert main(["evaluate", "--config", str(out / "config.txt"), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and f"'{key}'" in err[0], err
+    assert len(err) == 1 and err[0].startswith(f"error: {model_path}: ") and key in err[0], err
     assert captured.out == "" and not (out / "summary.csv").exists()
 
 
@@ -252,7 +264,7 @@ def test_evaluate_reads_pattern_count_from_traces(tmp_path, capsys):
     other = tmp_path / "other.txt"
     save_config(RunConfig(**{**overrides, "corpus_patterns": 64}), other)
     save_config(RunConfig(**{**overrides, "corpus_patterns": 64}), out / "config.txt",
-                include_out_dir=False)
+                CORPUS_KEYS + MODEL_KEYS)
     assert main(["evaluate", "--config", str(other)]) == 0
     drifted = capsys.readouterr().out.splitlines()[-1]
     assert "volume_reduction=" in matching
@@ -526,3 +538,108 @@ def test_truncated_files_end_in_one_error_line(finished_run, name, fraction):
                 assert (rc, lines) == (0, []), (cmd, lines)
             assert (rc, lines) == (0, []) or (
                 rc == 1 and len(lines) == 1 and lines[0].startswith("error:")), (cmd, lines)
+
+
+@pytest.fixture(scope="module")
+def default_model_run(tmp_path_factory):
+    """A small corpus and a model trained at the default model settings:
+    kernel-logistic, with ``policy.tau = auto``."""
+    base = tmp_path_factory.mktemp("default_model")
+    overrides = dict(corpus_circuits=12, corpus_patterns=48, corpus_seed=5,
+                     corpus_min_inputs=4, corpus_max_inputs=6, corpus_min_gates=8,
+                     corpus_max_gates=16, out_dir=str(base / "run"))
+    cfg_path = _write_config(base, **overrides)
+    with redirect_stdout(io.StringIO()):
+        for cmd in ("generate", "train"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0
+    return overrides
+
+
+@pytest.mark.parametrize("flags, drift", [
+    (["--tau", "0.9"], "policy.tau = 0.9 differs from auto"),
+    (["--alpha", "5"], "model.alpha = 5.0 differs from 0.001"),
+    (["--model", "linear", "--alpha", "5"], "model.kind = linear differs from kernel-logistic"),
+])
+def test_evaluate_refuses_model_settings_drift(default_model_run, tmp_path, capsys,
+                                               flags, drift):
+    out = tmp_path / "run"
+    shutil.copytree(default_model_run["out_dir"], out)
+    cfg_path = _write_config(tmp_path, **{**default_model_run, "out_dir": str(out)})
+    assert main(["evaluate", "--config", str(cfg_path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {drift} recorded in {out / 'model.txt'}"]
+    assert captured.out == ""
+    assert not (out / "report.csv").exists() and not (out / "summary.csv").exists()
+
+
+def test_evaluate_follows_a_model_trained_with_flags(default_model_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(default_model_run["out_dir"], out)
+    cfg_path = _write_config(tmp_path, **{**default_model_run, "out_dir": str(out)})
+    for cmd in ("train", "evaluate"):
+        assert main([cmd, "--config", str(cfg_path), "--tau", "0.9"]) == 0
+    assert " at tau=0.9: " in capsys.readouterr().out.splitlines()[-1]
+
+
+def test_l1_model_names_its_alpha_as_set(tmp_path, capsys):
+    # a lasso's alpha is per sample: 2 n alpha overflows to inf on these n train rows
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, corpus_circuits=60, corpus_seed=5, out_dir=str(out),
+                             model_kind="linear", model_penalty="l1", model_alpha=1e305)
+    for cmd in ("generate", "train", "evaluate"):
+        assert main([cmd, "--config", str(cfg_path)]) == 0
+    _, trained, evaluated = capsys.readouterr().out.splitlines()
+    assert trained.startswith("trained linear(alpha=1e+305,penalty=l1) on ")
+    assert 2 * int(trained.split(" on ")[1].split()[0]) * 1e305 == math.inf
+    assert evaluated.startswith("evaluated linear(alpha=1e+305,penalty=l1) at ")
+    summary = (out / "summary.csv").read_text().splitlines()[1]
+    assert summary.startswith('"linear(alpha=1e+305,penalty=l1)",')
+    assert "model.alpha = 1e+305" in (out / "model.txt").read_text().splitlines()
+
+
+def test_circuit_ids_with_spaces_round_trip(tmp_path, capsys):
+    # 'my c1' trained must not read back as 'my' and 'c1'
+    benches = tmp_path / "benches"
+    benches.mkdir()
+    for i in range(6):
+        for name in (f"c{i}", f"my c{i}"):
+            circuit = random_small_circuit(len(name) * 10 + i)
+            (benches / f"{name}.bench").write_text(format_bench(circuit))
+    overrides = _smoke_overrides(tmp_path / "run")
+    overrides.update(corpus_netlist_dir=str(benches), split_seed=1)
+    cfg_path = _write_config(tmp_path, **overrides)
+    for cmd in ("generate", "train", "evaluate"):
+        assert main([cmd, "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+    split = split_corpus(dataset_from_traces(read_traces(tmp_path / "run" / "traces.csv")),
+                         RunConfig(**overrides), with_validation=False)
+    trained = load_model(tmp_path / "run" / "model.txt").train_circuits
+    assert trained == tuple(sorted(split.train.circuit_ids))
+    assert any(f"my {cid}" in trained for cid in split.test.circuit_ids)
+
+
+_TOKEN_VALUES = (st.floats().map(repr) | st.integers().map(str)
+                 | st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["kernel", "linear"]), value=_TOKEN_VALUES)
+def test_model_file_fuzz_ends_in_exit_0_or_one_error_line(kernel_run, finished_run,
+                                                          data, kind, value):
+    # one whitespace-separated token of a trained model.txt replaced
+    run = kernel_run if kind == "kernel" else finished_run
+    tokens = re.findall(r"\S+|\s+", (run / "model.txt").read_text())
+    index = data.draw(st.sampled_from([i for i, t in enumerate(tokens) if not t.isspace()]))
+    tokens[index] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        shutil.copytree(run, out)
+        (out / "model.txt").write_text("".join(tokens))
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a numpy warning escapes main as an exception
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                rc = main(["evaluate", "--config", str(out / "config.txt"), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        assert (rc, lines) == (0, []) or (
+            rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+            and "model.txt" in lines[0]), (tokens[index], lines)

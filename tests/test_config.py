@@ -1,7 +1,7 @@
 import pytest
 
-from testtrim.config import (RunConfig, config_from_text, config_to_text,
-                             load_config, save_config)
+from testtrim.config import (CORPUS_KEYS, MODEL_KEYS, RunConfig, config_from_text,
+                             config_to_text, load_config, save_config)
 
 
 def test_defaults_roundtrip_through_text():
@@ -49,7 +49,9 @@ def test_validation_rules():
                       ("model.gamma = 0", "model.gamma"),
                       ("model.landmark_cap = 0", "model.landmark_cap"),
                       ("corpus.min_inputs = 9\ncorpus.max_inputs = 3", "corpus.min_inputs"),
-                      ("corpus.max_gates = 0", "corpus.max_gates")):
+                      ("corpus.max_gates = 0", "corpus.max_gates"),
+                      ("corpus.seed = 5\ncorpus.seed = 6",
+                       "config lines 1 and 2 both set 'corpus.seed'")):
         with pytest.raises(ValueError, match=key):
             config_from_text(text + "\n")
 
@@ -71,7 +73,17 @@ def test_tau_auto_and_numeric():
 
 def test_out_dir_can_be_omitted_from_echo():
     cfg = RunConfig(out_dir="somewhere/else")
-    text = config_to_text(cfg, include_out_dir=False)
+    text = config_to_text(cfg, CORPUS_KEYS + MODEL_KEYS)
     assert "out.dir" not in text
     # parsing the echo leaves out_dir at its default
     assert config_from_text(text).out_dir == RunConfig().out_dir
+
+
+def test_prefixes_pick_keys_in_file_order():
+    cfg = RunConfig(model_alpha=1e305, policy_tau=0.9)
+    assert config_to_text(cfg, MODEL_KEYS).splitlines() == [
+        "model.kind = kernel-logistic", "model.alpha = 1e+305", "model.penalty = l2",
+        "model.lambda = 1.0", "model.gamma = 1.0", "model.iterations = 2000",
+        "model.landmark_cap = 512", "model.seed = 3", "policy.tau = 0.9"]
+    assert config_from_text(config_to_text(cfg, MODEL_KEYS)) == RunConfig(
+        model_alpha=1e305, policy_tau=0.9)

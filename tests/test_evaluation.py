@@ -13,7 +13,7 @@ from testtrim.models import (LinearModel, TrainConfig, fit_kernel_logistic,
 
 
 def _constant_model(value):
-    return LinearModel(beta=np.zeros(5), intercept=float(value), alpha=0.0)
+    return LinearModel(beta=np.zeros(5), intercept=float(value))
 
 
 def _trace(circuit_id="t0", failing=(3, 7, 12), sizes=(6, 2, 2), total=20,
@@ -33,9 +33,12 @@ def _stop(trace, score, tau):
     return outcome.k_star, outcome.terminated_pattern
 
 
+_IDENTITY = Standardizer(mean=np.zeros(5), scale=np.ones(5), constant=np.zeros(5, dtype=bool))
+
+
 def _model_score(model):
     """Scores of a model on raw rows (an identity standardization)."""
-    return lambda data: ev.score_matrix(model, data.X)
+    return lambda data: ev.score_matrix(model, _IDENTITY, data.X)
 
 
 def _oracle_score(data):
@@ -59,7 +62,7 @@ class TestApplyPolicy:
 
     def test_linear_scores_clamped_before_threshold(self):
         # wildly positive prediction still compares as 1.0, not more
-        model = LinearModel(beta=np.zeros(5), intercept=50.0, alpha=0.0)
+        model = LinearModel(beta=np.zeros(5), intercept=50.0)
         k, _ = _stop(_trace(), _model_score(model), 1.0)
         assert k == 1
 
@@ -117,7 +120,7 @@ class TestTauMonotonicity:
         model = fit_kernel_logistic(std.transform(split.train.X),
                                     split.train.labels_binary(), 1.0, 1.0,
                                     TrainConfig(iterations=150, landmark_cap=64))
-        scores = ev.score_matrix(model, std.transform(split.test.X))
+        scores = ev.score_matrix(model, std, split.test.X)
         last = [0] * len(split.test.circuit_ids)
         for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             rep = ev.evaluate(split.test, scores, tau)
@@ -171,7 +174,7 @@ class TestScoresOnceMatchPerTraceReference:
 
     @staticmethod
     def _scores(model, std, data):
-        return ev.score_matrix(model, std.transform(data.X))
+        return ev.score_matrix(model, std, data.X)
 
     def test_evaluate_stops(self, fitted, small_corpus):
         model, std = fitted
@@ -226,12 +229,12 @@ class TestFitPolicy:
         raw = 2.0 * len(splits.train) * 1e-3
         direct = fit_penalized_linear(std.transform(splits.train.X), splits.train.y, raw,
                                       penalty="l1")
-        assert (model.alpha, tau) == (raw, 0.8)
-        assert model.beta.tolist() == direct.beta.tolist()
+        assert tau == 0.8
+        assert (model.beta.tolist(), model.intercept) == (direct.beta.tolist(), direct.intercept)
 
     def test_auto_tau_picks_on_validation_rows(self, splits):
         model, std, tau = ev.fit_policy(RunConfig(), splits)
-        scores = ev.score_matrix(model, std.transform(splits.validation.X))
+        scores = ev.score_matrix(model, std, splits.validation.X)
         assert tau == ev.select_tau(splits.validation, scores)
 
     def test_auto_tau_without_validation_refused(self, small_corpus):
@@ -281,8 +284,8 @@ class TestLearningCurve:
         std = Standardizer.fit(split.train.X)
         model = fit_kernel_logistic(std.transform(split.train.X),
                                     split.train.labels_binary(), 0.5, 2.0, tc)
-        X_test = std.transform(split.test.X)
-        direct = ev.classification_accuracy(ev.score_matrix(model, X_test), split.test.y)
+        direct = ev.classification_accuracy(ev.score_matrix(model, std, split.test.X),
+                                            split.test.y)
         assert curve[-1] == (len(split.train), direct)
 
     def test_sizes_are_the_curve_fractions_of_the_train_side(self):

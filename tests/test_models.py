@@ -12,10 +12,11 @@ from oracles import (central_difference_gradient, gradient_descent_ridge,
                      lbfgs_every_trial, naive_sigmoid_dot, newton_logistic,
                      rbf_features_one_shot, rbf_map_reference, sigmoid_reference)
 from testtrim import models
-from testtrim.models import (KernelLogisticModel, TrainConfig, _sigmoid, fit_kernel_logistic,
-                             fit_penalized_linear, load_model, logistic_cost_grad,
-                             predict_linear_batch, predict_prob_batch, rbf_features,
-                             save_model)
+from testtrim.config import MODEL_KEYS, RunConfig, config_to_text
+from testtrim.models import (KernelLogisticModel, LinearModel, TrainConfig, _sigmoid,
+                             fit_kernel_logistic, fit_penalized_linear, load_model,
+                             logistic_cost_grad, predict_linear_batch, predict_prob_batch,
+                             rbf_features, save_model)
 from testtrim.dataset import Standardizer
 
 
@@ -422,8 +423,7 @@ class TestSigmoid:
 class TestPredictProb:
     def _model(self, theta, landmarks, gamma=1.0):
         return KernelLogisticModel(theta=np.asarray(theta, float),
-                                   landmarks=np.asarray(landmarks, float),
-                                   gamma=gamma, lam=0.0, config=TrainConfig())
+                                   landmarks=np.asarray(landmarks, float), gamma=gamma)
 
     def test_zero_theta_gives_half(self):
         model = self._model(np.zeros(3), np.zeros((2, 4)))
@@ -475,20 +475,21 @@ class TestModelFiles:
         rng = np.random.default_rng(18)
         model = fit_penalized_linear(rng.normal(size=(20, 5)), rng.normal(size=20), 0.37)
         std = Standardizer.fit(rng.normal(size=(20, 5)))
+        settings = RunConfig(model_kind="linear", model_alpha=0.37, policy_tau=0.8)
         path = tmp_path / "linear.txt"
-        save_model(path, model, std, train_circuits=("c1", "c2"), tau=0.8)
+        save_model(path, model, std, settings, ("c1", "c2"), tau=0.8)
         loaded = load_model(path)
         assert isinstance(loaded.model, type(model))
         assert np.array_equal(loaded.model.beta, model.beta)
         assert loaded.model.intercept == model.intercept
-        assert loaded.model.alpha == model.alpha
+        assert loaded.settings == settings
         assert loaded.tau == 0.8
         assert loaded.train_circuits == ("c1", "c2")
         assert np.array_equal(loaded.standardizer.mean, std.mean)
         assert np.array_equal(loaded.standardizer.scale, std.scale)
 
         second = tmp_path / "linear2.txt"
-        save_model(second, loaded.model, loaded.standardizer,
+        save_model(second, loaded.model, loaded.standardizer, loaded.settings,
                    loaded.train_circuits, tau=loaded.tau)
         assert path.read_bytes() == second.read_bytes()
 
@@ -499,17 +500,19 @@ class TestModelFiles:
         model = fit_kernel_logistic(X, y, 0.7, 1.1,
                                     TrainConfig(iterations=50, landmark_cap=8, seed=2))
         std = Standardizer.fit(X)
+        settings = RunConfig(model_lambda=0.7, model_gamma=1.1, model_iterations=50,
+                             model_landmark_cap=8, model_seed=2)
         path = tmp_path / "kernel.txt"
-        save_model(path, model, std, train_circuits=("c9",), tau=0.6)
+        save_model(path, model, std, settings, ("c9",), tau=0.6)
         loaded = load_model(path)
         assert np.array_equal(loaded.model.theta, model.theta)
         assert np.array_equal(loaded.model.landmarks, model.landmarks)
-        assert loaded.model.lam == model.lam
         assert loaded.model.gamma == model.gamma
+        assert loaded.settings == settings
         assert loaded.tau == 0.6
 
         second = tmp_path / "kernel2.txt"
-        save_model(second, loaded.model, loaded.standardizer,
+        save_model(second, loaded.model, loaded.standardizer, loaded.settings,
                    loaded.train_circuits, tau=loaded.tau)
         assert path.read_bytes() == second.read_bytes()
 
@@ -517,18 +520,70 @@ class TestModelFiles:
         preds_load = predict_prob_batch(loaded.model, X[:5])
         assert preds_orig.tolist() == preds_load.tolist()
 
+    def test_settings_are_config_text(self, tmp_path):
+        model = LinearModel(beta=np.arange(5.0), intercept=0.5)
+        settings = RunConfig(model_kind="linear", model_penalty="l1", model_alpha=1e305)
+        path = tmp_path / "model.txt"
+        save_model(path, model, _identity_standardizer(), settings, (), tau=0.5)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "testtrim-model v2"
+        assert "\n".join(lines[1:10]) + "\n" == config_to_text(settings, MODEL_KEYS)
+        assert "model.alpha = 1e+305" in lines and lines[10] == "tau 0.5"
+        assert load_model(path).settings == settings
+
+    # file names, where circuit ids come from, hold no NUL
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.text(st.characters(blacklist_characters="\x00"))
+                        | st.sampled_from(["my c1", "c1", "a,b", 'q"x', "cr\rlf\n", ""]),
+                        max_size=6))
+    def test_any_circuit_id_round_trips(self, tmp_path_factory, ids):
+        path = tmp_path_factory.mktemp("ids") / "model.txt"
+        model = LinearModel(beta=np.arange(5.0), intercept=0.5)
+        save_model(path, model, _identity_standardizer(), RunConfig(model_kind="linear"),
+                   ids, tau=0.5)
+        assert load_model(path).train_circuits == tuple(ids)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.txt"
         path.write_text("not a model\n")
         with pytest.raises(ValueError, match="bad header"):
             load_model(path)
 
+    def test_rejects_older_layout(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("testtrim-model v1\nkind linear\nalpha 0.001\nend\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} is a testtrim-model v1 file, not testtrim-model v2; "
+                f"run 'testtrim train' again")):
+            load_model(path)
+
 
 def _edit_line(key, new):
-    """Corruption that replaces the first ``key`` line (``None`` drops it)."""
+    """Corruption that replaces the first ``key`` line (``None`` drops it);
+    a setting keeps its ``key = value`` form."""
     def edit(lines):
         i = next(i for i, ln in enumerate(lines) if ln.split(" ", 1)[0] == key)
-        return lines[:i] + ([] if new is None else [f"{key} {new}"]) + lines[i + 1:]
+        sep = " = " if "." in key else " "
+        return lines[:i] + ([] if new is None else [f"{key}{sep}{new}"]) + lines[i + 1:]
+    return edit
+
+
+def _no_landmarks(lines):
+    """A kernel model with zero landmarks: a count of 0 and a one-value theta."""
+    lines = [ln for ln in lines if not ln.startswith("landmark ")]
+    return _edit_line("theta", "0.5")(_edit_line("landmarks", "0")(lines))
+
+
+def _four_features(lines):
+    """Every feature-wide vector, standardizer and landmark rows, one value short."""
+    wide = ("standardize_mean", "standardize_scale", "standardize_constant", "landmark")
+    return [ln.rsplit(" ", 1)[0] if ln.split(" ", 1)[0] in wide else ln for ln in lines]
+
+
+def _duplicate(key):
+    def edit(lines):
+        i = next(i for i, ln in enumerate(lines) if ln.split(" ", 1)[0] == key)
+        return lines[:i + 1] + lines[i:]
     return edit
 
 
@@ -540,17 +595,22 @@ class TestModelFileValidation:
         X = rng.normal(size=(30, 5))
         std = Standardizer.fit(X)
         linear = tmp / "linear.txt"
-        save_model(linear, fit_penalized_linear(X, rng.normal(size=30), 0.1), std, tau=0.9)
+        save_model(linear, fit_penalized_linear(X, rng.normal(size=30), 0.1), std,
+                   RunConfig(model_kind="linear", model_alpha=0.1, policy_tau=0.9), (), tau=0.9)
         kernel = tmp / "kernel.txt"
         model = fit_kernel_logistic(X, (X[:, 0] > 0).astype(float), 0.7, 1.1,
                                     TrainConfig(iterations=5, landmark_cap=4, seed=2))
-        save_model(kernel, model, std, tau=0.6)
+        settings = RunConfig(model_lambda=0.7, model_gamma=1.1, model_iterations=5,
+                             model_landmark_cap=4, model_seed=2)
+        save_model(kernel, model, std, settings, (), tau=0.6)
         return {"linear": linear.read_text().splitlines(),
                 "kernel": kernel.read_text().splitlines()}
 
+    # a settings row's id names the setting by its short name ('gamma' for model.gamma)
     @pytest.mark.parametrize("kind, edit, message", [
         ("linear", _edit_line("tau", None), "missing key 'tau'"),
-        ("linear", _edit_line("kind", None), "missing key 'kind'"),
+        pytest.param("linear", _edit_line("model.kind", None), "missing key 'model.kind'",
+                     id="linear-edit-missing key 'kind'"),
         ("linear", _edit_line("beta", None), "missing key 'beta'"),
         ("linear", _edit_line("intercept", "abc"), "bad value for 'intercept'"),
         ("linear", _edit_line("beta", "1.0 2.0"), "'beta' has 2 values, expected 5"),
@@ -558,26 +618,46 @@ class TestModelFileValidation:
          "'standardize_scale' has 1 values, expected 5"),
         ("linear", _edit_line("standardize_constant", "0 0 2 0 0"),
          "bad value for 'standardize_constant'"),
-        ("kernel", _edit_line("gamma", None), "missing key 'gamma'"),
+        pytest.param("kernel", _edit_line("model.gamma", None), "missing key 'model.gamma'",
+                     id="kernel-edit-missing key 'gamma'"),
         ("kernel", _edit_line("landmarks", "3"), "'landmarks' says 3 rows"),
         ("kernel", _edit_line("landmark", "0.5 0.5"), "'landmark' has 2 values, expected 5"),
         ("kernel", _edit_line("theta", "0.0 1.0"), "'theta' has 2 values, expected 5"),
-        ("kernel", _edit_line("iterations", "1.5"), "bad value for 'iterations'"),
-        ("linear", _edit_line("alpha", "-0.5"), "'alpha' must be finite and non-negative"),
+        pytest.param("kernel", _edit_line("model.iterations", "1.5"),
+                     "bad value for 'model.iterations'",
+                     id="kernel-edit-bad value for 'iterations'"),
+        pytest.param("linear", _edit_line("model.alpha", "-0.5"),
+                     "model.alpha must be finite and non-negative",
+                     id="linear-edit-'alpha' must be finite and non-negative"),
         ("linear", _edit_line("intercept", "-inf"), "'intercept' holds a non-finite value"),
         ("linear", _edit_line("beta", "0.1 0.2 nan 0.4 0.5"),
          "'beta' holds a non-finite value"),
-        ("linear", _edit_line("penalty", "l3"), "'penalty' must be 'l2' or 'l1'"),
+        pytest.param("linear", _edit_line("model.penalty", "l3"),
+                     "model.penalty must be 'l2' or 'l1'",
+                     id="linear-edit-'penalty' must be 'l2' or 'l1'"),
         ("linear", _edit_line("standardize_mean", "0 0 inf 0 0"),
          "'standardize_mean' holds a non-finite value"),
         ("linear", _edit_line("standardize_scale", "1 1 1 -2 1"),
          "'standardize_scale' must be positive"),
         ("linear", _edit_line("tau", "0"), "'tau' must be in (0, 1)"),
-        ("kernel", _edit_line("lambda", "-1"), "'lambda' must be finite and non-negative"),
-        ("kernel", _edit_line("gamma", "0.0"), "'gamma' must be finite and positive"),
+        ("linear", _edit_line("tau", "0.5"), "'tau' 0.5 differs from policy.tau = 0.9"),
+        pytest.param("kernel", _edit_line("model.lambda", "-1"),
+                     "model.lambda must be finite and non-negative",
+                     id="kernel-edit-'lambda' must be finite and non-negative"),
+        pytest.param("kernel", _edit_line("model.gamma", "0.0"),
+                     "model.gamma must be finite and positive",
+                     id="kernel-edit-'gamma' must be finite and positive"),
         ("kernel", _edit_line("landmark", "0 0 0 0 nan"), "'landmark' holds a non-finite value"),
-        ("kernel", _edit_line("iterations", "-4"), "'iterations' must be at least 1"),
-        ("kernel", _edit_line("landmark_cap", "0"), "'landmark_cap' must be at least 1"),
+        pytest.param("kernel", _edit_line("model.iterations", "-4"),
+                     "model.iterations must be at least 1",
+                     id="kernel-edit-'iterations' must be at least 1"),
+        pytest.param("kernel", _edit_line("model.landmark_cap", "0"),
+                     "model.landmark_cap must be at least 1",
+                     id="kernel-edit-'landmark_cap' must be at least 1"),
+        ("kernel", _no_landmarks, "'landmarks' must be at least 1, got 0"),
+        ("kernel", _four_features, "'standardize_mean' has 4 values, expected 5"),
+        ("linear", _duplicate("model.alpha"), "both set 'model.alpha'"),
+        ("linear", _edit_line("model.kind", "kernel-logistic"), "missing key 'theta'"),
     ])
     def test_rejects_corrupt_file(self, files, tmp_path, kind, edit, message):
         path = tmp_path / "model.txt"
