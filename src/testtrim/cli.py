@@ -45,7 +45,7 @@ _FLAGS = {
     "--seed": dict(metavar="INT", help="corpus seed (overrides corpus.seed)"),
     "--model": dict(choices=["linear", "kernel-logistic"],
                     help="model kind (overrides model.kind)"),
-    "--alpha": dict(metavar="FLOAT", help="linear penalty weight (overrides model.alpha)"),
+    "--alpha": dict(metavar="FLOAT", help="lasso weight per sample (overrides model.alpha)"),
     "--tau": dict(metavar="FLOAT|auto", help="stop threshold (overrides policy.tau)"),
 }
 
@@ -130,7 +130,7 @@ def cmd_generate(cfg: RunConfig) -> int:
         write_dictionary(fdict, dictdir / f"{fdict.circuit.name}.dict")
     write_traces(corpus.traces, out / "traces.csv")
     write_dataset(corpus.dataset, out / "dataset.csv")
-    save_config(cfg, out / "config.txt", CORPUS_KEYS + MODEL_KEYS)
+    save_config(cfg, out / "config.txt", CORPUS_KEYS)
     print(f"generated corpus: {len(corpus.circuits)} circuits, "
           f"{len(corpus.dataset)} dataset rows, seed {cfg.corpus_seed}")
     return 0

@@ -28,7 +28,6 @@ class RunConfig:
     split_seed: int = 1
     model_kind: str = "kernel-logistic"       # or 'linear'
     model_alpha: float = 1e-3
-    model_penalty: str = "l2"
     model_lambda: float = 1.0
     model_gamma: float = 1.0
     model_iterations: int = 2000
@@ -65,7 +64,6 @@ _KEYS: dict[str, tuple[str, object]] = {
     "split.seed": ("split_seed", int),
     "model.kind": ("model_kind", str),
     "model.alpha": ("model_alpha", float),
-    "model.penalty": ("model_penalty", str),
     "model.lambda": ("model_lambda", float),
     "model.gamma": ("model_gamma", float),
     "model.iterations": ("model_iterations", int),
@@ -157,8 +155,6 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.model_kind not in ("linear", "kernel-logistic"):
         raise ValueError(f"model.kind must be 'linear' or 'kernel-logistic', "
                          f"got {cfg.model_kind!r}")
-    if cfg.model_penalty not in ("l2", "l1"):
-        raise ValueError(f"model.penalty must be 'l2' or 'l1', got {cfg.model_penalty!r}")
     if isinstance(cfg.corpus_patterns, int) and cfg.corpus_patterns < 1:
         raise ValueError("corpus.patterns must be at least 1")
     for key, value in (("corpus.circuits", cfg.corpus_circuits),

@@ -20,10 +20,8 @@ The headline metrics:
 * volume reduction: fraction of applied patterns saved by stopping,
   averaged per circuit, counting passing and failing patterns alike.
 
-Alpha sweeps reproduce the published lasso experiments, so their alpha is
-interpreted with the usual per-sample convention of mainstream lasso
-solvers, i.e. the raw objective is ||Xb - Y||^2 + 2*n*alpha*||b||_1;
-`alpha = 0` falls back to plain least squares in either convention.
+The linear model is the lasso, with the per-sample alpha of
+:func:`~testtrim.models.fit_penalized_linear`.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ DEFAULT_CURVE_FRACTIONS = (0.05, 0.1, 0.2, 1 / 3, 0.5, 2 / 3, 0.85, 1.0)
 def model_descriptor(cfg: RunConfig) -> str:
     """The configured model and the settings of its fit, as set."""
     if cfg.model_kind == "linear":
-        return f"linear(alpha={cfg.model_alpha:g},penalty={cfg.model_penalty})"
+        return f"linear(alpha={cfg.model_alpha:g})"
     return f"kernel-logistic(lambda={cfg.model_lambda:g},gamma={cfg.model_gamma:g})"
 
 
@@ -158,13 +156,11 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
 def fit_policy(cfg: RunConfig, split: CorpusSplit):
     """Fit the configured model on the train rows and pick tau, on the
     validation rows when ``policy.tau = auto``; returns ``(model,
-    standardizer, tau)``.  A lasso's alpha is per sample."""
+    standardizer, tau)``."""
     std = Standardizer.fit(split.train.X)
     X_train = std.transform(split.train.X)
     if cfg.model_kind == "linear":
-        per_sample = 2.0 * len(split.train) if cfg.model_penalty == "l1" else 1.0
-        model = fit_penalized_linear(X_train, split.train.y, cfg.model_alpha * per_sample,
-                                     penalty=cfg.model_penalty)
+        model = fit_penalized_linear(X_train, split.train.y, cfg.model_alpha)
     else:
         model = fit_kernel_logistic(
             X_train, split.train.labels_binary(), cfg.model_lambda, cfg.model_gamma,
@@ -192,16 +188,15 @@ class AlphaPoint:
 def sweep_alpha(alphas: Sequence[float], split: CorpusSplit) -> list[AlphaPoint]:
     """One lasso model per alpha, each taken through the same stop policy.
 
-    Each alpha is fitted by :func:`fit_policy` as a lasso with tau picked
-    on the validation circuits, and scored on the test circuits, in the
-    given alpha order.  ``label_accuracy`` is the alternative row-level
-    reading of the same test scores: clamped predictions thresholded at 0.5
-    against the binary convergence labels.
+    Each alpha is fitted by :func:`fit_policy` with tau picked on the
+    validation circuits, and scored on the test circuits, in the given
+    alpha order.  ``label_accuracy`` is the alternative row-level reading
+    of the same test scores: clamped predictions thresholded at 0.5 against
+    the binary convergence labels.
     """
     points = []
     for alpha in alphas:
-        model, std, tau = fit_policy(
-            RunConfig(model_kind="linear", model_penalty="l1", model_alpha=alpha), split)
+        model, std, tau = fit_policy(RunConfig(model_kind="linear", model_alpha=alpha), split)
         rep = evaluate(split.test, score_matrix(model, std, split.test.X), tau)
         points.append(AlphaPoint(
             alpha=alpha,

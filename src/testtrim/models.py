@@ -1,10 +1,8 @@
 """The two predictors, implemented from first principles.
 
-* Penalized linear regression: minimizes ||X b - Y||^2 + alpha ||b||^2 via
-  the normal equations, solved through their Cholesky factor (the intercept
-  column is never penalized).  A true L1 mode solves
-  ||X b - Y||^2 + alpha ||b||_1 by cyclic coordinate descent with
-  soft-thresholding.
+* LASSO regression: minimizes ||X b - Y||^2 / (2n) + alpha ||b||_1 over
+  n rows by cyclic coordinate descent with soft-thresholding (the
+  intercept is never penalized); alpha = 0 is plain least squares.
 
 * RBF-kernel logistic classification: the kernel is realized as a landmark
   feature map phi(x) = [1, exp(-gamma ||x - l_1||^2), ...] over (possibly
@@ -19,7 +17,7 @@
 Both fits are deterministic under a fixed seed, and fitted models are
 immutable for prediction purposes.
 
-A model file (``model.txt``, layout ``testtrim-model v2``) is line-oriented
+A model file (``model.txt``, layout ``testtrim-model v3``) is line-oriented
 text.  After the header come the fit's settings, every ``model.*`` key and
 ``policy.tau`` as set, written and parsed as config text, so they pass the
 checks a config file does.  Then one ``key values`` line each:
@@ -63,7 +61,7 @@ CD_MAX_ITER = 10000     # coordinate-descent sweeps of the lasso fit
 CD_TOL = 1e-12          # it stops once no coordinate moves more than this
 GRAD_TOL = 1e-6         # the kernel-logistic fit converges below this gradient norm
 
-MODEL_FILE_MAGIC = "testtrim-model v2"
+MODEL_FILE_MAGIC = "testtrim-model v3"
 
 
 @dataclass
@@ -100,15 +98,15 @@ def _soft_threshold(x: float, t: float) -> float:
     return 0.0
 
 
-def fit_penalized_linear(X: np.ndarray, Y: np.ndarray, alpha: float,
-                         penalty: str = "l2") -> LinearModel:
-    """Fit the penalized least-squares model with an unpenalized intercept.
+def fit_penalized_linear(X: np.ndarray, Y: np.ndarray, alpha: float) -> LinearModel:
+    """Fit the lasso with an unpenalized intercept.
 
-    ``penalty="l2"`` solves (X^T X + alpha I) b = X^T Y exactly;
-    ``penalty="l1"`` runs coordinate descent on the lasso objective.  With
-    ``alpha == 0`` both reduce to plain least squares and share the closed
-    form.  A rank-deficient unpenalized system is reported with a warning
-    and resolved to the minimum-norm solution.
+    Over the n rows of ``X`` the objective is ||A w - Y||^2 / (2n) +
+    alpha ||w[1:]||_1, with A = [1, X] and w = (intercept, beta), so alpha
+    is per sample, the convention of Friedman, Hastie & Tibshirani (2010).
+    It is minimized by :func:`_lasso_cd`.  With ``alpha == 0`` one
+    least-squares solve gives the minimum-norm solution, and a rank-deficient
+    design is reported with a warning.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -122,42 +120,22 @@ def fit_penalized_linear(X: np.ndarray, Y: np.ndarray, alpha: float,
         raise ValueError("non-finite entries in the design matrix or targets")
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
-    if penalty not in ("l2", "l1"):
-        raise ValueError(f"penalty must be 'l2' or 'l1', got {penalty!r}")
 
     A = np.column_stack([np.ones(X.shape[0]), X])
-    if penalty == "l1" and alpha > 0:
+    if alpha > 0:
         coef = _lasso_cd(A, Y, alpha)
     else:
-        coef = _ridge_solve(A, Y, alpha)
+        coef, _, rank, _ = np.linalg.lstsq(A, Y, rcond=None)
+        if rank < A.shape[1]:
+            warnings.warn(
+                f"unpenalized design matrix is rank deficient (rank {rank} < {A.shape[1]}); "
+                f"returning the minimum-norm solution", RuntimeWarning, stacklevel=2)
     return LinearModel(beta=coef[1:], intercept=float(coef[0]))
 
 
-def _ridge_solve(A: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
-    d = A.shape[1]
-    G = A.T @ A
-    if alpha > 0:
-        pen = np.full(d, alpha)
-        pen[0] = 0.0
-        G = G + np.diag(pen)
-    b = A.T @ Y
-    if alpha == 0:
-        rank = np.linalg.matrix_rank(A)
-        if rank < d:
-            warnings.warn(
-                f"unpenalized design matrix is rank deficient (rank {rank} < {d}); "
-                f"returning the minimum-norm solution", RuntimeWarning, stacklevel=3)
-            return np.linalg.lstsq(A, Y, rcond=None)[0]
-    try:
-        L = np.linalg.cholesky(G)
-        return np.linalg.solve(L.T, np.linalg.solve(L, b))
-    except np.linalg.LinAlgError:
-        # numerically singular despite full rank; fall back to least squares
-        return np.linalg.lstsq(A, Y, rcond=None)[0]
-
-
 def _lasso_cd(A: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
-    """Cyclic coordinate descent for ||A w - Y||^2 + alpha * sum_{j>=1} |w_j|.
+    """Cyclic coordinate descent for ||A w - Y||^2 / (2n) + alpha * sum_{j>=1} |w_j|
+    over the n rows of ``A``.
 
     The first column (the intercept) is exempt from the penalty.  Stops
     when no coordinate moves more than ``CD_TOL``, or after ``CD_MAX_ITER``
@@ -167,7 +145,7 @@ def _lasso_cd(A: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
     col_sq = (A ** 2).sum(axis=0)
     w = np.zeros(d)
     r = Y.astype(float).copy()  # residual Y - A w
-    thresh = alpha / 2.0
+    thresh = alpha * n
     for _ in range(CD_MAX_ITER):
         max_step = 0.0
         for j in range(d):

@@ -17,13 +17,14 @@ the dictionary reader parses the text export back into packed words for
 comparison with the full-pass rows, the per-trace stop reference builds,
 standardizes and scores one row at a time with its own formulas, the RBF
 map takes each landmark distance directly instead of through the
-expanded-norm identity, the logistic minimizer takes damped Newton steps on
-its own cost, gradient and Hessian, and the sigmoid calls libm's exp one
-value at a time.  Two references keep the package's arithmetic but not its
-memory plan, so the fast paths must match them bit for bit: the one-shot
-RBF map builds the whole distance matrix in one expression, and the
-every-trial L-BFGS loop takes the cost and the gradient together at each
-line-search trial.
+expanded-norm identity, the lasso minimizer takes proximal gradient steps on
+the whole coefficient vector instead of coordinate descent, the logistic
+minimizer takes damped Newton steps on its own cost, gradient and Hessian,
+and the sigmoid calls libm's exp one value at a time.  Two references keep
+the package's arithmetic but not its memory plan, so the fast paths must
+match them bit for bit: the one-shot RBF map builds the whole distance
+matrix in one expression, and the every-trial L-BFGS loop takes the cost
+and the gradient together at each line-search trial.
 """
 
 from __future__ import annotations
@@ -292,23 +293,24 @@ def oracle_candidate_sets(circuit: Circuit, patterns, injected: Fault):
     return [i + 1 for i in failing], sets
 
 
-def gradient_descent_ridge(X, Y, alpha, tol=1e-12, max_iter=500000):
-    """Minimize ||b0 + X b - Y||^2 + alpha ||b||^2 (intercept b0 unpenalized)
-    by plain gradient descent.  Returns ``(b0, b)``."""
+def proximal_gradient_lasso(X, Y, alpha, tol=1e-14, max_iter=1000000):
+    """Minimize ||b0 + X b - Y||^2 / (2n) + alpha ||b||_1 over the n rows
+    (intercept b0 unpenalized) by proximal gradient steps of length 1/L,
+    L the largest eigenvalue of the smooth part's Hessian, each followed by
+    soft-thresholding of b.  Returns ``(b0, b)``."""
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
-    A = np.column_stack([np.ones(X.shape[0]), X])
-    d = A.shape[1]
-    pen = np.full(d, float(alpha))
-    pen[0] = 0.0
-    H = 2.0 * (A.T @ A) + 2.0 * np.diag(pen)
-    lr = 1.0 / np.linalg.eigvalsh(H).max()
-    w = np.zeros(d)
+    n = X.shape[0]
+    A = np.column_stack([np.ones(n), X])
+    step = 1.0 / np.linalg.eigvalsh(A.T @ A / n).max()
+    w = np.zeros(A.shape[1])
     for _ in range(max_iter):
-        grad = 2.0 * (A.T @ (A @ w - Y)) + 2.0 * pen * w
-        if np.linalg.norm(grad) < tol:
+        z = w - step * (A.T @ (A @ w - Y)) / n
+        z[1:] = np.sign(z[1:]) * np.maximum(np.abs(z[1:]) - step * alpha, 0.0)
+        done = np.abs(z - w).max() < tol
+        w = z
+        if done:
             break
-        w = w - lr * grad
     return w[0], w[1:]
 
 

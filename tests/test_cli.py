@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from testtrim.cli import main
-from testtrim.config import CORPUS_KEYS, MODEL_KEYS, RunConfig, save_config
+from testtrim.config import CORPUS_KEYS, RunConfig, save_config
 from testtrim.dataset import dataset_from_traces, split_corpus
 from testtrim.diagnosis import read_traces
 from testtrim.models import load_model
@@ -46,6 +47,12 @@ def _smoke_overrides(out_dir, circuits=2):
 def _tree(out: Path) -> dict[str, bytes]:
     return {str(p.relative_to(out)): p.read_bytes()
             for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _trained_config(run: Path) -> str:
+    """The config a module fixture's ``run`` was generated and trained with
+    (the out dir's own config.txt records the corpus and the split only)."""
+    return str(run.parent / "config.txt")
 
 
 def test_smoke_pipeline_two_circuits(tmp_path, capsys):
@@ -115,6 +122,30 @@ def test_sweep_emits_grid_ordered_csvs(tmp_path):
     assert len(curve) >= 3
     sizes = [int(line.split(",")[0]) for line in curve[1:]]
     assert sizes == sorted(sizes)
+
+
+def test_linear_model_scores_as_its_sweep_row(tmp_path):
+    # train and evaluate fit the lasso that sweep fits at model.alpha, so
+    # both score the test circuits alike; on this corpus a ridge fit at the
+    # same alpha saves another volume
+    out = tmp_path / "run"
+    overrides = _smoke_overrides(out, circuits=10)
+    overrides.update(model_kind="kernel-logistic", split_validation_fraction=0.34,
+                     policy_tau="auto", model_iterations=60, model_landmark_cap=32)
+    cfg_path = _write_config(tmp_path, **overrides)
+    with redirect_stdout(io.StringIO()):
+        for argv in (["generate"], ["sweep"], ["train", "--model", "linear"],
+                     ["evaluate", "--model", "linear"]):
+            assert main([*argv, "--config", str(cfg_path)]) == 0, argv
+    with open(out / "sweep_alpha.csv", newline="") as fh:
+        row = next(r for r in csv.DictReader(fh) if float(r["alpha"]) == 1e-3)
+    with open(out / "summary.csv", newline="") as fh:
+        summary = next(csv.DictReader(fh))
+    assert [summary[key] for key in ("tau", "diagnosis_accuracy", "volume_reduction",
+                                     "classification_accuracy")] == \
+        [row[key] for key in ("tau", "diagnosis_accuracy", "volume_reduction",
+                              "label_accuracy")]
+    assert summary["model"] == "linear(alpha=0.001)"
 
 
 def test_train_before_generate_fails_cleanly(tmp_path, capsys):
@@ -208,7 +239,7 @@ def test_evaluate_refuses_model_value_a_config_refuses(kernel_run, tmp_path, cap
     lines = [_set_first_value(ln, value) if ln.split(" ", 1)[0] in (key, f"model.{key}") else ln
              for ln in lines]
     model_path.write_text("\n".join(lines) + "\n")
-    assert main(["evaluate", "--config", str(out / "config.txt"), "--out", str(out)]) == 1
+    assert main(["evaluate", "--config", _trained_config(kernel_run), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {model_path}: ") and key in err[0], err
@@ -264,7 +295,7 @@ def test_evaluate_reads_pattern_count_from_traces(tmp_path, capsys):
     other = tmp_path / "other.txt"
     save_config(RunConfig(**{**overrides, "corpus_patterns": 64}), other)
     save_config(RunConfig(**{**overrides, "corpus_patterns": 64}), out / "config.txt",
-                CORPUS_KEYS + MODEL_KEYS)
+                CORPUS_KEYS)
     assert main(["evaluate", "--config", str(other)]) == 0
     drifted = capsys.readouterr().out.splitlines()[-1]
     assert "volume_reduction=" in matching
@@ -316,7 +347,7 @@ def test_train_refuses_record_contradicting_its_circuit(finished_run, tmp_path, 
     fields[4] = " ".join(sizes)
     lines[line - 1] = ",".join(fields)
     (out / "traces.csv").write_text("\n".join(lines) + "\n")
-    assert main(["train", "--config", str(out / "config.txt"), "--out", str(out)]) == 1
+    assert main(["train", "--config", _trained_config(finished_run), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -332,7 +363,7 @@ def test_evaluate_refuses_a_pattern_count_no_int64_holds(finished_run, tmp_path,
     fields[2] = str(10**23)
     lines[1] = ",".join(fields)
     (out / "traces.csv").write_text("\n".join(lines) + "\n")
-    assert main(["evaluate", "--config", str(out / "config.txt"), "--out", str(out)]) == 1
+    assert main(["evaluate", "--config", _trained_config(finished_run), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
         f"error: {out / 'traces.csv'} line 2: total_patterns {10**23} is above 2**53, "
@@ -370,6 +401,8 @@ def test_flag_overrides_win(tmp_path, capsys):
     assert not out.exists()
     echoed = (alt / "config.txt").read_text()
     assert "corpus.seed = 99" in echoed
+    # the corpus and the split only: model.txt records the model's settings
+    assert all(line.startswith(CORPUS_KEYS) for line in echoed.splitlines())
 
 
 def test_unparseable_netlist_dir_fails(tmp_path, capsys):
@@ -519,6 +552,20 @@ def finished_run(tmp_path_factory):
     return out
 
 
+def test_unedited_fixture_runs_pass_the_fuzzed_commands(kernel_run, finished_run, tmp_path,
+                                                         capsys):
+    # the truncation and model-file fuzz tests run these commands: each passes on
+    # an unedited copy, so a refusal there comes from the edit alone
+    for run, commands in ((finished_run, ("evaluate", "oracle-eval", "train")),
+                          (kernel_run, ("evaluate",))):
+        out = tmp_path / run.parent.name
+        shutil.copytree(run, out)
+        for cmd in commands:
+            assert main([cmd, "--config", _trained_config(run), "--out", str(out)]) == 0, \
+                (run, cmd, capsys.readouterr().err)
+    assert capsys.readouterr().err == ""
+
+
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(["traces.csv", "model.txt", "dataset.csv"]),
        fraction=st.floats(0.0, 1.0))
@@ -531,7 +578,7 @@ def test_truncated_files_end_in_one_error_line(finished_run, name, fraction):
         for cmd in ("evaluate", "oracle-eval", "train"):
             err = io.StringIO()
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                rc = main([cmd, "--config", str(out / "config.txt"), "--out", str(out)])
+                rc = main([cmd, "--config", _trained_config(finished_run), "--out", str(out)])
             lines = err.getvalue().splitlines()
             if name == "dataset.csv":
                 # an export no stage reads back: a cut one changes nothing
@@ -582,19 +629,19 @@ def test_evaluate_follows_a_model_trained_with_flags(default_model_run, tmp_path
 
 
 def test_l1_model_names_its_alpha_as_set(tmp_path, capsys):
-    # a lasso's alpha is per sample: 2 n alpha overflows to inf on these n train rows
+    # a lasso's alpha is per sample: n alpha overflows to inf on these n train rows
     out = tmp_path / "run"
     cfg_path = _write_config(tmp_path, corpus_circuits=60, corpus_seed=5, out_dir=str(out),
-                             model_kind="linear", model_penalty="l1", model_alpha=1e305)
+                             model_kind="linear", model_alpha=1e307)
     for cmd in ("generate", "train", "evaluate"):
         assert main([cmd, "--config", str(cfg_path)]) == 0
     _, trained, evaluated = capsys.readouterr().out.splitlines()
-    assert trained.startswith("trained linear(alpha=1e+305,penalty=l1) on ")
-    assert 2 * int(trained.split(" on ")[1].split()[0]) * 1e305 == math.inf
-    assert evaluated.startswith("evaluated linear(alpha=1e+305,penalty=l1) at ")
+    assert trained.startswith("trained linear(alpha=1e+307) on ")
+    assert int(trained.split(" on ")[1].split()[0]) * 1e307 == math.inf
+    assert evaluated.startswith("evaluated linear(alpha=1e+307) at ")
     summary = (out / "summary.csv").read_text().splitlines()[1]
-    assert summary.startswith('"linear(alpha=1e+305,penalty=l1)",')
-    assert "model.alpha = 1e+305" in (out / "model.txt").read_text().splitlines()
+    assert summary.startswith("linear(alpha=1e+307),")
+    assert "model.alpha = 1e+307" in (out / "model.txt").read_text().splitlines()
 
 
 def test_circuit_ids_with_spaces_round_trip(tmp_path, capsys):
@@ -638,7 +685,7 @@ def test_model_file_fuzz_ends_in_exit_0_or_one_error_line(kernel_run, finished_r
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # a numpy warning escapes main as an exception
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                rc = main(["evaluate", "--config", str(out / "config.txt"), "--out", str(out)])
+                rc = main(["evaluate", "--config", _trained_config(run), "--out", str(out)])
         lines = err.getvalue().splitlines()
         assert (rc, lines) == (0, []) or (
             rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")

@@ -16,7 +16,7 @@ def test_non_default_values_roundtrip(tmp_path):
     cfg = RunConfig(corpus_circuits=12, corpus_patterns="exhaustive",
                     corpus_seed=99, corpus_netlist_dir="benches",
                     split_train_fraction=0.5, model_kind="linear",
-                    model_penalty="l1", policy_tau=0.85, out_dir="runs/x")
+                    model_alpha=0.25, policy_tau=0.85, out_dir="runs/x")
     path = tmp_path / "cfg.txt"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -82,8 +82,8 @@ def test_out_dir_can_be_omitted_from_echo():
 def test_prefixes_pick_keys_in_file_order():
     cfg = RunConfig(model_alpha=1e305, policy_tau=0.9)
     assert config_to_text(cfg, MODEL_KEYS).splitlines() == [
-        "model.kind = kernel-logistic", "model.alpha = 1e+305", "model.penalty = l2",
-        "model.lambda = 1.0", "model.gamma = 1.0", "model.iterations = 2000",
-        "model.landmark_cap = 512", "model.seed = 3", "policy.tau = 0.9"]
+        "model.kind = kernel-logistic", "model.alpha = 1e+305", "model.lambda = 1.0",
+        "model.gamma = 1.0", "model.iterations = 2000", "model.landmark_cap = 512",
+        "model.seed = 3", "policy.tau = 0.9"]
     assert config_from_text(config_to_text(cfg, MODEL_KEYS)) == RunConfig(
         model_alpha=1e305, policy_tau=0.9)

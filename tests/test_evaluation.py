@@ -223,12 +223,10 @@ class TestScoresOnceMatchPerTraceReference:
 
 class TestFitPolicy:
     def test_lasso_alpha_is_per_sample_and_tau_fixed(self, splits):
-        cfg = RunConfig(model_kind="linear", model_penalty="l1", model_alpha=1e-3,
-                        policy_tau=0.8)
+        # the fit takes model.alpha as set: the lasso defines it per sample
+        cfg = RunConfig(model_kind="linear", model_alpha=1e-3, policy_tau=0.8)
         model, std, tau = ev.fit_policy(cfg, splits)
-        raw = 2.0 * len(splits.train) * 1e-3
-        direct = fit_penalized_linear(std.transform(splits.train.X), splits.train.y, raw,
-                                      penalty="l1")
+        direct = fit_penalized_linear(std.transform(splits.train.X), splits.train.y, 1e-3)
         assert tau == 0.8
         assert (model.beta.tolist(), model.intercept) == (direct.beta.tolist(), direct.intercept)
 

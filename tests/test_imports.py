@@ -11,7 +11,8 @@ third keeps each optional parameter to one that some call there sets.  A
 fourth keeps gate evaluation in ``netlist``: no other module branches on a
 gate kind or reads the gate program's opcode table.  A fifth keeps the fault
 dictionary's packed layout in ``faultsim``: no other module reads its batch
-diffs or fault slots.
+diffs or fault slots.  A sixth keeps every ``RunConfig`` field one that some
+module besides ``config`` reads, so no setting is a knob that does nothing.
 """
 
 import ast
@@ -19,10 +20,12 @@ import os
 import subprocess
 import sys
 import tomllib
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from testtrim.config import RunConfig
 from testtrim.netlist import GATE_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -399,3 +402,31 @@ def test_layout_scan_sees_attribute_reads_not_docstrings():
     assert _layout_reads(ast.parse("y = 1\nslot = self.fault_slots[f]")) == [2]
     assert _layout_reads(ast.parse('"""Reads fdict.batch_diffs and fault_slots."""\n'
                                    "batch_diffs = fault_slots = 0")) == []
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name ``tree`` reads as an attribute or passes as a call keyword."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            names.add(node.arg)
+    return names
+
+
+def test_every_config_field_has_a_reader():
+    # config.py parses, writes and checks every field; a stage must use it
+    read = set().union(*(_read_names(ast.parse(path.read_text()))
+                         for path in PACKAGE.glob("*.py")
+                         if path.name not in ("__init__.py", "config.py")))
+    unread = [f.name for f in fields(RunConfig) if f.name not in read]
+    assert unread == [], "RunConfig fields only config.py reads: " + ", ".join(unread)
+
+
+def test_config_field_scan_sees_attribute_reads_and_keywords():
+    assert _read_names(ast.parse("if cfg.model_alpha > 0:\n    pass")) == {"model_alpha"}
+    assert _read_names(ast.parse("fit(RunConfig(model_kind=kind), **extra)")) == \
+        {"model_kind"}
+    assert _read_names(ast.parse('cfg.model_seed = 3\n"""Reads cfg.model_gamma."""\n'
+                                 "model_lambda = 1")) == set()

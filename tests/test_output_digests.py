@@ -21,7 +21,7 @@ STAGES = ("generate", "train", "evaluate", "oracle-eval", "sweep")
 
 PINNED = """\
 e59ee2e02048e59262cedd3213d06e4021f52bd847749c5ed02cc9b7892d3717  beta_weights.csv
-03604c60387ccd7086a1a444ac70209a34ae3daba213d3ba9b69c0fdd9e7d5a5  config.txt
+ebcaa1143d15a021598cbc348699da4258dc1101c87fa9a55f360b7f3ba8c0e7  config.txt
 491ad6ba6dba917d68bb48af058adfb751e0e2872ffd8e1b76da0b4f83161cd8  dataset.csv
 c15fc43d4df749fdb8850d37024fb56784db0d58799ccb657f58f99f39dc0faa  dicts/c000.dict
 c40591b858be1a5abbbfcf6b06975dc23683d11bb919d2d5aac0a2e252d103a3  dicts/c001.dict
@@ -54,7 +54,7 @@ cb5db0733f3ee1738dd7e076b5c85333e6d31e206f3115ec17cbffb1a1c2f6e8  dicts/c027.dic
 048855be26718c2202d79e6dcea6fb1999a32ae4e264ea6d80c75959132501a1  dicts/c028.dict
 25025920f807446c34e350a8e788030f0f64e8ce095ce4855c11fcbc452cd0ff  dicts/c029.dict
 f5af04fc0cf4256ddc5a761a23805e3121af1bb163e548324ea1fe7bfcaf6167  learning_curve.csv
-1bc74e74bd08faf51308bb7c8b1ceb6d815dd658d21ebec2a40a372a9b0f669f  model.txt
+526653abe664b8624c81fcee018417520e63f28c420910a66dab20f518ebad8d  model.txt
 d938c02d49ef37b3f0a8b4d90734e81da6f54fbdb319123e39cee98bcd638ce2  netlists/c000.bench
 dab1dbf926435af476ac769d63bca42f1d2a6ec7eea9a5def1dd85ac26a31679  netlists/c001.bench
 ba71f627f8871abc6708a10ad293e489e0a31085696334b70afc46a3bd5f5807  netlists/c002.bench
