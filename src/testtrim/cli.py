@@ -38,16 +38,16 @@ from .models import KernelLogisticModel, load_model, save_model
 from .netlist import format_bench
 
 
-# Every flag takes one value; the value word may start with "-" (``--alpha -1e-9``).
-_FLAGS = {
-    "--config": dict(metavar="PATH", help="config file (flat key = value)"),
-    "--out": dict(metavar="DIR", help="output directory (overrides out.dir)"),
-    "--seed": dict(metavar="INT", help="corpus seed (overrides corpus.seed)"),
-    "--model": dict(choices=["linear", "kernel-logistic"],
-                    help="model kind (overrides model.kind)"),
-    "--alpha": dict(metavar="FLOAT", help="lasso weight per sample (overrides model.alpha)"),
-    "--tau": dict(metavar="FLOAT|auto", help="stop threshold (overrides policy.tau)"),
+# flag -> (the config key it overrides, metavar, help); the config checks the value
+_OVERRIDES = {
+    "--out": ("out.dir", "DIR", "output directory"),
+    "--seed": ("corpus.seed", "INT", "corpus seed"),
+    "--model": ("model.kind", "KIND", "model kind: linear or kernel-logistic"),
+    "--alpha": ("model.alpha", "FLOAT", "lasso weight per sample"),
+    "--tau": ("policy.tau", "FLOAT|auto", "stop threshold"),
 }
+# Every flag takes one value; the value word may start with "-" (``--alpha -1e-9``).
+_FLAGS = ("--config", *_OVERRIDES)
 
 
 class _UsageError(Exception):
@@ -64,8 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="testtrim",
         description="Fault-diagnosis corpus synthesis and test-termination policies.")
     common = _Parser(add_help=False)
-    for flag, kwargs in _FLAGS.items():
-        common.add_argument(flag, **kwargs)
+    common.add_argument("--config", metavar="PATH", help="config file (flat key = value)")
+    for flag, (key, metavar, text) in _OVERRIDES.items():
+        common.add_argument(flag, dest=key, metavar=metavar, help=f"{text} (overrides {key})")
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
@@ -86,9 +87,8 @@ def _attach_flag_values(argv: list[str]) -> list[str]:
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
     """The config file (or the defaults) with the flags applied, validated once."""
-    flags = {"out.dir": args.out, "corpus.seed": args.seed, "model.kind": args.model,
-             "model.alpha": args.alpha, "policy.tau": args.tau}
-    overrides = {key: value for key, value in flags.items() if value is not None}
+    given = vars(args)
+    overrides = {key: given[key] for key, _, _ in _OVERRIDES.values() if given[key] is not None}
     if args.config:
         return load_config(args.config, overrides)
     return config_from_text("", overrides)
@@ -96,22 +96,20 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_corpus_files(cfg: RunConfig):
     """The dataset derived from the corpus traces (``dataset.csv`` is an
-    export only) and the config ``generate`` recorded with them.
-
-    A ``corpus.*`` or ``split.*`` setting of ``cfg`` that differs from that
-    record is refused: the files describe another corpus or split.
-    """
+    export only).  A ``corpus.*`` or ``split.*`` setting of ``cfg`` that
+    differs from the config ``generate`` recorded is refused: the files
+    describe another corpus or split."""
     out = Path(cfg.out_dir)
     traces_path, record_path = out / "traces.csv", out / "config.txt"
     for path in (traces_path, record_path):
         if not path.exists():
             raise FileNotFoundError(f"missing {path}; run 'testtrim generate' first")
     try:
-        record = load_config(record_path)
-    except ValueError as exc:
+        record = config_from_text(record_path.read_text())
+    except ValueError as exc:   # a UnicodeDecodeError too
         raise ValueError(f"{record_path}: {exc}") from None
     check_same_settings(cfg, record, record_path, CORPUS_KEYS)
-    return dataset_from_traces(read_traces(traces_path)), record
+    return dataset_from_traces(read_traces(traces_path))
 
 
 def cmd_generate(cfg: RunConfig) -> int:
@@ -139,7 +137,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     """Fit the configured model and stop threshold, write model.txt."""
     out = Path(cfg.out_dir)
-    dataset, _ = _load_corpus_files(cfg)
+    dataset = _load_corpus_files(cfg)
     split = split_corpus(dataset, cfg, with_validation=cfg.policy_tau == "auto")
     model, std, tau = ev.fit_policy(cfg, split)
     validation = split.validation.circuit_ids if split.validation is not None else []
@@ -165,7 +163,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         raise FileNotFoundError(f"missing {model_path}; run 'testtrim train' first")
     loaded = load_model(model_path)
     check_same_settings(cfg, loaded.settings, model_path, MODEL_KEYS)
-    dataset, record = _load_corpus_files(cfg)
+    dataset = _load_corpus_files(cfg)
     split = split_corpus(dataset, cfg, with_validation=False)
 
     overlap = set(split.test.circuit_ids) & set(loaded.train_circuits)
@@ -182,7 +180,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     cls_acc = report.classification_accuracy
     model = ev.model_descriptor(cfg)
     ev.write_report_csv(report, out / "report.csv")
-    ev.write_summary_csv(report, out / "summary.csv", model, record.corpus_seed,
+    ev.write_summary_csv(report, out / "summary.csv", model, cfg.corpus_seed,
                          classification_acc=cls_acc)
     print(f"evaluated {model} at tau={report.tau:g}: "
           f"diagnosis_accuracy={report.diagnosis_accuracy:.4f} "
@@ -194,7 +192,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     """Emit sweep_alpha.csv, beta_weights.csv and learning_curve.csv."""
     out = Path(cfg.out_dir)
-    dataset, _ = _load_corpus_files(cfg)
+    dataset = _load_corpus_files(cfg)
     split = split_corpus(dataset, cfg, with_validation=True)
     if split.validation is None:
         raise ValueError("sweep needs a validation split "
@@ -213,12 +211,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_oracle_eval(cfg: RunConfig) -> int:
     """Evaluate the ground-truth scorer (each row's label) on the held-out circuits."""
     out = Path(cfg.out_dir)
-    dataset, record = _load_corpus_files(cfg)
+    dataset = _load_corpus_files(cfg)
     split = split_corpus(dataset, cfg, with_validation=False)
     tau = 1.0 if cfg.policy_tau == "auto" else float(cfg.policy_tau)
     report = ev.evaluate(split.test, split.test.y, tau)
     ev.write_report_csv(report, out / "oracle_report.csv")
-    ev.write_summary_csv(report, out / "oracle_summary.csv", "oracle", record.corpus_seed)
+    ev.write_summary_csv(report, out / "oracle_summary.csv", "oracle", cfg.corpus_seed)
     print(f"oracle policy at tau={tau:g}: "
           f"diagnosis_accuracy={report.diagnosis_accuracy:.4f} "
           f"volume_reduction={report.volume_reduction:.4f}")

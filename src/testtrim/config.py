@@ -4,20 +4,42 @@ No hidden entropy anywhere: corpus synthesis, splitting, landmark
 subsampling and threshold selection all read their seeds from here, so a
 config file pins an experiment completely.  Configs round-trip through
 their file format unchanged.
+
+:class:`RunConfig` alone states each setting's key, parser and default.
+Field ``corpus_seed`` is key ``corpus.seed``: the first underscore becomes a
+dot.  A field's type parses its value, and the word-valued
+``corpus.netlist_dir``, ``corpus.patterns`` and ``policy.tau`` name their
+parsers.  ``generate`` records the ``corpus.*`` and ``split.*`` keys in
+``config.txt`` (``CORPUS_KEYS``), and ``train`` the ``model.*`` keys and
+``policy.tau`` in ``model.txt`` (``MODEL_KEYS``).
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Mapping
+
+
+def _parse_patterns(v: str) -> int | str:
+    return "exhaustive" if v == "exhaustive" else int(v)
+
+
+def _parse_tau(v: str) -> float | str:
+    return "auto" if v == "auto" else float(v)
+
+
+def _parse_optional_str(v: str) -> str | None:
+    return v or None
+
+
+def _word_valued(default, parse):
+    return field(default=default, metadata={"parse": parse})
 
 
 @dataclass
 class RunConfig:
-    corpus_netlist_dir: str | None = None     # None: use the built-in generator
+    corpus_netlist_dir: str | None = _word_valued(None, _parse_optional_str)  # None: generate
     corpus_circuits: int = 150
-    corpus_patterns: int | str = 208          # budget per circuit (capped at 2^k) or 'exhaustive'
+    corpus_patterns: int | str = _word_valued(208, _parse_patterns)  # per circuit, or 'exhaustive'
     corpus_seed: int = 7
     corpus_min_inputs: int = 5
     corpus_max_inputs: int = 10
@@ -33,45 +55,13 @@ class RunConfig:
     model_iterations: int = 2000
     model_landmark_cap: int = 512
     model_seed: int = 3
-    policy_tau: float | str = "auto"
+    policy_tau: float | str = _word_valued("auto", _parse_tau)
     out_dir: str = "runs/default"
 
 
-def _parse_patterns(v: str) -> int | str:
-    return "exhaustive" if v == "exhaustive" else int(v)
-
-
-def _parse_tau(v: str) -> float | str:
-    return "auto" if v == "auto" else float(v)
-
-
-def _parse_optional_str(v: str) -> str | None:
-    return v or None
-
-
-# file key -> (attribute, parser)
-_KEYS: dict[str, tuple[str, object]] = {
-    "corpus.netlist_dir": ("corpus_netlist_dir", _parse_optional_str),
-    "corpus.circuits": ("corpus_circuits", int),
-    "corpus.patterns": ("corpus_patterns", _parse_patterns),
-    "corpus.seed": ("corpus_seed", int),
-    "corpus.min_inputs": ("corpus_min_inputs", int),
-    "corpus.max_inputs": ("corpus_max_inputs", int),
-    "corpus.min_gates": ("corpus_min_gates", int),
-    "corpus.max_gates": ("corpus_max_gates", int),
-    "split.train_fraction": ("split_train_fraction", float),
-    "split.validation_fraction": ("split_validation_fraction", float),
-    "split.seed": ("split_seed", int),
-    "model.kind": ("model_kind", str),
-    "model.alpha": ("model_alpha", float),
-    "model.lambda": ("model_lambda", float),
-    "model.gamma": ("model_gamma", float),
-    "model.iterations": ("model_iterations", int),
-    "model.landmark_cap": ("model_landmark_cap", int),
-    "model.seed": ("model_seed", int),
-    "policy.tau": ("policy_tau", _parse_tau),
-    "out.dir": ("out_dir", str),
-}
+# file key -> (attribute, parser), in field order
+_KEYS = {f.name.replace("_", ".", 1): (f.name, f.metadata.get("parse", f.type))
+         for f in fields(RunConfig)}
 
 
 def config_from_text(text: str, overrides: Mapping[str, str] | None = None) -> RunConfig:
@@ -112,8 +102,6 @@ def _set(cfg: RunConfig, key: str, value: str, where: str) -> None:
         raise ValueError(f"{where}: bad value for {key!r}: {value!r}") from None
 
 
-# Key prefixes of the settings each artifact records: ``config.txt`` the
-# corpus and the split it was built with, ``model.txt`` the fit's settings.
 CORPUS_KEYS = ("corpus.", "split.")
 MODEL_KEYS = ("model.", "policy.")
 
@@ -142,8 +130,12 @@ def _text(value) -> str:
 
 
 def load_config(path, overrides: Mapping[str, str] | None = None) -> RunConfig:
-    with open(path) as fh:
-        return config_from_text(fh.read(), overrides)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return config_from_text(text, overrides)
 
 
 def save_config(cfg: RunConfig, path, prefixes: tuple[str, ...] = ("",)) -> None:

@@ -51,7 +51,8 @@ def build_corpus(cfg: RunConfig) -> Corpus:
     With the built-in generator, slots whose pattern set detects no fault
     at all are regenerated with a fresh sub-seed; with user netlists they
     are skipped (a warning-free no-op: the circuit emits no trace).  A
-    netlist that does not parse is reported with its file path.
+    netlist that does not decode or parse is reported with its file path,
+    and a file name that is not UTF-8 is refused before any is read.
     """
     circuits: list[Circuit] = []
     dictionaries: list[FaultDictionary] = []
@@ -74,11 +75,18 @@ def build_corpus(cfg: RunConfig) -> Corpus:
         paths = sorted(Path(cfg.corpus_netlist_dir).glob("*.bench"))
         if not paths:
             raise ValueError(f"no .bench files in {cfg.corpus_netlist_dir}")
+        for path in paths:   # artifacts record the circuit id, the name's stem, as UTF-8
+            try:
+                path.name.encode()
+            except UnicodeError:
+                raise ValueError(f"the file name {str(path)!r} is not UTF-8") from None
         for slot, path in enumerate(paths):
             try:
                 circuit = parse_bench(path.read_text(), name=path.stem)
             except BenchParseError as exc:
                 raise BenchParseError(f"{path}: {exc}") from None
+            except UnicodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             fill_slot(circuit, _slot_rng(cfg.corpus_seed, slot, 0))
     else:
         for slot in range(cfg.corpus_circuits):

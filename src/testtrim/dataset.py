@@ -164,9 +164,8 @@ def _split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset,
         taken += 1
         acc += counts[c]
     if not taken:
-        raise ValueError(
-            f"train_fraction {train_fraction} produces an empty side "
-            f"({num_circuits} circuits, {len(dataset)} rows)")
+        raise ValueError(f"the split leaves an empty side "
+                         f"({num_circuits} circuits, {len(dataset)} rows to split)")
     return _take(dataset, keep), _take(dataset, ~keep)
 
 
@@ -182,13 +181,19 @@ class CorpusSplit:
 def split_corpus(dataset: Dataset, cfg: RunConfig,
                  with_validation: bool = True) -> CorpusSplit:
     """Two seeded circuit-level splits: test held out first, then validation
-    carved from the train side when requested."""
-    trainval, test = _split(dataset, cfg.split_train_fraction, cfg.split_seed)
-    train, validation = trainval, None
-    if with_validation and cfg.split_validation_fraction > 0.0:
-        # derived seed keeps the two shuffles independent
-        train, validation = _split(trainval, 1.0 - cfg.split_validation_fraction,
-                                   cfg.split_seed + 1)
+    carved from the train side when requested.  A split that fails raises
+    ``ValueError`` naming the ``split.*`` settings that led to it."""
+    settings = f"split.train_fraction = {cfg.split_train_fraction}"
+    try:
+        trainval, test = _split(dataset, cfg.split_train_fraction, cfg.split_seed)
+        train, validation = trainval, None
+        if with_validation and cfg.split_validation_fraction > 0.0:
+            settings += f", then split.validation_fraction = {cfg.split_validation_fraction}"
+            # derived seed keeps the two shuffles independent
+            train, validation = _split(trainval, 1.0 - cfg.split_validation_fraction,
+                                       cfg.split_seed + 1)
+    except ValueError as exc:
+        raise ValueError(f"{settings}: {exc}") from None
     return CorpusSplit(train=train, validation=validation, test=test)
 
 

@@ -172,10 +172,14 @@ def read_traces(path) -> list[DiagnosisTrace]:
     last record without a line end, which is what a cut file leaves.  A
     field is never refused for its length.  A failing index moved to
     another value that still rises passes: no file records the applied
-    patterns, so it cannot be re-checked until they are persisted.
+    patterns, so it cannot be re-checked until they are persisted.  Text
+    that does not decode is refused naming the file.
     """
-    with open(path, newline="") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     # no field is longer than its line: a long failing list is read, not refused
     longest = max(map(len, lines), default=0)
     if longest > csv.field_size_limit():

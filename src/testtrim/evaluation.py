@@ -35,9 +35,8 @@ import numpy as np
 
 from .config import RunConfig
 from .dataset import CorpusSplit, Dataset, Standardizer
-from .models import (KernelLogisticModel, LinearModel, TrainConfig,
-                     fit_kernel_logistic, fit_penalized_linear,
-                     predict_linear_batch, predict_prob_batch)
+from .models import (KernelLogisticModel, LinearModel, fit_kernel_logistic,
+                     fit_penalized_linear, predict_linear_batch, predict_prob_batch)
 
 DEFAULT_TAU_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 DEFAULT_ALPHA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
@@ -148,9 +147,10 @@ def select_tau(data: Dataset, scores: np.ndarray) -> float:
     return max(pool)[3]
 
 
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(iterations=cfg.model_iterations, seed=cfg.model_seed,
-                       landmark_cap=cfg.model_landmark_cap)
+def _fit_kernel(cfg: RunConfig, X: np.ndarray, y_bin: np.ndarray) -> KernelLogisticModel:
+    return fit_kernel_logistic(X, y_bin, cfg.model_lambda, cfg.model_gamma,
+                               iterations=cfg.model_iterations,
+                               landmark_cap=cfg.model_landmark_cap, seed=cfg.model_seed)
 
 
 def fit_policy(cfg: RunConfig, split: CorpusSplit):
@@ -162,9 +162,7 @@ def fit_policy(cfg: RunConfig, split: CorpusSplit):
     if cfg.model_kind == "linear":
         model = fit_penalized_linear(X_train, split.train.y, cfg.model_alpha)
     else:
-        model = fit_kernel_logistic(
-            X_train, split.train.labels_binary(), cfg.model_lambda, cfg.model_gamma,
-            _train_config(cfg))
+        model = _fit_kernel(cfg, X_train, split.train.labels_binary())
     if cfg.policy_tau != "auto":
         return model, std, float(cfg.policy_tau)
     if split.validation is None:
@@ -227,20 +225,18 @@ def learning_curve(split: CorpusSplit, cfg: RunConfig) -> list[tuple[int, float]
     n = len(split.train)
     if n < 2:
         raise ValueError(f"learning curve needs at least 2 train rows, got {n}")
-    config = _train_config(cfg)
     std = Standardizer.fit(split.train.X)
     X_train = std.transform(split.train.X)
     y_train = split.train.labels_binary()
     order = list(range(n))
-    random.Random(config.seed).shuffle(order)
+    random.Random(cfg.model_seed).shuffle(order)
 
     results = []
     sizes = {max(2, round(f * n)) for f in DEFAULT_CURVE_FRACTIONS}
     for size in sorted((s for s in sizes if s <= n), reverse=True):
         idx = sorted(order[:size])
         try:
-            model = fit_kernel_logistic(X_train[idx], y_train[idx], cfg.model_lambda,
-                                        cfg.model_gamma, config)
+            model = _fit_kernel(cfg, X_train[idx], y_train[idx])
         except ValueError as exc:
             raise ValueError(f"learning curve at {size} train rows: {exc}") from None
         score = classification_accuracy(score_matrix(model, std, split.test.X),

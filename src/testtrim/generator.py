@@ -20,10 +20,8 @@ from .netlist import GATE_KINDS, Circuit, build_circuit
 _UNARY = ("NOT", "BUF")
 
 
-def random_circuit(name: str, rng: random.Random,
-                   min_inputs: int = 5, max_inputs: int = 10,
-                   min_gates: int = 18, max_gates: int = 54,
-                   p_unread: float = 0.8) -> Circuit:
+def random_circuit(name: str, rng: random.Random, *, min_inputs: int, max_inputs: int,
+                   min_gates: int, max_gates: int, p_unread: float = 0.8) -> Circuit:
     num_inputs = rng.randint(min_inputs, max_inputs)
     num_gates = rng.randint(min_gates, max_gates)
     input_names = [f"x{i}" for i in range(1, num_inputs + 1)]

@@ -70,13 +70,6 @@ class LinearModel:
     intercept: float
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    iterations: int = 2000       # cap on accepted L-BFGS steps
-    seed: int = 0
-    landmark_cap: int = 512
-
-
 @dataclass
 class KernelLogisticModel:
     theta: np.ndarray            # (L+1,); theta[0] weighs the constant feature
@@ -208,7 +201,9 @@ def rbf_features(X: np.ndarray, landmarks: np.ndarray, gamma: float) -> np.ndarr
         block *= -2.0
         block += x_sq[a:b] + l_sq
         np.maximum(block, 0.0, out=block)
-        block *= -gamma
+        # a huge gamma takes a distance to -inf, whose exp is the exact kernel 0
+        with np.errstate(over="ignore"):
+            block *= -gamma
         Phi[a:b, 1:] = np.exp(block, out=block)
     return Phi
 
@@ -268,18 +263,18 @@ def _logistic_grad(theta: np.ndarray, Phi: np.ndarray, y_bin: np.ndarray,
     return grad
 
 
-def fit_kernel_logistic(X_train: np.ndarray, y_bin: np.ndarray, lam: float,
-                        gamma: float, config: TrainConfig = TrainConfig()) -> KernelLogisticModel:
+def fit_kernel_logistic(X_train: np.ndarray, y_bin: np.ndarray, lam: float, gamma: float,
+                        *, iterations: int, landmark_cap: int, seed: int) -> KernelLogisticModel:
     """Train the landmark-map logistic classifier by limited-memory BFGS.
 
-    Landmarks are the training rows, subsampled to ``config.landmark_cap``
-    with a seeded draw when the training set is larger.  theta starts at
+    Landmarks are the training rows, subsampled to ``landmark_cap`` with a
+    draw seeded by ``seed`` when the training set is larger.  theta starts at
     zero.  Each step takes the two-loop L-BFGS direction over the last
     ``LBFGS_MEMORY`` curvature pairs (the normalized steepest-descent
     direction on the first step) and backtracks from a unit step until the
     Armijo condition holds with a strict decrease.  The fit stops when the
     gradient norm drops below ``GRAD_TOL`` (converged), after
-    ``config.iterations`` accepted steps, or when the line search finds no
+    ``iterations`` accepted steps, or when the line search finds no
     decrease; the last two leave ``model.converged`` false.
     ``cost_history`` holds the initial cost and the cost after each
     accepted step, so it is strictly decreasing.
@@ -295,8 +290,8 @@ def fit_kernel_logistic(X_train: np.ndarray, y_bin: np.ndarray, lam: float,
         raise ValueError(f"training labels contain a single class ({y_bin[:1].tolist()})")
 
     n = X_train.shape[0]
-    if n > config.landmark_cap:
-        idx = sorted(random.Random(config.seed).sample(range(n), config.landmark_cap))
+    if n > landmark_cap:
+        idx = sorted(random.Random(seed).sample(range(n), landmark_cap))
         landmarks = X_train[idx].copy()
     else:
         landmarks = X_train.copy()
@@ -308,7 +303,7 @@ def fit_kernel_logistic(X_train: np.ndarray, y_bin: np.ndarray, lam: float,
     costs = [cost]
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
     grad_norm = float(np.linalg.norm(grad))
-    while grad_norm >= GRAD_TOL and len(costs) <= config.iterations:
+    while grad_norm >= GRAD_TOL and len(costs) <= iterations:
         direction = _lbfgs_direction(grad, grad_norm, pairs)
         slope = float(grad @ direction)
         step = 1.0
@@ -417,11 +412,14 @@ def load_model(path) -> LoadedModel:
     landmark row), a ``standardize_scale`` is not positive, ``tau`` is
     outside (0, 1) or differs from a numeric ``policy.tau``, the landmark
     count is below 1 or differs from the ``landmark`` lines, or ``theta`` is
-    not one longer than it.  A file of an older layout is refused with a
-    request to train again.
+    not one longer than it.  Text that does not decode is refused naming the
+    file, and a file of an older layout with a request to train again.
     """
-    with open(path, newline="") as fh:
-        lines = iter(fh.readlines())
+    try:
+        with open(path, newline="") as fh:
+            lines = iter(fh.readlines())
+    except UnicodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     header = next(lines, "").rstrip("\r\n")
     if header != MODEL_FILE_MAGIC:
         if header.startswith("testtrim-model "):

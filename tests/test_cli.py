@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from testtrim import cli
 from testtrim.cli import main
-from testtrim.config import CORPUS_KEYS, RunConfig, save_config
+from testtrim.config import CORPUS_KEYS, RunConfig, config_to_text, save_config
 from testtrim.dataset import dataset_from_traces, split_corpus
 from testtrim.diagnosis import read_traces
 from testtrim.models import load_model
@@ -478,7 +479,9 @@ def test_out_of_range_config_value_fails_cleanly(data, key, as_flag):
 @pytest.mark.parametrize("argv, message", [
     (["train", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     (["train", "--alpha"], "expected one argument"),
-    (["train", "--model", "tree"], "invalid choice: 'tree'"),
+    # the config checks the value, as it checks one set in a file
+    pytest.param(["train", "--model", "tree"],
+                 "model.kind must be 'linear' or 'kernel-logistic', got 'tree'", id="model-tree"),
     (["fit"], "invalid choice: 'fit'"),
     ([], "the following arguments are required: command"),
 ])
@@ -489,6 +492,26 @@ def test_usage_error_ends_in_one_error_line(tmp_path, monkeypatch, capsys, argv,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
     assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+# a value per overridden key that differs from its default and prints as given
+_FLAG_VALUES = {"out.dir": "elsewhere", "corpus.seed": "11", "model.kind": "linear",
+                "model.alpha": "0.5", "policy.tau": "0.9"}
+
+
+@pytest.mark.parametrize("flag, key", [(flag, key) for flag, (key, _, _) in
+                                       cli._OVERRIDES.items()])
+def test_each_flag_overrides_its_key_alone(monkeypatch, capsys, flag, key):
+    monkeypatch.setenv("COLUMNS", "200")   # one help line per flag
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    line, = [text for text in capsys.readouterr().out.splitlines()
+             if text.split()[:1] == [flag]]
+    assert line.endswith(f"(overrides {key})")
+    args = cli._build_parser().parse_args(["train", flag, _FLAG_VALUES[key]])
+    before = config_to_text(RunConfig()).splitlines()
+    after = config_to_text(cli._effective_config(args)).splitlines()
+    assert [b for a, b in zip(before, after) if a != b] == [f"{key} = {_FLAG_VALUES[key]}"]
 
 
 def test_help_still_exits_zero(capsys):
@@ -690,3 +713,64 @@ def test_model_file_fuzz_ends_in_exit_0_or_one_error_line(kernel_run, finished_r
         assert (rc, lines) == (0, []) or (
             rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")
             and "model.txt" in lines[0]), (tokens[index], lines)
+
+
+def _unreadable_input(case: str, base: Path, finished_run: Path):
+    """``(argv, the path its error names, the out dir)`` of a run whose
+    ``case`` input holds a byte or a file name that is not UTF-8."""
+    out = base / "run"
+    if case in ("traces.csv", "model.txt"):
+        shutil.copytree(finished_run, out)
+        bad = out / case
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xff", 1))
+        return (["evaluate", "--config", _trained_config(finished_run), "--out", str(out)],
+                str(bad), out)
+    benches = base / "benches"
+    benches.mkdir()
+    for name in "abc":
+        (benches / f"{name}.bench").write_text(format_bench(random_small_circuit(ord(name))))
+    overrides = _smoke_overrides(out)
+    overrides["corpus_netlist_dir"] = str(benches)
+    cfg_path = _write_config(base, **overrides)
+    if case == "netlist name":
+        bad = Path(os.fsdecode(os.fsencode(benches) + b"/bad\xff.bench"))
+        bad.write_text((benches / "a.bench").read_text())
+        return ["generate", "--config", str(cfg_path)], repr(str(bad)), out
+    if case == "netlist":
+        bad = benches / "bad.bench"
+        bad.write_bytes(b"INPUT(a)\n\xff\n")
+    else:
+        bad = cfg_path
+        bad.write_bytes(cfg_path.read_bytes() + b"# \xff\n")
+    return ["generate", "--config", str(cfg_path)], str(bad), out
+
+
+@pytest.mark.parametrize("case", ["netlist name", "netlist", "traces.csv", "model.txt",
+                                  "config"])
+def test_undecodable_input_is_named(finished_run, tmp_path, capsys, case):
+    argv, named, out = _unreadable_input(case, tmp_path, finished_run)
+    before = _tree(out) if out.exists() else None
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], lines
+    assert captured.out == ""
+    # generate writes no out dir, and evaluate no report
+    assert (_tree(out) if out.exists() else None) == before
+
+
+def test_huge_gamma_runs_every_stage(tmp_path, capsys):
+    # a finite distance times gamma overflows to -inf, whose exp is the exact kernel 0
+    out = tmp_path / "run"
+    overrides = _smoke_overrides(out, circuits=10)
+    overrides.update(split_train_fraction=0.6, split_validation_fraction=0.34,
+                     model_kind="kernel-logistic", model_gamma=1e308, model_iterations=20,
+                     policy_tau="auto")
+    cfg_path = _write_config(tmp_path, **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy warning escapes main as an exception
+        for cmd in ("generate", "train", "evaluate", "sweep"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "kernel-logistic(lambda=1,gamma=1e+308)" in captured.out

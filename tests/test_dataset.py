@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from testtrim.dataset import Standardizer, _split as split, dataset_from_traces, write_dataset
+from testtrim.config import RunConfig
+from testtrim.dataset import (Standardizer, _split as split, dataset_from_traces, split_corpus,
+                              write_dataset)
 from testtrim.diagnosis import DiagnosisTrace
 
 
@@ -107,6 +109,21 @@ def test_split_empty_sides_rejected():
         split(_equal_row_dataset(1), 0.5, seed=0)  # nothing left for test
     with pytest.raises(ValueError):
         split(dataset_from_traces([]), 0.5, seed=0)
+
+
+@pytest.mark.parametrize("train_fraction, message", [
+    # the test side is held out first: 0.01 of 48 rows rounds to none
+    (0.01, "split.train_fraction = 0.01: the split leaves an empty side "
+           "(12 circuits, 48 rows to split)"),
+    # 0.05 keeps one circuit, which the validation split cannot cut in two
+    (0.05, "split.train_fraction = 0.05, then split.validation_fraction = 0.25: "
+           "the split leaves an empty side (1 circuits, 4 rows to split)"),
+], ids=["test side", "validation side"])
+def test_split_corpus_names_the_settings_as_set(train_fraction, message):
+    cfg = RunConfig(split_train_fraction=train_fraction, split_validation_fraction=0.25)
+    with pytest.raises(ValueError) as exc:
+        split_corpus(_equal_row_dataset(12), cfg)
+    assert str(exc.value) == message
 
 
 def test_split_never_swallows_last_circuit():

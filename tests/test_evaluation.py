@@ -8,8 +8,7 @@ from testtrim import evaluation as ev
 from testtrim.config import RunConfig
 from testtrim.dataset import Standardizer, dataset_from_traces, split_corpus
 from testtrim.diagnosis import DiagnosisTrace
-from testtrim.models import (LinearModel, TrainConfig, fit_kernel_logistic,
-                             fit_penalized_linear)
+from testtrim.models import LinearModel, fit_kernel_logistic, fit_penalized_linear
 
 
 def _constant_model(value):
@@ -119,7 +118,7 @@ class TestTauMonotonicity:
         std = Standardizer.fit(split.train.X)
         model = fit_kernel_logistic(std.transform(split.train.X),
                                     split.train.labels_binary(), 1.0, 1.0,
-                                    TrainConfig(iterations=150, landmark_cap=64))
+                                    iterations=150, landmark_cap=64, seed=0)
         scores = ev.score_matrix(model, std, split.test.X)
         last = [0] * len(split.test.circuit_ids)
         for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
@@ -155,7 +154,7 @@ def fitted(request, splits):
     X = std.transform(splits.train.X)
     if request.param == "kernel":
         model = fit_kernel_logistic(X, splits.train.labels_binary(), 1.0, 1.0,
-                                    TrainConfig(iterations=150, landmark_cap=64))
+                                    iterations=150, landmark_cap=64, seed=0)
     else:
         model = fit_penalized_linear(X, splits.train.y, 1e-3)
     return model, std
@@ -278,10 +277,10 @@ class TestLearningCurve:
         curve = ev.learning_curve(split, cfg)
 
         # the full-size point reproduces a direct fit on the whole train set
-        tc = TrainConfig(iterations=120, landmark_cap=64, seed=5)
         std = Standardizer.fit(split.train.X)
         model = fit_kernel_logistic(std.transform(split.train.X),
-                                    split.train.labels_binary(), 0.5, 2.0, tc)
+                                    split.train.labels_binary(), 0.5, 2.0,
+                                    iterations=120, landmark_cap=64, seed=5)
         direct = ev.classification_accuracy(ev.score_matrix(model, std, split.test.X),
                                             split.test.y)
         assert curve[-1] == (len(split.train), direct)

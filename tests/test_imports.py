@@ -13,6 +13,8 @@ gate kind or reads the gate program's opcode table.  A fifth keeps the fault
 dictionary's packed layout in ``faultsim``: no other module reads its batch
 diffs or fault slots.  A sixth keeps every ``RunConfig`` field one that some
 module besides ``config`` reads, so no setting is a knob that does nothing.
+A seventh keeps ``RunConfig`` the one place a setting's default is written:
+no parameter or dataclass field elsewhere named for a setting has a default.
 """
 
 import ast
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from testtrim.config import RunConfig
+from testtrim.config import RunConfig, config_to_text
 from testtrim.netlist import GATE_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -161,7 +163,8 @@ def test_kernel_fit_leaves_numpy_ma_unloaded():
     # every train and sweep process fits; numpy.ma costs a fresh one ~10 ms
     fit = ("import numpy as np\n"
            "X = np.random.default_rng(0).normal(size=(20, 3))\n"
-           "testtrim.models.fit_kernel_logistic(X, (X[:, 0] > 0) * 1.0, 1e-3, 0.5)")
+           "testtrim.models.fit_kernel_logistic(X, (X[:, 0] > 0) * 1.0, 1e-3, 0.5,\n"
+           "                                   iterations=2000, landmark_cap=512, seed=0)")
     assert _loaded_after(["testtrim.models"], ["numpy.ma"], fit) == []
 
 
@@ -430,3 +433,65 @@ def test_config_field_scan_sees_attribute_reads_and_keywords():
         {"model_kind"}
     assert _read_names(ast.parse('cfg.model_seed = 3\n"""Reads cfg.model_gamma."""\n'
                                  "model_lambda = 1")) == set()
+
+
+def _setting_names() -> set[str]:
+    """The last part of every config key: ``seed``, ``iterations``, ..."""
+    return {line.partition(" = ")[0].rpartition(".")[2]
+            for line in config_to_text(RunConfig()).splitlines()}
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+            or isinstance(decorator, ast.Attribute) and decorator.attr == "dataclass")
+
+
+def _restated_settings(tree: ast.Module, names) -> list[tuple[str, int]]:
+    """``(name, line)`` of every function parameter and every dataclass field
+    in ``tree`` that has a default and whose name is in ``names``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [(a.arg, a.lineno) for a in with_default if a.arg in names]
+        elif isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            found += [(item.target.id, item.lineno) for item in node.body
+                      if isinstance(item, ast.AnnAssign) and item.value is not None
+                      and isinstance(item.target, ast.Name) and item.target.id in names]
+    return found
+
+
+def test_settings_have_their_defaults_in_run_config_alone():
+    # a second default drifts from RunConfig's: TrainConfig's seed was 0, model.seed is 3
+    names = _setting_names()
+    found = [f"{path.name}:{line} {name}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "config.py"
+             for name, line in _restated_settings(ast.parse(path.read_text()), names)]
+    assert found == [], "setting defaults outside config.py: " + ", ".join(found)
+
+
+def test_restated_setting_scan_sees_parameters_and_dataclass_fields():
+    assert {"seed", "iterations", "landmark_cap", "min_inputs", "tau"} <= _setting_names()
+    names = {"seed", "iterations", "min_inputs"}
+    flagged = ["def f(x, seed=0): pass",
+               "def f(*, iterations=5): pass",
+               "def f(seed=0, /): pass",
+               "g = lambda seed=1: seed",
+               "class K:\n    def m(self, min_inputs=2): pass",
+               "@dataclass\nclass C:\n    seed: int = 0",
+               "@dataclasses.dataclass(frozen=True)\nclass C:\n    iterations: int = 9"]
+    for code in flagged:
+        assert _restated_settings(ast.parse(code), names), code
+    clean = ["def f(x, seed): pass",
+             "def f(*, iterations, p_unread=0.8): pass",
+             "@dataclass\nclass C:\n    seed: int",
+             "class C:\n    seed: int = 0",
+             "seed = 0\nf(seed=1)"]
+    for code in clean:
+        assert _restated_settings(ast.parse(code), names) == [], code
+    assert _restated_settings(ast.parse("def f(a,\n      seed=0): pass"), names) == [("seed", 2)]

@@ -13,7 +13,7 @@ from oracles import (central_difference_gradient, lbfgs_every_trial, naive_sigmo
                      rbf_map_reference, sigmoid_reference)
 from testtrim import models
 from testtrim.config import MODEL_KEYS, RunConfig, config_to_text
-from testtrim.models import (KernelLogisticModel, LinearModel, TrainConfig, _sigmoid,
+from testtrim.models import (KernelLogisticModel, LinearModel, _sigmoid,
                              fit_kernel_logistic, fit_penalized_linear, load_model,
                              logistic_cost_grad, predict_linear_batch, predict_prob_batch,
                              rbf_features, save_model)
@@ -285,7 +285,7 @@ class TestFitKernelLogistic:
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         y = np.array([0.0, 1.0])
         model = fit_kernel_logistic(X, y, lam=0.01, gamma=1.0,
-                                    config=TrainConfig(iterations=3000))
+                                    iterations=3000, landmark_cap=512, seed=0)
         p = predict_prob_batch(model, X)
         assert p[0] < 0.5 < p[1]
 
@@ -293,9 +293,9 @@ class TestFitKernelLogistic:
         rng = np.random.default_rng(12)
         X = rng.normal(size=(80, 3))
         y = (X[:, 0] + X[:, 1] > 0).astype(float)
-        cfg = TrainConfig(iterations=200, seed=4, landmark_cap=32)
-        a = fit_kernel_logistic(X, y, 0.5, 1.0, cfg)
-        b = fit_kernel_logistic(X, y, 0.5, 1.0, cfg)
+        fit = dict(iterations=200, seed=4, landmark_cap=32)
+        a = fit_kernel_logistic(X, y, 0.5, 1.0, **fit)
+        b = fit_kernel_logistic(X, y, 0.5, 1.0, **fit)
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.landmarks, b.landmarks)
 
@@ -303,8 +303,7 @@ class TestFitKernelLogistic:
         rng = np.random.default_rng(13)
         X = rng.normal(size=(100, 3))
         y = (X[:, 0] > 0).astype(float)
-        model = fit_kernel_logistic(X, y, 0.5, 1.0,
-                                    TrainConfig(iterations=5, landmark_cap=16, seed=0))
+        model = fit_kernel_logistic(X, y, 0.5, 1.0, iterations=5, landmark_cap=16, seed=0)
         assert model.landmarks.shape == (16, 3)
         rows = {tuple(r) for r in X}
         assert all(tuple(lm) in rows for lm in model.landmarks)
@@ -313,8 +312,7 @@ class TestFitKernelLogistic:
         rng = np.random.default_rng(14)
         X = rng.normal(size=(120, 4))
         y = (X[:, 0] - X[:, 2] > 0.2).astype(float)
-        model = fit_kernel_logistic(X, y, 1.0, 1.0,
-                                    TrainConfig(iterations=500, landmark_cap=64))
+        model = fit_kernel_logistic(X, y, 1.0, 1.0, iterations=500, landmark_cap=64, seed=0)
         costs = model.cost_history
         assert len(costs) > 1
         assert all(b <= a + 1e-10 for a, b in zip(costs, costs[1:]))
@@ -333,7 +331,8 @@ class TestFitKernelLogistic:
         y[:2] = (0.0, 1.0)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(models, "GRAD_TOL", 1e-8)
-            model = fit_kernel_logistic(X, y, lam, 1.0)
+            model = fit_kernel_logistic(X, y, lam, 1.0,
+                                        iterations=2000, landmark_cap=512, seed=0)
             converged = model.converged
         Phi = rbf_features(X, model.landmarks, 1.0)
         _, ref_cost = newton_logistic(Phi, y, lam)
@@ -348,7 +347,7 @@ class TestFitKernelLogistic:
         rng = np.random.default_rng(21)
         X = rng.normal(size=(60, 3))
         y = (X[:, 0] - X[:, 1] > 0).astype(float)
-        model = fit_kernel_logistic(X, y, 1.0, 1.0, TrainConfig(iterations=3))
+        model = fit_kernel_logistic(X, y, 1.0, 1.0, iterations=3, landmark_cap=512, seed=0)
         assert not model.converged
         assert model.grad_norm >= models.GRAD_TOL
         assert len(model.cost_history) <= 4
@@ -356,7 +355,8 @@ class TestFitKernelLogistic:
     def test_single_class_rejected(self):
         X = np.zeros((5, 2))
         with pytest.raises(ValueError, match="single class"):
-            fit_kernel_logistic(X, np.ones(5), 1.0, 1.0)
+            fit_kernel_logistic(X, np.ones(5), 1.0, 1.0,
+                                iterations=2000, landmark_cap=512, seed=0)
 
     # every problem backtracks at least once; the last one stops at its cap
     @pytest.mark.parametrize("seed, lam, gamma, iterations", [
@@ -369,8 +369,7 @@ class TestFitKernelLogistic:
         X = rng.normal(size=(rows, width)) * (1 + seed)
         y = (X[:, 0] + rng.normal(size=rows) * 0.5 > 0).astype(float)
         model = fit_kernel_logistic(X, y, lam, gamma,
-                                    TrainConfig(iterations=iterations, seed=seed,
-                                                landmark_cap=64))
+                                    iterations=iterations, seed=seed, landmark_cap=64)
         Phi = rbf_features_one_shot(X, model.landmarks, gamma)
         theta, costs, grad_norm, backtracks = lbfgs_every_trial(Phi, y, lam, iterations)
         assert backtracks > 0
@@ -483,8 +482,7 @@ class TestModelFiles:
         rng = np.random.default_rng(19)
         X = rng.normal(size=(30, 5))
         y = (X[:, 0] > 0).astype(float)
-        model = fit_kernel_logistic(X, y, 0.7, 1.1,
-                                    TrainConfig(iterations=50, landmark_cap=8, seed=2))
+        model = fit_kernel_logistic(X, y, 0.7, 1.1, iterations=50, landmark_cap=8, seed=2)
         std = Standardizer.fit(X)
         settings = RunConfig(model_lambda=0.7, model_gamma=1.1, model_iterations=50,
                              model_landmark_cap=8, model_seed=2)
@@ -598,7 +596,7 @@ class TestModelFileValidation:
                    RunConfig(model_kind="linear", model_alpha=0.1, policy_tau=0.9), (), tau=0.9)
         kernel = tmp / "kernel.txt"
         model = fit_kernel_logistic(X, (X[:, 0] > 0).astype(float), 0.7, 1.1,
-                                    TrainConfig(iterations=5, landmark_cap=4, seed=2))
+                                    iterations=5, landmark_cap=4, seed=2)
         settings = RunConfig(model_lambda=0.7, model_gamma=1.1, model_iterations=5,
                              model_landmark_cap=4, model_seed=2)
         save_model(kernel, model, std, settings, (), tau=0.6)
