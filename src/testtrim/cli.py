@@ -88,7 +88,8 @@ def _attach_flag_values(argv: list[str]) -> list[str]:
 def _effective_config(args: argparse.Namespace) -> RunConfig:
     """The config file (or the defaults) with the flags applied, validated once."""
     given = vars(args)
-    overrides = {key: given[key] for key, _, _ in _OVERRIDES.values() if given[key] is not None}
+    overrides = [(flag, key, given[key]) for flag, (key, _, _) in _OVERRIDES.items()
+                 if given[key] is not None]
     if args.config:
         return load_config(args.config, overrides)
     return config_from_text("", overrides)
@@ -104,11 +105,7 @@ def _load_corpus_files(cfg: RunConfig):
     for path in (traces_path, record_path):
         if not path.exists():
             raise FileNotFoundError(f"missing {path}; run 'testtrim generate' first")
-    try:
-        record = config_from_text(record_path.read_text())
-    except ValueError as exc:   # a UnicodeDecodeError too
-        raise ValueError(f"{record_path}: {exc}") from None
-    check_same_settings(cfg, record, record_path, CORPUS_KEYS)
+    check_same_settings(cfg, load_config(record_path), record_path, CORPUS_KEYS)
     return dataset_from_traces(read_traces(traces_path))
 
 

@@ -8,15 +8,25 @@ Each failing pattern of a trace becomes one row with five features:
     x4  index of this failing pattern
     x5  index of the circuit's last failing pattern
 
-plus the regression label y and the row's convergence ratio m.  A
-:class:`Dataset` holds these as arrays: the float feature matrix ``X``,
-the label vector ``y``, the ratio vector ``m``, each circuit's applied
-pattern count ``total_patterns``, and the circuit boundaries (circuit ids
-plus row offsets), so circuit ``c`` owns rows ``offsets[c]:offsets[c + 1]``
-in trace order.  A split's ``Dataset`` is all that scoring a stop policy
-on it needs.  Rows of one circuit are heavily correlated (they share
-x1/x3/x5), so :func:`split_corpus`, the one split every stage applies,
-cuts whole circuits.  Rows come from the trace record alone.
+plus the row's convergence ratio m and its regression label y.  With
+``golden`` the trace's last intermediate size and ``size`` the row's,
+m = golden / size; it does not fall along a trace and ends at 1.  The
+label rescales m so that each trace spans [0, 1]: y = 1 where m = 1,
+otherwise (m - m_min) / (1 - m_min) with m_min the trace's smallest m.
+Both are rounded to six digits, the digits ``traces.csv`` held when it
+stored them, so ``dataset.csv``, ``model.txt`` and every metric CSV keep
+the bytes they had then.  :func:`~testtrim.diagnosis.read_traces` refuses
+the sizes that would put an m outside (0, 1].
+
+A :class:`Dataset` holds the rows as arrays: the float feature matrix
+``X``, the label vector ``y``, the ratio vector ``m``, each circuit's
+applied pattern count ``total_patterns``, and the circuit boundaries
+(circuit ids plus row offsets), so circuit ``c`` owns rows
+``offsets[c]:offsets[c + 1]`` in trace order.  A split's ``Dataset`` is
+all that scoring a stop policy on it needs.  Rows of one circuit are
+heavily correlated (they share x1/x3/x5), so :func:`split_corpus`, the one
+split every stage applies, cuts whole circuits.  Rows come from the trace
+record alone, and this module derives every value of a row.
 """
 
 from __future__ import annotations
@@ -101,7 +111,8 @@ def _offsets(counts: Sequence[int]) -> np.ndarray:
 
 
 def dataset_from_traces(traces: Iterable[DiagnosisTrace]) -> Dataset:
-    """One row per failing pattern of each trace, circuits in trace order."""
+    """One row per failing pattern of each trace, circuits in trace order;
+    m and y as the module docstring defines them."""
     ids, totals, counts, x1, x3, x4, x5, y, m = [], [], [], [], [], [], [], [], []
     for t in traces:
         failing = t.failing_indices
@@ -112,8 +123,11 @@ def dataset_from_traces(traces: Iterable[DiagnosisTrace]) -> Dataset:
         x3.append(failing[0])
         x5.append(failing[-1])
         x4.extend(failing)
-        y.extend(t.y_values)
-        m.extend(t.m_values)
+        ratios = [t.golden_size / size for size in t.intermediate_sizes]
+        m_min = min(ratios)
+        # Python's round: np.round can differ in the last bit, and so would the bytes
+        m.extend(round(r, 6) for r in ratios)
+        y.extend(1.0 if r == 1.0 else round((r - m_min) / (1.0 - m_min), 6) for r in ratios)
     offsets = _offsets(counts)
     X = np.empty((len(x4), NUM_FEATURES))
     X[:, 0] = np.repeat(x1, counts)

@@ -18,16 +18,13 @@ The elimination indices come from the dictionary
 reads its packed per-fault records, not its rows; this module keeps the
 record math.
 
-The golden candidate set is the intermediate set at the last failing
-pattern.  The convergence ratio m = |golden| / |intermediate| is
-non-decreasing and ends at 1; the regression label y rescales m so that
-each trace spans [0, 1], with y = 1 reserved for converged rows.
-
 ``traces.csv`` holds one record per failing circuit: its id, input count
 and applied pattern count, its failing indices and its intermediate sizes.
-The golden size is the last size, and m and y are derived from the sizes,
-so no field of the record repeats another.  The model side reads this
-record, so the fault simulator is imported for type annotations only.
+No field of the record repeats another: the golden size is the last size,
+and the convergence ratios and labels of the feature rows are derived from
+the sizes by :func:`~testtrim.dataset.dataset_from_traces`.  The model side
+reads this record, so the fault simulator is imported for type annotations
+only.
 """
 
 from __future__ import annotations
@@ -35,8 +32,7 @@ from __future__ import annotations
 import bisect
 import csv
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .faultsim import Fault, FaultDictionary
@@ -48,57 +44,24 @@ class UndiagnosableFaultError(ValueError):
 
 @dataclass
 class DiagnosisTrace:
-    """Ordered per-failing-pattern record for one failing circuit.
-
-    ``golden_size`` is the last intermediate size; :func:`read_traces`
-    sets it so, and a trace keeps it as built.  The convergence ratios
-    ``m_values`` and labels ``y_values`` are derived from the sizes, each
-    once, on first use: a trace is not changed after it is built.  They are
-    rounded to six digits, the digits ``traces.csv`` held when it stored
-    them, so the rows, and with them ``dataset.csv``, ``model.txt`` and
-    every metric CSV, keep the bytes they had then.
-    """
+    """Ordered per-failing-pattern record for one failing circuit: the
+    fields of a ``traces.csv`` record, plus the injected fault of a trace
+    built by :func:`trace_diagnosis`."""
 
     circuit_id: str
     num_inputs: int
     total_patterns: int
     failing_indices: list[int]          # 1-based pattern indices, strictly increasing
-    intermediate_sizes: list[int]       # non-increasing, ending at golden_size
-    golden_size: int
+    intermediate_sizes: list[int]       # non-increasing, ending at the golden size
     injected_fault: Fault | None = None
+
+    @property
+    def golden_size(self) -> int:
+        return self.intermediate_sizes[-1]
 
     @property
     def num_failing(self) -> int:
         return len(self.failing_indices)
-
-    @cached_property
-    def m_values(self) -> list[float]:
-        """Per failing pattern, m = |golden| / |intermediate|."""
-        return [round(self.golden_size / size, 6) for size in self.intermediate_sizes]
-
-    @cached_property
-    def y_values(self) -> list[float]:
-        """Per failing pattern, the label :func:`_compute_labels` gives m."""
-        m_values = [self.golden_size / size for size in self.intermediate_sizes]
-        return [round(y, 6) for y in _compute_labels(m_values)]
-
-
-def _compute_labels(m_values: Sequence[float]) -> list[float]:
-    """Rescale a trace's m sequence to labels in [0, 1].
-
-    y = 1 where m = 1, otherwise (m - m_min) / (1 - m_min) with m_min the
-    minimum over this trace.  When every row has already converged
-    (m_min = 1) all labels are 1.
-    """
-    if not m_values:
-        raise ValueError("empty m sequence")
-    for m in m_values:
-        if not 0.0 < m <= 1.0:
-            raise ValueError(f"m values must lie in (0, 1], got {m}")
-    m_min = min(m_values)
-    if m_min == 1.0:
-        return [1.0] * len(m_values)
-    return [1.0 if m == 1.0 else (m - m_min) / (1.0 - m_min) for m in m_values]
 
 
 def trace_diagnosis(fdict: FaultDictionary, injected: Fault) -> DiagnosisTrace:
@@ -132,7 +95,6 @@ def trace_diagnosis(fdict: FaultDictionary, injected: Fault) -> DiagnosisTrace:
         total_patterns=fdict.num_patterns,
         failing_indices=[p + 1 for p in failing0],
         intermediate_sizes=sizes,
-        golden_size=sizes[-1],
         injected_fault=injected,
     )
 
@@ -159,18 +121,18 @@ def read_traces(path) -> list[DiagnosisTrace]:
     """Rebuild traces from a CSV export, one trace per record.
 
     Each record carries its circuit's applied pattern count, so a reader
-    needs no corpus settings.  The golden size is the record's last size,
-    and m and y are derived from the sizes.  Loaded traces carry no
-    injected-fault ground truth.  Blank lines are skipped.  Each refusal
-    raises ``ValueError`` naming the file and the line: a header other than
-    :data:`TRACE_HEADER` (as an older export holds), a file without
-    records, a wrong number of fields or a value that is not an int, a
-    second record for one circuit id, lists that are empty or differ in
-    length, ``num_inputs`` below 1, a count or size above 2**53, failing
-    indices that do not rise strictly from 1 up to ``total_patterns``, more
-    patterns than ``2**num_inputs``, sizes that rise or fall below 1, and a
-    last record without a line end, which is what a cut file leaves.  A
-    field is never refused for its length.  A failing index moved to
+    needs no corpus settings.  Loaded traces carry no injected-fault ground
+    truth.  Blank lines are skipped.  Each refusal raises ``ValueError``
+    naming the file and the line: a header other than :data:`TRACE_HEADER`
+    (as an older export holds), a file without records, a wrong number of
+    fields or a value that is not an int, a second record for one circuit
+    id, lists that are empty or differ in length, ``num_inputs`` below 1, a
+    count or size above 2**53, failing indices that do not rise strictly
+    from 1 up to ``total_patterns``, more patterns than ``2**num_inputs``,
+    sizes that rise or fall below 1, and a last record without a line end,
+    which is what a cut file leaves.  These checks are what makes every
+    derived ratio m = golden / size lie in (0, 1].  A field is never
+    refused for its length.  A failing index moved to
     another value that still rises passes: no file records the applied
     patterns, so it cannot be re-checked until they are persisted.  Text
     that does not decode is refused naming the file.
@@ -228,7 +190,7 @@ def read_traces(path) -> list[DiagnosisTrace]:
                                      f"{before} before it")
             if sizes[-1] < 1:
                 raise ValueError(f"intermediate size {sizes[-1]} is below 1")
-            traces[cid] = DiagnosisTrace(cid, num_inputs, total, failing, sizes, sizes[-1])
+            traces[cid] = DiagnosisTrace(cid, num_inputs, total, failing, sizes)
         if not traces:
             raise ValueError("no trace record")
         if not lines[-1].endswith(("\n", "\r")):

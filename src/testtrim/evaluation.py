@@ -180,7 +180,6 @@ class AlphaPoint:
     volume_reduction: float
     label_accuracy: float
     beta: tuple[float, ...]
-    intercept: float
 
 
 def sweep_alpha(alphas: Sequence[float], split: CorpusSplit) -> list[AlphaPoint]:
@@ -203,7 +202,6 @@ def sweep_alpha(alphas: Sequence[float], split: CorpusSplit) -> list[AlphaPoint]
             volume_reduction=rep.volume_reduction,
             label_accuracy=rep.classification_accuracy,
             beta=tuple(float(b) for b in model.beta),
-            intercept=model.intercept,
         ))
     return points
 

@@ -407,13 +407,15 @@ def load_model(path) -> LoadedModel:
     they meet the checks of a config file, and each ``model.*`` and
     ``policy.tau`` key must be set.  Every other refusal raises
     ``ValueError`` naming the offending key: a key the kind needs is
-    missing, a value does not parse or is not finite, a vector is not
-    ``NUM_FEATURES`` wide (the ``standardize_*`` vectors, ``beta`` and each
-    landmark row), a ``standardize_scale`` is not positive, ``tau`` is
-    outside (0, 1) or differs from a numeric ``policy.tau``, the landmark
-    count is below 1 or differs from the ``landmark`` lines, or ``theta`` is
-    not one longer than it.  Text that does not decode is refused naming the
-    file, and a file of an older layout with a request to train again.
+    missing, a key other than ``landmark`` has a second line, a key is
+    neither common nor of the file's kind, a value does not parse or is
+    not finite, a vector is not ``NUM_FEATURES`` wide (the
+    ``standardize_*`` vectors, ``beta`` and each landmark row), a
+    ``standardize_scale`` is not positive, ``tau`` is outside (0, 1) or
+    differs from a numeric ``policy.tau``, the landmark count is below 1 or
+    differs from the ``landmark`` lines, or ``theta`` is not one longer
+    than it.  Text that does not decode is refused naming the file, and a
+    file of an older layout with a request to train again.
     """
     try:
         with open(path, newline="") as fh:
@@ -439,6 +441,8 @@ def load_model(path) -> LoadedModel:
         settings_lines.append(line if "." in key else "")
         if key == "landmark":
             landmark_rows.append(rest)
+        elif key in fields:
+            raise ValueError(f"{path}: a second {key!r} line")
         elif "." not in key:
             fields[key] = rest
         if key == "train_circuits":
@@ -449,16 +453,19 @@ def load_model(path) -> LoadedModel:
     else:
         raise ValueError(f"{path} is truncated (missing 'end')")
 
-    try:
-        settings = config_from_text("\n".join(settings_lines))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    settings = config_from_text("\n".join(settings_lines), source=path)
     present = fields.keys() | {line.partition("=")[0].strip() for line in settings_lines}
     setting_keys = [line.partition(" ")[0]
                     for line in config_to_text(settings, MODEL_KEYS).splitlines()]
-    for key in setting_keys + [*_COMMON_KEYS, *_KIND_KEYS[settings.model_kind]]:
+    needed = [*_COMMON_KEYS, *_KIND_KEYS[settings.model_kind]]
+    for key in setting_keys + needed:
         if key not in present:
             raise ValueError(f"{path}: missing key {key!r}")
+    # 'landmark' rows belong to a 'landmarks' count
+    rows = ["landmark"] if landmark_rows and "landmarks" not in needed else []
+    for key in [*fields, *rows]:
+        if key not in needed:
+            raise ValueError(f"{path}: unknown key {key!r} in a {settings.model_kind} model")
 
     def parse(key: str, convert, text: str | None = None):
         text = fields[key] if text is None else text

@@ -243,7 +243,9 @@ def test_evaluate_refuses_model_value_a_config_refuses(kernel_run, tmp_path, cap
     assert main(["evaluate", "--config", _trained_config(kernel_run), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {model_path}: ") and key in err[0], err
+    # a settings line is named by its line, as in a config file
+    named = (f"error: {model_path}: ", f"error: {model_path} line ")
+    assert len(err) == 1 and err[0].startswith(named) and key in err[0], err
     assert captured.out == "" and not (out / "summary.csv").exists()
 
 
@@ -484,6 +486,9 @@ def test_out_of_range_config_value_fails_cleanly(data, key, as_flag):
                  "model.kind must be 'linear' or 'kernel-logistic', got 'tree'", id="model-tree"),
     (["fit"], "invalid choice: 'fit'"),
     ([], "the following arguments are required: command"),
+    # an error in a flag's value names the flag
+    pytest.param(["train", "--seed", "x"], "error: --seed: bad value for 'corpus.seed': 'x'",
+                 id="seed-x"),
 ])
 def test_usage_error_ends_in_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -56,6 +56,30 @@ def test_validation_rules():
             config_from_text(text + "\n")
 
 
+@pytest.mark.parametrize("text, overrides, message", [
+    ("model.learning_rate = 1\n", (), "{path} line 1: unknown key 'model.learning_rate'"),
+    ("\nsplit.train_fraction = 1.5\n", (),
+     "{path} line 2: split.train_fraction must be in (0, 1), got 1.5"),
+    ("corpus.patterns = 0\n", (),
+     "{path} line 1: corpus.patterns must be at least 1 or 'exhaustive', got 0"),
+    ("", [("--seed", "corpus.seed", "x")], "--seed: bad value for 'corpus.seed': 'x'"),
+    ("", [("--tau", "policy.tau", "2")],
+     "--tau: policy.tau must be in (0, 1) or 'auto', got 2.0"),
+    # a file value is checked as it is read, before a flag replaces it
+    ("policy.tau = 2\n", [("--tau", "policy.tau", "0.5")],
+     "{path} line 1: policy.tau must be in (0, 1) or 'auto', got 2.0"),
+    ("corpus.min_gates = 9\ncorpus.max_gates = 3\n", (),
+     "{path}: corpus.min_gates 9 is above corpus.max_gates 3"),
+], ids=["unknown key", "fraction out of range", "no pattern", "flag value does not parse",
+        "flag value out of range", "file value out of range under a flag", "min above max"])
+def test_errors_name_the_file_and_line_or_the_flag(tmp_path, text, overrides, message):
+    path = tmp_path / "run.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_config(path, overrides)
+    assert str(exc.value) == message.format(path=path)
+
+
 def test_numeric_range_edges_accepted():
     cfg = config_from_text("model.alpha = 0\nmodel.lambda = 0\nmodel.gamma = 1e-9\n"
                            "model.iterations = 1\nmodel.landmark_cap = 1\n"

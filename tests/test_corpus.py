@@ -91,10 +91,13 @@ def test_split_corpus_partitions_traces(small_corpus):
     assert not val_ids & test_ids
     # each portion carries its circuits' pattern counts and its rows' m
     by_id = {t.circuit_id: t for t in small_corpus.traces}
+    ds = small_corpus.dataset
+    m_by_id = {cid: ds.m[ds.offsets[c]:ds.offsets[c + 1]].tolist()
+               for c, cid in enumerate(ds.circuit_ids)}
     for part in (s.train, s.validation, s.test):
         assert part.total_patterns.tolist() == [by_id[c].total_patterns
                                                 for c in part.circuit_ids]
-        assert part.m.tolist() == [m for c in part.circuit_ids for m in by_id[c].m_values]
+        assert part.m.tolist() == [m for c in part.circuit_ids for m in m_by_id[c]]
     assert len(s.train) + len(s.validation) + len(s.test) == len(small_corpus.dataset)
 
 

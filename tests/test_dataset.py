@@ -17,7 +17,7 @@ def _trace(circuit_id, num_inputs, failing, sizes=None, total=50):
     sizes = list(range(len(failing), 0, -1)) if sizes is None else list(sizes)
     return DiagnosisTrace(
         circuit_id=circuit_id, num_inputs=num_inputs, total_patterns=total,
-        failing_indices=list(failing), intermediate_sizes=sizes, golden_size=sizes[-1],
+        failing_indices=list(failing), intermediate_sizes=sizes,
     )
 
 
@@ -43,6 +43,51 @@ def test_extract_features_single_failing_pattern():
     assert ds.offsets.tolist() == [0, 1, 3]
     assert ds.m.tolist() == [1.0, 0.5, 1.0]
     assert ds.total_patterns.tolist() == [50, 50]
+
+
+def _labels(sizes):
+    """The y column of one trace with these intermediate sizes."""
+    return dataset_from_traces([_trace("c", 5, range(1, len(sizes) + 1), sizes)]).y.tolist()
+
+
+class TestLabels:
+    """y rescales m = golden / size per trace; m is the golden size over each size."""
+
+    def test_direct_substitution(self):
+        got = _labels([5, 2, 1])  # m = 0.2, 0.5, 1
+        assert got == pytest.approx([0.0, 0.375, 1.0], abs=1e-12)
+        assert got[0] == 0.0 and got[-1] == 1.0  # boundary rows are exact
+
+    def test_single_converged_row(self):
+        assert _labels([1]) == [1.0]
+
+    def test_minimum_maps_to_zero(self):
+        assert _labels([4, 4, 1]) == [0.0, 0.0, 1.0]  # m = 0.25, 0.25, 1
+
+    def test_all_converged(self):
+        assert _labels([3, 3, 3]) == [1.0, 1.0, 1.0]
+
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=30),
+           st.integers(min_value=1, max_value=50))
+    def test_label_laws_on_synthetic_m(self, increments, golden):
+        # build a non-increasing size sequence ending at the golden size
+        sizes = []
+        acc = golden
+        for inc in reversed(increments):
+            sizes.append(acc)
+            acc += inc
+        sizes = list(reversed(sizes))
+        m = [golden / s for s in sizes]
+        y = _labels(sizes)
+        assert all(0.0 <= v <= 1.0 for v in y)
+        assert y[-1] == 1.0
+        m_min = min(m)
+        if m_min < 1.0:
+            assert min(y) == 0.0
+            for mi, yi in zip(m, y):
+                assert (yi == 1.0) == (mi == 1.0)
+        assert max(y) == 1.0
 
 
 def test_feature_row_invariants(small_corpus):

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from conftest import EDGE_BENCHES, random_pattern_list, random_small_circuit
 from oracles import full_pass_fault_words, oracle_candidate_sets, prefix_replay_candidate_sets
 from testtrim import faultsim
+from testtrim.dataset import dataset_from_traces
 from testtrim.diagnosis import (TRACE_HEADER, DiagnosisTrace, UndiagnosableFaultError,
-                                _compute_labels, read_traces, trace_diagnosis,
-                                write_traces)
+                                read_traces, trace_diagnosis, write_traces)
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns)
 from testtrim.generator import random_circuit
@@ -40,8 +40,13 @@ def test_and_output_stuck_fails_on_zero_patterns(and_circuit):
     assert trace.num_failing == 3
     assert trace.failing_indices == [1, 2, 3]  # patterns 00, 10, 01 (code order)
     assert trace.total_patterns == 4
-    assert trace.m_values[-1] == 1.0
-    assert trace.y_values[-1] == 1.0
+    ds = dataset_from_traces([trace])
+    assert ds.m[-1] == 1.0 and ds.y[-1] == 1.0
+
+
+def test_trace_record_holds_the_persisted_fields_only():
+    # the golden size, m and y are derived: none of them is a field
+    assert [f.name for f in fields(DiagnosisTrace)] == TRACE_HEADER + ["injected_fault"]
 
 
 def test_injected_always_a_candidate(sample6):
@@ -157,16 +162,18 @@ def test_trace_replay_across_batches_matches_prefix_replay(stems_per_batch):
 
 
 def test_monotone_refinement_and_soundness(small_corpus):
-    for fdict, trace in zip(small_corpus.dictionaries, small_corpus.traces):
+    ds = small_corpus.dataset
+    for c, trace in enumerate(small_corpus.traces):
         sizes = trace.intermediate_sizes
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert trace.golden_size == sizes[-1] >= 1
-        ms = trace.m_values
+        ms = ds.m[ds.offsets[c]:ds.offsets[c + 1]].tolist()
+        ys = ds.y[ds.offsets[c]:ds.offsets[c + 1]].tolist()
         assert all(a <= b for a, b in zip(ms, ms[1:]))
         assert ms[-1] == 1.0
         assert all(0.0 < m <= 1.0 for m in ms)
-        assert all(0.0 <= y <= 1.0 for y in trace.y_values)
-        assert trace.y_values[-1] == 1.0
+        assert all(0.0 <= y <= 1.0 for y in ys)
+        assert ys[-1] == 1.0
 
 
 def test_undetected_fault_raises(and_circuit):
@@ -183,54 +190,6 @@ def test_unknown_injected_fault(and_circuit):
         trace_diagnosis(fdict, Fault(57, 0))
 
 
-class TestComputeLabels:
-    def test_direct_substitution(self):
-        got = _compute_labels([0.2, 0.5, 1.0])
-        assert got == pytest.approx([0.0, 0.375, 1.0], abs=1e-12)
-        assert got[0] == 0.0 and got[-1] == 1.0  # boundary rows are exact
-
-    def test_single_converged_row(self):
-        assert _compute_labels([1.0]) == [1.0]
-
-    def test_minimum_maps_to_zero(self):
-        assert _compute_labels([0.25, 0.25, 1.0]) == [0.0, 0.0, 1.0]
-
-    def test_all_converged(self):
-        assert _compute_labels([1.0, 1.0, 1.0]) == [1.0, 1.0, 1.0]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            _compute_labels([])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            _compute_labels([0.5, 1.5])
-        with pytest.raises(ValueError):
-            _compute_labels([0.0, 1.0])
-
-    @settings(max_examples=100)
-    @given(st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=30),
-           st.integers(min_value=1, max_value=50))
-    def test_label_laws_on_synthetic_m(self, increments, golden):
-        # build a non-increasing size sequence ending at the golden size
-        sizes = []
-        acc = golden
-        for inc in reversed(increments):
-            sizes.append(acc)
-            acc += inc
-        sizes = list(reversed(sizes))
-        m = [golden / s for s in sizes]
-        y = _compute_labels(m)
-        assert all(0.0 <= v <= 1.0 for v in y)
-        assert y[-1] == 1.0
-        m_min = min(m)
-        if m_min < 1.0:
-            assert min(y) == 0.0
-            for mi, yi in zip(m, y):
-                assert (yi == 1.0) == (mi == 1.0)
-        assert max(y) == 1.0
-
-
 def test_trace_csv_roundtrip(tmp_path, small_corpus):
     # an id taken from a netlist file name may hold a comma: csv quotes it
     traces = [replace(small_corpus.traces[0], circuit_id="c,000"), *small_corpus.traces[1:]]
@@ -241,15 +200,15 @@ def test_trace_csv_roundtrip(tmp_path, small_corpus):
     # the record is the sizes: the golden size, m and y come back exactly,
     # only the injected fault is not persisted
     assert loaded == [replace(t, injected_fault=None) for t in traces]
-    for orig, got in zip(traces, loaded):
-        assert (got.m_values, got.y_values) == (orig.m_values, orig.y_values)
+    got, want = dataset_from_traces(loaded), dataset_from_traces(traces)
+    assert (got.m.tolist(), got.y.tolist()) == (want.m.tolist(), want.y.tolist())
 
 
 def test_trace_csv_roundtrip_past_the_default_field_limit(tmp_path):
     # 25,000 failing indices make a field over csv's default 131,072 characters
     failing = list(range(1, 50_001, 2))
     sizes = [30_000 - i for i in range(len(failing))]
-    trace = DiagnosisTrace("big", 16, 60_000, failing, sizes, sizes[-1])
+    trace = DiagnosisTrace("big", 16, 60_000, failing, sizes)
     path = tmp_path / "traces.csv"
     write_traces([trace], path)
     assert len(path.read_text().splitlines()[1].split(",")[3]) > 131_072
@@ -339,7 +298,7 @@ def test_read_traces_rejects_bad_row_naming_file_and_line(tmp_path, small_corpus
 def test_read_traces_rejects_circuit_cut_before_golden_set(tmp_path, small_corpus):
     # a last size cut from 12 to 1 would be a converged size: only the
     # missing line end shows the file is cut
-    trace = DiagnosisTrace("c1", 4, 16, [2, 5, 9], [40, 12, 12], 12)
+    trace = DiagnosisTrace("c1", 4, 16, [2, 5, 9], [40, 12, 12])
     path = tmp_path / "traces.csv"
     write_traces([small_corpus.traces[0], trace], path)
     data = path.read_bytes()

@@ -20,7 +20,6 @@ def _trace(circuit_id="t0", failing=(3, 7, 12), sizes=(6, 2, 2), total=20,
     return DiagnosisTrace(
         circuit_id=circuit_id, num_inputs=num_inputs, total_patterns=total,
         failing_indices=list(failing), intermediate_sizes=list(sizes),
-        golden_size=sizes[-1],
     )
 
 
@@ -57,7 +56,7 @@ class TestApplyPolicy:
         trace = _trace(sizes=(6, 2, 2))  # m = [1/3, 1, 1]
         k, stop = _stop(trace, _oracle_score, 1.0)
         assert (k, stop) == (2, 7)
-        assert trace.m_values[k - 1] == 1.0
+        assert dataset_from_traces([trace]).m[k - 1] == 1.0
 
     def test_linear_scores_clamped_before_threshold(self):
         # wildly positive prediction still compares as 1.0, not more
@@ -81,7 +80,7 @@ class TestEvaluate:
         assert rep_always.volume_reduction >= rep_never.volume_reduction
         assert rep_never.diagnosis_accuracy == 1.0  # last failing row has m = 1
         # some circuits need more than one failing pattern
-        assert any(t.m_values[0] < 1.0 for t in small_corpus.traces)
+        assert (ds.m[ds.offsets[:-1]] < 1.0).any()
         assert rep_always.diagnosis_accuracy < 1.0
 
     def test_report_summary_matches_per_circuit_rows(self, small_corpus):
@@ -213,11 +212,12 @@ class TestScoresOnceMatchPerTraceReference:
         scores = self._scores(model, std, small_corpus.dataset)
         for tau in ev.DEFAULT_TAU_GRID:
             rep = ev.evaluate(small_corpus.dataset, scores, tau)
-            for t, o in zip(small_corpus.traces, rep.per_circuit, strict=True):
+            first_rows = small_corpus.dataset.offsets[:-1]
+            for t, o, row in zip(small_corpus.traces, rep.per_circuit, first_rows, strict=True):
                 assert o.circuit_id == t.circuit_id
                 assert o.correct == (t.intermediate_sizes[o.k_star - 1] == t.golden_size)
                 assert o.terminated_pattern == t.failing_indices[o.k_star - 1]
-                assert o.m_at_termination == t.m_values[o.k_star - 1]
+                assert o.m_at_termination == small_corpus.dataset.m[row + o.k_star - 1]
 
 
 class TestFitPolicy:
@@ -313,13 +313,13 @@ class TestCsvWriters:
         assert "1.000000" in sl[1]
 
     def test_sweep_and_curve_files(self, tmp_path):
-        pts = [ev.AlphaPoint(1e-4, 0.9, 0.75, 0.3, 0.8, (0.1,) * 5, 0.2)]
+        pts = [ev.AlphaPoint(1e-4, 0.9, 0.75, 0.3, 0.8, (0.1,) * 5)]
         ev.write_sweep_csv(pts, tmp_path / "sweep.csv")
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[1].startswith("0.0001,0.900000,0.750000,0.300000,0.800000")
 
         ev.write_beta_csv([ev.AlphaPoint(0.1, 0.9, 0.75, 0.3, 0.8,
-                                         (0.5, -0.25, 0.0, 1.0, 2.0), 0.2)],
+                                         (0.5, -0.25, 0.0, 1.0, 2.0))],
                           tmp_path / "beta.csv")
         lines = (tmp_path / "beta.csv").read_text().splitlines()
         assert lines[0] == "alpha,beta_1,beta_2,beta_3,beta_4,beta_5"

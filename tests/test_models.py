@@ -653,6 +653,10 @@ class TestModelFileValidation:
         ("kernel", _no_landmarks, "'landmarks' must be at least 1, got 0"),
         ("kernel", _four_features, "'standardize_mean' has 4 values, expected 5"),
         ("linear", _duplicate("model.alpha"), "both set 'model.alpha'"),
+        ("linear", _duplicate("tau"), "a second 'tau' line"),
+        ("kernel", _add_line("thetta 1 2 3"),
+         "unknown key 'thetta' in a kernel-logistic model"),
+        ("linear", _add_line("landmark 0 0 0 0 0"), "unknown key 'landmark' in a linear model"),
         ("linear", _edit_line("model.kind", "kernel-logistic"), "missing key 'theta'"),
     ])
     def test_rejects_corrupt_file(self, files, tmp_path, kind, edit, message):
