@@ -15,10 +15,10 @@ case fires.
 
 Only ``generate`` simulates; the other stages read ``traces.csv``, split
 with ``dataset.split_corpus`` and fit with ``evaluation.fit_policy``.  They
-refuse a ``corpus.*`` or ``split.*`` setting that differs from the one
-``generate`` recorded in ``config.txt``, and ``evaluate`` also refuses a
-``model.*`` or ``policy.tau`` setting that differs from the one ``train``
-recorded in ``model.txt``.
+refuse a ``config.txt`` that is not the record ``generate`` writes, or a
+``corpus.*`` or ``split.*`` setting that differs from it, and ``evaluate``
+also a ``model.*`` or ``policy.tau`` setting that differs from the one
+``train`` recorded in ``model.txt``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import evaluation as ev
 from .config import (CORPUS_KEYS, MODEL_KEYS, RunConfig, check_same_settings,
-                     config_from_text, load_config, save_config)
+                     config_from_text, load_config, load_record, save_config)
 from .corpus import build_corpus
 from .dataset import dataset_from_traces, split_corpus, write_dataset
 from .diagnosis import read_traces, write_traces
@@ -98,14 +98,14 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 def _load_corpus_files(cfg: RunConfig):
     """The dataset derived from the corpus traces (``dataset.csv`` is an
     export only).  A ``corpus.*`` or ``split.*`` setting of ``cfg`` that
-    differs from the config ``generate`` recorded is refused: the files
+    differs from the record ``generate`` wrote is refused: the files
     describe another corpus or split."""
     out = Path(cfg.out_dir)
     traces_path, record_path = out / "traces.csv", out / "config.txt"
     for path in (traces_path, record_path):
         if not path.exists():
             raise FileNotFoundError(f"missing {path}; run 'testtrim generate' first")
-    check_same_settings(cfg, load_config(record_path), record_path, CORPUS_KEYS)
+    check_same_settings(cfg, load_record(record_path, CORPUS_KEYS), record_path, CORPUS_KEYS)
     return dataset_from_traces(read_traces(traces_path))
 
 

@@ -14,12 +14,13 @@ a flag, so its error names the file and the line, or the flag; only the
 two min <= max checks wait for the whole config.  ``generate`` records
 the ``corpus.*`` and ``split.*`` keys in ``config.txt`` (``CORPUS_KEYS``),
 and ``train`` the ``model.*`` keys and ``policy.tau`` in ``model.txt``
-(``MODEL_KEYS``).
+(``MODEL_KEYS``).  A record must hold exactly its keys, in written order.
 """
 
 import math
+import re
 from dataclasses import dataclass, field, fields
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def _parse_patterns(v: str) -> int | str:
@@ -156,13 +157,48 @@ def _text(value) -> str:
     return "" if value is None else str(value)
 
 
-def load_config(path, overrides: Iterable[tuple[str, str, str]] = ()) -> RunConfig:
+def take_line(lines: Sequence[str], at: int, key: str | None, source) -> str:
+    """What follows ``key`` on ``lines[at]``, a line that must start with
+    ``key`` (None: the end of the file): a record is read in written order."""
+    word = re.match(r"[^\s=]*", lines[at])[0] if at < len(lines) else None
+    if word != key:
+        want, got = ("the end of the file" if w is None else repr(w) for w in (key, word))
+        raise ValueError(f"{source} line {at + 1}: expected {want}, got {got}")
+    return "" if key is None else lines[at][len(key):].strip()
+
+
+def read_record(lines: Sequence[str], prefixes: tuple[str, ...], source,
+                at: int = 0) -> tuple[RunConfig, int]:
+    """The settings ``config_to_text(cfg, prefixes)`` wrote from ``lines[at]``
+    on, each checked as a config line is, and the index of the line after them."""
+    cfg = RunConfig()
+    for key in (key for key in _KEYS if key.startswith(prefixes)):
+        rest, where = take_line(lines, at, key, source), f"{source} line {at + 1}"
+        if rest[:1] != "=":
+            raise ValueError(f"{where}: expected 'key = value', got {lines[at].strip()!r}")
+        _set(cfg, key, rest[1:].strip(), where)
+        at += 1
+    return cfg, at
+
+
+def _read_text(path) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except UnicodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return config_from_text(text, overrides, source=path)
+
+
+def load_config(path, overrides: Iterable[tuple[str, str, str]] = ()) -> RunConfig:
+    return config_from_text(_read_text(path), overrides, source=path)
+
+
+def load_record(path, prefixes: tuple[str, ...]) -> RunConfig:
+    """The record ``save_config(cfg, path, prefixes)`` wrote, and no line after it."""
+    lines = _read_text(path).splitlines()
+    cfg, end = read_record(lines, prefixes, path)
+    take_line(lines, end, None, path)
+    return cfg
 
 
 def save_config(cfg: RunConfig, path, prefixes: tuple[str, ...] = ("",)) -> None:

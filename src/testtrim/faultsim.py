@@ -75,7 +75,10 @@ def random_patterns(num_inputs: int, count: int, seed: int) -> list[Pattern]:
     """``count`` distinct seeded random patterns (capped at 2^k available)."""
     rng = random.Random(seed)
     total = 1 << num_inputs
-    codes = rng.sample(range(total), min(count, total))
+    # range(total) has a C length below 2**63 codes; above, draw until enough are distinct
+    codes = rng.sample(range(total), min(count, total)) if num_inputs < 63 else {}
+    while len(codes) < min(count, total):
+        codes[rng.getrandbits(num_inputs)] = None
     return [tuple((code >> j) & 1 for j in range(num_inputs)) for code in codes]
 
 
@@ -438,12 +441,9 @@ def write_dictionary(fdict: FaultDictionary, path) -> None:
     """
     circuit = fdict.circuit
     names = circuit.signal_names
-    lines = [
-        f"# circuit={circuit.name} signals={circuit.signal_count} "
-        f"faults={len(fdict.faults)} patterns={fdict.num_patterns}"
-    ]
-    for fault, words in zip(fdict.faults, fdict.fault_words):
-        lines.append(" ".join([names[fault.signal], str(fault.stuck_value),
-                               *[format(w, "x") for w in words]]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w") as fh:   # one write per fault: no line outlives its write
+        fh.write(f"# circuit={circuit.name} signals={circuit.signal_count} "
+                 f"faults={len(fdict.faults)} patterns={fdict.num_patterns}\n")
+        for fault, words in zip(fdict.faults, fdict.fault_words):
+            fh.write(" ".join([names[fault.signal], str(fault.stuck_value),
+                               *[format(w, "x") for w in words]]) + "\n")

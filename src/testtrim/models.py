@@ -17,10 +17,10 @@
 Both fits are deterministic under a fixed seed, and fitted models are
 immutable for prediction purposes.
 
-A model file (``model.txt``, layout ``testtrim-model v3``) is line-oriented
-text.  After the header come the fit's settings, every ``model.*`` key and
-``policy.tau`` as set, written and parsed as config text, so they pass the
-checks a config file does.  Then one ``key values`` line each:
+A model file (``model.txt``, layout ``testtrim-model v3``) is read in the
+order it is written.  After the header come the fit's settings, every
+``model.*`` key and ``policy.tau`` as set, as a config record, so they pass
+the checks a config file does.  Then one ``key values`` line each, in order:
 
 * ``tau``: the threshold the policy stops at, chosen when ``policy.tau`` is
   ``auto``;
@@ -43,12 +43,12 @@ import random
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
 
-from .config import MODEL_KEYS, RunConfig, config_from_text, config_to_text
+from .config import MODEL_KEYS, RunConfig, config_to_text, read_record, take_line
 from .dataset import NUM_FEATURES, Standardizer
 
 PROB_EPS = 1e-12
@@ -395,80 +395,38 @@ class LoadedModel:
     train_circuits: tuple[str, ...]
 
 
-_COMMON_KEYS = ("tau", "standardize_mean", "standardize_scale", "standardize_constant",
-                "train_circuits")
-_KIND_KEYS = {"linear": ("intercept", "beta"), "kernel-logistic": ("theta", "landmarks")}
-
-
 def load_model(path) -> LoadedModel:
-    """Read a model file written by :func:`save_model`.
-
-    Its settings lines pass :func:`~testtrim.config.config_from_text`, so
-    they meet the checks of a config file, and each ``model.*`` and
-    ``policy.tau`` key must be set.  Every other refusal raises
-    ``ValueError`` naming the offending key: a key the kind needs is
-    missing, a key other than ``landmark`` has a second line, a key is
-    neither common nor of the file's kind, a value does not parse or is
-    not finite, a vector is not ``NUM_FEATURES`` wide (the
-    ``standardize_*`` vectors, ``beta`` and each landmark row), a
-    ``standardize_scale`` is not positive, ``tau`` is outside (0, 1) or
-    differs from a numeric ``policy.tau``, the landmark count is below 1 or
-    differs from the ``landmark`` lines, or ``theta`` is not one longer
-    than it.  Text that does not decode is refused naming the file, and a
-    file of an older layout with a request to train again.
+    """Read a model file written by :func:`save_model`, in its order: the
+    settings record (:func:`~testtrim.config.read_record`), then one line
+    per key :func:`save_model` writes, refused unless it starts with that
+    key.  Other refusals name the key: a value does not parse or is not
+    finite, a vector is not ``NUM_FEATURES`` wide (``standardize_*``,
+    ``beta``, each landmark row), a ``standardize_scale`` is not positive,
+    ``tau`` is outside (0, 1) or differs from a numeric ``policy.tau``, the
+    landmark count is below 1, or ``theta`` is not one longer than it.
+    Text that does not decode is refused naming the file, and an older
+    layout with a request to train again.
     """
     try:
         with open(path, newline="") as fh:
-            lines = iter(fh.readlines())
+            lines = fh.readlines()
     except UnicodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    header = next(lines, "").rstrip("\r\n")
+    header = lines[0].rstrip("\r\n") if lines else ""
     if header != MODEL_FILE_MAGIC:
         if header.startswith("testtrim-model "):
             raise ValueError(f"{path} is a {header} file, not {MODEL_FILE_MAGIC}; "
                              f"run 'testtrim train' again")
         raise ValueError(f"{path} is not a model file (bad header)")
+    settings, at = read_record(lines, MODEL_KEYS, path, 1)
 
-    settings_lines = [""]           # blank lines keep the file's line numbers
-    fields: dict[str, str] = {}
-    circuits: list[str] = []
-    landmark_rows: list[str] = []
-    for raw in lines:
-        line = raw.rstrip("\r\n")
-        if line == "end":
-            break
-        key, _, rest = line.partition(" ")
-        settings_lines.append(line if "." in key else "")
-        if key == "landmark":
-            landmark_rows.append(rest)
-        elif key in fields:
-            raise ValueError(f"{path}: a second {key!r} line")
-        elif "." not in key:
-            fields[key] = rest
-        if key == "train_circuits":
-            try:
-                circuits = next(csv.reader(chain([raw.partition(" ")[2]], lines)))
-            except csv.Error as exc:
-                raise ValueError(f"{path}: bad value for 'train_circuits': {exc}") from None
-    else:
-        raise ValueError(f"{path} is truncated (missing 'end')")
+    def take(key: str) -> str:
+        nonlocal at
+        at += 1
+        return take_line(lines, at - 1, key, path)
 
-    settings = config_from_text("\n".join(settings_lines), source=path)
-    present = fields.keys() | {line.partition("=")[0].strip() for line in settings_lines}
-    setting_keys = [line.partition(" ")[0]
-                    for line in config_to_text(settings, MODEL_KEYS).splitlines()]
-    needed = [*_COMMON_KEYS, *_KIND_KEYS[settings.model_kind]]
-    for key in setting_keys + needed:
-        if key not in present:
-            raise ValueError(f"{path}: missing key {key!r}")
-    # 'landmark' rows belong to a 'landmarks' count
-    rows = ["landmark"] if landmark_rows and "landmarks" not in needed else []
-    for key in [*fields, *rows]:
-        if key not in needed:
-            raise ValueError(f"{path}: unknown key {key!r} in a {settings.model_kind} model")
-
-    def parse(key: str, convert, text: str | None = None):
-        text = fields[key] if text is None else text
+    def parse(key: str, convert):
+        text = take(key)
         try:
             return convert(text)
         except ValueError:
@@ -484,8 +442,8 @@ def load_model(path) -> LoadedModel:
             raise ValueError(f"{path}: {key!r} has {len(values)} values, expected {want}")
         return values
 
-    def vector(key: str, text: str | None = None) -> np.ndarray:
-        return finite(key, parse(key, floats, text))
+    def vector(key: str) -> np.ndarray:
+        return finite(key, parse(key, floats))
 
     def floats(text: str) -> np.ndarray:
         return np.array([float(v) for v in text.split()])
@@ -495,6 +453,11 @@ def load_model(path) -> LoadedModel:
             raise ValueError(text)
         return np.array([v == "1" for v in text.split()])
 
+    tau = parse("tau", float)
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"{path}: 'tau' must be in (0, 1), got {tau!r}")
+    if settings.policy_tau not in ("auto", tau):
+        raise ValueError(f"{path}: 'tau' {tau!r} differs from policy.tau = {settings.policy_tau}")
     std = Standardizer(
         mean=sized("standardize_mean", vector("standardize_mean")),
         scale=sized("standardize_scale", vector("standardize_scale")),
@@ -503,29 +466,29 @@ def load_model(path) -> LoadedModel:
     if (std.scale <= 0.0).any():
         raise ValueError(f"{path}: 'standardize_scale' must be positive, "
                          f"got {float(std.scale.min())!r}")
-    tau = parse("tau", float)
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"{path}: 'tau' must be in (0, 1), got {tau!r}")
-    if settings.policy_tau not in ("auto", tau):
-        raise ValueError(f"{path}: 'tau' {tau!r} differs from policy.tau = {settings.policy_tau}")
+    take("train_circuits")
+    # the writer quotes an id holding a line break, so the row may span lines
+    rows = csv.reader(chain([lines[at - 1][len("train_circuits "):]], islice(lines, at, None)))
+    try:
+        circuits = next(rows)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: bad value for 'train_circuits': {exc}") from None
+    at += rows.line_num - 1
 
     if settings.model_kind == "linear":
+        intercept = finite("intercept", parse("intercept", float))
         model: LinearModel | KernelLogisticModel = LinearModel(
-            beta=sized("beta", vector("beta")),
-            intercept=finite("intercept", parse("intercept", float)),
-        )
+            beta=sized("beta", vector("beta")), intercept=intercept)
     else:
+        theta = vector("theta")
         count = parse("landmarks", int)
         if count < 1:
             raise ValueError(f"{path}: 'landmarks' must be at least 1, got {count}")
-        if len(landmark_rows) != count:
-            raise ValueError(f"{path}: 'landmarks' says {count} rows, "
-                             f"found {len(landmark_rows)} 'landmark' lines")
         model = KernelLogisticModel(
-            theta=sized("theta", vector("theta"), count + 1),
-            landmarks=np.array([sized("landmark", vector("landmark", text))
-                                for text in landmark_rows]),
+            theta=sized("theta", theta, count + 1),
+            landmarks=np.array([sized("landmark", vector("landmark")) for _ in range(count)]),
             gamma=settings.model_gamma,
         )
+    take("end")
     return LoadedModel(model=model, settings=settings, standardizer=std, tau=tau,
                        train_circuits=tuple(circuits))

@@ -93,3 +93,14 @@ def random_small_circuit(seed: int, max_inputs: int = 6, max_gates: int = 14):
 def random_pattern_list(circuit, count, rng):
     """``count`` seeded patterns, repeats allowed, so any width is reachable."""
     return [tuple(rng.getrandbits(1) for _ in circuit.inputs) for _ in range(count)]
+
+
+def move_line(key: str, *, after: str):
+    """A corruption of a file's lines: the first line whose first word is
+    ``key`` moves to just after the first line whose first word is ``after``."""
+    def edit(lines):
+        i = next(i for i, ln in enumerate(lines) if ln.split()[:1] == [key])
+        rest = lines[:i] + lines[i + 1:]
+        j = next(j for j, ln in enumerate(rest) if ln.split()[:1] == [after])
+        return rest[:j + 1] + [lines[i]] + rest[j + 1:]
+    return edit

@@ -24,7 +24,7 @@ from testtrim.diagnosis import read_traces
 from testtrim.models import load_model
 from testtrim.netlist import format_bench
 
-from conftest import random_small_circuit
+from conftest import move_line, random_small_circuit
 
 
 def _write_config(tmp_path, **overrides) -> Path:
@@ -338,6 +338,61 @@ def test_stage_refuses_corpus_drift(generated_run, tmp_path, capsys, stage, drif
     assert captured.out == "" and _tree(out) == before
 
 
+@pytest.fixture(scope="module")
+def seed8_run(tmp_path_factory):
+    """A corpus generated and a model trained with ``--seed 8`` from a config
+    that leaves ``corpus.seed`` at its default, 7."""
+    base = tmp_path_factory.mktemp("record")
+    cfg_path = _write_config(base, corpus_circuits=12, split_train_fraction=0.5,
+                             split_validation_fraction=0.34, split_seed=0, model_kind="linear",
+                             policy_tau=0.9, out_dir=str(base / "run"))
+    with redirect_stdout(io.StringIO()):
+        for cmd in ("generate", "train"):
+            assert main([cmd, "--config", str(cfg_path), "--seed", "8"]) == 0
+    return cfg_path, base / "run"
+
+
+def _drop_seed_line(lines):
+    return [ln for ln in lines if not ln.startswith("corpus.seed ")]
+
+
+def _swap_lines_2_and_3(lines):
+    return [lines[0], lines[2], lines[1], *lines[3:]]
+
+
+def _append_model_kind(lines):
+    # a config.txt written before the linear model became the lasso held one
+    return [*lines, "model.kind = linear\n"]
+
+
+# config.txt lines 1-11: corpus.netlist_dir .. corpus.max_gates, then split.*
+@pytest.mark.parametrize("edit, message", [
+    (_drop_seed_line, "line 4: expected 'corpus.seed', got 'corpus.min_inputs'"),
+    (_swap_lines_2_and_3, "line 2: expected 'corpus.circuits', got 'corpus.patterns'"),
+    (_append_model_kind, "line 12: expected the end of the file, got 'model.kind'"),
+], ids=["drop a line", "swap two lines", "append a model.kind line"])
+def test_stage_refuses_a_config_record_not_as_generate_wrote_it(seed8_run, tmp_path, capsys,
+                                                                 edit, message):
+    # no default fills a dropped line: oracle-eval at the default seed once scored the
+    # seed-8 corpus as seed 7
+    cfg_path, run = seed8_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    record = out / "config.txt"
+    for stage in ("train", "evaluate", "oracle-eval", "sweep"):
+        assert main([stage, "--config", str(cfg_path), "--out", str(out), "--seed", "8"]) == 0
+    capsys.readouterr()
+    record.write_text("".join(edit(record.read_text().splitlines(keepends=True))))
+    before = _tree(out)
+    for stage in ("train", "evaluate", "oracle-eval", "sweep"):
+        for seed in ([], ["--seed", "8"]):
+            assert main([stage, "--config", str(cfg_path), "--out", str(out), *seed]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"error: {record} {message}"], (stage, seed)
+            assert captured.out == ""
+    assert _tree(out) == before
+
+
 def test_train_refuses_record_contradicting_its_circuit(finished_run, tmp_path, capsys):
     # a circuit's second intermediate size rises above its first
     out = tmp_path / "run"
@@ -595,7 +650,7 @@ def test_unedited_fixture_runs_pass_the_fuzzed_commands(kernel_run, finished_run
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(["traces.csv", "model.txt", "dataset.csv"]),
+@given(name=st.sampled_from(["traces.csv", "model.txt", "dataset.csv", "config.txt"]),
        fraction=st.floats(0.0, 1.0))
 def test_truncated_files_end_in_one_error_line(finished_run, name, fraction):
     with tempfile.TemporaryDirectory() as tmp:
@@ -720,6 +775,34 @@ def test_model_file_fuzz_ends_in_exit_0_or_one_error_line(kernel_run, finished_r
             and "model.txt" in lines[0]), (tokens[index], lines)
 
 
+def _landmark_rows(change):
+    def edit(lines):
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("landmark "))
+        return lines[:i] + lines[i:i + 1] * (1 + change) + lines[i + 1:]
+    return edit
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("linear", move_line("intercept", after="beta")),
+    ("linear", move_line("policy.tau", after="tau")),
+    ("kernel", _landmark_rows(-1)),
+    ("kernel", _landmark_rows(+1)),
+], ids=["beta before intercept", "setting after tau", "landmark row too few",
+        "landmark row too many"])
+def test_model_file_out_of_order_ends_in_one_error_line(kernel_run, finished_run, tmp_path,
+                                                        capsys, kind, edit):
+    run = kernel_run if kind == "kernel" else finished_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    model_path = out / "model.txt"
+    model_path.write_text("".join(edit(model_path.read_text().splitlines(keepends=True))))
+    assert main(["evaluate", "--config", _trained_config(run), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {model_path} line "), err
+    assert ": expected '" in err[0] and captured.out == ""
+
+
 def _unreadable_input(case: str, base: Path, finished_run: Path):
     """``(argv, the path its error names, the out dir)`` of a run whose
     ``case`` input holds a byte or a file name that is not UTF-8."""
@@ -762,6 +845,47 @@ def test_undecodable_input_is_named(finished_run, tmp_path, capsys, case):
     assert captured.out == ""
     # generate writes no out dir, and evaluate no report
     assert (_tree(out) if out.exists() else None) == before
+
+
+def test_generate_at_63_inputs(tmp_path, capsys):
+    # 2**63 codes: range() of them has no C length
+    out = tmp_path / "run"
+    overrides = _smoke_overrides(out, circuits=4)
+    overrides.update(corpus_min_inputs=63, corpus_max_inputs=63)
+    cfg_path = _write_config(tmp_path, **overrides)
+    for cmd in ("generate", "oracle-eval"):
+        assert main([cmd, "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+    for bench in sorted((out / "netlists").glob("*.bench")):
+        assert bench.read_text().count("INPUT(") == 63
+    traces = read_traces(out / "traces.csv")
+    assert len(traces) == 4 and {t.total_patterns for t in traces} == {24}
+
+
+def _xor_chain_bench(num_inputs: int) -> str:
+    inputs = [f"x{i}" for i in range(num_inputs)]
+    lines = [f"INPUT({name})" for name in inputs] + ["OUTPUT(z)"]
+    prev = inputs[0]
+    for i, name in enumerate(inputs[1:], 1):
+        out = "z" if i == num_inputs - 1 else f"g{i}"
+        lines.append(f"{out} = XOR({prev}, {name})")
+        prev = out
+    return "\n".join(lines) + "\n"
+
+
+def test_generate_reads_netlists_of_62_to_100_inputs(tmp_path, capsys):
+    benches = tmp_path / "benches"
+    benches.mkdir()
+    for n in (62, 63, 64, 100):
+        (benches / f"w{n}.bench").write_text(_xor_chain_bench(n))
+    overrides = _smoke_overrides(tmp_path / "run")
+    overrides["corpus_netlist_dir"] = str(benches)
+    cfg_path = _write_config(tmp_path, **overrides)
+    assert main(["generate", "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+    traces = read_traces(tmp_path / "run" / "traces.csv")
+    assert sorted(t.circuit_id for t in traces) == ["w100", "w62", "w63", "w64"]
+    assert {t.total_patterns for t in traces} == {24}
 
 
 def test_huge_gamma_runs_every_stage(tmp_path, capsys):

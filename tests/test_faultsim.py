@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -13,7 +14,7 @@ from testtrim import faultsim
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns, random_patterns, write_dictionary)
 from testtrim.generator import random_circuit
-from testtrim.netlist import evaluate, parse_bench
+from testtrim.netlist import build_circuit, evaluate, parse_bench
 
 PATTERN_COUNTS = (1, 63, 64, 65, 1024)
 
@@ -139,6 +140,18 @@ def test_random_patterns_seeded_and_distinct():
     assert len(random_patterns(3, 100, seed=1)) == 8
 
 
+@pytest.mark.parametrize("num_inputs", (62, 63, 64, 100))
+def test_random_patterns_on_wide_inputs(num_inputs):
+    # from 2**63 codes on, range(2**num_inputs) has no C length
+    patterns = random_patterns(num_inputs, 40, seed=5)
+    assert patterns == random_patterns(num_inputs, 40, seed=5)
+    assert patterns != random_patterns(num_inputs, 40, seed=6)
+    assert len(set(patterns)) == 40
+    assert all(len(p) == num_inputs and set(p) <= {0, 1} for p in patterns)
+    # the high inputs are drawn too, not left at 0
+    assert any(p[-1] for p in patterns)
+
+
 def test_dictionary_export_format(tmp_path, and_circuit):
     patterns = exhaustive_patterns(2)  # (a, b) = 00, 10, 01, 11: z = a & b is 0b1000
     fdict = build_fault_dictionary(and_circuit, patterns)
@@ -177,6 +190,26 @@ def test_dictionary_export_matches_bitwise_reference(tmp_path, seed, num_pattern
                              min_gates=10, max_gates=60, p_unread=0.5)
     patterns = random_pattern_list(circuit, num_patterns, rng)
     _assert_export_round_trips(build_fault_dictionary(circuit, patterns), tmp_path)
+
+
+def test_dictionary_export_streams_its_lines(tmp_path):
+    # 100 outputs x 1024 patterns: 220 lines of about 23 KB each, a 5 MB file
+    inputs = [f"x{i}" for i in range(10)]
+    gates = [(f"g{j}", "XOR", (inputs[j % 10], inputs[(j + 1 + j // 10 % 9) % 10]))
+             for j in range(100)]
+    circuit = build_circuit("wide", inputs, [g for g, _, _ in gates], gates)
+    fdict = build_fault_dictionary(circuit, exhaustive_patterns(10))
+    path = tmp_path / "wide.dict"
+    tracemalloc.start()
+    try:
+        write_dictionary(fdict, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 4_000_000
+    # a writer that holds every line, or one joined string, peaks above the file's size
+    assert peak < size // 20, (peak, size)
 
 
 @pytest.mark.parametrize("bench", (AND_BENCH, "INPUT(a)\nINPUT(b)\nz = AND(a, b)\n"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import move_line
 from oracles import (central_difference_gradient, lbfgs_every_trial, naive_sigmoid_dot,
                      newton_logistic, proximal_gradient_lasso, rbf_features_one_shot,
                      rbf_map_reference, sigmoid_reference)
@@ -558,10 +559,11 @@ def _edit_line(key, new):
     return edit
 
 
-def _add_line(line):
-    """Corruption that inserts ``line`` after the header."""
+def _add_line(line, *, before):
+    """Corruption that inserts ``line`` before the first ``before`` line."""
     def edit(lines):
-        return lines[:1] + [line] + lines[1:]
+        i = next(i for i, ln in enumerate(lines) if ln.split(" ", 1)[0] == before)
+        return lines[:i] + [line] + lines[i:]
     return edit
 
 
@@ -603,21 +605,30 @@ class TestModelFileValidation:
         return {"linear": linear.read_text().splitlines(),
                 "kernel": kernel.read_text().splitlines()}
 
-    # a settings row's id names the setting by its short name ('gamma' for model.gamma)
+    # a settings row's id names the setting by its short name ('gamma' for model.gamma);
+    # a line out of the writer's order is named by its line (1 header, 8 settings, then
+    # tau, the standardizer and train_circuits on lines 10-14)
     @pytest.mark.parametrize("kind, edit, message", [
-        ("linear", _edit_line("tau", None), "missing key 'tau'"),
-        pytest.param("linear", _edit_line("model.kind", None), "missing key 'model.kind'",
+        pytest.param("linear", _edit_line("tau", None),
+                     "line 10: expected 'tau', got 'standardize_mean'",
+                     id="linear-edit-missing key 'tau'"),
+        pytest.param("linear", _edit_line("model.kind", None),
+                     "line 2: expected 'model.kind', got 'model.alpha'",
                      id="linear-edit-missing key 'kind'"),
-        ("linear", _edit_line("beta", None), "missing key 'beta'"),
+        pytest.param("linear", _edit_line("beta", None), "line 16: expected 'beta', got 'end'",
+                     id="linear-edit-missing key 'beta'"),
         ("linear", _edit_line("intercept", "abc"), "bad value for 'intercept'"),
         ("linear", _edit_line("beta", "1.0 2.0"), "'beta' has 2 values, expected 5"),
         ("linear", _edit_line("standardize_scale", "1.0"),
          "'standardize_scale' has 1 values, expected 5"),
         ("linear", _edit_line("standardize_constant", "0 0 2 0 0"),
          "bad value for 'standardize_constant'"),
-        pytest.param("kernel", _edit_line("model.gamma", None), "missing key 'model.gamma'",
+        pytest.param("kernel", _edit_line("model.gamma", None),
+                     "line 5: expected 'model.gamma', got 'model.iterations'",
                      id="kernel-edit-missing key 'gamma'"),
-        ("kernel", _edit_line("landmarks", "3"), "'landmarks' says 3 rows"),
+        # theta is read before the rows: its length is checked against the count first
+        pytest.param("kernel", _edit_line("landmarks", "3"), "'theta' has 5 values, expected 4",
+                     id="kernel-edit-'landmarks' says 3 rows"),
         ("kernel", _edit_line("landmark", "0.5 0.5"), "'landmark' has 2 values, expected 5"),
         ("kernel", _edit_line("theta", "0.0 1.0"), "'theta' has 2 values, expected 5"),
         pytest.param("kernel", _edit_line("model.iterations", "1.5"),
@@ -629,8 +640,9 @@ class TestModelFileValidation:
         ("linear", _edit_line("intercept", "-inf"), "'intercept' holds a non-finite value"),
         ("linear", _edit_line("beta", "0.1 0.2 nan 0.4 0.5"),
          "'beta' holds a non-finite value"),
-        pytest.param("linear", _add_line("model.learning_rate = 0.3"),
-                     "unknown key 'model.learning_rate'", id="linear-add-unknown key"),
+        pytest.param("linear", _add_line("model.learning_rate = 0.3", before="policy.tau"),
+                     "line 9: expected 'policy.tau', got 'model.learning_rate'",
+                     id="linear-add-unknown key"),
         ("linear", _edit_line("standardize_mean", "0 0 inf 0 0"),
          "'standardize_mean' holds a non-finite value"),
         ("linear", _edit_line("standardize_scale", "1 1 1 -2 1"),
@@ -652,12 +664,30 @@ class TestModelFileValidation:
                      id="kernel-edit-'landmark_cap' must be at least 1"),
         ("kernel", _no_landmarks, "'landmarks' must be at least 1, got 0"),
         ("kernel", _four_features, "'standardize_mean' has 4 values, expected 5"),
-        ("linear", _duplicate("model.alpha"), "both set 'model.alpha'"),
-        ("linear", _duplicate("tau"), "a second 'tau' line"),
-        ("kernel", _add_line("thetta 1 2 3"),
-         "unknown key 'thetta' in a kernel-logistic model"),
-        ("linear", _add_line("landmark 0 0 0 0 0"), "unknown key 'landmark' in a linear model"),
-        ("linear", _edit_line("model.kind", "kernel-logistic"), "missing key 'theta'"),
+        pytest.param("linear", _duplicate("model.alpha"),
+                     "line 4: expected 'model.lambda', got 'model.alpha'",
+                     id="linear-edit-both set 'model.alpha'"),
+        pytest.param("linear", _duplicate("tau"),
+                     "line 11: expected 'standardize_mean', got 'tau'",
+                     id="linear-edit-a second 'tau' line"),
+        pytest.param("kernel", _add_line("thetta 1 2 3", before="theta"),
+                     "line 15: expected 'theta', got 'thetta'",
+                     id="kernel-edit-unknown key 'thetta' in a kernel-logistic model"),
+        pytest.param("linear", _add_line("landmark 0 0 0 0 0", before="end"),
+                     "line 17: expected 'end', got 'landmark'",
+                     id="linear-edit-unknown key 'landmark' in a linear model"),
+        pytest.param("linear", _edit_line("model.kind", "kernel-logistic"),
+                     "line 15: expected 'theta', got 'intercept'",
+                     id="linear-edit-missing key 'theta'"),
+        pytest.param("linear", move_line("intercept", after="beta"),
+                     "line 15: expected 'intercept', got 'beta'",
+                     id="linear-beta before intercept"),
+        pytest.param("linear", move_line("policy.tau", after="tau"),
+                     "line 9: expected 'policy.tau', got 'tau'", id="linear-setting after tau"),
+        pytest.param("kernel", _edit_line("landmark", None),
+                     "line 20: expected 'landmark', got 'end'", id="kernel-landmark row too few"),
+        pytest.param("kernel", _duplicate("landmark"),
+                     "line 21: expected 'end', got 'landmark'", id="kernel-landmark row too many"),
     ])
     def test_rejects_corrupt_file(self, files, tmp_path, kind, edit, message):
         path = tmp_path / "model.txt"
