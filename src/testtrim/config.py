@@ -81,21 +81,22 @@ class RunConfig:
 _KEYS = {f.name.replace("_", ".", 1): (f.name, f.metadata.get("parse") or f.type,
                                        f.metadata.get("check"))
          for f in fields(RunConfig)}
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def config_from_text(text: str, overrides: Iterable[tuple[str, str, str]] = (),
                      source="config") -> RunConfig:
     """Parse a config file's text, apply ``overrides`` on top, then validate.
 
-    A key set on two lines of ``text`` is refused.  ``overrides`` are
-    ``(flag, key, value text)`` triples, each value parsed and checked
-    exactly like a file line; the command-line flags arrive this way.  An
-    error names ``source`` and its line, or the flag.
+    A ``#`` at a line's start or after whitespace starts a comment; a key set
+    on two lines is refused.  ``overrides`` are ``(flag, key, value text)``
+    triples, each parsed and checked exactly like a file line: the flags
+    arrive this way.  An error names ``source`` and its line, or the flag.
     """
     cfg = RunConfig()
     first_set: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         where = f"{source} line {line_no}"
@@ -135,10 +136,14 @@ MODEL_KEYS = ("model.", "policy.")
 
 
 def config_to_text(cfg: RunConfig, prefixes: tuple[str, ...] = ("",)) -> str:
-    """One ``key = value`` line per key that starts with one of ``prefixes``
-    (by default every key), in file order."""
-    return "".join(f"{key} = {_text(getattr(cfg, attr))}\n"
-                   for key, (attr, _, _) in _KEYS.items() if key.startswith(prefixes))
+    """One ``key = value`` line per key starting with one of ``prefixes`` (by
+    default every key), in file order; a value that would not read back is refused."""
+    pairs = [(key, _text(getattr(cfg, attr)))
+             for key, (attr, _, _) in _KEYS.items() if key.startswith(prefixes)]
+    for key, value in pairs:
+        if len(value.splitlines()) > 1 or _COMMENT.split(" " + value, 1)[0].strip() != value:
+            raise ValueError(f"{key} = {value!r} would not read back from a config file")
+    return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
 def check_same_settings(cfg: RunConfig, record: RunConfig, source,

@@ -33,7 +33,8 @@ one hex word per output.
 
 Fault collapsing is deliberately not performed: candidate-set sizes feed
 the downstream label arithmetic and must stay reproducible counts over the
-uncollapsed fault universe.
+uncollapsed fault universe.  The corpus build runs the builds with the
+garbage collector paused, as nothing they allocate forms a reference cycle.
 """
 
 from __future__ import annotations
@@ -42,14 +43,18 @@ import itertools
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .netlist import Circuit, Pattern, Response, _check_pattern, _run
 
 EXHAUSTIVE_INPUT_LIMIT = 12
 
+# bytes.translate tables between a bit string's "0"/"1" characters and 0/1 bytes
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
-@dataclass(frozen=True, order=True)
-class Fault:
+
+class Fault(NamedTuple):
     """One stuck-at defect: ``signal`` (dense id) held at ``stuck_value``."""
 
     signal: int
@@ -58,7 +63,7 @@ class Fault:
 
 def enumerate_faults(circuit: Circuit) -> list[Fault]:
     """All 2 * signal_count stuck-at faults, ordered by signal id then s-a-0/s-a-1."""
-    return [Fault(s, v) for s in range(circuit.signal_count) for v in (0, 1)]
+    return list(map(Fault._make, itertools.product(range(circuit.signal_count), (0, 1))))
 
 
 def exhaustive_patterns(num_inputs: int) -> list[Pattern]:
@@ -67,8 +72,7 @@ def exhaustive_patterns(num_inputs: int) -> list[Pattern]:
         raise ValueError(
             f"exhaustive pattern sets are limited to {EXHAUSTIVE_INPUT_LIMIT} inputs, "
             f"got {num_inputs}")
-    return [tuple((code >> j) & 1 for j in range(num_inputs))
-            for code in range(1 << num_inputs)]
+    return _unpack(range(1 << num_inputs), num_inputs)
 
 
 def random_patterns(num_inputs: int, count: int, seed: int) -> list[Pattern]:
@@ -79,7 +83,15 @@ def random_patterns(num_inputs: int, count: int, seed: int) -> list[Pattern]:
     codes = rng.sample(range(total), min(count, total)) if num_inputs < 63 else {}
     while len(codes) < min(count, total):
         codes[rng.getrandbits(num_inputs)] = None
-    return [tuple((code >> j) & 1 for j in range(num_inputs)) for code in codes]
+    return _unpack(codes, num_inputs)
+
+
+def _unpack(codes, num_inputs: int) -> list[Pattern]:
+    """Each code as a bit tuple, input ``j`` carrying bit ``j`` (the bit set above
+    them keeps the leading zeros).  Per-input words end to end (ROADMAP item 4b)
+    wait on item 2: ``perfbench/checks.py`` reads ``fdict.patterns[p]`` as bit tuples."""
+    return [tuple(format(code | 1 << num_inputs, "b")[:0:-1].encode().translate(_BIT_BYTES))
+            for code in codes]
 
 
 def _stem_diffs(entries, offset: int, mask: int):
@@ -227,16 +239,12 @@ def _flip_mismatch(entries, other: dict[int, int]) -> int:
     return x
 
 
-# bytes.translate table: a bit string's "0"/"1" characters to 0/1 selector bytes
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-# Bits per batched propagation word: stems are flipped K = _BATCH_BITS // P
-# at a time (at least one) for P patterns.  Fixed from timing the whole build
-# of a 3000-gate, 1024-pattern netlist on a 2-core x86 host (median of 11
-# interleaved builds): budget 1024 bits (one stem per batch) 0.37 s, 2048
-# 0.26 s, 4096 0.24 s, 8192 0.22 s, 16384 0.24 s, 32768 0.28 s; wider words
-# cost more per gate than the shared gates save.
-_BATCH_BITS = 8192
+# Stems flipped per propagation: K = _BATCH_BITS // P (at least 1) for P patterns.
+# Builds of a 1000- and a 3000-gate netlist at P = 1024 (fresh processes, 2-core x86,
+# median of 12; peak RSS): 6144 bits 176.5 ms / 54.4 MB, 7168 173.4 / 54.8, 8192
+# 183.8 / 55.4, 16384 166.8 / 60.3.  8192 bits (1120 bytes) miss glibc's per-thread
+# malloc cache (up to 1032): 277 ns per gate against 184 at 7168; 16384 peaks 5.5 MB higher.
+_BATCH_BITS = 7168
 
 
 def _fanout_free_regions(circuit: Circuit, free: list[int],
@@ -400,11 +408,8 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern]) -> Fau
     num_signals = circuit.signal_count
 
     free = [0] * num_signals
-    for j, sid in enumerate(circuit.inputs):
-        w = 0
-        for p, pat in enumerate(patterns):
-            w |= pat[j] << p
-        free[sid] = w
+    for sid, bits in zip(circuit.inputs, zip(*patterns)):  # bits[p]: the input under p
+        free[sid] = int(bytes(bits[::-1]).translate(_BIT_CHARS), 2)
     _run(circuit._program, free, mask)
     free_words = tuple(free[o] for o in circuit.outputs)
 

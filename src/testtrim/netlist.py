@@ -124,11 +124,10 @@ def parse_bench(text: str, name: str = "circuit") -> Circuit:
             kind_u = kind.upper()
             if kind_u not in GATE_KINDS:
                 raise BenchParseError(f"unknown gate kind '{kind}'", line_no, raw.find(kind) + 1)
-            in_names = tuple(a.strip() for a in args.split(","))
-            for a in in_names:
-                if not _ID_RE.fullmatch(a):
-                    raise BenchParseError(f"bad gate input list '{args.strip()}'",
-                                          line_no, raw.find("(") + 2)
+            in_names = tuple(map(str.strip, args.split(",")))
+            if not all(map(_ID_RE.fullmatch, in_names)):
+                raise BenchParseError(f"bad gate input list '{args.strip()}'",
+                                      line_no, raw.find("(") + 2)
             if kind_u in _UNARY_KINDS and len(in_names) != 1:
                 raise BenchParseError(f"{kind_u} takes exactly 1 input, got {len(in_names)}",
                                       line_no, col0)
@@ -140,12 +139,11 @@ def parse_bench(text: str, name: str = "circuit") -> Circuit:
         raise BenchParseError(f"syntax error near '{code}'", line_no, col0)
 
     # Driver bookkeeping: a signal is driven by INPUT or by exactly one gate.
-    seen_inputs: set[str] = set()
-    for i, n in enumerate(input_names):
-        if n in seen_inputs:
+    driven: set[str] = set()
+    for n in input_names:
+        if n in driven:
             raise BenchParseError(f"signal '{n}' multiply driven (duplicate INPUT)")
-        seen_inputs.add(n)
-    driven: set[str] = set(seen_inputs)
+        driven.add(n)
     for out, _, _, line_no, raw in gate_stmts:
         if out in driven:
             raise BenchParseError(f"signal '{out}' multiply driven", line_no, raw.find(out) + 1)
@@ -211,9 +209,9 @@ def build_circuit(name: str,
     if len(placed) < len(gate_stmts):
         out = gate_stmts[next(g for g, w in enumerate(waiting) if w)][0]
         raise BenchParseError(f"cyclic dependency involving '{out}'", (_lines or {}).get(out))
-    ordered = [gate_stmts[g] for g in sorted(placed, key=lambda g: (passes[g], g))]
+    ordered = [gate_stmts[g] for g in sorted(range(len(gate_stmts)), key=passes.__getitem__)]
 
-    gates = tuple(Gate(ids[out], kind, tuple(ids[i] for i in ins)) for out, kind, ins in ordered)
+    gates = tuple(Gate(ids[o], kind, tuple(map(ids.__getitem__, ins))) for o, kind, ins in ordered)
     return Circuit(
         name=name,
         signal_names=tuple(ids),

@@ -14,23 +14,26 @@ the prefix replay applies the same two clauses to whole packed prefixes of
 rows from the full-pass builder (fast enough for netlists of hundreds of
 gates),
 the dictionary reader parses the text export back into packed words for
-comparison with the full-pass rows, the per-trace stop reference builds,
-standardizes and scores one row at a time with its own formulas, the RBF
-map takes each landmark distance directly instead of through the
-expanded-norm identity, the lasso minimizer takes proximal gradient steps on
-the whole coefficient vector instead of coordinate descent, the logistic
-minimizer takes damped Newton steps on its own cost, gradient and Hessian,
-and the sigmoid calls libm's exp one value at a time.  Two references keep
-the package's arithmetic but not its memory plan, so the fast paths must
-match them bit for bit: the one-shot RBF map builds the whole distance
-matrix in one expression, and the every-trial L-BFGS loop takes the cost
-and the gradient together at each line-search trial.
+comparison with the full-pass rows, the pattern references take each bit of
+a pattern code by a shift and pack each input word one pattern at a time,
+the per-trace stop reference builds, standardizes and scores one row at a
+time with its own formulas, the RBF map takes each landmark distance
+directly instead of through the expanded-norm identity, the lasso minimizer
+takes proximal gradient steps on the whole coefficient vector instead of
+coordinate descent, the logistic minimizer takes damped Newton steps on its
+own cost, gradient and Hessian, and the sigmoid calls libm's exp one value
+at a time.  Two references keep the package's arithmetic but not its memory
+plan, so the fast paths must match them bit for bit: the one-shot RBF map
+builds the whole distance matrix in one expression, and the every-trial
+L-BFGS loop takes the cost and the gradient together at each line-search
+trial.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import random
 from functools import reduce
 
 import numpy as np
@@ -161,6 +164,28 @@ def rewrite_fault_response(bench_text: str, circuit: Circuit, fault: Fault, patt
     return evaluate(rewrite_faulty_circuit(bench_text, circuit, fault), pattern)
 
 
+def pattern_bits(code: int, num_inputs: int) -> tuple[int, ...]:
+    """The pattern a code stands for: input ``j`` carries ``(code >> j) & 1``."""
+    return tuple((code >> j) & 1 for j in range(num_inputs))
+
+
+def seeded_patterns_reference(num_inputs: int, count: int, seed: int):
+    """``faultsim.random_patterns``' codes, drawn the same way, each
+    unpacked bit by bit."""
+    rng = random.Random(seed)
+    total = 1 << num_inputs
+    codes = rng.sample(range(total), min(count, total)) if num_inputs < 63 else {}
+    while len(codes) < min(count, total):
+        codes[rng.getrandbits(num_inputs)] = None
+    return [pattern_bits(code, num_inputs) for code in codes]
+
+
+def per_pattern_input_words(patterns, num_inputs: int) -> list[int]:
+    """Per input ``j``, the word whose bit ``p`` is ``patterns[p][j]``,
+    packed one pattern at a time."""
+    return [sum(pat[j] << p for p, pat in enumerate(patterns)) for j in range(num_inputs)]
+
+
 # (reduction over the input words, invert the result) per gate kind
 _PACKED_GATES = {
     "AND": (operator.and_, False), "NAND": (operator.and_, True),
@@ -177,8 +202,7 @@ def full_pass_fault_words(circuit: Circuit, patterns):
     ``FaultDictionary``, faults in ``enumerate_faults`` order.
     """
     mask = (1 << len(patterns)) - 1
-    packed_inputs = [sum(pat[j] << p for p, pat in enumerate(patterns))
-                     for j in range(len(circuit.inputs))]
+    packed_inputs = per_pattern_input_words(patterns, len(circuit.inputs))
 
     def run(stuck_signal=-1, stuck_word=0):
         words = [0] * circuit.signal_count

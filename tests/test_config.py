@@ -1,7 +1,7 @@
 import pytest
 
 from testtrim.config import (CORPUS_KEYS, MODEL_KEYS, RunConfig, config_from_text,
-                             config_to_text, load_config, save_config)
+                             config_to_text, load_config, load_record, save_config)
 
 
 def test_defaults_roundtrip_through_text():
@@ -25,6 +25,24 @@ def test_non_default_values_roundtrip(tmp_path):
 def test_comments_and_blanks_ignored():
     cfg = config_from_text("# hello\n\ncorpus.circuits = 3  # trailing\n")
     assert cfg.corpus_circuits == 3
+
+
+def test_hash_inside_a_value_starts_no_comment(tmp_path):
+    cfg = config_from_text("corpus.netlist_dir = benches/#1\n"
+                           "corpus.circuits = 3\t# after a tab\n"
+                           "#corpus.seed = 9\n")
+    assert (cfg.corpus_netlist_dir, cfg.corpus_circuits, cfg.corpus_seed) == ("benches/#1", 3, 7)
+    path = tmp_path / "config.txt"
+    save_config(cfg, path, CORPUS_KEYS)
+    assert load_config(path) == load_record(path, CORPUS_KEYS) == cfg
+
+
+@pytest.mark.parametrize("value", ["benches #1", "#1", " benches", "benches\t", "a\nb", "a\rb"])
+def test_value_that_would_not_read_back_is_refused(value):
+    with pytest.raises(ValueError) as exc:
+        config_to_text(RunConfig(corpus_netlist_dir=value), CORPUS_KEYS)
+    assert str(exc.value) == (f"corpus.netlist_dir = {value!r} would not read back "
+                              f"from a config file")
 
 
 def test_unknown_key_rejected():

@@ -1,9 +1,13 @@
+import gc
+
 import pytest
 
+from conftest import AND_BENCH
+from testtrim import corpus as corpus_module
 from testtrim.config import RunConfig
 from testtrim.corpus import build_corpus
 from testtrim.dataset import split_corpus
-from testtrim.netlist import format_bench
+from testtrim.netlist import BenchParseError, format_bench
 
 
 def test_small_corpus_shape(small_corpus):
@@ -70,6 +74,28 @@ def test_netlist_dir_corpus(tmp_path, small_corpus):
     corpus = build_corpus(cfg)
     assert [c.name for c in corpus.circuits] == sorted(c.name for c in small_corpus.circuits[:5])
     assert len(corpus.traces) == 5
+
+
+@pytest.mark.parametrize("enabled", (True, False), ids=("collector on", "collector off"))
+def test_build_leaves_the_collector_as_found(tmp_path, monkeypatch, enabled):
+    paused = []   # per dictionary built: was the collector off?
+    build = corpus_module.build_fault_dictionary
+    monkeypatch.setattr(corpus_module, "build_fault_dictionary",
+                        lambda *args: paused.append(not gc.isenabled()) or build(*args))
+    (tmp_path / "a_ok.bench").write_text(AND_BENCH)
+    (tmp_path / "b_bad.bench").write_text("INPUT(a)\nOUTPUT(z)\nz = AND(a, b)\n")
+    caller = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        build_corpus(RunConfig(corpus_circuits=3, corpus_patterns=16, corpus_min_inputs=3,
+                               corpus_max_inputs=4, corpus_min_gates=4, corpus_max_gates=8))
+        assert gc.isenabled() is enabled
+        with pytest.raises(BenchParseError, match="b_bad.bench"):
+            build_corpus(RunConfig(corpus_netlist_dir=str(tmp_path)))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if caller else gc.disable()
+    assert len(paused) >= 4 and all(paused)
 
 
 def test_netlist_dir_missing_files(tmp_path):

@@ -186,7 +186,8 @@ def test_undetected_fault_raises(and_circuit):
 
 def test_unknown_injected_fault(and_circuit):
     fdict = build_fault_dictionary(and_circuit, [(1, 1)])
-    with pytest.raises(ValueError, match="not in dictionary"):
+    with pytest.raises(ValueError, match=r"^injected fault Fault\(signal=57, stuck_value=0\) "
+                                         r"not in dictionary$"):
         trace_diagnosis(fdict, Fault(57, 0))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import AND_BENCH, EDGE_BENCHES, random_pattern_list
-from oracles import (full_pass_fault_words, read_dictionary_text, recursive_signal_values,
-                     rewrite_fault_response)
+from oracles import (full_pass_fault_words, pattern_bits, per_pattern_input_words,
+                     read_dictionary_text, recursive_signal_values, rewrite_fault_response,
+                     seeded_patterns_reference)
 from testtrim import faultsim
+from testtrim.diagnosis import trace_diagnosis
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns, random_patterns, write_dictionary)
 from testtrim.generator import random_circuit
@@ -23,6 +26,19 @@ def test_enumerate_and_circuit(and_circuit):
     faults = enumerate_faults(and_circuit)
     assert len(faults) == 6
     assert faults == [Fault(s, v) for s in range(3) for v in (0, 1)]
+
+
+def test_fault_prints_orders_and_hashes_as_its_fields():
+    # error texts and the benchmark's failure messages print faults
+    fault = Fault(3, 1)
+    assert repr(fault) == str(fault) == "Fault(signal=3, stuck_value=1)"
+    assert (fault.signal, fault.stuck_value) == (3, 1)
+    assert (sorted([Fault(3, 1), Fault(1, 1), Fault(3, 0), Fault(1, 0)])
+            == [Fault(1, 0), Fault(1, 1), Fault(3, 0), Fault(3, 1)])
+    assert Fault(2, 1) < Fault(3, 0)
+    # hashed as the tuple of its fields, so sets of faults keep their order
+    assert hash(fault) == hash((3, 1)) == hash(Fault(3, 1))
+    assert len({fault, Fault(3, 1), Fault(1, 3)}) == 2
 
 
 def test_enumerate_passthrough_circuit():
@@ -152,6 +168,31 @@ def test_random_patterns_on_wide_inputs(num_inputs):
     assert any(p[-1] for p in patterns)
 
 
+@pytest.mark.parametrize("num_inputs", (1, 12, 24, 62, 63, 64, 100))
+def test_pattern_bits_and_input_words_match_per_bit_reference(num_inputs):
+    patterns = random_patterns(num_inputs, 1024, seed=num_inputs)
+    assert patterns == seeded_patterns_reference(num_inputs, 1024, num_inputs)
+    if num_inputs <= faultsim.EXHAUSTIVE_INPUT_LIMIT:
+        assert exhaustive_patterns(num_inputs) == [pattern_bits(code, num_inputs)
+                                                   for code in range(1 << num_inputs)]
+    # every input is an output, so the fault-free row is the packed input words
+    names = [f"x{j}" for j in range(num_inputs)]
+    fdict = build_fault_dictionary(build_circuit("wires", names, names, []), patterns)
+    assert list(fdict.free_words) == per_pattern_input_words(patterns, num_inputs)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0, 1, 1), "pattern length 3 does not match 2 circuit inputs"),
+    ((1,), "pattern length 1 does not match 2 circuit inputs"),
+    ((0, 2), "pattern bits must be 0 or 1, got 2"),
+    ((-1, 0), "pattern bits must be 0 or 1, got -1"),
+])
+def test_bad_pattern_refused_with_its_message(and_circuit, bad, message):
+    for patterns in ([bad], [(0, 0), (1, 1), bad, (0, 1)]):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_fault_dictionary(and_circuit, patterns)
+
+
 def test_dictionary_export_format(tmp_path, and_circuit):
     patterns = exhaustive_patterns(2)  # (a, b) = 00, 10, 01, 11: z = a & b is 0b1000
     fdict = build_fault_dictionary(and_circuit, patterns)
@@ -248,6 +289,30 @@ def test_dictionary_matches_full_pass_reference(seed, num_gates, p_unread, num_p
     budget = stems_per_batch * num_patterns if stems_per_batch else faultsim._BATCH_BITS
     with mock.patch.object(faultsim, "_BATCH_BITS", budget):
         _assert_matches_full_pass(circuit, patterns)
+
+
+@pytest.mark.parametrize("num_patterns", (1, 64, 208, 1024))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_batch_budget_changes_no_result(seed, num_patterns):
+    # the budget sets only how many stems share a propagation word
+    rng = random.Random(f"budget:{seed}")
+    circuit = random_circuit(f"b{seed}", rng, min_inputs=4, max_inputs=24,
+                             min_gates=100, max_gates=300, p_unread=0.5)
+    patterns = random_pattern_list(circuit, num_patterns, rng)
+    results, batches = [], []
+    for budget in (1024, 7168, 8192):
+        with mock.patch.object(faultsim, "_BATCH_BITS", budget):
+            fdict = build_fault_dictionary(circuit, patterns)
+        detected = fdict.detected_fault_indices()
+        injected = detected[::max(1, len(detected) // 12)]
+        results.append((tuple(fdict.fault_words), fdict.fault_masks,
+                        [fdict.elimination_indices(f) for f in injected],
+                        [trace_diagnosis(fdict, fdict.faults[f]) for f in injected]))
+        batches.append(len(fdict.batch_diffs))
+    assert results[0][3]
+    assert results[0] == results[1] == results[2]
+    if num_patterns == 1024:  # one stem per word at 1024 bits, 7 and 8 at the others
+        assert batches[0] > batches[2]
 
 
 def test_replaced_rows_are_the_rows_read(sample6):
