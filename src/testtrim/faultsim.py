@@ -14,8 +14,11 @@ signal, in one reverse-topological pass, the patterns under which its
 complement reaches its stem, and a fault flips its stem under those of
 them that excite it.  Each stem some fault flips is flipped once under
 all patterns, with K stems propagated together in K slices of one wide
-word, as in parallel-fault simulation (Seshu 1965).  Each batch keeps one
-K-slice diff word per output it changes, and each stem keeps only its
+word, as in parallel-fault simulation (Seshu 1965).  A batch propagates
+the union of its stems' cones, so the stems are batched in a preorder
+walk of their fanout tree, where a stem's parent is a stem its readers
+feed: neighbours in the walk share most of their cones.  Each batch keeps
+one K-slice diff word per output it changes, and each stem keeps only its
 batch and the bit offset of its slice: no diff word is cut per stem.
 Cones are read off per-signal reachability bitsets.  Every gate
 evaluation runs on the circuit's compiled gate program (``netlist._run``).
@@ -26,7 +29,8 @@ fault-free row with the stem's slice of its batch's diffs applied under
 the patterns in the mask.  This module alone knows that layout.  Trace
 replay (:mod:`testtrim.diagnosis`) asks
 :meth:`FaultDictionary.elimination_indices`, which compares the records
-directly, never the rows.  :meth:`FaultDictionary.response` unpacks one
+directly, never the rows, and reads the stem diffs only for the faults
+that first fail where the injected fault first fails.  :meth:`FaultDictionary.response` unpacks one
 (fault, pattern) entry into a bit tuple on demand.  The ``.dict`` export
 (:func:`write_dictionary`) writes the packed rows, one line per fault with
 one hex word per output.
@@ -39,13 +43,14 @@ garbage collector paused, as nothing they allocate forms a reference cycle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .netlist import Circuit, Pattern, Response, _check_pattern, _run
+from .netlist import Circuit, Pattern, Response, _check_patterns, _run
 
 EXHAUSTIVE_INPUT_LIMIT = 12
 
@@ -61,9 +66,13 @@ class Fault(NamedTuple):
     stuck_value: int
 
 
+# Fault._make without its Python-level length check
+_new_fault = functools.partial(tuple.__new__, Fault)
+
+
 def enumerate_faults(circuit: Circuit) -> list[Fault]:
     """All 2 * signal_count stuck-at faults, ordered by signal id then s-a-0/s-a-1."""
-    return list(map(Fault._make, itertools.product(range(circuit.signal_count), (0, 1))))
+    return list(map(_new_fault, itertools.product(range(circuit.signal_count), (0, 1))))
 
 
 def exhaustive_patterns(num_inputs: int) -> list[Pattern]:
@@ -186,54 +195,80 @@ class FaultDictionary:
         differs from fault ``inj_idx``'s, or ``num_patterns`` where none does.
 
         Read off the records, not the rows: with ``M`` the masks,
-        ``mismatch(f, i) = (M_f ^ M_i) | (M_f & M_i & E_f)``.  Where both
-        faults fail, each row reads its stem's diff, so ``E_f = OR_j
-        (diff_f[j] ^ diff_i[j])``.  With ``R_j`` the injected stem's diff
-        copied into all K slices, ``X_B = OR_j (W_j ^ R_j)`` (a missing side
-        reading 0) and ``E_f = (X_B >> off_f) & full``.  ``X_B`` is computed
-        once per batch and ``E`` once per slot, each only where a fault that
-        fails together with the injected one needs it.
+        ``mismatch(f, i) = (M_f ^ M_i) | (M_f & M_i & E_f)``.  Let ``p_i`` be
+        the injected fault's first failing pattern.  Below ``p_i`` the
+        mismatch is ``M_f``, so a fault whose mask has a set bit below
+        ``p_i`` has that lowest bit as its index, and a fault that passes
+        ``p_i`` differs there; both read only ``M_f`` cut to its low ``p_i +
+        1`` bits.  Only a fault whose first failing pattern is ``p_i`` reads
+        ``E_f``: where both faults fail, each row reads its stem's diff, so
+        ``E_f = OR_j (diff_f[j] ^ diff_i[j])``.  With ``R_j`` the injected
+        stem's diff copied into all K slices, ``X_B = OR_j (W_j ^ R_j)`` (a
+        missing side reading 0) and ``E_f = (X_B >> off_f) & full``.  ``X_B``
+        is computed once per batch and ``E`` once per slot, each only where
+        such a fault needs it, and ``E`` is 0 on the injected fault's own
+        slot.  An undetected injected fault fails with none, so every index
+        is then the lowest set bit of ``M_f``.
         """
-        full = (1 << self.num_patterns) - 1
-        fail_mask = self.fault_masks[inj_idx]
         never = self.num_patterns           # elimination index of a surviving fault
+        fail_mask = self.fault_masks[inj_idx]
+        if not fail_mask:
+            return [(m & -m).bit_length() - 1 if m else never for m in self.fault_masks]
+        full = (1 << self.num_patterns) - 1
+        lead = fail_mask & -fail_mask       # the bit of p_i
+        first = lead.bit_length() - 1
+        prefix = (lead << 1) - 1
         slots = self.fault_slots
         batch_diffs = self.batch_diffs
-        inj_diffs = {}                      # R_j, in every slice
-        if fail_mask:  # an undetected fault fails with none: no batch is read
-            inj_batch, inj_offset = slots[inj_idx]
-            # bit 0 of every slice of a batch word: d * copies is d in every slice
-            width = max(slot[1] for slot in slots if slot) + self.num_patterns
-            copies = ((1 << width) - 1) // full
-            inj_diffs = {j: d * copies
-                         for j, d in _stem_diffs(batch_diffs[inj_batch], inj_offset, full) if d}
+        inj_slot = slots[inj_idx]
+        inj_diffs = None                    # R_j, computed once a batch needs it
         batch_mismatch: dict[int, int] = {}  # X_B, for the batches that need it
-        slot_mismatch: dict[tuple[int, int], int] = {}  # E, for the slots that need it
+        slot_mismatch = {inj_slot: 0}       # E, for the slots that need it
         elim = []
         for m, slot in zip(self.fault_masks, slots):
-            diff = m ^ fail_mask
-            both = m & fail_mask
-            if both:
-                e = slot_mismatch.get(slot)
-                if e is None:
-                    batch, offset = slot
-                    x = batch_mismatch.get(batch)
-                    if x is None:
-                        x = batch_mismatch[batch] = _flip_mismatch(batch_diffs[batch],
-                                                                   inj_diffs)
-                    e = slot_mismatch[slot] = (x >> offset) & full
-                diff |= both & e
+            low = m & prefix
+            if low != lead:                 # the fault's first failing pattern is not p_i
+                elim.append((low & -low).bit_length() - 1 if low else first)
+                continue
+            e = slot_mismatch.get(slot)
+            if e is None:
+                batch, offset = slot
+                x = batch_mismatch.get(batch)
+                if x is None:
+                    if inj_diffs is None:
+                        inj_diffs = self._replicated_diffs(inj_slot)
+                    x = batch_mismatch[batch] = _flip_mismatch(batch_diffs[batch], inj_diffs)
+                e = slot_mismatch[slot] = (x >> offset) & full
+            diff = (m ^ fail_mask) | (m & fail_mask & e)
             elim.append((diff & -diff).bit_length() - 1 if diff else never)
         return elim
 
 
+    def _replicated_diffs(self, slot: tuple[int, int]) -> dict[int, int]:
+        """``R_j``: the nonzero diffs of the stem in ``slot``, each copied
+        into every slice of a batch word."""
+        full = (1 << self.num_patterns) - 1
+        width = max(s[1] for s in self.fault_slots if s) + self.num_patterns
+        copies = ((1 << width) - 1) // full  # bit 0 of every slice: d * copies is d in each
+        return {j: d * copies for j, d in _stem_diffs(self.batch_diffs[slot[0]], slot[1], full)
+                if d}
+
+
 def _flip_mismatch(entries, other: dict[int, int]) -> int:
     """``OR_j (W_j ^ other[j])`` over a batch's ``(j, low, W_j >> low)``
-    entries and ``other``, a side missing ``j`` reading 0 there."""
+    entries and ``other``, a side missing ``j`` reading 0 there.  The words
+    ``other`` misses are ORed per ``low`` and shifted once per ``low``."""
     rest = dict(other)
+    by_low: dict[int, int] = {}
     x = 0
     for j, low, w in entries:
-        x |= (w << low) ^ rest.pop(j, 0)
+        r = rest.pop(j, None)
+        if r is None:
+            by_low[low] = by_low.get(low, 0) | w
+        else:
+            x |= (w << low) ^ r
+    for low, w in by_low.items():
+        x |= w << low
     for w in rest.values():
         x |= w
     return x
@@ -245,6 +280,9 @@ def _flip_mismatch(entries, other: dict[int, int]) -> int:
 # 183.8 / 55.4, 16384 166.8 / 60.3.  8192 bits (1120 bytes) miss glibc's per-thread
 # malloc cache (up to 1032): 277 ns per gate against 184 at 7168; 16384 peaks 5.5 MB higher.
 _BATCH_BITS = 7168
+
+
+_MANY = -2  # the reader gate of a signal read by several gates, or of an output
 
 
 def _fanout_free_regions(circuit: Circuit, free: list[int],
@@ -265,21 +303,23 @@ def _fanout_free_regions(circuit: Circuit, free: list[int],
     program = circuit._program
     num_signals = circuit.signal_count
     reach = [0] * num_signals
-    readers: list[set[int]] = [set() for _ in range(num_signals)]
+    # the one reader gate of each signal: -1 while none is seen, _MANY after a second
+    reader = [-1] * num_signals
     for gi in range(len(program) - 1, -1, -1):
         out, _, _, _, ins = program[gi]
         r = reach[out] | (1 << gi)
         for i in ins:
             reach[i] |= r
-            readers[i].add(gi)
-    is_output = set(circuit.outputs)
+            reader[i] = gi if reader[i] in (-1, gi) else _MANY
+    for o in circuit.outputs:
+        reader[o] = _MANY
     stem_of = list(range(num_signals))
     sens = [mask] * num_signals
     words = list(free)
     for s in itertools.chain((g.output for g in reversed(circuit.gates)), circuit.inputs):
-        if len(readers[s]) != 1 or s in is_output:
+        gi = reader[s]
+        if gi < 0:
             continue
-        (gi,) = readers[s]
         out = program[gi][0]
         stem_of[s] = stem_of[out]
         if sens[out]:
@@ -291,6 +331,60 @@ def _fanout_free_regions(circuit: Circuit, free: list[int],
         else:
             sens[s] = 0
     return reach, stem_of, sens
+
+
+def _stems_per_batch(num_stems: int, num_patterns: int) -> int:
+    """K, the stems flipped per propagation: ``_BATCH_BITS // P``, at least
+    1 and at most ``num_stems``."""
+    return max(1, min(_BATCH_BITS // num_patterns, num_stems))
+
+
+def _fanout_tree_order(circuit: Circuit, reach: list[int], stem_of: list[int],
+                       stems: Sequence[int], num_patterns: int) -> Sequence[int]:
+    """``stems``, given in topological order, reordered for :func:`_flip_stems`.
+
+    Stems that fit one batch keep their order.  Otherwise the stems form a
+    forest: a stem's parent is the stem, among the ``stem_of`` of its
+    reader gates' outputs, with the largest cone (of equal cones, the later
+    in topological order).  A stem's cone holds its
+    parent's, so a preorder walk of the forest keeps stems whose cones
+    overlap most next to each other, and a batch cut from it evaluates
+    fewer union-cone gates than one cut from the topological order.
+    Roots, and the children of each stem, are walked in ascending cone
+    size, ties broken by topological position.  The walk is cut into runs
+    of K stems, and each run is sorted topologically.
+    """
+    per_batch = _stems_per_batch(len(stems), num_patterns)
+    if len(stems) <= per_batch:
+        return stems
+    num = len(stems)
+    # walk rank: cone size, then topological position
+    rank = {s: reach[s].bit_count() * num + k for k, s in enumerate(stems)}
+    parent: dict[int, int] = {}
+    for out, _, _, _, ins in circuit._program:
+        d = stem_of[out]
+        rd = rank.get(d)
+        if rd is None:
+            continue
+        for i in ins:
+            if i in rank:
+                p = parent.get(i)
+                if p is None or rd > rank[p]:
+                    parent[i] = d
+    children: dict[int, list[int]] = {}
+    roots = []
+    for s in sorted(stems, key=rank.__getitem__, reverse=True):
+        p = parent.get(s)
+        (roots if p is None else children.setdefault(p, [])).append(s)
+    walk = []
+    stack = roots  # in descending rank, so the smallest is walked first
+    while stack:
+        s = stack.pop()
+        walk.append(s)
+        stack.extend(children.get(s, ()))
+    position = {s: k for k, s in enumerate(stems)}
+    return [s for b in range(0, num, per_batch)
+            for s in sorted(walk[b:b + per_batch], key=position.__getitem__)]
 
 
 def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
@@ -305,8 +399,11 @@ def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
     stem of batch ``b`` and None for every other signal; ``obs[s]`` the OR
     of ``s``'s slices (0 for other signals).
 
-    ``stems`` must be in topological order.  K = max(1, _BATCH_BITS // P),
-    capped at the number of stems, so no slice of a full batch goes unused:
+    Each run of K stems (a batch) must be in topological order, as
+    :func:`_fanout_tree_order` gives them: the runs follow a walk of the
+    stems' fanout tree, and within a run the stems are sorted
+    topologically.  K = max(1, _BATCH_BITS // P), capped at the number of
+    stems, so no slice of a full batch goes unused:
     every signal word is replicated into K slices of P bits by shift-ORs,
     slice ``k`` of the ``k``-th stem is complemented, and the union of the
     stems' ``reach`` cones is propagated once with the K-slice mask.  A
@@ -319,7 +416,7 @@ def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
     """
     program = circuit._program
     mask = (1 << num_patterns) - 1
-    per_batch = max(1, min(_BATCH_BITS // num_patterns, len(stems)))
+    per_batch = _stems_per_batch(len(stems), num_patterns)
     wide = (1 << (per_batch * num_patterns)) - 1
     rep = []
     for w in free:
@@ -388,7 +485,8 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern]) -> Fau
     free[site]) & sens[site]``.
 
     Every stem some fault flips is then flipped once under all patterns,
-    several stems per propagation (see :func:`_flip_stems`); each batch
+    several stems per propagation, batched along the stems' fanout tree
+    (see :func:`_fanout_tree_order` and :func:`_flip_stems`); each batch
     keeps one diff word per output that changes, and each stem's ``obs`` is
     its slice of their OR.  The cones are read off ``reach[s]``, an int
     with bit ``gi`` set for every gate that transitively reads ``s``, built
@@ -402,8 +500,7 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern]) -> Fau
     """
     if not patterns:
         raise ValueError("empty pattern list")
-    for p in patterns:
-        _check_pattern(circuit, p)
+    _check_patterns(circuit, patterns)
     mask = (1 << len(patterns)) - 1
     num_signals = circuit.signal_count
 
@@ -422,6 +519,7 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern]) -> Fau
     flipped = {stem for stem, d in zip(fault_stems, stem_flips) if d}
     order = [s for s in itertools.chain(circuit.inputs, (g.output for g in circuit.gates))
              if s in flipped]
+    order = _fanout_tree_order(circuit, reach, stem_of, order, len(patterns))
     batch_diffs, stem_slots, obs = _flip_stems(circuit, free, reach, order, len(patterns))
     fault_masks = tuple(obs[stem] & d for stem, d in zip(fault_stems, stem_flips))
     fault_slots = tuple(stem_slots[stem] if m else None

@@ -24,9 +24,12 @@ one loop, :func:`_run`, evaluates any topologically ordered part of it.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 GATE_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF")
 _UNARY_KINDS = frozenset({"NOT", "BUF"})
@@ -56,6 +59,10 @@ class Gate(NamedTuple):
     inputs: tuple[int, ...]
 
 
+# Gate._make without its Python-level length check
+_new_gate = functools.partial(tuple.__new__, Gate)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """An acyclic gate-level circuit, immutable after construction.
@@ -82,92 +89,123 @@ class Circuit:
         return len(self.signal_names)
 
 
-_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_IO_RE = re.compile(r"(INPUT|OUTPUT)\s*\(\s*([A-Za-z0-9_]+)\s*\)\Z", re.IGNORECASE)
-_GATE_RE = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([A-Za-z0-9_]+)\s*\(([^()]*)\)\Z")
+_NAME = r"[A-Za-z0-9_]+"
+# One well-formed line: blank, an INPUT or OUTPUT declaration, or a gate, then an
+# optional comment.  Keywords are case-insensitive ASCII, like gate kinds.  Groups:
+# INPUT, OUTPUT, declared signal, gate output, kind, first pin, second pin, more pins.
+_LINE_RE = re.compile(
+    rf"\s*(?:(?ai:(INPUT)|(OUTPUT))\s*\(\s*({_NAME})\s*\)"
+    rf"|({_NAME})\s*=\s*({_NAME})\s*\(\s*({_NAME})"
+    rf"(?:\s*,\s*({_NAME})((?:\s*,\s*{_NAME})*))?\s*\))?\s*(?:#.*)?")
+_NAME_RE = re.compile(_NAME)
+# the gate words read: each kind, and BUFF, the ISCAS-85 files' word for a buffer
+_KIND_WORDS = {**{kind: kind for kind in GATE_KINDS}, "BUFF": "BUF"}
+# the detailed checks that word the error for a line the grammar refuses
+_ID_RE = re.compile(rf"{_NAME}\Z")
+_GATE_RE = re.compile(rf"({_NAME})\s*=\s*({_NAME})\s*\(([^()]*)\)\Z")
 
 
 def parse_bench(text: str, name: str = "circuit") -> Circuit:
     """Parse bench-style netlist text into a :class:`Circuit`.
 
-    Raises :class:`BenchParseError` for syntax errors, undeclared or
-    multiply-driven signals, bad gate arities, unknown gate kinds, and
-    cyclic dependencies.  Gate declaration order in the text is free; the
-    returned circuit stores gates topologically sorted.
+    One compiled grammar recognises each well-formed line; for a line it
+    refuses, the detailed checks word the error.  ``BUFF`` reads as
+    ``BUF``.  Raises :class:`BenchParseError`, naming the line and column,
+    for syntax errors, undeclared or multiply-driven signals, bad gate
+    arities, unknown gate kinds, and cyclic dependencies.  Gate
+    declaration order in the text is free; the returned circuit stores
+    gates topologically sorted.
     """
+    lines = text.splitlines()
     input_names: list[str] = []
+    input_lines: list[int] = []
     output_names: list[str] = []
+    output_lines: list[int] = []
     declared_outputs: set[str] = set()
-    # gate statements: (out_name, kind, in_names, line_no, raw_line)
-    gate_stmts: list[tuple[str, str, tuple[str, ...], int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0].strip()
-        if not code:
-            continue
-        col0 = raw.index(code[0]) + 1
-        m = _IO_RE.fullmatch(code)
-        if m:
-            kw = m.group(1).upper()
-            sig = m.group(2)
-            if kw == "INPUT":
-                input_names.append(sig)
-            else:
-                if sig in declared_outputs:
-                    raise BenchParseError(f"duplicate OUTPUT declaration for '{sig}'",
-                                          line_no, raw.find(sig) + 1)
-                declared_outputs.add(sig)
-                output_names.append(sig)
-            continue
-        m = _GATE_RE.fullmatch(code)
-        if m:
-            out, kind, args = m.group(1), m.group(2), m.group(3)
-            kind_u = kind.upper()
-            if kind_u not in GATE_KINDS:
-                raise BenchParseError(f"unknown gate kind '{kind}'", line_no, raw.find(kind) + 1)
-            in_names = tuple(map(str.strip, args.split(",")))
-            if not all(map(_ID_RE.fullmatch, in_names)):
-                raise BenchParseError(f"bad gate input list '{args.strip()}'",
-                                      line_no, raw.find("(") + 2)
-            if kind_u in _UNARY_KINDS and len(in_names) != 1:
-                raise BenchParseError(f"{kind_u} takes exactly 1 input, got {len(in_names)}",
-                                      line_no, col0)
-            if kind_u not in _UNARY_KINDS and len(in_names) < 2:
-                raise BenchParseError(f"{kind_u} takes at least 2 inputs, got {len(in_names)}",
-                                      line_no, col0)
-            gate_stmts.append((out, kind_u, in_names, line_no, raw))
-            continue
-        raise BenchParseError(f"syntax error near '{code}'", line_no, col0)
+    gate_stmts: list[tuple[str, str, tuple[str, ...]]] = []
+    gate_lines: list[int] = []
+    for line_no, raw in enumerate(lines, start=1):
+        m = _LINE_RE.fullmatch(raw)
+        if m is None:
+            _refuse(raw, line_no)
+        is_input, is_output, sig, out, kind, a, b, more = m.groups()
+        if out is not None:
+            kind = _KIND_WORDS.get(kind.upper())
+            ins = (a,) if b is None else (a, b, *_NAME_RE.findall(more)) if more else (a, b)
+            if kind is None or (kind in _UNARY_KINDS) != (b is None):
+                _refuse(raw, line_no)
+            gate_stmts.append((out, kind, ins))
+            gate_lines.append(line_no)
+        elif is_input:
+            input_names.append(sig)
+            input_lines.append(line_no)
+        elif is_output:
+            if sig in declared_outputs:
+                raise BenchParseError(f"duplicate OUTPUT declaration for '{sig}'",
+                                      line_no, _declared_col(raw, sig))
+            declared_outputs.add(sig)
+            output_names.append(sig)
+            output_lines.append(line_no)
 
     # Driver bookkeeping: a signal is driven by INPUT or by exactly one gate.
     driven: set[str] = set()
-    for n in input_names:
+    for n, line_no in zip(input_names, input_lines):
         if n in driven:
-            raise BenchParseError(f"signal '{n}' multiply driven (duplicate INPUT)")
+            raise BenchParseError(f"signal '{n}' multiply driven (duplicate INPUT)",
+                                  line_no, _declared_col(lines[line_no - 1], n))
         driven.add(n)
-    for out, _, _, line_no, raw in gate_stmts:
+    for (out, _, _), line_no in zip(gate_stmts, gate_lines):
         if out in driven:
-            raise BenchParseError(f"signal '{out}' multiply driven", line_no, raw.find(out) + 1)
+            raise BenchParseError(f"signal '{out}' multiply driven",
+                                  line_no, lines[line_no - 1].find(out) + 1)
         driven.add(out)
-
-    for out, _, ins, line_no, raw in gate_stmts:
+    for (out, _, ins), line_no in zip(gate_stmts, gate_lines):
         for a in ins:
             if a not in driven:
                 raise BenchParseError(f"undeclared signal '{a}' used as input of '{out}'",
-                                      line_no, raw.rfind(a) + 1)
-    for n in output_names:
+                                      line_no, lines[line_no - 1].rfind(a) + 1)
+    for n, line_no in zip(output_names, output_lines):
         if n not in driven:
-            raise BenchParseError(f"undeclared signal '{n}' used as OUTPUT")
+            raise BenchParseError(f"undeclared signal '{n}' used as OUTPUT",
+                                  line_no, _declared_col(lines[line_no - 1], n))
 
-    return build_circuit(name, input_names, output_names,
-                         [(out, kind, ins) for out, kind, ins, _, _ in gate_stmts],
-                         _lines={out: ln for out, _, _, ln, _ in gate_stmts})
+    return build_circuit(name, input_names, output_names, gate_stmts, _lines=gate_lines)
+
+
+def _declared_col(raw: str, sig: str) -> int:
+    """The 1-based column of ``sig`` in its INPUT or OUTPUT line ``raw``."""
+    return raw.index(sig, raw.index("(")) + 1
+
+
+def _refuse(raw: str, line_no: int) -> NoReturn:
+    """Raise the error for a line the grammar refuses, worded by the detailed
+    checks: the kind, the pin list and the arity of a gate, else syntax."""
+    code = raw.split("#", 1)[0].strip()
+    col0 = raw.index(code[0]) + 1
+    m = _GATE_RE.fullmatch(code)
+    if m:
+        kind, args = m.group(2), m.group(3)
+        kind_u = kind.upper()
+        if kind_u not in _KIND_WORDS:
+            raise BenchParseError(f"unknown gate kind '{kind}'", line_no, raw.find(kind) + 1)
+        in_names = tuple(map(str.strip, args.split(",")))
+        if not all(map(_ID_RE.fullmatch, in_names)):
+            raise BenchParseError(f"bad gate input list '{args.strip()}'",
+                                  line_no, raw.find("(") + 2)
+        if _KIND_WORDS[kind_u] in _UNARY_KINDS and len(in_names) != 1:
+            raise BenchParseError(f"{kind_u} takes exactly 1 input, got {len(in_names)}",
+                                  line_no, col0)
+        if _KIND_WORDS[kind_u] not in _UNARY_KINDS and len(in_names) < 2:
+            raise BenchParseError(f"{kind_u} takes at least 2 inputs, got {len(in_names)}",
+                                  line_no, col0)
+    raise BenchParseError(f"syntax error near '{code}'", line_no, col0)
 
 
 def build_circuit(name: str,
                   input_names: Sequence[str],
                   output_names: Sequence[str],
                   gate_stmts: Sequence[tuple[str, str, Sequence[str]]],
-                  _lines: dict[str, int] | None = None) -> Circuit:
+                  _lines: Sequence[int] | None = None) -> Circuit:
     """Assemble a validated Circuit from name-level statements.
 
     Shared by the parser and the random-circuit generator.  Performs the
@@ -179,26 +217,46 @@ def build_circuit(name: str,
     after it.  Gates are sorted by (pass, declaration index), with the
     passes computed in linear time over Kahn's algorithm.  A statement
     never placed is reported as a cyclic dependency, the first such one in
-    declaration order.
+    declaration order, at its line in ``_lines`` (one per statement) when
+    given.  A pin that names no input or gate output is refused.
     """
-    ids: dict[str, int] = {}
-    for n in input_names:
-        ids[n] = len(ids)
-    for out, _, _ in gate_stmts:
-        ids[out] = len(ids)
+    num_inputs = len(input_names)
+    ids = {n: k for k, n in enumerate(itertools.chain(input_names,
+                                                      (out for out, _, _ in gate_stmts)))}
+    try:
+        pins = [tuple(map(ids.__getitem__, ins)) for _, _, ins in gate_stmts]
+    except KeyError:
+        out, pin = next((out, i) for out, _, ins in gate_stmts for i in ins if i not in ids)
+        raise BenchParseError(f"undeclared signal '{pin}' used as input of '{out}'") from None
+    gate_ids: Sequence[int] = range(num_inputs, num_inputs + len(gate_stmts))
+    kinds = list(map(operator.itemgetter(1), gate_stmts))
+    # declared in order, each gate reads only lower ids than its own: one pass places all
+    if not all(map(int.__lt__, map(max, pins), gate_ids)):
+        order = _pass_order(num_inputs, pins, _lines, gate_stmts)
+        gate_ids = [num_inputs + g for g in order]
+        kinds = [kinds[g] for g in order]
+        pins = [pins[g] for g in order]
+    return Circuit(
+        name=name,
+        signal_names=tuple(ids),
+        inputs=tuple(range(num_inputs)),
+        outputs=tuple(map(ids.__getitem__, output_names)),
+        gates=tuple(map(_new_gate, zip(gate_ids, kinds, pins))),
+    )
 
-    primary = set(input_names)
-    declared = {out: g for g, (out, _, _) in enumerate(gate_stmts)}
-    waiting = [0] * len(gate_stmts)
-    readers: list[list[int]] = [[] for _ in gate_stmts]
-    for g, (_, _, ins) in enumerate(gate_stmts):
-        for i in ins:
-            if i not in primary:
+
+def _pass_order(num_inputs: int, pins: list[tuple[int, ...]], lines: Sequence[int] | None,
+                gate_stmts) -> list[int]:
+    """Gate indices sorted by (pass, declaration index), for statements not
+    declared in order (see :func:`build_circuit`)."""
+    waiting = [0] * len(pins)
+    readers: list[list[int]] = [[] for _ in pins]
+    for g, gate_pins in enumerate(pins):
+        for i in gate_pins:
+            if i >= num_inputs:
+                readers[i - num_inputs].append(g)
                 waiting[g] += 1
-                h = declared.get(i)
-                if h is not None:
-                    readers[h].append(g)
-    passes = [1] * len(gate_stmts)
+    passes = [1] * len(pins)
     placed = [g for g, w in enumerate(waiting) if not w]
     for h in placed:
         for g in readers[h]:
@@ -206,19 +264,11 @@ def build_circuit(name: str,
             waiting[g] -= 1
             if not waiting[g]:
                 placed.append(g)
-    if len(placed) < len(gate_stmts):
-        out = gate_stmts[next(g for g, w in enumerate(waiting) if w)][0]
-        raise BenchParseError(f"cyclic dependency involving '{out}'", (_lines or {}).get(out))
-    ordered = [gate_stmts[g] for g in sorted(range(len(gate_stmts)), key=passes.__getitem__)]
-
-    gates = tuple(Gate(ids[o], kind, tuple(map(ids.__getitem__, ins))) for o, kind, ins in ordered)
-    return Circuit(
-        name=name,
-        signal_names=tuple(ids),
-        inputs=tuple(ids[n] for n in input_names),
-        outputs=tuple(ids[n] for n in output_names),
-        gates=gates,
-    )
+    if len(placed) < len(pins):
+        g = next(g for g, w in enumerate(waiting) if w)
+        raise BenchParseError(f"cyclic dependency involving '{gate_stmts[g][0]}'",
+                              lines[g] if lines else None)
+    return sorted(range(len(pins)), key=passes.__getitem__)
 
 
 def format_bench(circuit: Circuit) -> str:
@@ -310,6 +360,19 @@ def _check_pattern(circuit: Circuit, pattern: Sequence[int]) -> None:
     for b in pattern:
         if b not in (0, 1):
             raise ValueError(f"pattern bits must be 0 or 1, got {b!r}")
+
+
+def _check_patterns(circuit: Circuit, patterns: Sequence[Sequence[int]]) -> None:
+    """Refuse the first of ``patterns`` that :func:`_check_pattern` refuses.
+    The lengths and the bits are checked as two sets; only a pattern set
+    that fails them is walked pattern by pattern, for the message."""
+    try:
+        if set(map(len, patterns)) <= {len(circuit.inputs)} and set().union(*patterns) <= {0, 1}:
+            return
+    except TypeError:  # a pattern without a length, or a bit that does not hash
+        pass
+    for pattern in patterns:
+        _check_pattern(circuit, pattern)
 
 
 def evaluate(circuit: Circuit, pattern: Sequence[int]) -> Response:

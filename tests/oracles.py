@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's production code paths:
 the structure comparison reads gates by signal name, the gate-order
 reference places statements by repeated passes over the declaration order,
-the truth-table
+the reference parser tries each line as a declaration, then as a gate,
+with separate checks, and assembles its circuit from that gate order, the
+truth-table
 evaluator recurses over name-level gate expressions, the
 fault oracle rewrites netlist text and reuses only the fault-free
 evaluator, the full-pass dictionary builder re-simulates every gate for
@@ -13,8 +15,11 @@ the two-clause consistency definition instead of incremental filtering,
 the prefix replay applies the same two clauses to whole packed prefixes of
 rows from the full-pass builder (fast enough for netlists of hundreds of
 gates),
-the dictionary reader parses the text export back into packed words for
-comparison with the full-pass rows, the pattern references take each bit of
+the first-difference reference repacks the full-pass rows pattern-major
+and finds each pair's first differing pattern with one XOR, the cone
+count ORs each batch's stem cones from the stems' slots, the dictionary
+reader parses the text export back into packed words for comparison with
+the full-pass rows, the pattern references take each bit of
 a pattern code by a shift and pack each input word one pattern at a time,
 the per-trace stop reference builds, standardizes and scores one row at a
 time with its own formulas, the RBF map takes each landmark distance
@@ -34,12 +39,13 @@ from __future__ import annotations
 import math
 import operator
 import random
+import re
 from functools import reduce
 
 import numpy as np
 
 from testtrim.faultsim import Fault, enumerate_faults
-from testtrim.netlist import Circuit, evaluate, format_bench, parse_bench
+from testtrim.netlist import BenchParseError, Circuit, Gate, evaluate, format_bench, parse_bench
 
 
 def structurally_equal(a: Circuit, b: Circuit) -> bool:
@@ -79,6 +85,106 @@ def multipass_gate_order(input_names, gate_stmts):
             raise ValueError(f"cyclic dependency involving '{rest[0][0]}'")
         remaining = rest
     return ordered
+
+
+_REF_NAME = r"[A-Za-z0-9_]+"
+_REF_ID_RE = re.compile(rf"{_REF_NAME}\Z")
+_REF_IO_RE = re.compile(rf"((?ai:INPUT|OUTPUT))\s*\(\s*({_REF_NAME})\s*\)\Z")
+_REF_GATE_RE = re.compile(rf"({_REF_NAME})\s*=\s*({_REF_NAME})\s*\(([^()]*)\)\Z")
+_REF_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF", "BUFF")
+_REF_UNARY = ("NOT", "BUF", "BUFF")
+
+
+def reference_parse_bench(text: str, name: str = "circuit") -> Circuit:
+    """``parse_bench`` as a line loop of separate checks, each line tried as
+    a declaration, then as a gate, then refused.
+
+    Signals, errors, lines and columns follow the parser's contract: ids
+    are inputs, then gate outputs, in declaration order; gates come in
+    :func:`multipass_gate_order`; ``BUFF`` reads as ``BUF``; keywords are
+    case-insensitive ASCII.  The checks of each signal's source run after
+    every line has parsed: duplicate INPUT first, then multiply-driven
+    gates, undeclared gate inputs and undeclared OUTPUTs.  The circuit is
+    assembled here, not by ``build_circuit``.
+    """
+    input_names: list[str] = []
+    output_names: list[str] = []
+    places: dict[tuple[str, str], tuple[int, int]] = {}   # (keyword, signal) -> line, col
+    declared_outputs: set[str] = set()
+    gate_stmts: list[tuple[str, str, tuple[str, ...], int, str]] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0].strip()
+        if not code:
+            continue
+        col0 = raw.index(code[0]) + 1
+        m = _REF_IO_RE.fullmatch(code)
+        if m:
+            kw, sig = m.group(1).upper(), m.group(2)
+            col = raw.index(code) + m.start(2) + 1
+            if kw == "INPUT":
+                if sig in input_names:
+                    places.setdefault(("INPUT", sig), (line_no, col))
+                input_names.append(sig)
+            else:
+                if sig in declared_outputs:
+                    raise BenchParseError(f"duplicate OUTPUT declaration for '{sig}'",
+                                          line_no, col)
+                declared_outputs.add(sig)
+                output_names.append(sig)
+                places[("OUTPUT", sig)] = (line_no, col)
+            continue
+        m = _REF_GATE_RE.fullmatch(code)
+        if m:
+            out, kind, args = m.group(1), m.group(2), m.group(3)
+            kind_u = kind.upper()
+            if kind_u not in _REF_KINDS:
+                raise BenchParseError(f"unknown gate kind '{kind}'", line_no, raw.find(kind) + 1)
+            in_names = tuple(part.strip() for part in args.split(","))
+            if not all(_REF_ID_RE.fullmatch(n) for n in in_names):
+                raise BenchParseError(f"bad gate input list '{args.strip()}'",
+                                      line_no, raw.find("(") + 2)
+            if kind_u in _REF_UNARY and len(in_names) != 1:
+                raise BenchParseError(f"{kind_u} takes exactly 1 input, got {len(in_names)}",
+                                      line_no, col0)
+            if kind_u not in _REF_UNARY and len(in_names) < 2:
+                raise BenchParseError(f"{kind_u} takes at least 2 inputs, got {len(in_names)}",
+                                      line_no, col0)
+            gate_stmts.append((out, "BUF" if kind_u == "BUFF" else kind_u, in_names, line_no, raw))
+            continue
+        raise BenchParseError(f"syntax error near '{code}'", line_no, col0)
+
+    driven: set[str] = set()
+    for n in input_names:
+        if n in driven:
+            raise BenchParseError(f"signal '{n}' multiply driven (duplicate INPUT)",
+                                  *places[("INPUT", n)])
+        driven.add(n)
+    for out, _, _, line_no, raw in gate_stmts:
+        if out in driven:
+            raise BenchParseError(f"signal '{out}' multiply driven", line_no, raw.find(out) + 1)
+        driven.add(out)
+    for out, _, ins, line_no, raw in gate_stmts:
+        for a in ins:
+            if a not in driven:
+                raise BenchParseError(f"undeclared signal '{a}' used as input of '{out}'",
+                                      line_no, raw.rfind(a) + 1)
+    for n in output_names:
+        if n not in driven:
+            raise BenchParseError(f"undeclared signal '{n}' used as OUTPUT",
+                                  *places[("OUTPUT", n)])
+
+    ids = {n: k for k, n in enumerate(input_names + [out for out, *_ in gate_stmts])}
+    try:
+        ordered = multipass_gate_order(input_names, [stmt[:3] for stmt in gate_stmts])
+    except ValueError as exc:  # the message quotes the first statement left unplaced
+        stuck = str(exc).split("'")[1]
+        raise BenchParseError(str(exc), next(ln for out, _, _, ln, _ in gate_stmts
+                                             if out == stuck)) from None
+    return Circuit(name=name, signal_names=tuple(ids),
+                   inputs=tuple(ids[n] for n in input_names),
+                   outputs=tuple(ids[n] for n in output_names),
+                   gates=tuple(Gate(ids[out], kind, tuple(ids[i] for i in ins))
+                               for out, kind, ins in ordered))
 
 
 def recursive_signal_values(circuit: Circuit, pattern) -> dict[str, int]:
@@ -252,6 +358,46 @@ def prefix_replay_candidate_sets(fault_words, free_words, injected_idx: int):
                      if not (vs_injected[f] & fail & prefix)
                      and not (vs_free[f] & ~fail & prefix)})
     return [p + 1 for p in failing], sets
+
+
+def first_difference_indices(fault_words, num_patterns: int):
+    """A function of an injected fault's index giving, per fault, the first
+    pattern under which its row differs from the injected fault's row, or
+    ``num_patterns`` where none does.
+
+    Each row is repacked pattern-major, bit ``p * O + j`` holding output
+    ``j`` under pattern ``p``, so one XOR per pair of faults and its lowest
+    set bit find the pattern.
+    """
+    def pattern_major(row) -> int:
+        columns = [format(w, f"0{num_patterns}b")[::-1] for w in row]
+        return int("".join(map("".join, zip(*columns)))[::-1] or "0", 2)
+
+    width = len(fault_words[0]) if fault_words else 0
+    packed = [pattern_major(row) for row in fault_words]
+
+    def indices(injected_idx: int) -> list[int]:
+        inj = packed[injected_idx]
+        out = []
+        for x in packed:
+            x ^= inj
+            out.append(((x & -x).bit_length() - 1) // width if x else num_patterns)
+        return out
+    return indices
+
+
+def union_cone_gate_count(stem_slots, reach) -> int:
+    """The gate evaluations of a stem-flip build: per batch, the gates in the
+    union of its stems' ``reach`` cones.
+
+    ``stem_slots[s]`` is ``(batch, offset)`` for a flipped stem, None
+    otherwise, as ``faultsim._flip_stems`` returns them.
+    """
+    cones: dict[int, int] = {}
+    for s, slot in enumerate(stem_slots):
+        if slot is not None:
+            cones[slot[0]] = cones.get(slot[0], 0) | reach[s]
+    return sum(bin(cone).count("1") for cone in cones.values())
 
 
 def read_dictionary_text(text: str):

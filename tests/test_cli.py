@@ -903,3 +903,45 @@ def test_huge_gamma_runs_every_stage(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "kernel-logistic(lambda=1,gamma=1e+308)" in captured.out
+
+
+# c17 (Brglez & Fujiwara, ISCAS 1985) with its outputs buffered, as the
+# circulated ISCAS-85 files write a buffer
+_C17_BUFF = """\
+# c17
+INPUT(1)
+INPUT(2)
+INPUT(3)
+INPUT(6)
+INPUT(7)
+OUTPUT(22)
+OUTPUT(23)
+10 = NAND(1, 3)
+11 = NAND(3, 6)
+16 = NAND(2, 11)
+19 = NAND(11, 7)
+20 = NAND(10, 16)
+21 = NAND(16, 19)
+22 = BUFF(20)
+23 = BUFF(21)
+"""
+
+
+def test_generate_and_oracle_eval_read_buff_netlists(tmp_path, capsys):
+    benches = tmp_path / "benches"
+    benches.mkdir()
+    (benches / "c17.bench").write_text(_C17_BUFF)
+    for i in range(5):
+        text = format_bench(random_small_circuit(100 + i)).replace("= BUF(", "= BUFF(")
+        (benches / f"r{i}.bench").write_text(text + "z = BUFF(x1)\n")
+    out = tmp_path / "run"
+    overrides = _smoke_overrides(out)
+    overrides["corpus_netlist_dir"] = str(benches)
+    cfg_path = _write_config(tmp_path, **overrides)
+    for cmd in ("generate", "oracle-eval"):
+        assert main([cmd, "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+    header = (out / "dicts" / "c17.dict").read_text().splitlines()[0]
+    assert header == "# circuit=c17 signals=13 faults=26 patterns=24"
+    traces = read_traces(out / "traces.csv")
+    assert sorted(t.circuit_id for t in traces) == ["c17", "r0", "r1", "r2", "r3", "r4"]

@@ -1,3 +1,4 @@
+import bisect
 import random
 from dataclasses import fields, replace
 from unittest import mock
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EDGE_BENCHES, random_pattern_list, random_small_circuit
-from oracles import full_pass_fault_words, oracle_candidate_sets, prefix_replay_candidate_sets
+from oracles import (first_difference_indices, full_pass_fault_words, oracle_candidate_sets,
+                     prefix_replay_candidate_sets)
 from testtrim import faultsim
 from testtrim.dataset import dataset_from_traces
 from testtrim.diagnosis import (TRACE_HEADER, DiagnosisTrace, UndiagnosableFaultError,
@@ -122,6 +124,55 @@ def _assert_trace_matches_prefix_replay(fdict, fault_words, free_words, injected
     assert trace.failing_indices == want_failing, injected
     assert trace.intermediate_sizes == [len(s) for s in want_sets], injected
     assert sets == want_sets, injected
+
+
+def _replay_circuit(num_patterns):
+    rng = random.Random(f"replay:{num_patterns}")
+    circuit = random_circuit("replay", rng, min_inputs=24, max_inputs=24, min_gates=300,
+                             max_gates=300, p_unread=0.5)
+    patterns = random_pattern_list(circuit, num_patterns, rng)
+    return circuit, patterns, full_pass_fault_words(circuit, patterns)
+
+
+@pytest.mark.parametrize("num_patterns", (64, 1024))
+def test_replay_by_first_failing_pattern_matches_prefix_replay(num_patterns):
+    # only a fault that first fails where the injected one does reads its stem's diffs
+    circuit, patterns, (fault_words, free_words) = _replay_circuit(num_patterns)
+    fdict = build_fault_dictionary(circuit, patterns)
+    full = (1 << num_patterns) - 1
+    first = {f: (m & -m).bit_length() - 1 for f, m in enumerate(fdict.fault_masks) if m}
+    by_first = sorted(first, key=first.get)
+    early = next(f for f in by_first if first[f] > 0)
+    late = by_first[-1]
+    assert first[by_first[0]] == 0 and 0 < first[early] <= 8 < first[late]
+    # an injected fault with an equivalent one: another fault with its very row
+    twin = {}
+    for f in by_first:
+        twin.setdefault(fault_words[f], []).append(f)
+    injected, equivalent = next(fs for fs in twin.values() if len(fs) > 1)[:2]
+    for f in (by_first[0], early, late, injected):
+        _assert_trace_matches_prefix_replay(fdict, fault_words, free_words, f)
+    elim = fdict.elimination_indices(injected)
+    assert elim[equivalent] == elim[injected] == num_patterns
+    assert fdict.fault_masks[equivalent] == fdict.fault_masks[injected] != full
+
+
+@pytest.mark.parametrize("num_patterns", (64, 1024))
+def test_every_detected_fault_replays_to_its_first_difference_sizes(num_patterns):
+    # the sizes count, at each failing pattern, the faults whose rows still match
+    circuit, patterns, (fault_words, free_words) = _replay_circuit(num_patterns)
+    fdict = build_fault_dictionary(circuit, patterns)
+    first_difference = first_difference_indices(fault_words, num_patterns)
+    detected = fdict.detected_fault_indices()
+    assert detected == [f for f, row in enumerate(fault_words) if row != free_words]
+    for n, f in enumerate(detected):
+        want = first_difference(f)
+        trace = trace_diagnosis(fdict, fdict.faults[f])
+        if n % 4 == 0:
+            assert fdict.elimination_indices(f) == want, f
+        order = sorted(want)  # size at the 1-based index k: the faults with e >= k
+        assert trace.intermediate_sizes == [len(order) - bisect.bisect_left(order, k)
+                                            for k in trace.failing_indices], f
 
 
 @pytest.mark.parametrize("stems_per_batch", (1, 2, 3))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import re
 import tracemalloc
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from conftest import AND_BENCH, EDGE_BENCHES, random_pattern_list
 from oracles import (full_pass_fault_words, pattern_bits, per_pattern_input_words,
                      read_dictionary_text, recursive_signal_values, rewrite_fault_response,
-                     seeded_patterns_reference)
-from testtrim import faultsim
+                     seeded_patterns_reference, union_cone_gate_count)
+from testtrim import faultsim, netlist
 from testtrim.diagnosis import trace_diagnosis
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
                                exhaustive_patterns, random_patterns, write_dictionary)
@@ -355,3 +356,80 @@ def test_elimination_indices_match_full_pass_rows(seed, num_patterns):
                 diff |= w ^ v
             want.append((diff & -diff).bit_length() - 1 if diff else num_patterns)
         assert fdict.elimination_indices(injected) == want, injected
+
+
+def _stems_in_topological_order(circuit, patterns):
+    """The fault-free words, ``reach`` and ``stem_of`` of a build, and its
+    stems in topological order."""
+    mask = (1 << len(patterns)) - 1
+    free = [0] * circuit.signal_count
+    for sid, w in zip(circuit.inputs, per_pattern_input_words(patterns, len(circuit.inputs))):
+        free[sid] = w
+    netlist._run(circuit._program, free, mask)
+    reach, stem_of, _ = faultsim._fanout_free_regions(circuit, free, mask)
+    stems = [s for s in itertools.chain(circuit.inputs, (g.output for g in circuit.gates))
+             if stem_of[s] == s]
+    return free, reach, stem_of, stems
+
+
+def _per_stem_flips(batch_diffs, stem_slots, obs, num_patterns):
+    """Per flipped stem, its nonzero diff word at each output and its ``obs``,
+    cut from the batch words by the layout ``FaultDictionary`` documents."""
+    full = (1 << num_patterns) - 1
+    flips = {}
+    for s, slot in enumerate(stem_slots):
+        if slot is not None:
+            batch, offset = slot
+            diffs = {j: (w >> (offset - low)) & full
+                     for j, low, w in batch_diffs[batch] if offset >= low}
+            flips[s] = ({j: d for j, d in diffs.items() if d}, obs[s])
+    return flips
+
+
+@pytest.mark.parametrize("num_patterns", (64, 208, 1024))
+@pytest.mark.parametrize("seed, num_gates", ((0, 100), (1, 300), (2, 1000)))
+def test_fanout_tree_batches_change_no_result(seed, num_gates, num_patterns):
+    rng = random.Random(f"tree:{seed}")
+    circuit = random_circuit(f"t{seed}", rng, min_inputs=24, max_inputs=24,
+                             min_gates=num_gates, max_gates=num_gates, p_unread=0.5)
+    patterns = random_pattern_list(circuit, num_patterns, rng)
+    free, reach, stem_of, stems = _stems_in_topological_order(circuit, patterns)
+    tree = faultsim._fanout_tree_order(circuit, reach, stem_of, stems, num_patterns)
+    per_batch = min(faultsim._BATCH_BITS // num_patterns, len(stems))
+    several = len(stems) > per_batch
+    assert sorted(tree) == sorted(stems) and (tree != stems if several else tree is stems)
+    flips = [_per_stem_flips(*faultsim._flip_stems(circuit, free, reach, order, num_patterns),
+                             num_patterns) for order in (stems, tree)]
+    assert flips[0] == flips[1] and len(flips[0]) == len(stems)
+
+    fdict = build_fault_dictionary(circuit, patterns)
+    with mock.patch.object(faultsim, "_fanout_tree_order", lambda c, r, s, stems, p: stems):
+        topo = build_fault_dictionary(circuit, patterns)
+    assert len(fdict.batch_diffs) == len(topo.batch_diffs) == -(-len(stems) // per_batch)
+    if num_gates <= 300:   # the full-pass reference re-simulates every gate per fault
+        assert tuple(fdict.fault_words) == full_pass_fault_words(circuit, patterns)[0]
+    assert tuple(fdict.fault_words) == tuple(topo.fault_words)
+    assert fdict.fault_masks == topo.fault_masks
+    detected = fdict.detected_fault_indices()
+    for f in [0, *detected[::max(1, len(detected) // 20)]]:
+        assert fdict.elimination_indices(f) == topo.elimination_indices(f), f
+
+
+def test_fanout_tree_batches_evaluate_fewer_gates():
+    # the corpus-scale netlists' shape: 1000 gates, 24 inputs, p_unread 0.5, 1024 patterns
+    rng = random.Random("tree-guard")
+    circuit = random_circuit("guard", rng, min_inputs=24, max_inputs=24, min_gates=1000,
+                             max_gates=1000, p_unread=0.5)
+    patterns = random_pattern_list(circuit, 1024, rng)
+    free, reach, stem_of, stems = _stems_in_topological_order(circuit, patterns)
+    tree = faultsim._fanout_tree_order(circuit, reach, stem_of, stems, 1024)
+    topo_gates, tree_gates = (
+        union_cone_gate_count(faultsim._flip_stems(circuit, free, reach, order, 1024)[1], reach)
+        for order in (stems, tree))
+    assert tree_gates <= 0.9 * topo_gates, (tree_gates, topo_gates)
+
+
+def test_one_batch_keeps_the_topological_order(sample6):
+    patterns = exhaustive_patterns(len(sample6.inputs))
+    _, reach, stem_of, stems = _stems_in_topological_order(sample6, patterns)
+    assert faultsim._fanout_tree_order(sample6, reach, stem_of, stems, len(patterns)) is stems

@@ -1,13 +1,16 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import AND_BENCH, random_small_circuit
-from oracles import multipass_gate_order, recursive_truth_table_eval, structurally_equal
+from oracles import (multipass_gate_order, recursive_truth_table_eval, reference_parse_bench,
+                     structurally_equal)
 from testtrim.faultsim import exhaustive_patterns
+from testtrim.generator import random_circuit
 from testtrim.netlist import BenchParseError, build_circuit, evaluate, format_bench, parse_bench
 
 
@@ -156,6 +159,12 @@ def test_gate_order_and_cycle_errors_match_multipass_reference():
     assert 30 < cycles < 150
 
 
+def test_build_circuit_refuses_an_undeclared_pin():
+    with pytest.raises(BenchParseError) as exc:
+        build_circuit("c", ["a"], ["z"], [("y", "NOT", ("a",)), ("z", "AND", ("y", "w"))])
+    assert str(exc.value) == "undeclared signal 'w' used as input of 'z'"
+
+
 def test_chain_declared_outputs_first_parses_in_gate_order():
     n = 3000
     text = ("INPUT(a)\nOUTPUT(g3000)\n"
@@ -202,8 +211,11 @@ class TestParseErrors:
             parse_bench("INPUT(a)\nOUTPUT(z)\nz = NOT(w)\n")
 
     def test_undeclared_output(self):
-        with pytest.raises(BenchParseError, match="undeclared"):
-            parse_bench("INPUT(a)\nOUTPUT(zz)\n")
+        # named at the OUTPUT line, at the signal's column, like every other refusal
+        with pytest.raises(BenchParseError, match="undeclared") as exc:
+            parse_bench("INPUT(a)\nOUTPUT(a)\n output ( zz )\n")
+        assert (exc.value.line, exc.value.col) == (3, 11)
+        assert str(exc.value) == "line 3, col 11: undeclared signal 'zz' used as OUTPUT"
 
     def test_multiply_driven_by_two_gates(self):
         text = "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\nz = BUF(a)\n"
@@ -216,8 +228,11 @@ class TestParseErrors:
             parse_bench(text)
 
     def test_duplicate_input(self):
-        with pytest.raises(BenchParseError, match="multiply driven"):
-            parse_bench("INPUT(a)\nINPUT(a)\nOUTPUT(a)\n")
+        # named at the repeated INPUT line, at the signal's column
+        with pytest.raises(BenchParseError, match="multiply driven") as exc:
+            parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(a)\n\tINPUT(  a)\nINPUT(a)\n")
+        assert (exc.value.line, exc.value.col) == (4, 10)
+        assert str(exc.value) == "line 4, col 10: signal 'a' multiply driven (duplicate INPUT)"
 
     def test_duplicate_output(self):
         with pytest.raises(BenchParseError, match="duplicate OUTPUT"):
@@ -263,3 +278,104 @@ def test_case_insensitive_keywords_and_kinds():
     circuit = parse_bench(text)
     assert circuit.gates[0].kind == "NAND"
     assert evaluate(circuit, (1, 1)) == (0,)
+
+
+def test_buff_reads_as_buf():
+    # the circulated ISCAS-85 files write a buffer as BUFF
+    circuit = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nOUTPUT(y)\n"
+                          "y = buff(a)\nz = AND(y, b)\nw = BUFF ( b )\n")
+    assert [g.kind for g in circuit.gates] == ["BUF", "AND", "BUF"]
+    assert format_bench(circuit).count("BUF(") == 2 and "BUFF" not in format_bench(circuit)
+    for pattern in exhaustive_patterns(2):
+        assert evaluate(circuit, pattern) == (pattern[0] & pattern[1], pattern[0])
+    with pytest.raises(BenchParseError) as exc:
+        parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = BUFF(a, b)\n")
+    assert str(exc.value) == "line 4, col 1: BUFF takes exactly 1 input, got 2"
+
+
+def _assert_parses_as_reference(text: str) -> bool:
+    """parse_bench gives the reference parser's circuit, or its error with the
+    same text, line and column.  True where the text parses."""
+    try:
+        want = reference_parse_bench(text, name="c")
+    except BenchParseError as exc:
+        with pytest.raises(BenchParseError) as got:
+            parse_bench(text, name="c")
+        assert (str(got.value), got.value.line, got.value.col) == (str(exc), exc.line, exc.col)
+        return False
+    got = parse_bench(text, name="c")
+    assert structurally_equal(got, want)
+    assert got.signal_names == want.signal_names
+    return True
+
+
+# a line cut into alternating separators and tokens: tokens at the odd positions
+_PIECES_RE = re.compile(r"([A-Za-z0-9_]+|[^\sA-Za-z0-9_])")
+_SPACES = (" ", "  ", "\t", "\u00a0", "\u2003", "\u3000", "\x1f")
+# replacement tokens: keywords and kinds in other cases, unknown and non-ASCII
+# look-alikes (dotless i, Kelvin sign), punctuation and names
+_WORDS = ("INPUT", "input", "Output", "OUTPUT", "\u0131nput", "\u0130NPUT", "AND", "nand", "Or",
+          "NOR", "xor", "XNOR", "NOT", "BUF", "BUFF", "buff", "MAJ", "DFF", "(", ")", ",", "=",
+          "#", "a", "x1", "g2", "\u212a", "\u00e9")
+
+
+def _mutate(lines: list[str], data) -> list[str]:
+    """One edit of a netlist's lines, drawn from ``data``."""
+    op = data.draw(st.sampled_from(("drop", "repeat", "replace", "space", "comment", "blank",
+                                    "case", "move", "widen", "repeat line")))
+    if not lines:
+        return [data.draw(st.sampled_from(_WORDS))]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    pieces = _PIECES_RE.split(line)
+    tokens = range(1, len(pieces), 2)
+    if op in ("drop", "repeat", "replace") and tokens:
+        t = data.draw(st.sampled_from(tokens))
+        if op == "drop":
+            pieces[t] = ""
+        elif op == "repeat":
+            pieces[t] += data.draw(st.sampled_from(("", *_SPACES))) + pieces[t]
+        else:
+            pieces[t] = data.draw(st.sampled_from(_WORDS))
+    elif op == "space":
+        t = data.draw(st.integers(0, len(pieces) - 1).filter(lambda k: k % 2 == 0))
+        pieces[t] += data.draw(st.sampled_from(_SPACES))
+    elif op == "comment":
+        pieces.append(data.draw(st.sampled_from(("#", " # z = AND(a, b)", "\t#(", "#\u00e9"))))
+    elif op == "case":
+        pieces = [data.draw(st.sampled_from((line.lower(), line.upper(), line.swapcase())))]
+    elif op == "widen" and "(" in line and "=" in line:
+        extra = data.draw(st.lists(st.sampled_from(("a", "x1", "x2", "g1", "g3")), min_size=1,
+                                   max_size=3))
+        pieces = [line.replace(")", "".join(f", {n}" for n in extra) + ")", 1)]
+    new = "".join(pieces)
+    if op == "blank":
+        return lines[:i] + [data.draw(st.sampled_from(("", "  ", "\t", "\u00a0")))] + lines[i:]
+    if op == "move":
+        rest = lines[:i] + lines[i + 1:]
+        k = data.draw(st.integers(0, len(rest)))
+        return rest[:k] + [line] + rest[k:]
+    if op == "repeat line":
+        return lines[:i + 1] + [line] + lines[i + 1:]
+    return lines[:i] + [new] + lines[i + 1:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+def test_parser_matches_reference_on_mutated_netlists(seed, data):
+    lines = format_bench(random_small_circuit(seed)).splitlines()
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        lines = _mutate(lines, data)
+    end = data.draw(st.sampled_from(("\n", "\r\n", "\r")))
+    _assert_parses_as_reference(end.join(lines) + data.draw(st.sampled_from(("", end))))
+
+
+@pytest.mark.parametrize("gates", (1000, 3000))
+def test_parser_matches_reference_at_scale(gates):
+    # written as the corpus-scale benchmark writes its netlists
+    rng = random.Random(f"parse-scale:{gates}")
+    circuit = random_circuit(f"g{gates}", rng, min_inputs=24, max_inputs=24,
+                             min_gates=gates, max_gates=gates, p_unread=0.5)
+    text = format_bench(circuit)
+    assert _assert_parses_as_reference(text)
+    assert structurally_equal(parse_bench(text), circuit)
