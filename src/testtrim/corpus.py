@@ -37,12 +37,6 @@ class Corpus:
     dataset: Dataset
 
 
-def _patterns_for(circuit: Circuit, spec: int | str, seed: int):
-    if spec == "exhaustive":
-        return exhaustive_patterns(len(circuit.inputs))
-    return random_patterns(len(circuit.inputs), int(spec), seed)
-
-
 def _slot_rng(corpus_seed: int, slot: int, attempt: int) -> random.Random:
     # string seeding hashes with SHA-512 internally: stable across platforms
     return random.Random(f"testtrim:{corpus_seed}:{slot}:{attempt}")
@@ -71,11 +65,16 @@ def _build_corpus(cfg: RunConfig) -> Corpus:
     dictionaries: list[FaultDictionary] = []
     traces: list[DiagnosisTrace] = []
 
-    def fill_slot(circuit: Circuit, rng: random.Random) -> bool:
+    def fill_slot(circuit: Circuit, rng: random.Random, place: str) -> bool:
         """Add ``circuit`` with a fault drawn from those its patterns
         detect; False, adding nothing, when they detect none."""
-        patterns = _patterns_for(circuit, cfg.corpus_patterns, rng.randrange(1 << 32))
-        fdict = build_fault_dictionary(circuit, patterns)
+        seed, width = rng.randrange(1 << 32), len(circuit.inputs)
+        try:
+            patterns = (exhaustive_patterns(width) if cfg.corpus_patterns == "exhaustive"
+                        else random_patterns(width, int(cfg.corpus_patterns), seed))
+        except ValueError as exc:   # an exhaustive set over too many inputs
+            raise ValueError(f"{place}: {exc}") from None
+        fdict = build_fault_dictionary(circuit, *patterns)
         detectable = fdict.detected_fault_indices()
         if not detectable:
             return False
@@ -100,7 +99,7 @@ def _build_corpus(cfg: RunConfig) -> Corpus:
                 raise BenchParseError(f"{path}: {exc}") from None
             except UnicodeError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-            fill_slot(circuit, _slot_rng(cfg.corpus_seed, slot, 0))
+            fill_slot(circuit, _slot_rng(cfg.corpus_seed, slot, 0), str(path))
     else:
         for slot in range(cfg.corpus_circuits):
             for attempt in range(_MAX_GENERATION_ATTEMPTS):
@@ -109,7 +108,8 @@ def _build_corpus(cfg: RunConfig) -> Corpus:
                     f"c{slot:03d}", rng,
                     min_inputs=cfg.corpus_min_inputs, max_inputs=cfg.corpus_max_inputs,
                     min_gates=cfg.corpus_min_gates, max_gates=cfg.corpus_max_gates)
-                if fill_slot(circuit, rng):
+                if fill_slot(circuit, rng, f"slot {slot} ({circuit.name}) with "
+                                           f"corpus.max_inputs = {cfg.corpus_max_inputs}"):
                     break
             else:
                 raise RuntimeError(f"no detectable fault found for slot {slot} after "

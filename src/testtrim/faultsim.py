@@ -1,8 +1,9 @@
 """Single stuck-at fault enumeration and fault dictionaries.
 
 The dictionary gives, for every (fault, pattern) pair, the full output
-response.  Responses are packed: one machine word per (fault, output)
-whose bit ``p`` is the output value under pattern ``p``.  Construction is
+response.  Pattern sets and responses are packed from the draw on: one
+machine word per circuit input, or per (fault, output), whose bit ``p``
+is its value under pattern ``p``.  Construction is
 parallel-pattern single-fault propagation over fanout-free regions
 (Waicukauski et al. 1985).  A *stem* is a primary output or a signal read
 by zero or by several distinct gates; every other signal has exactly one
@@ -50,13 +51,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .netlist import Circuit, Pattern, Response, _check_patterns, _run
+from .netlist import Circuit, Pattern, Response, _run
 
 EXHAUSTIVE_INPUT_LIMIT = 12
 
-# bytes.translate tables between a bit string's "0"/"1" characters and 0/1 bytes
+# bytes.translate table from a bit string's "0"/"1" characters to 0/1 bytes
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class Fault(NamedTuple):
@@ -75,32 +75,35 @@ def enumerate_faults(circuit: Circuit) -> list[Fault]:
     return list(map(_new_fault, itertools.product(range(circuit.signal_count), (0, 1))))
 
 
-def exhaustive_patterns(num_inputs: int) -> list[Pattern]:
-    """All 2^k input patterns, in numeric order (input j carries bit j)."""
+def exhaustive_patterns(num_inputs: int) -> tuple[list[int], int]:
+    """All 2^k input patterns in numeric order (input ``j`` carries bit
+    ``j``), as ``(input_words, count)``: word ``j`` repeats 2^j zeros, then 2^j ones."""
     if num_inputs > EXHAUSTIVE_INPUT_LIMIT:
         raise ValueError(
             f"exhaustive pattern sets are limited to {EXHAUSTIVE_INPUT_LIMIT} inputs, "
             f"got {num_inputs}")
-    return _unpack(range(1 << num_inputs), num_inputs)
+    count = 1 << num_inputs
+    full = (1 << count) - 1
+    # word j's first period, times a word with bit 0 of each period set
+    return [(((1 << (1 << j)) - 1) << (1 << j)) * (full // ((1 << (2 << j)) - 1))
+            for j in range(num_inputs)], count
 
 
-def random_patterns(num_inputs: int, count: int, seed: int) -> list[Pattern]:
-    """``count`` distinct seeded random patterns (capped at 2^k available)."""
+def random_patterns(num_inputs: int, count: int, seed: int) -> tuple[list[int], int]:
+    """``count`` distinct seeded random patterns (capped at 2^k available),
+    as ``(input_words, count)``.  Each is drawn as a code whose bit ``j`` is
+    input ``j``; word ``j`` is one strided slice of the codes' bit string."""
     rng = random.Random(seed)
     total = 1 << num_inputs
     # range(total) has a C length below 2**63 codes; above, draw until enough are distinct
     codes = rng.sample(range(total), min(count, total)) if num_inputs < 63 else {}
     while len(codes) < min(count, total):
         codes[rng.getrandbits(num_inputs)] = None
-    return _unpack(codes, num_inputs)
-
-
-def _unpack(codes, num_inputs: int) -> list[Pattern]:
-    """Each code as a bit tuple, input ``j`` carrying bit ``j`` (the bit set above
-    them keeps the leading zeros).  Per-input words end to end (ROADMAP item 4b)
-    wait on item 2: ``perfbench/checks.py`` reads ``fdict.patterns[p]`` as bit tuples."""
-    return [tuple(format(code | 1 << num_inputs, "b")[:0:-1].encode().translate(_BIT_BYTES))
-            for code in codes]
+    size = (num_inputs + 7) // 8   # code p fills bytes [p * size, (p + 1) * size)
+    packed = b"".join(map(int.to_bytes, codes, itertools.repeat(size), itertools.repeat("little")))
+    width = 8 * size
+    bits = format(int.from_bytes(packed, "little"), f"0{width * len(codes)}b")
+    return [int(bits[width - 1 - j::width], 2) for j in range(num_inputs)], len(codes)
 
 
 def _stem_diffs(entries, offset: int, mask: int):
@@ -146,8 +149,9 @@ class _DerivedRows(Sequence):
 class FaultDictionary:
     """Complete response table for every (fault, pattern) pair of one circuit.
 
-    ``fault_words[f][o]`` packs output ``o`` of fault ``f`` across all
-    patterns; ``free_words[o]`` is the fault-free row in the same layout.
+    ``input_words[j]`` packs input ``j`` across all ``num_patterns``
+    patterns, and ``fault_words[f][o]`` output ``o`` of fault ``f``;
+    ``free_words[o]`` is the fault-free row in the same layout.
     ``fault_masks[f]`` has bit ``p`` set where fault ``f``'s response
     differs from the fault-free one under pattern ``p``.
 
@@ -171,7 +175,8 @@ class FaultDictionary:
     """
 
     circuit: Circuit
-    patterns: tuple[Pattern, ...]
+    input_words: tuple[int, ...]
+    num_patterns: int
     faults: tuple[Fault, ...]
     fault_words: Sequence[tuple[int, ...]]
     free_words: tuple[int, ...]
@@ -179,9 +184,13 @@ class FaultDictionary:
     fault_slots: tuple[tuple[int, int] | None, ...]
     batch_diffs: tuple[tuple[tuple[int, int, int], ...], ...]
 
-    @property
-    def num_patterns(self) -> int:
-        return len(self.patterns)
+    @functools.cached_property
+    def patterns(self) -> tuple[Pattern, ...]:
+        """Read-only view, built on first read: ``patterns[p][j]`` is bit ``p``
+        of ``input_words[j]``.  No package path reads it; it is kept for
+        ``perfbench/checks.py``, which reads bit tuples, until ROADMAP item 2."""
+        return tuple(tuple((w >> p) & 1 for w in self.input_words)
+                     for p in range(self.num_patterns))
 
     def response(self, fault_idx: int, pattern_idx: int) -> Response:
         """Output bits of fault ``fault_idx`` under pattern ``pattern_idx``."""
@@ -333,20 +342,16 @@ def _fanout_free_regions(circuit: Circuit, free: list[int],
     return reach, stem_of, sens
 
 
-def _stems_per_batch(num_stems: int, num_patterns: int) -> int:
-    """K, the stems flipped per propagation: ``_BATCH_BITS // P``, at least
-    1 and at most ``num_stems``."""
-    return max(1, min(_BATCH_BITS // num_patterns, num_stems))
-
-
 def _fanout_tree_order(circuit: Circuit, reach: list[int], stem_of: list[int],
-                       stems: Sequence[int], num_patterns: int) -> Sequence[int]:
-    """``stems``, given in topological order, reordered for :func:`_flip_stems`.
+                       stems: Sequence[int], num_patterns: int) -> list[list[int]]:
+    """The batch plan of :func:`_flip_stems`: ``stems``, given in
+    topological order, cut into batches of K = max(1, _BATCH_BITS // P)
+    stems, each in topological order.  No stem gives no batch, and stems
+    that fit one batch keep their order in it.
 
-    Stems that fit one batch keep their order.  Otherwise the stems form a
-    forest: a stem's parent is the stem, among the ``stem_of`` of its
-    reader gates' outputs, with the largest cone (of equal cones, the later
-    in topological order).  A stem's cone holds its
+    Otherwise the stems form a forest: a stem's parent is the stem, among
+    the ``stem_of`` of its reader gates' outputs, with the largest cone (of
+    equal cones, the later in topological order).  A stem's cone holds its
     parent's, so a preorder walk of the forest keeps stems whose cones
     overlap most next to each other, and a batch cut from it evaluates
     fewer union-cone gates than one cut from the topological order.
@@ -354,9 +359,9 @@ def _fanout_tree_order(circuit: Circuit, reach: list[int], stem_of: list[int],
     size, ties broken by topological position.  The walk is cut into runs
     of K stems, and each run is sorted topologically.
     """
-    per_batch = _stems_per_batch(len(stems), num_patterns)
+    per_batch = max(1, _BATCH_BITS // num_patterns)
     if len(stems) <= per_batch:
-        return stems
+        return [list(stems)] if stems else []
     num = len(stems)
     # walk rank: cone size, then topological position
     rank = {s: reach[s].bit_count() * num + k for k, s in enumerate(stems)}
@@ -383,13 +388,13 @@ def _fanout_tree_order(circuit: Circuit, reach: list[int], stem_of: list[int],
         walk.append(s)
         stack.extend(children.get(s, ()))
     position = {s: k for k, s in enumerate(stems)}
-    return [s for b in range(0, num, per_batch)
-            for s in sorted(walk[b:b + per_batch], key=position.__getitem__)]
+    return [sorted(walk[b:b + per_batch], key=position.__getitem__)
+            for b in range(0, num, per_batch)]
 
 
 def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
-                stems: Sequence[int], num_patterns: int) -> tuple[list, list, list[int]]:
-    """Flip each of ``stems`` under every pattern, K stems per propagation.
+                batches: list[list[int]], num_patterns: int) -> tuple[list, list, list[int]]:
+    """Flip each stem of ``batches`` under every pattern, a batch at a time.
 
     Returns ``(batch_diffs, stem_slots, obs)`` in the layout
     :class:`FaultDictionary` gives: per batch ``b``, one ``(output
@@ -399,24 +404,21 @@ def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
     stem of batch ``b`` and None for every other signal; ``obs[s]`` the OR
     of ``s``'s slices (0 for other signals).
 
-    Each run of K stems (a batch) must be in topological order, as
-    :func:`_fanout_tree_order` gives them: the runs follow a walk of the
-    stems' fanout tree, and within a run the stems are sorted
-    topologically.  K = max(1, _BATCH_BITS // P), capped at the number of
-    stems, so no slice of a full batch goes unused:
-    every signal word is replicated into K slices of P bits by shift-ORs,
-    slice ``k`` of the ``k``-th stem is complemented, and the union of the
-    stems' ``reach`` cones is propagated once with the K-slice mask.  A
-    batch stem driven by a gate of that union is recomputed by the gate, so
-    its slice is complemented again right after it; upstream stems then
-    reach it in their own slices only.  The diff words stay packed: only
-    their OR is cut, once per stem, and a word drops only its low zero
-    slices, which keeps the retained words small where the batch's low
-    stems do not reach the output.
+    Each batch must be in topological order, as :func:`_fanout_tree_order`
+    plans them.  With K the largest batch size, every signal word is
+    replicated into K slices of P bits by shift-ORs, slice ``k`` of the
+    ``k``-th stem is complemented, and the union of the stems' ``reach``
+    cones is propagated once with the K-slice mask.  A batch stem driven by
+    a gate of that union is recomputed by the gate, so its slice is
+    complemented again right after it; upstream stems then reach it in
+    their own slices only.  The diff words stay packed: only their OR is
+    cut, once per stem, and a word drops only its low zero slices, which
+    keeps the retained words small where the batch's low stems do not
+    reach the output.
     """
     program = circuit._program
     mask = (1 << num_patterns) - 1
-    per_batch = _stems_per_batch(len(stems), num_patterns)
+    per_batch = max(map(len, batches), default=1)
     wide = (1 << (per_batch * num_patterns)) - 1
     rep = []
     for w in free:
@@ -431,8 +433,7 @@ def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
     batch_diffs: list[tuple[tuple[int, int, int], ...]] = []
     stem_slots: list[tuple[int, int] | None] = [None] * circuit.signal_count
     obs = [0] * circuit.signal_count
-    for b in range(0, len(stems), per_batch):
-        batch = stems[b:b + per_batch]
+    for batch in batches:
         words = rep.copy()
         cone = 0
         for k, s in enumerate(batch):
@@ -469,20 +470,23 @@ def _flip_stems(circuit: Circuit, free: list[int], reach: list[int],
     return batch_diffs, stem_slots, obs
 
 
-def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern]) -> FaultDictionary:
+def build_fault_dictionary(circuit: Circuit, input_words: Sequence[int],
+                           num_patterns: int) -> FaultDictionary:
     """Simulate every enumerated fault against every pattern.
 
-    All patterns are packed into machine words, and one fault-free pass
-    covers every gate.  No fault is simulated on its own inside the
-    fanout-free regions.  Critical-path tracing (Abramovici, Menon &
-    Miller 1984) gives every signal ``s`` its sensitization word
+    The pattern set comes packed as the draws give it: bit ``p`` of
+    ``input_words[j]`` is input ``j`` under pattern ``p``, for P =
+    ``num_patterns`` patterns.  These words seed the fault-free words, and
+    one fault-free pass covers every gate.  No fault is simulated on its
+    own inside the fanout-free regions.  Critical-path tracing (Abramovici,
+    Menon & Miller 1984) gives every signal ``s`` its sensitization word
     ``sens[s]``, the patterns under which complementing ``s`` complements
     its stem: ``mask`` for a stem, and ``local[s] & sens[next_gate(s)]``
     for a non-stem signal, where ``local[s]`` marks where its one reader's
     output changes when ``s`` is complemented under every pattern (see
-    :func:`_fanout_free_regions`).  A fault excites its site under
-    ``stuck ^ free[site]``, so it flips its stem under ``D = (stuck ^
-    free[site]) & sens[site]``.
+    :func:`_fanout_free_regions`).  A fault excites its site under ``stuck
+    ^ free[site]``, so it flips its stem under ``D = (stuck ^ free[site]) &
+    sens[site]``.
 
     Every stem some fault flips is then flipped once under all patterns,
     several stems per propagation, batched along the stems' fanout tree
@@ -495,18 +499,22 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern]) -> Fau
     reads its stem-flipped value and elsewhere its fault-free value: the
     detection mask is ``obs & D``.  A detected fault keeps its stem's
     slot, and its row is derived from that slot, its batch's diff words and
-    its mask (see :class:`FaultDictionary`).  The result is deterministic for a given
-    circuit and pattern list.
+    its mask (see :class:`FaultDictionary`).  The result is deterministic
+    for a given circuit and pattern set.  Refused: P < 1, a word count other
+    than the circuit's input count, and a word with a bit at P or above.
     """
-    if not patterns:
-        raise ValueError("empty pattern list")
-    _check_patterns(circuit, patterns)
-    mask = (1 << len(patterns)) - 1
-    num_signals = circuit.signal_count
-
-    free = [0] * num_signals
-    for sid, bits in zip(circuit.inputs, zip(*patterns)):  # bits[p]: the input under p
-        free[sid] = int(bytes(bits[::-1]).translate(_BIT_CHARS), 2)
+    if num_patterns < 1:
+        raise ValueError(f"empty pattern list: {num_patterns} patterns")
+    if len(input_words) != len(circuit.inputs):
+        raise ValueError(f"{len(input_words)} input words do not match "
+                         f"{len(circuit.inputs)} circuit inputs")
+    for j, w in enumerate(input_words):
+        if w >> num_patterns:   # so is a negative word
+            raise ValueError(f"input word {j} is wider than {num_patterns} patterns")
+    mask = (1 << num_patterns) - 1
+    free = [0] * circuit.signal_count
+    for sid, w in zip(circuit.inputs, input_words):
+        free[sid] = w
     _run(circuit._program, free, mask)
     free_words = tuple(free[o] for o in circuit.outputs)
 
@@ -519,14 +527,15 @@ def build_fault_dictionary(circuit: Circuit, patterns: Sequence[Pattern]) -> Fau
     flipped = {stem for stem, d in zip(fault_stems, stem_flips) if d}
     order = [s for s in itertools.chain(circuit.inputs, (g.output for g in circuit.gates))
              if s in flipped]
-    order = _fanout_tree_order(circuit, reach, stem_of, order, len(patterns))
-    batch_diffs, stem_slots, obs = _flip_stems(circuit, free, reach, order, len(patterns))
+    batches = _fanout_tree_order(circuit, reach, stem_of, order, num_patterns)
+    batch_diffs, stem_slots, obs = _flip_stems(circuit, free, reach, batches, num_patterns)
     fault_masks = tuple(obs[stem] & d for stem, d in zip(fault_stems, stem_flips))
     fault_slots = tuple(stem_slots[stem] if m else None
                         for stem, m in zip(fault_stems, fault_masks))
     batch_diffs = tuple(batch_diffs)
     return FaultDictionary(
-        circuit=circuit, patterns=tuple(patterns), faults=faults,
+        circuit=circuit, input_words=tuple(input_words), num_patterns=num_patterns,
+        faults=faults,
         fault_words=_DerivedRows(free_words, fault_masks, fault_slots, batch_diffs),
         free_words=free_words, fault_masks=fault_masks, fault_slots=fault_slots,
         batch_diffs=batch_diffs)

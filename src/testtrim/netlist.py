@@ -11,15 +11,16 @@ Signal names are interned to dense integer ids at parse time so that fault
 sites and simulation buffers are plain index-addressable arrays.  Gates are
 stored in a stable topological order; evaluation is a single forward pass.
 
-Patterns and responses are plain tuples of 0/1 ints whose lengths match the
-circuit's input and output lists respectively.
-
 Simulation works on packed machine words: every signal holds an int whose
-bit ``p`` is the signal's value under pattern ``p``.  With ``mask = 1`` this
-degenerates to ordinary single-pattern evaluation; the fault-dictionary
-builder passes wider masks to simulate all patterns of a set at once.  Each
-circuit compiles its gates once into a program of small-int opcodes, and
-one loop, :func:`_run`, evaluates any topologically ordered part of it.
+bit ``p`` is the signal's value under pattern ``p``, and the simulator
+reads a pattern set as one such word per circuit input.  :func:`evaluate`
+takes one pattern as a tuple of 0/1 ints, one per input, checks it, and
+runs with ``mask = 1``, returning one bit per output; the fault-dictionary
+builder seeds the input words of a whole pattern set (as the draws in
+:mod:`testtrim.faultsim` give them) and passes a mask one bit per pattern
+wide to simulate every pattern at once.  Each circuit compiles its gates
+once into a program of small-int opcodes, and one loop, :func:`_run`,
+evaluates any topologically ordered part of it.
 """
 
 from __future__ import annotations
@@ -360,19 +361,6 @@ def _check_pattern(circuit: Circuit, pattern: Sequence[int]) -> None:
     for b in pattern:
         if b not in (0, 1):
             raise ValueError(f"pattern bits must be 0 or 1, got {b!r}")
-
-
-def _check_patterns(circuit: Circuit, patterns: Sequence[Sequence[int]]) -> None:
-    """Refuse the first of ``patterns`` that :func:`_check_pattern` refuses.
-    The lengths and the bits are checked as two sets; only a pattern set
-    that fails them is walked pattern by pattern, for the message."""
-    try:
-        if set(map(len, patterns)) <= {len(circuit.inputs)} and set().union(*patterns) <= {0, 1}:
-            return
-    except TypeError:  # a pattern without a length, or a bit that does not hash
-        pass
-    for pattern in patterns:
-        _check_pattern(circuit, pattern)
 
 
 def evaluate(circuit: Circuit, pattern: Sequence[int]) -> Response:

@@ -21,6 +21,7 @@ count ORs each batch's stem cones from the stems' slots, the dictionary
 reader parses the text export back into packed words for comparison with
 the full-pass rows, the pattern references take each bit of
 a pattern code by a shift and pack each input word one pattern at a time,
+the batch-plan reference cuts the stems in their topological order,
 the per-trace stop reference builds, standardizes and scores one row at a
 time with its own formulas, the RBF map takes each landmark distance
 directly instead of through the expanded-norm identity, the lasso minimizer
@@ -32,6 +33,10 @@ plan, so the fast paths must match them bit for bit: the one-shot RBF map
 builds the whole distance matrix in one expression, and the every-trial
 L-BFGS loop takes the cost and the gradient together at each line-search
 trial.
+
+One helper is an adapter, not a reference: :func:`bit_pattern_dictionary`
+packs bit-tuple patterns with the reference packer and hands the words to
+the production builder, so tests written on bit tuples keep them.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from functools import reduce
 
 import numpy as np
 
-from testtrim.faultsim import Fault, enumerate_faults
+from testtrim.faultsim import Fault, build_fault_dictionary, enumerate_faults
 from testtrim.netlist import BenchParseError, Circuit, Gate, evaluate, format_bench, parse_bench
 
 
@@ -286,10 +291,37 @@ def seeded_patterns_reference(num_inputs: int, count: int, seed: int):
     return [pattern_bits(code, num_inputs) for code in codes]
 
 
+def numeric_order_patterns(num_inputs: int) -> list[tuple[int, ...]]:
+    """Every pattern of ``num_inputs`` inputs as a bit tuple, in code order:
+    the reference for ``faultsim.exhaustive_patterns``."""
+    return [pattern_bits(code, num_inputs) for code in range(1 << num_inputs)]
+
+
 def per_pattern_input_words(patterns, num_inputs: int) -> list[int]:
     """Per input ``j``, the word whose bit ``p`` is ``patterns[p][j]``,
     packed one pattern at a time."""
     return [sum(pat[j] << p for p, pat in enumerate(patterns)) for j in range(num_inputs)]
+
+
+def word_patterns(input_words, count: int) -> list[tuple[int, ...]]:
+    """The bit tuples of a packed pattern set: pattern ``p`` holds bit ``p``
+    of every input word."""
+    return [tuple((w >> p) & 1 for w in input_words) for p in range(count)]
+
+
+def bit_pattern_dictionary(circuit: Circuit, patterns):
+    """``faultsim.build_fault_dictionary`` on bit-tuple ``patterns``, packed
+    by :func:`per_pattern_input_words`."""
+    return build_fault_dictionary(
+        circuit, per_pattern_input_words(patterns, len(circuit.inputs)), len(patterns))
+
+
+def topological_batch_plan(stems, num_patterns: int, batch_bits: int) -> list[list[int]]:
+    """A batch plan for ``faultsim._flip_stems`` without the fanout-tree walk:
+    ``stems``, in their topological order, cut into runs of K = max(1,
+    ``batch_bits`` // P) stems."""
+    per_batch = max(1, batch_bits // num_patterns)
+    return [list(stems[b:b + per_batch]) for b in range(0, len(stems), per_batch)]
 
 
 # (reduction over the input words, invert the result) per gate kind

@@ -21,6 +21,7 @@ from testtrim.cli import main
 from testtrim.config import CORPUS_KEYS, RunConfig, config_to_text, save_config
 from testtrim.dataset import dataset_from_traces, split_corpus
 from testtrim.diagnosis import read_traces
+from testtrim.faultsim import FaultDictionary
 from testtrim.models import load_model
 from testtrim.netlist import format_bench
 
@@ -486,6 +487,45 @@ def test_bad_netlist_in_netlist_dir_is_named(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {benches / 'b_bad.bench'}: line 3, col 12: "
                    f"undeclared signal 'b' used as input of 'z'"]
+
+
+def test_exhaustive_limit_names_the_netlist(tmp_path, capsys):
+    benches = tmp_path / "benches"
+    benches.mkdir()
+    (benches / "a_ok.bench").write_text("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n")
+    names = [f"x{j}" for j in range(13)]
+    (benches / "b_wide.bench").write_text(
+        "".join(f"INPUT({n})\n" for n in names) + f"OUTPUT(z)\nz = XOR({', '.join(names)})\n")
+    overrides = _smoke_overrides(tmp_path / "run")
+    overrides.update(corpus_netlist_dir=str(benches), corpus_patterns="exhaustive")
+    cfg_path = _write_config(tmp_path, **overrides)
+    assert main(["generate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {benches / 'b_wide.bench'}: exhaustive pattern sets are limited to 12 "
+        f"inputs, got 13"]
+
+
+def test_exhaustive_limit_names_the_slot_and_max_inputs(tmp_path, capsys):
+    overrides = _smoke_overrides(tmp_path / "run")
+    overrides.update(corpus_patterns="exhaustive", corpus_min_inputs=13, corpus_max_inputs=13)
+    cfg_path = _write_config(tmp_path, **overrides)
+    assert main(["generate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: slot 0 (c000) with corpus.max_inputs = 13: exhaustive pattern sets are "
+        "limited to 12 inputs, got 13"]
+
+
+@pytest.mark.parametrize("patterns", (24, "exhaustive"))
+def test_generate_reads_no_bit_tuple_patterns(tmp_path, monkeypatch, capsys, patterns):
+    # FaultDictionary.patterns is a view kept for the benchmark's checks alone
+    def refuse(fdict):
+        raise AssertionError("FaultDictionary.patterns was read")
+    monkeypatch.setattr(FaultDictionary, "patterns", property(refuse))
+    overrides = _smoke_overrides(tmp_path / "run", circuits=4)
+    overrides["corpus_patterns"] = patterns
+    cfg_path = _write_config(tmp_path, **overrides)
+    assert main(["generate", "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+    assert len(read_traces(tmp_path / "run" / "traces.csv")) == 4
 
 
 def _negative_floats():

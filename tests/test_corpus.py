@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import random
 
 import pytest
 
@@ -7,7 +9,12 @@ from testtrim import corpus as corpus_module
 from testtrim.config import RunConfig
 from testtrim.corpus import build_corpus
 from testtrim.dataset import split_corpus
+from testtrim.generator import random_circuit
 from testtrim.netlist import BenchParseError, format_bench
+
+# sha256 of the seed-7 scale build below: its free words, fault masks and traces
+# (failing indices and sizes), pinned from the build that drew bit-tuple patterns
+SCALE_DIGEST = "a73b918910cad5f404afed2e6a834faefb6c7611681124cf32e038dab0480ce8"
 
 
 def test_small_corpus_shape(small_corpus):
@@ -134,3 +141,21 @@ def test_rows_rederive_trace_boundaries(small_corpus):
         assert (rows[:, 2] == trace.failing_indices[0]).all()
         assert (rows[:, 4] == trace.failing_indices[-1]).all()
         assert rows[:, 3].tolist() == trace.failing_indices
+
+
+def test_scale_build_matches_its_pinned_digest(tmp_path):
+    # the corpus-scale benchmark's netlists at seed 7: 1000 and 3000 gates, 24
+    # inputs, 1024 patterns; the batch layout (batch_diffs, fault_slots) is left out
+    for gates in (1000, 3000):
+        rng = random.Random(f"perfbench-scale:7:{gates}")
+        circuit = random_circuit(f"g{gates}", rng, min_inputs=24, max_inputs=24,
+                                 min_gates=gates, max_gates=gates, p_unread=0.5)
+        (tmp_path / f"g{gates}.bench").write_text(format_bench(circuit))
+    corpus = build_corpus(RunConfig(corpus_netlist_dir=str(tmp_path), corpus_patterns=1024,
+                                    corpus_seed=7))
+    digest = hashlib.sha256()
+    for fdict, trace in zip(corpus.dictionaries, corpus.traces):
+        digest.update(repr((fdict.free_words, fdict.fault_masks, trace.failing_indices,
+                            trace.intermediate_sizes)).encode())
+    assert [c.name for c in corpus.circuits] == ["g1000", "g3000"]
+    assert digest.hexdigest() == SCALE_DIGEST

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EDGE_BENCHES, random_pattern_list, random_small_circuit
-from oracles import (first_difference_indices, full_pass_fault_words, oracle_candidate_sets,
-                     prefix_replay_candidate_sets)
+from oracles import (bit_pattern_dictionary, first_difference_indices, full_pass_fault_words,
+                     numeric_order_patterns, oracle_candidate_sets, prefix_replay_candidate_sets)
 from testtrim import faultsim
 from testtrim.dataset import dataset_from_traces
 from testtrim.diagnosis import (TRACE_HEADER, DiagnosisTrace, UndiagnosableFaultError,
@@ -21,7 +21,7 @@ from testtrim.netlist import parse_bench
 
 
 def _exhaustive_dict(circuit):
-    return build_fault_dictionary(circuit, exhaustive_patterns(len(circuit.inputs)))
+    return build_fault_dictionary(circuit, *exhaustive_patterns(len(circuit.inputs)))
 
 
 def _traced_sets(fdict, injected):
@@ -60,8 +60,8 @@ def test_injected_always_a_candidate(sample6):
 
 
 def test_candidate_sets_match_bruteforce_oracle(sample6):
-    patterns = exhaustive_patterns(len(sample6.inputs))
-    fdict = build_fault_dictionary(sample6, patterns)
+    patterns = numeric_order_patterns(len(sample6.inputs))
+    fdict = bit_pattern_dictionary(sample6, patterns)
     for fi in fdict.detected_fault_indices():
         injected = fdict.faults[fi]
         trace, sets = _traced_sets(fdict, injected)
@@ -75,8 +75,8 @@ def test_candidate_sets_match_bruteforce_oracle(sample6):
 @given(st.integers(min_value=0, max_value=2_000))
 def test_candidate_oracle_on_random_circuits(seed):
     circuit = random_small_circuit(seed, max_inputs=5, max_gates=10)
-    patterns = exhaustive_patterns(len(circuit.inputs))
-    fdict = build_fault_dictionary(circuit, patterns)
+    patterns = numeric_order_patterns(len(circuit.inputs))
+    fdict = bit_pattern_dictionary(circuit, patterns)
     detectable = fdict.detected_fault_indices()
     if not detectable:
         return
@@ -101,7 +101,7 @@ def test_trace_matches_prefix_replay_oracle(seed, num_gates, num_patterns):
     if not detectable:
         return
     injected = detectable[rng.randrange(len(detectable))]
-    _assert_trace_matches_prefix_replay(build_fault_dictionary(circuit, patterns),
+    _assert_trace_matches_prefix_replay(bit_pattern_dictionary(circuit, patterns),
                                         fault_words, free_words, injected)
 
 
@@ -112,7 +112,7 @@ def test_every_edge_injection_matches_prefix_replay_oracle(name, num_patterns):
     circuit = parse_bench(EDGE_BENCHES[name], name=name)
     patterns = random_pattern_list(circuit, num_patterns, random.Random(num_patterns))
     fault_words, free_words = full_pass_fault_words(circuit, patterns)
-    fdict = build_fault_dictionary(circuit, patterns)
+    fdict = bit_pattern_dictionary(circuit, patterns)
     for injected, row in enumerate(fault_words):
         if row != free_words:
             _assert_trace_matches_prefix_replay(fdict, fault_words, free_words, injected)
@@ -138,7 +138,7 @@ def _replay_circuit(num_patterns):
 def test_replay_by_first_failing_pattern_matches_prefix_replay(num_patterns):
     # only a fault that first fails where the injected one does reads its stem's diffs
     circuit, patterns, (fault_words, free_words) = _replay_circuit(num_patterns)
-    fdict = build_fault_dictionary(circuit, patterns)
+    fdict = bit_pattern_dictionary(circuit, patterns)
     full = (1 << num_patterns) - 1
     first = {f: (m & -m).bit_length() - 1 for f, m in enumerate(fdict.fault_masks) if m}
     by_first = sorted(first, key=first.get)
@@ -161,7 +161,7 @@ def test_replay_by_first_failing_pattern_matches_prefix_replay(num_patterns):
 def test_every_detected_fault_replays_to_its_first_difference_sizes(num_patterns):
     # the sizes count, at each failing pattern, the faults whose rows still match
     circuit, patterns, (fault_words, free_words) = _replay_circuit(num_patterns)
-    fdict = build_fault_dictionary(circuit, patterns)
+    fdict = bit_pattern_dictionary(circuit, patterns)
     first_difference = first_difference_indices(fault_words, num_patterns)
     detected = fdict.detected_fault_indices()
     assert detected == [f for f, row in enumerate(fault_words) if row != free_words]
@@ -185,7 +185,7 @@ def test_trace_replay_across_batches_matches_prefix_replay(stems_per_batch):
     patterns = random_pattern_list(circuit, 65, rng)
     fault_words, free_words = full_pass_fault_words(circuit, patterns)
     with mock.patch.object(faultsim, "_BATCH_BITS", stems_per_batch * len(patterns)):
-        fdict = build_fault_dictionary(circuit, patterns)
+        fdict = bit_pattern_dictionary(circuit, patterns)
     assert len(fdict.batch_diffs) == -(-19 // stems_per_batch)
     last = len(fdict.batch_diffs) - 1
     partial = 19 % stems_per_batch != 0
@@ -229,14 +229,14 @@ def test_monotone_refinement_and_soundness(small_corpus):
 
 def test_undetected_fault_raises(and_circuit):
     # with only the all-ones pattern, a stuck-at-1 on input a is silent
-    fdict = build_fault_dictionary(and_circuit, [(1, 1)])
+    fdict = bit_pattern_dictionary(and_circuit, [(1, 1)])
     a = and_circuit.signal_names.index("a")
     with pytest.raises(UndiagnosableFaultError, match="undiagnosable"):
         trace_diagnosis(fdict, Fault(a, 1))
 
 
 def test_unknown_injected_fault(and_circuit):
-    fdict = build_fault_dictionary(and_circuit, [(1, 1)])
+    fdict = bit_pattern_dictionary(and_circuit, [(1, 1)])
     with pytest.raises(ValueError, match=r"^injected fault Fault\(signal=57, stuck_value=0\) "
                                          r"not in dictionary$"):
         trace_diagnosis(fdict, Fault(57, 0))

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import AND_BENCH, EDGE_BENCHES, random_pattern_list
-from oracles import (full_pass_fault_words, pattern_bits, per_pattern_input_words,
-                     read_dictionary_text, recursive_signal_values, rewrite_fault_response,
-                     seeded_patterns_reference, union_cone_gate_count)
+from oracles import (bit_pattern_dictionary, full_pass_fault_words, numeric_order_patterns,
+                     per_pattern_input_words, read_dictionary_text, recursive_signal_values,
+                     rewrite_fault_response, seeded_patterns_reference, topological_batch_plan,
+                     union_cone_gate_count, word_patterns)
 from testtrim import faultsim, netlist
 from testtrim.diagnosis import trace_diagnosis
 from testtrim.faultsim import (Fault, build_fault_dictionary, enumerate_faults,
@@ -56,8 +57,8 @@ def test_enumerate_fixture(sample6):
 
 def test_unexcited_fault_equals_fault_free_everywhere(sample6):
     # if the stuck value matches the fault-free signal value, nothing changes
-    patterns = exhaustive_patterns(len(sample6.inputs))
-    fdict = build_fault_dictionary(sample6, patterns)
+    patterns = numeric_order_patterns(len(sample6.inputs))
+    fdict = bit_pattern_dictionary(sample6, patterns)
     names = sample6.signal_names
     for p, pattern in enumerate(patterns):
         values = recursive_signal_values(sample6, pattern)
@@ -68,8 +69,7 @@ def test_unexcited_fault_equals_fault_free_everywhere(sample6):
 
 
 def test_dictionary_dimensions(and_circuit):
-    patterns = exhaustive_patterns(2)
-    fdict = build_fault_dictionary(and_circuit, patterns)
+    fdict = build_fault_dictionary(and_circuit, *exhaustive_patterns(2))
     assert len(fdict.faults) == 6
     assert fdict.num_patterns == 4
     # complete: every (fault, pattern) entry is materializable
@@ -79,8 +79,8 @@ def test_dictionary_dimensions(and_circuit):
 
 
 def test_dictionary_rows_match_per_pair_simulation(sample6, sample6_text):
-    patterns = exhaustive_patterns(len(sample6.inputs))
-    fdict = build_fault_dictionary(sample6, patterns)
+    patterns = numeric_order_patterns(len(sample6.inputs))
+    fdict = bit_pattern_dictionary(sample6, patterns)
     for p, pattern in enumerate(patterns):
         assert tuple((w >> p) & 1 for w in fdict.free_words) == evaluate(sample6, pattern)
     for fi, fault in enumerate(fdict.faults):
@@ -92,17 +92,15 @@ def test_dictionary_rows_match_per_pair_simulation(sample6, sample6_text):
 def test_simulate_faulty_matches_rewrite_oracle(sample6, sample6_text):
     # one pattern per dictionary: each faulty response is simulated on its own,
     # in a single-bit word, rather than as one lane of a packed batch
-    patterns = exhaustive_patterns(len(sample6.inputs))
-    for pattern in patterns:
-        fdict = build_fault_dictionary(sample6, [pattern])
+    for pattern in numeric_order_patterns(len(sample6.inputs)):
+        fdict = bit_pattern_dictionary(sample6, [pattern])
         for fi, fault in enumerate(fdict.faults):
             want = rewrite_fault_response(sample6_text, sample6, fault, pattern)
             assert fdict.response(fi, 0) == want, (fault, pattern)
 
 
 def test_undetected_fault_rows_equal_fault_free(sample6):
-    patterns = exhaustive_patterns(len(sample6.inputs))[:4]
-    fdict = build_fault_dictionary(sample6, patterns)
+    fdict = bit_pattern_dictionary(sample6, numeric_order_patterns(len(sample6.inputs))[:4])
     undetected = [fi for fi, m in enumerate(fdict.fault_masks) if not m]
     assert undetected
     for fi in undetected:
@@ -110,8 +108,8 @@ def test_undetected_fault_rows_equal_fault_free(sample6):
 
 
 def test_detectability_matches_brute_force(sample6, sample6_text):
-    patterns = exhaustive_patterns(len(sample6.inputs))
-    fdict = build_fault_dictionary(sample6, patterns)
+    patterns = numeric_order_patterns(len(sample6.inputs))
+    fdict = bit_pattern_dictionary(sample6, patterns)
     detected = set(fdict.detected_fault_indices())
     brute = set()
     for fi, fault in enumerate(fdict.faults):
@@ -125,25 +123,33 @@ def test_detectability_matches_brute_force(sample6, sample6_text):
 
 def test_dictionary_rebuild_identical(sample6):
     patterns = random_patterns(len(sample6.inputs), 12, seed=3)
-    a = build_fault_dictionary(sample6, patterns)
-    b = build_fault_dictionary(sample6, patterns)
+    a = build_fault_dictionary(sample6, *patterns)
+    b = build_fault_dictionary(sample6, *patterns)
     assert tuple(a.fault_words) == tuple(b.fault_words)
     assert a.free_words == b.free_words
 
 
 def test_dictionary_rejects_empty_pattern_list(and_circuit):
     with pytest.raises(ValueError, match="empty pattern list"):
-        build_fault_dictionary(and_circuit, [])
+        build_fault_dictionary(and_circuit, [0, 0], 0)
 
 
 def test_exhaustive_patterns():
-    patterns = exhaustive_patterns(3)
-    assert len(patterns) == 8
-    assert len(set(patterns)) == 8
-    assert patterns[0] == (0, 0, 0)
-    assert patterns[5] == (1, 0, 1)  # code 5 = 0b101, input j carries bit j
+    words, count = exhaustive_patterns(3)
+    assert count == 8
+    assert words == [0b10101010, 0b11001100, 0b11110000]
+    assert len(set(word_patterns(words, count))) == 8
+    # code 5 = 0b101, input j carries bit j
+    assert [(w >> 5) & 1 for w in words] == [1, 0, 1]
     with pytest.raises(ValueError, match="12"):
         exhaustive_patterns(13)
+
+
+@pytest.mark.parametrize("num_inputs", range(faultsim.EXHAUSTIVE_INPUT_LIMIT + 1))
+def test_exhaustive_words_are_the_numeric_order(num_inputs):
+    patterns = numeric_order_patterns(num_inputs)
+    assert exhaustive_patterns(num_inputs) == (per_pattern_input_words(patterns, num_inputs),
+                                               len(patterns))
 
 
 def test_random_patterns_seeded_and_distinct():
@@ -152,34 +158,37 @@ def test_random_patterns_seeded_and_distinct():
     c = random_patterns(6, 20, seed=10)
     assert a == b
     assert a != c
-    assert len(set(a)) == 20
+    assert a[1] == 20 and len(set(word_patterns(*a))) == 20
     # budget capped at the exhaustive space
-    assert len(random_patterns(3, 100, seed=1)) == 8
+    assert random_patterns(3, 100, seed=1)[1] == 8
 
 
 @pytest.mark.parametrize("num_inputs", (62, 63, 64, 100))
 def test_random_patterns_on_wide_inputs(num_inputs):
     # from 2**63 codes on, range(2**num_inputs) has no C length
-    patterns = random_patterns(num_inputs, 40, seed=5)
-    assert patterns == random_patterns(num_inputs, 40, seed=5)
-    assert patterns != random_patterns(num_inputs, 40, seed=6)
-    assert len(set(patterns)) == 40
-    assert all(len(p) == num_inputs and set(p) <= {0, 1} for p in patterns)
+    words, count = random_patterns(num_inputs, 40, seed=5)
+    assert (words, count) == random_patterns(num_inputs, 40, seed=5)
+    assert words != random_patterns(num_inputs, 40, seed=6)[0]
+    assert len(words) == num_inputs and count == 40
+    assert len(set(word_patterns(words, count))) == 40
+    assert all(0 <= w < 1 << count for w in words)
     # the high inputs are drawn too, not left at 0
-    assert any(p[-1] for p in patterns)
+    assert words[-1]
 
 
-@pytest.mark.parametrize("num_inputs", (1, 12, 24, 62, 63, 64, 100))
+@pytest.mark.parametrize("num_inputs", (*range(1, 13), 24, 62, 63, 64, 100))
 def test_pattern_bits_and_input_words_match_per_bit_reference(num_inputs):
-    patterns = random_patterns(num_inputs, 1024, seed=num_inputs)
-    assert patterns == seeded_patterns_reference(num_inputs, 1024, num_inputs)
-    if num_inputs <= faultsim.EXHAUSTIVE_INPUT_LIMIT:
-        assert exhaustive_patterns(num_inputs) == [pattern_bits(code, num_inputs)
-                                                   for code in range(1 << num_inputs)]
-    # every input is an output, so the fault-free row is the packed input words
+    # counts above the 2**num_inputs patterns there are draw every pattern
+    counts = (1, 1024, (1 << num_inputs) + 1) if num_inputs <= 12 else (1, 1024)
+    for count in counts:
+        want = seeded_patterns_reference(num_inputs, count, num_inputs)
+        assert random_patterns(num_inputs, count, seed=num_inputs) == \
+            (per_pattern_input_words(want, num_inputs), len(want))
+    # every input is an output, so the fault-free row is the input words
+    words, count = random_patterns(num_inputs, 1024, seed=num_inputs)
     names = [f"x{j}" for j in range(num_inputs)]
-    fdict = build_fault_dictionary(build_circuit("wires", names, names, []), patterns)
-    assert list(fdict.free_words) == per_pattern_input_words(patterns, num_inputs)
+    fdict = build_fault_dictionary(build_circuit("wires", names, names, []), words, count)
+    assert list(fdict.free_words) == words and fdict.input_words == tuple(words)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -189,14 +198,27 @@ def test_pattern_bits_and_input_words_match_per_bit_reference(num_inputs):
     ((-1, 0), "pattern bits must be 0 or 1, got -1"),
 ])
 def test_bad_pattern_refused_with_its_message(and_circuit, bad, message):
-    for patterns in ([bad], [(0, 0), (1, 1), bad, (0, 1)]):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            build_fault_dictionary(and_circuit, patterns)
+    # one pattern, given as bits, is checked where it is read: netlist.evaluate
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate(and_circuit, bad)
+
+
+@pytest.mark.parametrize("words, count, message", [
+    ([0b1010], 4, "1 input words do not match 2 circuit inputs"),
+    ([0, 0, 0], 4, "3 input words do not match 2 circuit inputs"),
+    ([0b1010, 0b10000], 4, "input word 1 is wider than 4 patterns"),
+    ([-1, 0], 4, "input word 0 is wider than 4 patterns"),
+    ([0, 0], 0, "empty pattern list: 0 patterns"),
+    ([0, 0], -1, "empty pattern list: -1 patterns"),
+])
+def test_bad_input_words_refused_with_their_message(and_circuit, words, count, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_fault_dictionary(and_circuit, words, count)
 
 
 def test_dictionary_export_format(tmp_path, and_circuit):
-    patterns = exhaustive_patterns(2)  # (a, b) = 00, 10, 01, 11: z = a & b is 0b1000
-    fdict = build_fault_dictionary(and_circuit, patterns)
+    # (a, b) = 00, 10, 01, 11: z = a & b is 0b1000
+    fdict = build_fault_dictionary(and_circuit, *exhaustive_patterns(2))
     path = tmp_path / "and2.dict"
     write_dictionary(fdict, path)
     assert path.read_text().splitlines() == [
@@ -207,18 +229,18 @@ def test_dictionary_export_format(tmp_path, and_circuit):
     ]
 
 
-def _assert_export_round_trips(fdict, tmp_path):
-    """The export read back gives the header and, fault by fault in
-    enumeration order, the reference words of every output."""
+def _assert_export_round_trips(circuit, patterns, tmp_path):
+    """The export of ``patterns``' dictionary read back gives the header and,
+    fault by fault in enumeration order, the reference words of every output."""
+    fdict = bit_pattern_dictionary(circuit, patterns)
     path = tmp_path / "export.dict"
     write_dictionary(fdict, path)
     text = path.read_text()
     assert not any(line.endswith(" ") for line in text.splitlines())
     header, rows = read_dictionary_text(text)
-    circuit = fdict.circuit
     assert header == (f"# circuit={circuit.name} signals={circuit.signal_count} "
-                      f"faults={2 * circuit.signal_count} patterns={len(fdict.patterns)}")
-    want_words, _ = full_pass_fault_words(circuit, fdict.patterns)
+                      f"faults={2 * circuit.signal_count} patterns={len(patterns)}")
+    want_words, _ = full_pass_fault_words(circuit, patterns)
     names = circuit.signal_names
     assert rows == [(names[f.signal], f.stuck_value, words)
                     for f, words in zip(enumerate_faults(circuit), want_words)]
@@ -230,8 +252,8 @@ def test_dictionary_export_matches_bitwise_reference(tmp_path, seed, num_pattern
     rng = random.Random(seed)
     circuit = random_circuit(f"r{seed}", rng, min_inputs=3, max_inputs=10,
                              min_gates=10, max_gates=60, p_unread=0.5)
-    patterns = random_pattern_list(circuit, num_patterns, rng)
-    _assert_export_round_trips(build_fault_dictionary(circuit, patterns), tmp_path)
+    _assert_export_round_trips(circuit, random_pattern_list(circuit, num_patterns, rng),
+                               tmp_path)
 
 
 def test_dictionary_export_streams_its_lines(tmp_path):
@@ -240,7 +262,7 @@ def test_dictionary_export_streams_its_lines(tmp_path):
     gates = [(f"g{j}", "XOR", (inputs[j % 10], inputs[(j + 1 + j // 10 % 9) % 10]))
              for j in range(100)]
     circuit = build_circuit("wide", inputs, [g for g, _, _ in gates], gates)
-    fdict = build_fault_dictionary(circuit, exhaustive_patterns(10))
+    fdict = build_fault_dictionary(circuit, *exhaustive_patterns(10))
     path = tmp_path / "wide.dict"
     tracemalloc.start()
     try:
@@ -258,12 +280,11 @@ def test_dictionary_export_streams_its_lines(tmp_path):
                          ids=("and2", "no_outputs"))
 def test_dictionary_export_matches_bitwise_reference_small(tmp_path, bench):
     circuit = parse_bench(bench, name="small")
-    _assert_export_round_trips(build_fault_dictionary(circuit, exhaustive_patterns(2)),
-                               tmp_path)
+    _assert_export_round_trips(circuit, numeric_order_patterns(2), tmp_path)
 
 
 def _assert_matches_full_pass(circuit, patterns):
-    fdict = build_fault_dictionary(circuit, patterns)
+    fdict = bit_pattern_dictionary(circuit, patterns)
     want_fault_words, want_free_words = full_pass_fault_words(circuit, patterns)
     assert fdict.free_words == want_free_words
     assert tuple(fdict.fault_words) == want_fault_words
@@ -303,7 +324,7 @@ def test_batch_budget_changes_no_result(seed, num_patterns):
     results, batches = [], []
     for budget in (1024, 7168, 8192):
         with mock.patch.object(faultsim, "_BATCH_BITS", budget):
-            fdict = build_fault_dictionary(circuit, patterns)
+            fdict = bit_pattern_dictionary(circuit, patterns)
         detected = fdict.detected_fault_indices()
         injected = detected[::max(1, len(detected) // 12)]
         results.append((tuple(fdict.fault_words), fdict.fault_masks,
@@ -317,7 +338,7 @@ def test_batch_budget_changes_no_result(seed, num_patterns):
 
 
 def test_replaced_rows_are_the_rows_read(sample6):
-    fdict = build_fault_dictionary(sample6, exhaustive_patterns(len(sample6.inputs)))
+    fdict = build_fault_dictionary(sample6, *exhaustive_patterns(len(sample6.inputs)))
     full = (1 << fdict.num_patterns) - 1
     inverted = tuple(tuple(w ^ full for w in row) for row in fdict.fault_words)
     replaced = dataclasses.replace(fdict, fault_words=inverted)
@@ -346,7 +367,7 @@ def test_elimination_indices_match_full_pass_rows(seed, num_patterns):
     patterns = random_pattern_list(circuit, num_patterns, rng)
     rows, _ = full_pass_fault_words(circuit, patterns)
     with mock.patch.object(faultsim, "_BATCH_BITS", 3 * num_patterns):
-        fdict = build_fault_dictionary(circuit, patterns)
+        fdict = bit_pattern_dictionary(circuit, patterns)
     assert not all(fdict.fault_masks) and len(fdict.batch_diffs) > 1
     for injected, inj_row in enumerate(rows):
         want = []
@@ -386,6 +407,10 @@ def _per_stem_flips(batch_diffs, stem_slots, obs, num_patterns):
     return flips
 
 
+def _topological_plan(stems, num_patterns):
+    return topological_batch_plan(stems, num_patterns, faultsim._BATCH_BITS)
+
+
 @pytest.mark.parametrize("num_patterns", (64, 208, 1024))
 @pytest.mark.parametrize("seed, num_gates", ((0, 100), (1, 300), (2, 1000)))
 def test_fanout_tree_batches_change_no_result(seed, num_gates, num_patterns):
@@ -395,24 +420,29 @@ def test_fanout_tree_batches_change_no_result(seed, num_gates, num_patterns):
     patterns = random_pattern_list(circuit, num_patterns, rng)
     free, reach, stem_of, stems = _stems_in_topological_order(circuit, patterns)
     tree = faultsim._fanout_tree_order(circuit, reach, stem_of, stems, num_patterns)
-    per_batch = min(faultsim._BATCH_BITS // num_patterns, len(stems))
-    several = len(stems) > per_batch
-    assert sorted(tree) == sorted(stems) and (tree != stems if several else tree is stems)
-    flips = [_per_stem_flips(*faultsim._flip_stems(circuit, free, reach, order, num_patterns),
-                             num_patterns) for order in (stems, tree)]
+    topo = _topological_plan(stems, num_patterns)
+    # the same batch sizes, each batch topological, and another order once there are several
+    assert list(map(len, tree)) == list(map(len, topo))
+    assert sorted(s for batch in tree for s in batch) == sorted(stems)
+    position = {s: k for k, s in enumerate(stems)}
+    assert all(batch == sorted(batch, key=position.__getitem__) for batch in tree)
+    assert (tree != topo) == (len(topo) > 1)
+    flips = [_per_stem_flips(*faultsim._flip_stems(circuit, free, reach, plan, num_patterns),
+                             num_patterns) for plan in (topo, tree)]
     assert flips[0] == flips[1] and len(flips[0]) == len(stems)
 
-    fdict = build_fault_dictionary(circuit, patterns)
-    with mock.patch.object(faultsim, "_fanout_tree_order", lambda c, r, s, stems, p: stems):
-        topo = build_fault_dictionary(circuit, patterns)
-    assert len(fdict.batch_diffs) == len(topo.batch_diffs) == -(-len(stems) // per_batch)
+    fdict = bit_pattern_dictionary(circuit, patterns)
+    with mock.patch.object(faultsim, "_fanout_tree_order",
+                           lambda c, r, s, stems, p: _topological_plan(stems, p)):
+        topo_dict = bit_pattern_dictionary(circuit, patterns)
+    assert len(fdict.batch_diffs) == len(topo_dict.batch_diffs) == len(topo)
     if num_gates <= 300:   # the full-pass reference re-simulates every gate per fault
         assert tuple(fdict.fault_words) == full_pass_fault_words(circuit, patterns)[0]
-    assert tuple(fdict.fault_words) == tuple(topo.fault_words)
-    assert fdict.fault_masks == topo.fault_masks
+    assert tuple(fdict.fault_words) == tuple(topo_dict.fault_words)
+    assert fdict.fault_masks == topo_dict.fault_masks
     detected = fdict.detected_fault_indices()
     for f in [0, *detected[::max(1, len(detected) // 20)]]:
-        assert fdict.elimination_indices(f) == topo.elimination_indices(f), f
+        assert fdict.elimination_indices(f) == topo_dict.elimination_indices(f), f
 
 
 def test_fanout_tree_batches_evaluate_fewer_gates():
@@ -424,12 +454,17 @@ def test_fanout_tree_batches_evaluate_fewer_gates():
     free, reach, stem_of, stems = _stems_in_topological_order(circuit, patterns)
     tree = faultsim._fanout_tree_order(circuit, reach, stem_of, stems, 1024)
     topo_gates, tree_gates = (
-        union_cone_gate_count(faultsim._flip_stems(circuit, free, reach, order, 1024)[1], reach)
-        for order in (stems, tree))
+        union_cone_gate_count(faultsim._flip_stems(circuit, free, reach, plan, 1024)[1], reach)
+        for plan in (_topological_plan(stems, 1024), tree))
     assert tree_gates <= 0.9 * topo_gates, (tree_gates, topo_gates)
 
 
 def test_one_batch_keeps_the_topological_order(sample6):
-    patterns = exhaustive_patterns(len(sample6.inputs))
+    patterns = numeric_order_patterns(len(sample6.inputs))
     _, reach, stem_of, stems = _stems_in_topological_order(sample6, patterns)
-    assert faultsim._fanout_tree_order(sample6, reach, stem_of, stems, len(patterns)) is stems
+    plan = faultsim._fanout_tree_order(sample6, reach, stem_of, stems, len(patterns))
+    assert plan == [stems] == _topological_plan(stems, len(patterns))
+    # no flipped stem: no batch, and a circuit without signals builds with none
+    assert faultsim._fanout_tree_order(sample6, reach, stem_of, [], len(patterns)) == []
+    empty = build_fault_dictionary(parse_bench(""), [], 1)
+    assert empty.faults == () and empty.batch_diffs == ()

@@ -407,6 +407,15 @@ def test_layout_scan_sees_attribute_reads_not_docstrings():
                                    "batch_diffs = fault_slots = 0")) == []
 
 
+def test_only_the_benchmark_reads_bit_tuple_patterns():
+    # FaultDictionary.patterns is a view for perfbench/checks.py; the package reads words
+    sources = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+    readers = [f"{path.parent.name}/{path.name}" for path in sources
+               if any(isinstance(node, ast.Attribute) and node.attr == "patterns"
+                      for node in ast.walk(ast.parse(path.read_text())))]
+    assert readers == ["perfbench/checks.py"]
+
+
 def _read_names(tree: ast.Module) -> set[str]:
     """Every name ``tree`` reads as an attribute or passes as a call keyword."""
     names = set()
